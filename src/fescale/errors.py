@@ -2,7 +2,12 @@
 
 
 class FescaleError(Exception):
-    """Base class for all solver errors."""
+    """Base class for all solver errors.
+
+    Subclasses whose constructor takes other than the message define
+    ``__reduce__``, so an error pickled back from a worker process keeps its
+    type and attributes.
+    """
 
 
 class StructuralError(FescaleError):
@@ -25,13 +30,20 @@ class SingularMatrixError(FescaleError):
             f"singular matrix: pivot {self.pivot_value:.3e} at row {self.pivot_index}"
         )
 
+    def __reduce__(self):
+        return type(self), (self.pivot_index, self.pivot_value)
+
 
 class MeshQualityError(FescaleError):
     """An element has a non-positive Jacobian determinant."""
 
     def __init__(self, element, detj):
         self.element = int(element)
+        self.detj = float(detj)
         super().__init__(f"element {element}: non-positive Jacobian det {detj:.3e}")
+
+    def __reduce__(self):
+        return type(self), (self.element, self.detj)
 
 
 class GeometryError(FescaleError):
@@ -52,6 +64,9 @@ class MicroDivergenceError(FescaleError):
             f"micro problem {rve_index} did not converge in {iterations} iterations "
             f"(residual {residual:.3e})"
         )
+
+    def __reduce__(self):
+        return type(self), (self.rve_index, self.iterations, self.residual)
 
 
 class ConfigError(FescaleError):

@@ -3,7 +3,9 @@
 CSR matrices with a structurally symmetric pattern, reverse Cuthill-McKee
 bandwidth reduction, and a banded LU factorization with diagonal pivoting.
 Factorizations are retained and reused for repeated multi-RHS solves; a
-solve never mutates the factorization.
+solve never mutates the factorization. Matrices of one pattern can be
+factorized into the slots of one padded band stack and solved together in
+one stacked call, bit for bit as if solved one by one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class SparseMatrix:
 
     Within each row the column indices are strictly increasing, and the
     pattern is expected to be structurally symmetric (entry (i, j) present
-    iff (j, i) is), which the factorization relies on.
+    iff (j, i) is); :func:`compute_ordering` checks this once per pattern.
     """
 
     n_rows: int
@@ -128,12 +130,71 @@ class Permutation:
 
 
 @dataclass(frozen=True)
-class Factorization:
-    """Banded LU factors of a permuted matrix, retained for repeated solves.
+class BandLayout:
+    """Where the entries of one sparsity pattern sit in a padded band.
 
-    ``band[i, j - i + half]`` stores entry (i, j) of the permuted matrix;
-    L (unit diagonal, below) and U overwrite it in place during factorize.
-    The arrays are frozen read-only: solve never mutates a Factorization.
+    Every matrix of the pattern is factorized into an array of ``shape``:
+    band row ``half + i`` holds row i of the permuted matrix, entry (i, j) at
+    band column ``j - i + half``, and ``half`` zero rows above and below let
+    every row step of the elimination and of the substitutions address a
+    full-width sheared view. Built once per pattern and ordering.
+    """
+
+    n: int
+    half_bandwidth: int
+    perm: Permutation
+    rows: np.ndarray  # padded band row of every stored entry
+    cols: np.ndarray  # band column of every stored entry
+
+    @classmethod
+    def of(cls, pattern: SparseMatrix, perm: Permutation | None = None) -> BandLayout:
+        n = pattern.n_rows
+        if perm is None:
+            perm = Permutation.identity(n)
+        if len(perm.forward) != n:
+            raise StructuralError("permutation size does not match matrix")
+        rows = perm.forward[pattern.row_of_entries()]
+        cols = perm.forward[pattern.col_indices]
+        half = int(np.max(np.abs(rows - cols))) if len(cols) else 0
+        return cls(n, half, perm, rows + half, cols - rows + half)
+
+    @property
+    def shape(self):
+        return (self.n + 2 * self.half_bandwidth, 2 * self.half_bandwidth + 1)
+
+    def empty_stack(self, count) -> np.ndarray:
+        """Writable ``(count,) + shape`` band stack, one slot per matrix.
+
+        Consecutive slots overlap in their padding: the bottom padding rows
+        of slot i are the top padding rows of slot i + 1. Padding is never
+        read into a matrix row, so a slot can be refactorized without
+        disturbing its neighbours. Slots start as the identity, so a stacked
+        solve through a slot that was never factorized returns its
+        right-hand side unchanged.
+        """
+        n, half = self.n, self.half_bandwidth
+        buf = np.zeros((count * (n + half) + half, 2 * half + 1))
+        s0, s1 = buf.strides
+        bands = as_strided(buf, (count,) + self.shape, ((n + half) * s0, s0, s1))
+        bands[:, half:half + n, half] = 1.0
+        return bands
+
+    def factors(self, bands) -> Factorization:
+        """Read-only factorization view of one band or of a band stack."""
+        view = bands.view()
+        view.setflags(write=False)
+        return Factorization(self.n, self.half_bandwidth, view, self.perm)
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """Banded LU factors of a permuted matrix, or of a stack of them.
+
+    ``band`` is one padded band (see :class:`BandLayout`) or a stack of
+    bands with a leading axis; L (unit diagonal, below) and U replace the
+    matrix entries. The view is read-only, so a solve never mutates it. A
+    factorization written into a slot of a band stack stays valid until the
+    slot is factorized again.
     """
 
     n: int
@@ -228,8 +289,17 @@ def compute_ordering(pattern: SparseMatrix) -> Permutation:
     return perm
 
 
-def factorize(a: SparseMatrix, perm: Permutation | None = None) -> Factorization:
-    """LU-factorize a structurally symmetric sparse matrix under ``perm``.
+def factorize(a: SparseMatrix, perm: Permutation | BandLayout | None = None,
+              out: np.ndarray | None = None) -> Factorization:
+    """LU-factorize a sparse matrix under ``perm``.
+
+    ``perm`` is a :class:`Permutation` or a :class:`BandLayout` built for
+    the pattern of ``a`` (which skips recomputing the scatter indices); the
+    band is sized from the largest permuted |i - j|. ``out`` is a writable
+    slot of :meth:`BandLayout.empty_stack`: it is overwritten, and the
+    returned factorization is a view of it (after a failure the slot holds
+    no factorization until it is factorized again). Without ``out`` a new
+    band is allocated.
 
     Banded Doolittle elimination with diagonal pivoting: a pivot whose
     magnitude falls at or below ``PIVOT_RTOL`` times the row's largest
@@ -237,77 +307,90 @@ def factorize(a: SparseMatrix, perm: Permutation | None = None) -> Factorization
     failing row index (original numbering). The result is reusable for any
     number of subsequent solves.
     """
-    n = a.n_rows
-    if perm is None:
-        perm = Permutation.identity(n)
-    if len(perm.forward) != n:
-        raise StructuralError("permutation size does not match matrix")
-    if not a.is_structurally_symmetric():
-        raise StructuralError("matrix pattern is not structurally symmetric")
+    layout = perm if isinstance(perm, BandLayout) else BandLayout.of(a, perm)
+    n, half = layout.n, layout.half_bandwidth
+    if a.n_rows != n or len(a.values) != len(layout.rows):
+        raise StructuralError("matrix does not match the band layout")
+    if out is None:
+        band = np.zeros(layout.shape)
+    elif out.shape != layout.shape:
+        raise StructuralError(f"band slot shape {out.shape} does not match {layout.shape}")
+    else:
+        band = out
+        band.fill(0.0)
+    band[layout.rows, layout.cols] = a.values
     if n == 0:
-        band = np.zeros((0, 1))
-        band.setflags(write=False)
-        return Factorization(0, 0, band, perm)
+        return layout.factors(band)
 
-    rows = perm.forward[a.row_of_entries()]
-    cols = perm.forward[a.col_indices]
-    half = int(np.max(np.abs(rows - cols))) if len(cols) else 0
-    band = np.zeros((n, 2 * half + 1))
-    band[rows, cols - rows + half] = a.values
-    row_max = np.abs(band).max(axis=1)  # permuted-row scale for the pivot test
-
+    diag = band[half:half + n, half]
+    # permuted-row scale for the pivot test
+    tol = PIVOT_RTOL * np.abs(band[half:half + n]).max(axis=1)
+    # Row step k, as views built once: L column k below the pivot, U row k
+    # right of it, and the trailing block sheared one column left per row.
+    # Near the last row the views reach into the zero padding.
     s0, s1 = band.strides
+    lower = as_strided(band[half + 1:, half - 1:], (n, half), (s0, s0 - s1))
+    trailing = as_strided(band[half + 1:, half:], (n, half, half), (s0, s0 - s1, s1))
+    lower_col = lower[:, :, None]
+    upper_row = band[half:half + n, None, half + 1:]
+    update = np.empty((half, half))
     for k in range(n):
-        piv = band[k, half]
-        if abs(piv) <= PIVOT_RTOL * row_max[k]:
-            raise SingularMatrixError(perm.inverse[k], piv)
-        r = min(half, n - 1 - k)
-        if r == 0:
-            continue
-        # column k below the diagonal sits on an antidiagonal of the band
-        col = as_strided(band[k + 1:, half - 1:], shape=(r,), strides=(s0 - s1,))
-        col /= piv
-        urow = band[k, half + 1:half + 1 + r]
-        # trailing (r x r) block, sheared one column left per row
-        block = as_strided(band[k + 1:, half:], shape=(r, r), strides=(s0 - s1, s1))
-        block -= np.multiply.outer(col, urow)
-    band.setflags(write=False)
-    return Factorization(n, half, band, perm)
+        piv = diag[k]
+        if abs(piv) <= tol[k]:
+            raise SingularMatrixError(layout.perm.inverse[k], piv)
+        col = lower[k]
+        np.divide(col, piv, out=col)
+        np.multiply(lower_col[k], upper_row[k], out=update)
+        block = trailing[k]
+        np.subtract(block, update, out=block)
+    return layout.factors(band)
 
 
 def solve(f: Factorization, rhs: np.ndarray) -> np.ndarray:
     """Forward/backward substitution for one or many right-hand sides.
 
-    ``rhs`` may be shaped (n,) or (n, m); the result matches. Columns are
-    processed with identical elementwise operations, so an m-column solve
-    equals m single-column solves bit for bit.
+    For one factorization ``rhs`` is shaped (n,) or (n, m); for a stack of
+    b factorizations it is (n, b, m), block ``rhs[:, i]`` solved against
+    factorization i. The result matches. Every column and every stacked
+    system goes through identical elementwise operations, so a stacked
+    m-column solve equals the separate single-column solves bit for bit.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != f.n:
+    n, half = f.n, f.half_bandwidth
+    stacked = f.band.ndim == 3
+    if stacked:
+        ok = rhs.ndim == 3 and rhs.shape[:2] == (n, f.band.shape[0])
+    else:
+        ok = rhs.ndim in (1, 2) and rhs.shape[0] == n
+    if not ok:
         raise StructuralError(
-            f"rhs shape {rhs.shape} does not match factorized dimension {f.n}"
+            f"rhs shape {rhs.shape} does not match factorized dimension {n}"
         )
-    if f.n == 0:
+    if n == 0:
         return rhs.copy()
-    single = rhs.ndim == 1
-    x = rhs.reshape(f.n, 1) if single else rhs
-    x = x[f.perm.inverse].astype(np.float64)
-
-    band, half, n = f.band, f.half_bandwidth, f.n
-    s0, s1 = band.strides
+    bands = f.band if stacked else f.band[None]
+    blocks = rhs if stacked else rhs.reshape(n, 1, -1)
+    b, m = blocks.shape[1:]
+    # x[half + i] holds row i of every system, so each row step updates one
+    # contiguous block of rows
+    x = np.zeros((n + 2 * half, b, m))
+    x[half:half + n] = blocks[f.perm.inverse]
+    # views built once: L column k below the diagonal, U column k above it
+    # (rows k-h..k-1), and the pivots, each with the stack axis inside
+    sb, s0, s1 = bands.strides
+    lower = as_strided(bands[:, half + 1:, half - 1:], (n, half, b, 1), (s0, s0 - s1, sb, 0))
+    upper = as_strided(bands[:, :, 2 * half:], (n, half, b, 1), (s0, s0 - s1, sb, 0))
+    diag = as_strided(bands[:, half:, half], (n, b, 1), (s0, sb, 0))
+    update = np.empty((half, b, m))
     for k in range(n - 1):  # L has unit diagonal
-        r = min(half, n - 1 - k)
-        if r == 0:
-            continue
-        col = as_strided(band[k + 1:, half - 1:], shape=(r,), strides=(s0 - s1,))
-        x[k + 1:k + 1 + r] -= np.multiply.outer(col, x[k])
+        np.multiply(lower[k], x[half + k], out=update)
+        rows = x[half + k + 1:2 * half + k + 1]
+        np.subtract(rows, update, out=rows)
     for k in range(n - 1, -1, -1):
-        x[k] /= band[k, half]
-        r = min(half, k)
-        if r == 0:
-            continue
-        # column k of U above the diagonal, rows k-r..k-1 ascending
-        col = as_strided(band[k - r:, half + r:], shape=(r,), strides=(s0 - s1,))
-        x[k - r:k] -= np.multiply.outer(col, x[k])
-    out = x[f.perm.forward]
-    return out[:, 0] if single else out
+        xk = x[half + k]
+        np.divide(xk, diag[k], out=xk)
+        np.multiply(upper[k], xk, out=update)
+        rows = x[k:half + k]
+        np.subtract(rows, update, out=rows)
+    out = x[half:half + n][f.perm.forward]
+    return out if stacked else out.reshape(rhs.shape)

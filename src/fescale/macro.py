@@ -136,7 +136,7 @@ class MacroSystem:
         self.floor_force = floor_force
 
         self.pattern = fmesh.structure_of_stiffness(mesh, dof_map)
-        self.ordering = linalg.compute_ordering(self.pattern)
+        self.layout = linalg.BandLayout.of(self.pattern, linalg.compute_ordering(self.pattern))
         self.blocks = []
         first_el = 0
         first_ip = 0
@@ -185,11 +185,18 @@ class MacroSystem:
 
 
 class _Shard:
-    """Owns a contiguous-by-stride subset of the RVE problems."""
+    """Owns a contiguous-by-stride subset of the RVE problems.
+
+    The RVEs factorize into the slots of one band stack, so each solve of
+    the monolithic sweep is one stacked call over the whole shard. The pool
+    calls the public methods by name.
+    """
 
     def __init__(self, geom, indices, store_factorization):
         self.indices = list(indices)
-        self.rves = [rvemod.RveProblem(geom, store_factorization) for _ in self.indices]
+        bands = geom.layout.empty_stack(len(self.indices))
+        self.rves = [rvemod.RveProblem(geom, store_factorization, bands, slot)
+                     for slot in range(len(self.indices))]
         # setup pass: assemble and factorize the virgin elastic stiffness so
         # the first condensation update consumes a retained factorization
         for p in self.rves:
@@ -227,10 +234,11 @@ class _Shard:
         c = np.zeros((m, 4, 4))
         rnorm = np.zeros(m)
         ref = np.zeros(m)
-        for i, p in enumerate(self.rves):
-            rvemod.micro_update_monolithic(p, dh_sub[i])
+        rvemod.micro_update_monolithic(self.rves, dh_sub)
+        for p in self.rves:
             rvemod.assemble(p)
-            out = rvemod.homogenized_tangent_and_alg_stress(p)
+        outs = rvemod.homogenized_tangent_and_alg_stress(self.rves)
+        for i, (p, out) in enumerate(zip(self.rves, outs)):
             sigma[i] = out.sigma_alg
             c[i] = out.c_tangent
             rnorm[i] = out.residual_norm
@@ -256,41 +264,33 @@ class _Shard:
     def plastic_any(self):
         return any(p.cached.plastic_flow for p in self.rves)
 
-    def alpha(self):
+    def gather_alpha(self):
         return np.stack([rvemod.committed_alpha_bar(p) for p in self.rves])
-
-    def dispatch(self, cmd, payload):
-        if cmd == "begin":
-            return self.begin_increment(payload)
-        if cmd == "staggered":
-            return self.staggered(*payload)
-        if cmd == "monolithic":
-            return self.monolithic(payload)
-        if cmd == "commit":
-            return self.commit()
-        if cmd == "rollback":
-            return self.rollback()
-        if cmd == "counters":
-            return self.counters(payload)
-        if cmd == "plastic":
-            return self.plastic_any()
-        if cmd == "alpha":
-            return self.alpha()
-        raise ValueError(f"unknown command {cmd!r}")
 
 
 def _worker_main(conn, model_bytes, indices, store_factorization):
-    geom = rvemod.MicroGeometry(pickle.loads(model_bytes))
-    shard = _Shard(geom, indices, store_factorization)
+    """Serve ``(method name, args)`` requests on one shard until ``(None, None)``.
+
+    Every reply is ``(True, result)`` or ``(False, exception)``; a failure
+    to build the shard is replied to every request.
+    """
+    try:
+        shard = _Shard(rvemod.MicroGeometry(pickle.loads(model_bytes)), indices,
+                       store_factorization)
+    except Exception as exc:  # surfaced in the parent process
+        shard, setup_error = None, exc
     while True:
-        cmd, payload = conn.recv()
-        if cmd == "stop":
+        name, args = conn.recv()
+        if name is None:
             conn.close()
             return
         try:
-            conn.send(("ok", shard.dispatch(cmd, payload)))
-        except Exception as exc:  # surfaced in the parent process
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            if shard is None:
+                raise setup_error
+            reply = (True, getattr(shard, name)(*args))
+        except Exception as exc:  # re-raised in the parent process
+            reply = (False, exc)
+        conn.send(reply)
 
 
 class RvePool:
@@ -328,18 +328,24 @@ class RvePool:
                 self._pipes.append(parent)
                 self._procs.append(proc)
 
-    def _call(self, cmd, payloads):
+    def _call(self, name, args=None):
+        """Call shard method ``name`` with the tuple ``args[w]`` on every shard w.
+
+        ``args=None`` calls without arguments. Every worker's reply is read
+        before the first failure is re-raised with its own type, as in a
+        serial run.
+        """
+        if args is None:
+            args = [()] * self.workers_effective
         if self._local is not None:
-            return [self._local.dispatch(cmd, payloads[0])]
-        for pipe, pl in zip(self._pipes, payloads):
-            pipe.send((cmd, pl))
-        results = []
-        for pipe in self._pipes:
-            status, value = pipe.recv()
-            if status == "error":
-                raise RuntimeError(f"RVE worker failed: {value}")
-            results.append(value)
-        return results
+            return [getattr(self._local, name)(*args[0])]
+        for pipe, a in zip(self._pipes, args):
+            pipe.send((name, a))
+        replies = [pipe.recv() for pipe in self._pipes]
+        for ok, value in replies:
+            if not ok:
+                raise value
+        return [value for _, value in replies]
 
     def _scatter(self, full):
         return [full[idx] for idx in self._shard_indices]
@@ -356,7 +362,7 @@ class RvePool:
         return out
 
     def begin_increment(self, extrapolate_ratio=None):
-        self._call("begin", [extrapolate_ratio] * self.workers_effective)
+        self._call("begin_increment", [(extrapolate_ratio,)] * self.workers_effective)
 
     @property
     def workers_effective(self):
@@ -368,18 +374,17 @@ class RvePool:
         return self._gather(results, ("sigma", "c", "rnorm", "iters"))
 
     def monolithic(self, dh_all):
-        payloads = self._scatter(dh_all)
-        results = self._call("monolithic", payloads)
+        results = self._call("monolithic", [(sub,) for sub in self._scatter(dh_all)])
         return self._gather(results, ("sigma", "c", "rnorm", "ref"))
 
     def commit(self):
-        self._call("commit", [None] * self.workers_effective)
+        self._call("commit")
 
     def rollback(self):
-        self._call("rollback", [None] * self.workers_effective)
+        self._call("rollback")
 
     def counters(self, reset=True):
-        parts = self._call("counters", [reset] * self.workers_effective)
+        parts = self._call("counters", [(reset,)] * self.workers_effective)
         total = np.zeros(4, dtype=np.int64)
         for p in parts:
             total += p
@@ -387,10 +392,10 @@ class RvePool:
                 "factorizations": int(total[2]), "assemblies": int(total[3])}
 
     def plastic_any(self):
-        return any(self._call("plastic", [None] * self.workers_effective))
+        return any(self._call("plastic_any"))
 
     def gather_alpha(self):
-        parts = self._call("alpha", [None] * self.workers_effective)
+        parts = self._call("gather_alpha")
         buf = np.empty((self.n_rves, parts[0].shape[1]))
         for idx, part in zip(self._shard_indices, parts):
             buf[idx] = part
@@ -407,7 +412,7 @@ class RvePool:
         if self._local is None:
             for pipe in self._pipes:
                 try:
-                    pipe.send(("stop", None))
+                    pipe.send((None, None))
                     pipe.close()
                 except (BrokenPipeError, OSError):
                     pass
@@ -490,7 +495,7 @@ def _macro_residual(model, f_int, lam):
 
 
 def _macro_solve(model, k_red, r_free):
-    f = linalg.factorize(k_red, model.system.ordering)
+    f = linalg.factorize(k_red, model.system.layout)
     return linalg.solve(f, r_free)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fescale import linalg, material, mesh as fmesh
-from fescale.errors import GeometryError, MicroDivergenceError
+from fescale.errors import GeometryError, MicroDivergenceError, StructuralError
 
 # absolute floor of the residual reference force: 1e-8 * E * edge length
 FLOOR_SCALE = 1e-8
@@ -203,7 +203,8 @@ class MicroGeometry:
         self._boundary_edges = _collect_boundary_edges(m, self.pmap.box, tol)
 
         self.pattern = fmesh.structure_of_stiffness(m, self.pmap.dof_map)
-        self.ordering = linalg.compute_ordering(self.pattern) if self.n_reduced else linalg.Permutation.identity(0)
+        ordering = linalg.compute_ordering(self.pattern) if self.n_reduced else linalg.Permutation.identity(0)
+        self.layout = linalg.BandLayout.of(self.pattern, ordering)
 
         # per-block stacked operators and scatter helpers
         self.blocks = []
@@ -308,10 +309,21 @@ class HomogenizedOutput:
 
 
 class RveProblem:
-    """One micro problem instance: states, displacements, cached assembly."""
+    """One micro problem instance: states, displacements, cached assembly.
 
-    def __init__(self, geom: MicroGeometry, store_factorization: bool = True):
+    The stiffness is factorized into slot ``slot`` of the band stack
+    ``bands`` (see :meth:`linalg.BandLayout.empty_stack`), which RVEs of one
+    shard share so that their solves run as one stacked call; without a
+    stack the problem gets a stack of its own. The cached assembly's
+    factorization, when present, is the slot's current content: it stays
+    valid until the RVE is refactorized.
+    """
+
+    def __init__(self, geom: MicroGeometry, store_factorization: bool = True,
+                 bands: np.ndarray | None = None, slot: int = 0):
         self.geom = geom
+        self.bands = geom.layout.empty_stack(1) if bands is None else bands
+        self.slot = slot
         n = geom.n_reduced
         self.states = geom.virgin_states()
         self.active_committed = np.zeros(geom.n_ip, dtype=bool)
@@ -330,10 +342,6 @@ class RveProblem:
         self.aux_solves = 0
         self.factorizations = 0
         self.assemblies = 0
-
-    @property
-    def linear_flagged(self):
-        return self.cached is not None and self.cached.flagged
 
     def counter_tuple(self):
         return (self.update_solves, self.aux_solves, self.factorizations, self.assemblies)
@@ -458,7 +466,7 @@ def residual_reference(rve: RveProblem):
 def ensure_factorization(rve: RveProblem):
     asm = rve.cached
     if asm.factorization is None:
-        asm.factorization = linalg.factorize(asm.k_t, rve.geom.ordering)
+        asm.factorization = linalg.factorize(asm.k_t, rve.geom.layout, out=rve.bands[rve.slot])
         rve.factorizations += 1
     return asm.factorization
 
@@ -496,38 +504,71 @@ def boundary_average_gradient(rve: RveProblem) -> np.ndarray:
     return out.ravel() / geom.volume
 
 
-def homogenized_tangent_and_alg_stress(rve: RveProblem) -> HomogenizedOutput:
-    """Condensed macroscopic tangent (4-RHS solve) and algorithmic stress.
+def _batch(rves):
+    """``rves`` as a list: one RveProblem, or RVEs in consecutive slots of one band stack."""
+    if isinstance(rves, RveProblem):
+        return [rves]
+    rves = list(rves)
+    for i, p in enumerate(rves):
+        if p.bands is not rves[0].bands or p.slot != rves[0].slot + i:
+            raise StructuralError("a batch of RVEs must fill consecutive slots of one band stack")
+    return rves
 
-    The inverse of the micro stiffness is never formed: the sensitivity and
-    the residual correction are obtained from solves against the retained
-    factorization. Linear-flagged problems reuse the cached tangent and skip
-    the residual correction (their residual is zero to machine precision).
+
+def _stacked_solve(batch, rhs):
+    """One stacked solve of ``rhs`` (n, b, m), block i against RVE i's factorization."""
+    lo = batch[0].slot
+    return linalg.solve(batch[0].geom.layout.factors(batch[0].bands[lo:lo + len(batch)]), rhs)
+
+
+def homogenized_tangent_and_alg_stress(rves):
+    """Condensed macroscopic tangent and algorithmic stress of one or more RVEs.
+
+    ``rves`` is one RveProblem (the result is one output) or RVEs that fill
+    consecutive slots of one band stack (a list of outputs). The inverse of
+    the micro stiffness is never formed: one stacked 5-column solve against
+    the retained factorizations gives the tangent sensitivity (4 columns)
+    and the residual correction (1 column); a column an RVE does not need is
+    zero and its result unused. Linear-flagged problems reuse the cached
+    tangent and skip the residual correction (their residual is zero to
+    machine precision).
     """
-    asm = rve.cached
-    f0 = rve.factorizations
-    if asm.c_tangent is None:
-        if rve.geom.n_reduced:
-            ensure_factorization(rve)
-            x = linalg.solve(asm.factorization, asm.dr_dH)
-            rve.aux_solves += 1
-            asm.c_tangent = asm.dsig_dh - asm.dsig_du @ x
+    batch = _batch(rves)
+    n = batch[0].geom.n_reduced if batch else 0
+    f0 = [p.factorizations for p in batch]
+    rhs = np.zeros((n, len(batch), 5))
+    needed = False
+    for i, p in enumerate(batch):
+        asm = p.cached
+        if n and (asm.c_tangent is None or not asm.flagged):
+            ensure_factorization(p)
+            needed = True
+            if asm.c_tangent is None:
+                rhs[:, i, :4] = asm.dr_dH
+                p.aux_solves += 1
+            if not asm.flagged:
+                rhs[:, i, 4] = asm.r_hat
+                p.aux_solves += 1
+    x = _stacked_solve(batch, rhs) if needed else rhs
+    outs = []
+    for i, p in enumerate(batch):
+        asm = p.cached
+        if asm.c_tangent is None:
+            # contiguous copies keep the products' BLAS path of separate solves
+            sens = np.ascontiguousarray(x[:, i, :4])
+            asm.c_tangent = asm.dsig_dh - asm.dsig_du @ sens if n else asm.dsig_dh.copy()
+        if asm.flagged or n == 0:
+            sigma_alg = asm.sigma_bar.copy()
         else:
-            asm.c_tangent = asm.dsig_dh.copy()
-    if asm.flagged or rve.geom.n_reduced == 0:
-        sigma_alg = asm.sigma_bar.copy()
-    else:
-        ensure_factorization(rve)
-        y = linalg.solve(asm.factorization, asm.r_hat)
-        rve.aux_solves += 1
-        sigma_alg = asm.sigma_bar - asm.dsig_du @ y
-    if not rve.store_factorization and not asm.flagged:
-        asm.factorization = None
-    return HomogenizedOutput(
-        sigma_bar=asm.sigma_bar.copy(), sigma_alg=sigma_alg,
-        c_tangent=asm.c_tangent.copy(), residual_norm=asm.residual_norm,
-        micro_iterations=0, factorizations=rve.factorizations - f0,
-    )
+            sigma_alg = asm.sigma_bar - asm.dsig_du @ np.ascontiguousarray(x[:, i, 4])
+        if not p.store_factorization and not asm.flagged:
+            asm.factorization = None
+        outs.append(HomogenizedOutput(
+            sigma_bar=asm.sigma_bar.copy(), sigma_alg=sigma_alg,
+            c_tangent=asm.c_tangent.copy(), residual_norm=asm.residual_norm,
+            micro_iterations=0, factorizations=p.factorizations - f0[i],
+        ))
+    return outs[0] if isinstance(rves, RveProblem) else outs
 
 
 def solve_micro_staggered(rve: RveProblem, h_target, tol_micro, max_iter) -> HomogenizedOutput:
@@ -570,27 +611,34 @@ def solve_micro_staggered(rve: RveProblem, h_target, tol_micro, max_iter) -> Hom
     )
 
 
-def micro_update_monolithic(rve: RveProblem, delta_h) -> np.ndarray:
+def micro_update_monolithic(rves, delta_h) -> np.ndarray:
     """Condensation displacement update: du = -k^-1 (r + dr/dH * dH).
 
-    Exactly one linear solve; no inner iteration. Uses the retained
+    ``rves`` is one RveProblem with ``delta_h`` shaped (4,), or RVEs that
+    fill consecutive slots of one band stack with ``delta_h`` shaped (b, 4);
+    ``du`` is returned in the matching shape. Exactly one linear solve per
+    RVE, all in one stacked call; no inner iteration. Uses the retained
     factorization when present, otherwise refactorizes the cached stiffness
     (plain monolithic mode).
     """
-    delta_h = np.asarray(delta_h, dtype=np.float64)
-    asm = rve.cached
-    if rve.geom.n_reduced:
-        ensure_factorization(rve)
-        rhs = asm.r_hat + asm.dr_dH @ delta_h
-        du = -linalg.solve(asm.factorization, rhs)
-        rve.update_solves += 1
-        rve.u_hat += du
-        if not rve.store_factorization and not asm.flagged:
-            asm.factorization = None
-    else:
-        du = np.zeros(0)
-    rve.H = rve.H + delta_h
-    return du
+    batch = _batch(rves)
+    delta_h = np.asarray(delta_h, dtype=np.float64).reshape(len(batch), 4)
+    n = batch[0].geom.n_reduced if batch else 0
+    du = np.zeros((len(batch), n))
+    if n:
+        rhs = np.empty((n, len(batch), 1))
+        for i, p in enumerate(batch):
+            ensure_factorization(p)
+            rhs[:, i, 0] = p.cached.r_hat + p.cached.dr_dH @ delta_h[i]
+        du = -_stacked_solve(batch, rhs)[:, :, 0].T
+    for i, p in enumerate(batch):
+        if n:
+            p.update_solves += 1
+            p.u_hat += du[i]
+            if not p.store_factorization and not p.cached.flagged:
+                p.cached.factorization = None
+        p.H = p.H + delta_h[i]
+    return du[0] if isinstance(rves, RveProblem) else du
 
 
 def commit(rve: RveProblem):

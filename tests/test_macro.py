@@ -1,11 +1,20 @@
 """Tests for the two-scale drivers: schemes, stepping, extrapolation, pools."""
 
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from fescale.benchmarks import build_benchmark, rve_porous_tri, rve_single_element
-from fescale.errors import StructuralError
+from fescale import linalg
+from fescale.errors import (
+    MeshQualityError,
+    MicroDivergenceError,
+    SingularMatrixError,
+    StructuralError,
+)
 from fescale.macro import (
     IncrementRecord,
     SolverSettings,
@@ -272,3 +281,68 @@ class TestQuadraticConvergence:
         assert drops[-1] < 0.05  # terminal contraction far beyond linear
         order = np.log(norms[-1] / norms[-2]) / np.log(norms[-2] / norms[-3])
         assert order > 1.4
+
+
+# Monolithic sweep of notched-shear (n_macro=3, n_micro=4, dt 0.125, TIGHT)
+# as computed by the one-RVE-at-a-time sweep before stacked solves: the
+# curve (float.hex), a SHA-256 of final_alpha's bytes, and per increment
+# (factorizations, aux_solves, micro_iters_total) per scheme.
+SWEEP_CURVE = [
+    ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    ("0x1.0000000000000p-3", "0x1.eb851eb851eb8p-9", "0x1.5f5df80e7f9fcp-5"),
+    ("0x1.0000000000000p-2", "0x1.eb851eb851eb8p-8", "0x1.5f5df80e7fa38p-4"),
+    ("0x1.8000000000000p-2", "0x1.70a3d70a3d70ap-7", "0x1.07867a0adfba3p-3"),
+    ("0x1.0000000000000p-1", "0x1.eb851eb851eb8p-7", "0x1.561d661b0d838p-3"),
+    ("0x1.4000000000000p-1", "0x1.3333333333333p-6", "0x1.800619846b928p-3"),
+    ("0x1.8000000000000p-1", "0x1.70a3d70a3d70ap-6", "0x1.8a4f78deae735p-3"),
+    ("0x1.c000000000000p-1", "0x1.ae147ae147ae1p-6", "0x1.918b40bcc2d44p-3"),
+    ("0x1.0000000000000p+0", "0x1.eb851eb851eb8p-6", "0x1.97a1c262d6646p-3"),
+]
+SWEEP_ALPHA_SHA256 = "e0598ff201ec094d11b3d790e4272e5ccc60f5cf7279c0e743f692277ed769b6"
+SWEEP_COUNTERS = {
+    "monolithic": [
+        (16, 16, 32), (0, 0, 32), (0, 0, 16), (21, 24, 64), (57, 60, 80), (65, 64, 80),
+        (48, 48, 64), (36, 36, 48),
+    ],
+    "monolithic-stored": [
+        (0, 16, 32), (0, 0, 32), (0, 0, 16), (12, 24, 64), (30, 60, 80), (32, 64, 80),
+        (24, 48, 64), (18, 36, 48),
+    ],
+}
+
+
+class TestStackedSweep:
+    @pytest.mark.parametrize("scheme", ["monolithic", "monolithic-stored"])
+    def test_matches_per_rve_sweep_bitwise(self, scheme):
+        settings = SolverSettings(dt_initial=0.125, dt_max=0.125, **TIGHT)
+        rep = run(build_benchmark("notched-shear", scheme, n_macro=3, n_micro=4), settings)
+        assert rep.converged
+        assert [tuple(float(v).hex() for v in row) for row in rep.curve] == SWEEP_CURVE
+        assert hashlib.sha256(rep.final_alpha.tobytes()).hexdigest() == SWEEP_ALPHA_SHA256
+        counters = [(r.factorizations, r.aux_solves, r.micro_iters_total) for r in rep.records]
+        assert counters == SWEEP_COUNTERS[scheme]
+
+
+class TestWorkerFailures:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kernel", ["factorize", "solve"])
+    def test_worker_error_keeps_its_type(self, workers, kernel, monkeypatch):
+        # forked workers inherit the patch; the first micro factorization
+        # (while a worker builds its shard) or the first micro solve fails
+        def singular(*args, **kwargs):
+            raise SingularMatrixError(3, 0.0)
+
+        monkeypatch.setattr(linalg, kernel, singular)
+        settings = SolverSettings(dt_initial=0.25, dt_max=0.25, parallel_workers=workers, **TIGHT)
+        model = build_benchmark("notched-shear", "monolithic-stored", n_macro=3, n_micro=3)
+        with pytest.raises(SingularMatrixError) as exc:
+            run(model, settings)
+        assert exc.value.pivot_index == 3
+
+    def test_errors_survive_pickling(self):
+        for exc in (SingularMatrixError(3, 1e-20), MicroDivergenceError(2, 7, 0.5),
+                    MeshQualityError(4, -1.0), StructuralError("bad shape")):
+            back = pickle.loads(pickle.dumps(exc))
+            assert type(back) is type(exc)
+            assert str(back) == str(exc)
+            assert vars(back) == vars(exc)

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from fescale import linalg
 from fescale import rve as R
 from fescale.benchmarks import grid_quads, rve_laminate, rve_porous_tri, rve_single_element
-from fescale.errors import GeometryError, MicroDivergenceError
+from fescale.errors import GeometryError, MicroDivergenceError, SingularMatrixError, StructuralError
 from fescale.material import ElasticParams, PlasticParams
 from fescale.mesh import QUAD4, ElementBlock, Mesh
 
@@ -279,6 +279,59 @@ class TestMonolithicMicro:
         sig_b = R.homogenize_stress(b)
         scale = np.abs(out_a.sigma_bar).max()
         assert_allclose(sig_b, out_a.sigma_bar, rtol=1e-8, atol=1e-8 * scale)
+
+
+def shard_of(geom, count, store=True):
+    """RVEs in consecutive slots of one band stack, assembled at a plastic state."""
+    bands = geom.layout.empty_stack(count)
+    rves = [R.RveProblem(geom, store, bands, slot) for slot in range(count)]
+    for i, p in enumerate(rves):
+        p.H = H_SHEAR * (0.3 + 0.05 * i)
+        p.u_hat = 1e-3 * np.cos(np.arange(geom.n_reduced) + i)
+        R.assemble(p)
+    return rves
+
+
+class TestStackedSweep:
+    @pytest.mark.parametrize("store", [True, False])
+    def test_batch_equals_one_rve_at_a_time_bitwise(self, store):
+        geom = porous_geom()
+        dh = np.outer(np.arange(1, 4), [1e-3, -2e-3, 5e-4, 1e-3])
+        batch, single = shard_of(geom, 3, store), shard_of(geom, 3, store)
+        du = R.micro_update_monolithic(batch, dh)
+        for i, p in enumerate(single):
+            assert_array_equal(du[i], R.micro_update_monolithic(p, dh[i]))
+        for a, b in zip(batch, single):
+            R.assemble(a)
+            R.assemble(b)
+        outs = R.homogenized_tangent_and_alg_stress(batch)
+        for out, p, q in zip(outs, single, batch):
+            ref = R.homogenized_tangent_and_alg_stress(p)
+            assert_array_equal(out.sigma_alg, ref.sigma_alg)
+            assert_array_equal(out.c_tangent, ref.c_tangent)
+            assert out.factorizations == ref.factorizations
+            assert q.counter_tuple() == p.counter_tuple()
+            assert_array_equal(q.u_hat, p.u_hat)
+
+    def test_singular_pivot_in_sweep_names_the_row(self):
+        geom = porous_geom()
+        rves = shard_of(geom, 2)
+        asm = rves[1].cached
+        dense = asm.k_t.to_dense()
+        dense[5, :] = 0.0
+        dense[:, 5] = 0.0
+        asm.k_t = asm.k_t.with_values(dense[asm.k_t.row_of_entries(), asm.k_t.col_indices])
+        with pytest.raises(SingularMatrixError) as exc:
+            R.micro_update_monolithic(rves, np.zeros((2, 4)))
+        assert exc.value.pivot_index == 5
+
+    def test_batch_must_fill_consecutive_slots_of_one_stack(self):
+        geom = porous_geom()
+        rves = shard_of(geom, 3)
+        with pytest.raises(StructuralError):
+            R.micro_update_monolithic([rves[0], rves[2]], np.zeros((2, 4)))
+        with pytest.raises(StructuralError):
+            R.homogenized_tangent_and_alg_stress([rves[0], R.RveProblem(geom)])
 
 
 class TestTangentAndAlgStress:
