@@ -113,12 +113,21 @@ class SolveReport:
 # macro system: DOF handling and assembly from per-RVE stress/tangent
 
 
+def _check_dofs(name, dofs, n_dofs):
+    """Reject a DOF index outside [0, n_dofs), naming the field it came from."""
+    for dof in dofs:
+        if not 0 <= dof < n_dofs:
+            raise StructuralError(f"{name}: DOF {dof} outside [0, {n_dofs})")
+
+
 class MacroSystem:
     """Precomputed macro assembly plan under Dirichlet elimination."""
 
     def __init__(self, mesh, dirichlet, point_loads, floor_force):
         self.mesh = mesh
         n_dofs = mesh.n_dofs
+        _check_dofs("dirichlet", [dof for dof, _ in dirichlet], n_dofs)
+        _check_dofs("point_loads", [dof for dof, _ in point_loads], n_dofs)
         self.g_end = np.zeros(n_dofs)
         prescribed = np.zeros(n_dofs, dtype=bool)
         for dof, value in dirichlet:
@@ -137,47 +146,16 @@ class MacroSystem:
 
         self.pattern = fmesh.structure_of_stiffness(mesh, dof_map)
         self.layout = linalg.BandLayout.of(self.pattern, linalg.compute_ordering(self.pattern))
-        self.blocks = []
-        first_el = 0
-        first_ip = 0
-        for block in mesh.blocks:
-            w, b, _ = fmesh.block_operators(mesh, block, first_el)
-            edofs = fmesh.element_dofs(block.connectivity)
-            red = dof_map[edofs]
-            slots = rvemod.build_csr_slots(self.pattern, red)
-            self.blocks.append({
-                "w": w, "B": b, "edofs": edofs, "red": red, "slots": slots,
-                "ip_offset": first_ip, "n_ip": block.n_elements * block.n_quad,
-            })
-            first_el += block.n_elements
-            first_ip += block.n_elements * block.n_quad
-        self.n_ip = first_ip
+        self.plan = fmesh.AssemblyPlan(mesh, dof_map, self.pattern)
 
     def gradients(self, u):
         """Displacement gradient at every macro integration point."""
-        out = np.empty((self.n_ip, 4))
-        for blk in self.blocks:
-            ue = u[blk["edofs"]]
-            h = np.einsum("eqab,eb->eqa", blk["B"], ue)
-            out[blk["ip_offset"]:blk["ip_offset"] + blk["n_ip"]] = h.reshape(-1, 4)
-        return out
+        return self.plan.gradients(u)
 
     def assemble(self, sigma_all, c_all):
         """Internal force vector and tangent stiffness from per-ip data."""
-        f_int = np.zeros(self.mesh.n_dofs)
-        kvals = np.zeros(len(self.pattern.values))
-        for blk in self.blocks:
-            lo = blk["ip_offset"]
-            sig = sigma_all[lo:lo + blk["n_ip"]].reshape(blk["w"].shape + (4,))
-            fe = np.einsum("eqab,eqa->eb", blk["B"], blk["w"][..., None] * sig)
-            np.add.at(f_int, blk["edofs"].ravel(), fe.ravel())
-            c = c_all[lo:lo + blk["n_ip"]].reshape(blk["w"].shape + (4, 4))
-            cw = blk["w"][..., None, None] * c
-            tmp = np.einsum("eqab,eqac->eqbc", blk["B"], cw)
-            ke = np.einsum("eqbc,eqcd->ebd", tmp, blk["B"])
-            valid = blk["slots"] >= 0
-            np.add.at(kvals, blk["slots"][valid], ke[valid])
-        return f_int, self.pattern.with_values(kvals)
+        kvals, _ = self.plan.stiffness(c_all)
+        return self.plan.internal_force(sigma_all), self.pattern.with_values(kvals)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +420,8 @@ class TwoScaleModel:
         if self.reaction_dofs is None:
             self.reaction_dofs = np.array([self.control_dof], dtype=np.int64)
         self.reaction_dofs = np.asarray(self.reaction_dofs, dtype=np.int64)
+        _check_dofs("control_dof", [self.control_dof], self.macro_mesh.n_dofs)
+        _check_dofs("reaction_dofs", self.reaction_dofs, self.macro_mesh.n_dofs)
         e_max = max(material.elastic_of(m).E for m in self.micro_model.materials)
         span = self.macro_mesh.nodes.max(axis=0) - self.macro_mesh.nodes.min(axis=0)
         self.system = MacroSystem(
@@ -456,7 +436,7 @@ class TwoScaleModel:
 
     @property
     def n_rves(self):
-        return self.system.n_ip
+        return self.system.plan.n_ip
 
 
 def extrapolate_initial_guess(u_n, u_nm1, dt_ratio, n_commits):

@@ -1,9 +1,11 @@
-"""Finite-element geometry and kinematics shared by both scales.
+"""Finite-element geometry, kinematics and assembly shared by both scales.
 
 Two-dimensional meshes of linear triangles (one quadrature point) and
 bilinear quads (2x2 Gauss). The B-operator of an integration point maps the
 element nodal displacements, interleaved node-major as (ux0, uy0, ux1, ...),
-to the four displacement-gradient components (H11, H12, H21, H22).
+to the four displacement-gradient components (H11, H12, H21, H22). One
+:class:`AssemblyPlan` per mesh and DOF map computes gradients, internal
+forces and the tangent stiffness for the macro system and every RVE.
 """
 
 from __future__ import annotations
@@ -79,18 +81,6 @@ class Mesh:
     @property
     def n_elements(self):
         return sum(b.n_elements for b in self.blocks)
-
-    @property
-    def n_integration_points(self):
-        return sum(b.n_elements * b.n_quad for b in self.blocks)
-
-    def element_nodes(self, element):
-        """Connectivity row of a global element index."""
-        for block in self.blocks:
-            if element < block.n_elements:
-                return block.connectivity[element]
-            element -= block.n_elements
-        raise IndexError("element index out of range")
 
 
 @dataclass(frozen=True)
@@ -243,6 +233,104 @@ def structure_of_stiffness(mesh: Mesh, dof_map: np.ndarray) -> SparseMatrix:
     return SparseMatrix.from_coo(n_red, rows, cols)
 
 
+def build_csr_slots(pattern: SparseMatrix, red_edofs: np.ndarray) -> np.ndarray:
+    """Per-element scatter positions into the CSR value array (-1 = dropped)."""
+    off, ci = pattern.row_offsets, pattern.col_indices
+    n_el, mloc = red_edofs.shape
+    slots = np.full((n_el, mloc, mloc), -1, dtype=np.int64)
+    for e in range(n_el):
+        red = red_edofs[e]
+        cols = np.where(red >= 0, red, 0)
+        for a in range(mloc):
+            ra = red[a]
+            if ra < 0:
+                continue
+            row_cols = ci[off[ra]:off[ra + 1]]
+            pos = np.searchsorted(row_cols, cols)
+            slots[e, a] = np.where(red >= 0, off[ra] + pos, -1)
+    return slots
+
+
+@dataclass(frozen=True)
+class PlanBlock:
+    """One element block of an :class:`AssemblyPlan`.
+
+    ``red`` holds the reduced equation of every element DOF (-1 =
+    eliminated); ``slots`` are the CSR value positions of the entries of the
+    element stiffness selected by ``kept``; ``ips`` is the block's slice of
+    the global integration-point order.
+    """
+
+    w: np.ndarray
+    B: np.ndarray
+    edofs: np.ndarray
+    red: np.ndarray
+    kept: np.ndarray
+    slots: np.ndarray
+    ips: slice
+
+
+class AssemblyPlan:
+    """Element kernel of one mesh under one DOF map, used at both scales.
+
+    Built once per mesh, DOF map and stiffness pattern. Integration points
+    are numbered block by block, element-major then quadrature-local, as in
+    :func:`build_integration_points`; per-point arrays follow that order.
+    """
+
+    def __init__(self, mesh: Mesh, dof_map: np.ndarray, pattern: SparseMatrix):
+        self.n_dofs = mesh.n_dofs
+        self.n_values = len(pattern.values)
+        self.blocks = []
+        ip_element = [np.zeros(0, dtype=np.int64)]
+        first_el = first_ip = 0
+        for block in mesh.blocks:
+            w, b, _ = block_operators(mesh, block, first_el)
+            edofs = element_dofs(block.connectivity)
+            red = dof_map[edofs]
+            slots = build_csr_slots(pattern, red)
+            kept = slots >= 0
+            self.blocks.append(PlanBlock(w, b, edofs, red, kept, slots[kept],
+                                         slice(first_ip, first_ip + w.size)))
+            ip_element.append(np.repeat(first_el + np.arange(block.n_elements), block.n_quad))
+            first_el += block.n_elements
+            first_ip += w.size
+        self.n_ip = first_ip
+        self.ip_element = np.concatenate(ip_element)
+        self.weights = np.concatenate([np.zeros(0)] + [blk.w.ravel() for blk in self.blocks])
+
+    def gradients(self, u):
+        """Displacement gradient (n_ip, 4) of the nodal displacement ``u``."""
+        out = np.empty((self.n_ip, 4))
+        for blk in self.blocks:
+            out[blk.ips] = np.einsum("eqab,eb->eqa", blk.B, u[blk.edofs]).reshape(-1, 4)
+        return out
+
+    def internal_force(self, sigma):
+        """Nodal force vector, sum of B^T w sigma, of per-point stresses (n_ip, 4)."""
+        f = np.zeros(self.n_dofs)
+        for blk in self.blocks:
+            sig = sigma[blk.ips].reshape(blk.w.shape + (4,))
+            fe = np.einsum("eqab,eqa->eb", blk.B, blk.w[..., None] * sig)
+            np.add.at(f, blk.edofs.ravel(), fe.ravel())
+        return f
+
+    def stiffness(self, d):
+        """CSR values of sum B^T w D B, and each block's element stiffness.
+
+        ``d`` holds per-point tangents (n_ip, 4, 4). Element stiffnesses are
+        returned whole, (n_el, 2*n_en, 2*n_en) per block; only entries on
+        reduced rows and columns enter the CSR values.
+        """
+        kvals = np.zeros(self.n_values)
+        kes = []
+        for blk in self.blocks:
+            dw = blk.w[..., None, None] * d[blk.ips].reshape(blk.w.shape + (4, 4))
+            tmp = np.einsum("eqab,eqac->eqbc", blk.B, dw)
+            ke = np.einsum("eqbc,eqcd->ebd", tmp, blk.B)
+            np.add.at(kvals, blk.slots, ke[blk.kept])
+            kes.append(ke)
+        return kvals, kes
 def total_area(mesh: Mesh):
     """Sum of integration weights = total reference area."""
     area = 0.0

@@ -14,7 +14,7 @@ needed for the condensed macroscopic tangent and the algorithmic stress.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -143,24 +143,6 @@ def build_periodic_map(m: fmesh.Mesh, tol_geom: float | None = None) -> Periodic
     )
 
 
-def build_csr_slots(pattern: linalg.SparseMatrix, red_edofs: np.ndarray) -> np.ndarray:
-    """Per-element scatter positions into the CSR value array (-1 = dropped)."""
-    off, ci = pattern.row_offsets, pattern.col_indices
-    n_el, mloc = red_edofs.shape
-    slots = np.full((n_el, mloc, mloc), -1, dtype=np.int64)
-    for e in range(n_el):
-        red = red_edofs[e]
-        cols = np.where(red >= 0, red, 0)
-        for a in range(mloc):
-            ra = red[a]
-            if ra < 0:
-                continue
-            row_cols = ci[off[ra]:off[ra + 1]]
-            pos = np.searchsorted(row_cols, cols)
-            slots[e, a] = np.where(red >= 0, off[ra] + pos, -1)
-    return slots
-
-
 @dataclass(frozen=True)
 class MicroModel:
     """Definition of one micro structure: mesh, materials, per-element ids."""
@@ -206,44 +188,19 @@ class MicroGeometry:
         ordering = linalg.compute_ordering(self.pattern) if self.n_reduced else linalg.Permutation.identity(0)
         self.layout = linalg.BandLayout.of(self.pattern, ordering)
 
-        # per-block stacked operators and scatter helpers
-        self.blocks = []
-        first_el = 0
-        first_ip = 0
-        ip_mat = []
-        bmask_node = np.zeros(m.n_nodes, dtype=bool)
-        bmask_node[self.boundary_nodes] = True
-        for block in m.blocks:
-            w, b, coords = fmesh.block_operators(m, block, first_el)
-            edofs = fmesh.element_dofs(block.connectivity)
-            red = self.pmap.dof_map[edofs]
-            slots = build_csr_slots(self.pattern, red)
-            n_el, n_en = block.connectivity.shape
-            aff = np.zeros((n_el, 2 * n_en, 4))
-            xmom = np.zeros((n_el, 4, 2 * n_en))
-            xy = m.nodes[block.connectivity]  # (e, n_en, 2)
-            bm = bmask_node[block.connectivity].astype(np.float64)
-            for a in range(n_en):
-                aff[:, 2 * a, 0] = xy[:, a, 0]
-                aff[:, 2 * a, 1] = xy[:, a, 1]
-                aff[:, 2 * a + 1, 2] = xy[:, a, 0]
-                aff[:, 2 * a + 1, 3] = xy[:, a, 1]
-                xmom[:, 0, 2 * a] = xy[:, a, 0] * bm[:, a]
-                xmom[:, 1, 2 * a] = xy[:, a, 1] * bm[:, a]
-                xmom[:, 2, 2 * a + 1] = xy[:, a, 0] * bm[:, a]
-                xmom[:, 3, 2 * a + 1] = xy[:, a, 1] * bm[:, a]
-            n_ip = n_el * block.n_quad
-            ip_mat.append(np.repeat(model.mat_ids[first_el:first_el + n_el], block.n_quad))
-            self.blocks.append({
-                "w": w, "B": b, "edofs": edofs, "red": red, "slots": slots,
-                "aff": aff, "xmom": xmom, "ip_offset": first_ip, "n_ip": n_ip,
-            })
-            first_el += block.n_elements
-            first_ip += n_ip
-        self.n_ip = first_ip
-        self.ip_mat = np.concatenate(ip_mat) if ip_mat else np.zeros(0, dtype=np.int64)
+        self.plan = fmesh.AssemblyPlan(m, self.pmap.dof_map, self.pattern)
+        self.n_ip = self.plan.n_ip
+        self.weights_flat = self.plan.weights
+        self.ip_mat = model.mat_ids[self.plan.ip_element]
         self.mat_groups = [np.flatnonzero(self.ip_mat == i) for i in range(len(model.materials))]
-        self.weights_flat = np.concatenate([blk["w"].ravel() for blk in self.blocks])
+        # affine map X -> H*X per DOF (rows: ux, uy; columns: H11..H22) and
+        # its boundary-node part, the first moment of the boundary forces
+        amap = np.zeros((m.n_nodes, 2, 4))
+        amap[:, 0, :2] = amap[:, 1, 2:] = x
+        amap = amap.reshape(-1, 4)
+        bmap = amap * np.repeat(on_box, 2)[:, None]
+        self.aff = [amap[blk.edofs] for blk in self.plan.blocks]
+        self.xmom = [np.ascontiguousarray(np.swapaxes(bmap[blk.edofs], 1, 2)) for blk in self.plan.blocks]
 
     def virgin_states(self):
         return [material.StateBatch.virgin(len(g)) for g in self.mat_groups]
@@ -373,12 +330,7 @@ def assemble(rve: RveProblem) -> Assembly:
     geom = rve.geom
     u_full = full_displacement(rve)
 
-    h_flat = np.empty((geom.n_ip, 4))
-    for blk in geom.blocks:
-        ue = u_full[blk["edofs"]]
-        h_blk = np.einsum("eqab,eb->eqa", blk["B"], ue)
-        h_flat[blk["ip_offset"]:blk["ip_offset"] + blk["n_ip"]] = h_blk.reshape(-1, 4)
-
+    h_flat = geom.plan.gradients(u_full)
     sigma_flat = np.empty((geom.n_ip, 4))
     d_flat = np.empty((geom.n_ip, 4, 4))
     active = np.zeros(geom.n_ip, dtype=bool)
@@ -399,13 +351,7 @@ def assemble(rve: RveProblem) -> Assembly:
         and rve.cached is not None and rve.cached.linear_now
     )
 
-    f_full = np.zeros(geom.n_full)
-    for blk in geom.blocks:
-        lo = blk["ip_offset"]
-        sig = sigma_flat[lo:lo + blk["n_ip"]].reshape(blk["w"].shape + (4,))
-        fe = np.einsum("eqab,eqa->eb", blk["B"], blk["w"][..., None] * sig)
-        np.add.at(f_full, blk["edofs"].ravel(), fe.ravel())
-
+    f_full = geom.plan.internal_force(sigma_flat)
     red = geom.pmap.dof_map
     r_hat = np.zeros(geom.n_reduced)
     keep = red >= 0
@@ -417,25 +363,17 @@ def assemble(rve: RveProblem) -> Assembly:
         dsig_du, dsig_dh = prev.dsig_du, prev.dsig_dh
         fact, c_t = prev.factorization, prev.c_tangent
     else:
-        kvals = np.zeros(len(geom.pattern.values))
+        kvals, kes = geom.plan.stiffness(d_flat)
         dr_dh = np.zeros((geom.n_reduced, 4))
         dsig_dut = np.zeros((geom.n_reduced, 4))
         dsig_dh = np.zeros((4, 4))
-        for blk in geom.blocks:
-            lo = blk["ip_offset"]
-            d = d_flat[lo:lo + blk["n_ip"]].reshape(blk["w"].shape + (4, 4))
-            dw = blk["w"][..., None, None] * d
-            tmp = np.einsum("eqab,eqac->eqbc", blk["B"], dw)
-            ke = np.einsum("eqbc,eqcd->ebd", tmp, blk["B"])
-            valid = blk["slots"] >= 0
-            np.add.at(kvals, blk["slots"][valid], ke[valid])
-            ge = np.einsum("ebd,edc->ebc", ke, blk["aff"])
-            rows = blk["red"]
-            rkeep = rows >= 0
-            np.add.at(dr_dh, rows[rkeep], ge[rkeep])
-            me = np.einsum("ecb,ebd->edc", blk["xmom"], ke)  # (e, 2n, 4)
-            np.add.at(dsig_dut, rows[rkeep], me[rkeep])
-            dsig_dh += np.einsum("edc,eda->ca", me, blk["aff"])
+        for blk, ke, aff, xmom in zip(geom.plan.blocks, kes, geom.aff, geom.xmom):
+            ge = np.einsum("ebd,edc->ebc", ke, aff)
+            rkeep = blk.red >= 0
+            np.add.at(dr_dh, blk.red[rkeep], ge[rkeep])
+            me = np.einsum("ecb,ebd->edc", xmom, ke)  # (e, 2n, 4)
+            np.add.at(dsig_dut, blk.red[rkeep], me[rkeep])
+            dsig_dh += np.einsum("edc,eda->ca", me, aff)
         k_t = geom.pattern.with_values(kvals)
         dsig_du = dsig_dut.T / geom.volume
         dsig_dh = dsig_dh / geom.volume
@@ -484,14 +422,8 @@ def volume_average_stress(rve: RveProblem) -> np.ndarray:
 
 def average_gradient(rve: RveProblem) -> np.ndarray:
     """Volume average of the displacement gradient over the meshed domain."""
-    geom = rve.geom
-    u_full = full_displacement(rve)
-    out = np.zeros(4)
-    for blk in geom.blocks:
-        ue = u_full[blk["edofs"]]
-        h_blk = np.einsum("eqab,eb->eqa", blk["B"], ue)
-        out += np.einsum("eq,eqa->a", blk["w"], h_blk)
-    return out / geom.weights_flat.sum()
+    w = rve.geom.weights_flat
+    return w @ rve.geom.plan.gradients(full_displacement(rve)) / w.sum()
 
 
 def boundary_average_gradient(rve: RveProblem) -> np.ndarray:
@@ -521,7 +453,7 @@ def _stacked_solve(batch, rhs):
     return linalg.solve(batch[0].geom.layout.factors(batch[0].bands[lo:lo + len(batch)]), rhs)
 
 
-def homogenized_tangent_and_alg_stress(rves):
+def homogenized_tangent_and_alg_stress(rves, alg_stress=True):
     """Condensed macroscopic tangent and algorithmic stress of one or more RVEs.
 
     ``rves`` is one RveProblem (the result is one output) or RVEs that fill
@@ -531,22 +463,24 @@ def homogenized_tangent_and_alg_stress(rves):
     and the residual correction (1 column); a column an RVE does not need is
     zero and its result unused. Linear-flagged problems reuse the cached
     tangent and skip the residual correction (their residual is zero to
-    machine precision).
+    machine precision). With ``alg_stress=False`` (a converged micro
+    problem) the residual column is left out and sigma_alg is sigma_bar.
     """
     batch = _batch(rves)
     n = batch[0].geom.n_reduced if batch else 0
     f0 = [p.factorizations for p in batch]
-    rhs = np.zeros((n, len(batch), 5))
+    rhs = np.zeros((n, len(batch), 5 if alg_stress else 4))
     needed = False
     for i, p in enumerate(batch):
         asm = p.cached
-        if n and (asm.c_tangent is None or not asm.flagged):
+        correct = alg_stress and not asm.flagged
+        if n and (asm.c_tangent is None or correct):
             ensure_factorization(p)
             needed = True
             if asm.c_tangent is None:
                 rhs[:, i, :4] = asm.dr_dH
                 p.aux_solves += 1
-            if not asm.flagged:
+            if correct:
                 rhs[:, i, 4] = asm.r_hat
                 p.aux_solves += 1
     x = _stacked_solve(batch, rhs) if needed else rhs
@@ -557,7 +491,7 @@ def homogenized_tangent_and_alg_stress(rves):
             # contiguous copies keep the products' BLAS path of separate solves
             sens = np.ascontiguousarray(x[:, i, :4])
             asm.c_tangent = asm.dsig_dh - asm.dsig_du @ sens if n else asm.dsig_dh.copy()
-        if asm.flagged or n == 0:
+        if asm.flagged or not alg_stress or n == 0:
             sigma_alg = asm.sigma_bar.copy()
         else:
             sigma_alg = asm.sigma_bar - asm.dsig_du @ np.ascontiguousarray(x[:, i, 4])
@@ -603,12 +537,8 @@ def solve_micro_staggered(rve: RveProblem, h_target, tol_micro, max_iter) -> Hom
                 break
             rve.u_hat += step * du
             step *= 0.5
-    out = homogenized_tangent_and_alg_stress(rve)
-    return HomogenizedOutput(
-        sigma_bar=out.sigma_bar, sigma_alg=out.sigma_bar.copy(),
-        c_tangent=out.c_tangent, residual_norm=rve.cached.residual_norm,
-        micro_iterations=max(1, solves), factorizations=rve.factorizations - f0,
-    )
+    out = homogenized_tangent_and_alg_stress(rve, alg_stress=False)
+    return replace(out, micro_iterations=max(1, solves), factorizations=rve.factorizations - f0)
 
 
 def micro_update_monolithic(rves, delta_h) -> np.ndarray:

@@ -179,28 +179,33 @@ class TestParallelSuite:
         assert curves[1] == curves[2]
 
 
+def write_bar_config(tmp_path, **extra):
+    """One-quad macro mesh (8 DOFs) over a one-quad homogeneous micro mesh."""
+    nodes, conn = grid_quads(1, 1)
+    write_mesh(Mesh(nodes, [ElementBlock(QUAD4, conn)]), tmp_path / "macro.mesh")
+    write_mesh(Mesh(nodes, [ElementBlock(QUAD4, conn)]), tmp_path / "micro.mesh")
+    raw = {
+        "name": "bar",
+        "macro_mesh": "macro.mesh",
+        "rve_mesh": "micro.mesh",
+        "materials": [{"E": 100.0, "nu": 0.3}],
+        "dirichlet": [[0, 0.0], [2, 0.0], [4, 0.0], [6, 0.0],
+                      [1, 0.0], [3, 0.0], [5, 0.01], [7, 0.01]],
+        "control_dof": 5,
+        "reaction_dofs": [5, 7],
+        "schemes": ["monolithic-stored"],
+        "solver": {"dt_initial": 0.5, "dt_max": 0.5,
+                   "tol_macro": 1e-9, "tol_micro": 1e-9},
+        "output_dir": "out",
+    }
+    raw.update(extra)
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    return tmp_path / "cfg.json"
+
+
 class TestCustomMeshRun:
     def test_custom_bar_model(self, tmp_path):
-        # square macro mesh, one quad; single-quad homogeneous micro
-        nodes, conn = grid_quads(1, 1)
-        write_mesh(Mesh(nodes, [ElementBlock(QUAD4, conn)]), tmp_path / "macro.mesh")
-        write_mesh(Mesh(nodes, [ElementBlock(QUAD4, conn)]), tmp_path / "micro.mesh")
-        raw = {
-            "name": "bar",
-            "macro_mesh": "macro.mesh",
-            "rve_mesh": "micro.mesh",
-            "materials": [{"E": 100.0, "nu": 0.3}],
-            "dirichlet": [[0, 0.0], [2, 0.0], [4, 0.0], [6, 0.0],
-                          [1, 0.0], [3, 0.0], [5, 0.01], [7, 0.01]],
-            "control_dof": 5,
-            "reaction_dofs": [5, 7],
-            "schemes": ["monolithic-stored"],
-            "solver": {"dt_initial": 0.5, "dt_max": 0.5,
-                       "tol_macro": 1e-9, "tol_micro": 1e-9},
-            "output_dir": "out",
-        }
-        (tmp_path / "cfg.json").write_text(json.dumps(raw))
-        cfg = load_config(tmp_path / "cfg.json")
+        cfg = load_config(write_bar_config(tmp_path))
         status, reports = run_suite(cfg)
         assert status == 0
         rep = reports["monolithic-stored"]
@@ -208,6 +213,17 @@ class TestCustomMeshRun:
         e, nu = 100.0, 0.3
         m_oed = e * (1 - nu) / ((1 + nu) * (1 - 2 * nu))
         assert rep.curve[-1][2] == pytest.approx(m_oed * 0.01, rel=1e-8)
+
+    @pytest.mark.parametrize("field, value, dof", [
+        ("dirichlet", [[0, 0.0], [-1, 0.0]], -1),
+        ("dirichlet", [[0, 0.0], [8, 0.0]], 8),
+        ("point_loads", [[8, 1.0]], 8),
+        ("control_dof", -1, -1),
+        ("reaction_dofs", [5, 8], 8),
+    ])
+    def test_out_of_range_dof_is_a_config_error(self, tmp_path, capsys, field, value, dof):
+        assert main(["run", str(write_bar_config(tmp_path, **{field: value}))]) == 2
+        assert f"{field}: DOF {dof} outside [0, 8)" in capsys.readouterr().err
 
 
 class TestMainEntry:

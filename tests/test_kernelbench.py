@@ -1,4 +1,4 @@
-"""Kernel microbenchmarks at the plate-hole micro size (n = 116, half-bandwidth 49).
+"""Kernel microbenchmarks at the plate-hole sizes (micro n = 116, half-bandwidth 49).
 
 Marked ``kernelbench`` and deselected by default (see pyproject.toml); run
 them with ``pytest -m kernelbench tests/test_kernelbench.py``.
@@ -9,7 +9,7 @@ import pytest
 
 from fescale import linalg
 from fescale import rve as R
-from fescale.benchmarks import default_materials, rve_porous_quad
+from fescale.benchmarks import build_benchmark, default_materials, rve_porous_quad
 
 pytestmark = pytest.mark.kernelbench
 
@@ -21,6 +21,24 @@ def plate_hole_rve():
     p = R.RveProblem(geom)
     p.H = np.array([0.0, 0.01, 0.01, 0.004])
     return geom, R.assemble(p).k_t
+
+
+def test_rve_assemble_plastic(benchmark):
+    # plastic trial state: every call evaluates the material and assembles
+    # the stiffness and sensitivities (nothing is carried over)
+    p = R.RveProblem(R.MicroGeometry(rve_porous_quad(default_materials("plate-hole-tension"), n=8)))
+    p.H = np.array([0.0, 0.01, 0.01, 0.004])
+    assert R.assemble(p).plastic_flow
+    benchmark(R.assemble, p)
+
+
+def test_macro_assemble(benchmark):
+    # shipped plate-hole-tension macro mesh, one stress and tangent per point
+    system = build_benchmark("plate-hole-tension", "monolithic-stored", n_macro=6, n_micro=8).system
+    rng = np.random.default_rng(0)
+    sigma = rng.standard_normal((system.plan.n_ip, 4))
+    c = rng.standard_normal((system.plan.n_ip, 4, 4))
+    benchmark(system.assemble, sigma, c)
 
 
 def test_factorize(benchmark, plate_hole_rve):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from fescale.errors import MeshQualityError
 from fescale.mesh import (
     QUAD4,
     TRI3,
+    AssemblyPlan,
     ElementBlock,
     Mesh,
     build_integration_points,
@@ -144,3 +145,68 @@ class TestStiffnessPattern:
     def test_pattern_structurally_symmetric(self):
         pat = structure_of_stiffness(two_triangles(), np.arange(8))
         assert pat.is_structurally_symmetric()
+
+
+def mixed_mesh():
+    """Two triangles and two distorted quads on a 3x1 strip: two element blocks."""
+    nodes = np.array([[i, j] for j in range(2) for i in range(4)], dtype=float)
+    nodes[[1, 2, 5, 6]] += np.random.default_rng(5).uniform(-0.15, 0.15, (4, 2))
+    return Mesh(nodes, [
+        ElementBlock(TRI3, [[2, 3, 7], [2, 7, 6]]),
+        ElementBlock(QUAD4, [[0, 1, 5, 4], [1, 2, 6, 5]]),
+    ])
+
+
+class TestAssemblyPlan:
+    """The plan's block kernels against an element-by-element oracle."""
+
+    def setup_method(self):
+        self.mesh = mesh = mixed_mesh()
+        # node 0 and the y DOF of node 4 eliminated, the x DOF of node 7
+        # merged onto that of node 3 (as a periodic slave onto its master)
+        dof_map = np.full(mesh.n_dofs, -1, dtype=np.int64)
+        kept = [d for d in range(mesh.n_dofs) if d not in (0, 1, 9, 14)]
+        dof_map[kept] = np.arange(len(kept))
+        dof_map[14] = dof_map[6]
+        self.dof_map = dof_map
+        self.pattern = structure_of_stiffness(mesh, dof_map)
+        self.plan = AssemblyPlan(mesh, dof_map, self.pattern)
+        self.points = build_integration_points(mesh)
+        rng = np.random.default_rng(8)
+        n_ip = len(self.points)
+        self.u = rng.standard_normal(mesh.n_dofs)
+        self.sigma = rng.standard_normal((n_ip, 4))
+        self.d = rng.standard_normal((n_ip, 4, 4))
+
+    def test_point_order_and_weights(self):
+        assert [len(b.w.ravel()) for b in self.plan.blocks] == [2, 8]
+        assert self.plan.n_ip == len(self.points) == 10
+        assert_array_equal(self.plan.ip_element, [ip.element for ip in self.points])
+        assert_allclose(self.plan.weights, [ip.weight for ip in self.points], rtol=1e-12)
+
+    def test_gradients(self):
+        expected = [ip.b_operator @ self.u[ip.dofs] for ip in self.points]
+        assert_allclose(self.plan.gradients(self.u), expected, rtol=1e-12)
+
+    def test_internal_force(self):
+        expected = np.zeros(self.mesh.n_dofs)
+        for ip, sig in zip(self.points, self.sigma):
+            expected[ip.dofs] += ip.weight * ip.b_operator.T @ sig
+        assert_allclose(self.plan.internal_force(self.sigma), expected, rtol=1e-12)
+
+    def test_stiffness(self):
+        n_el = self.mesh.n_elements
+        ke = [0.0] * n_el
+        for ip, d in zip(self.points, self.d):
+            ke[ip.element] = ke[ip.element] + ip.weight * ip.b_operator.T @ d @ ip.b_operator
+        dense = np.zeros((self.pattern.n_rows,) * 2)
+        for e, ip in {ip.element: ip for ip in self.points}.items():
+            red = self.dof_map[ip.dofs]
+            keep = np.flatnonzero(red >= 0)
+            np.add.at(dense, (red[keep][:, None], red[keep][None, :]), ke[e][np.ix_(keep, keep)])
+        kvals, kes = self.plan.stiffness(self.d)
+        assert_allclose(self.pattern.with_values(kvals).to_dense(), dense, rtol=1e-12)
+        per_element = [k for block in kes for k in block]
+        assert len(per_element) == n_el
+        for got, want in zip(per_element, ke):
+            assert_allclose(got, want, rtol=1e-12)

@@ -177,13 +177,8 @@ class TestHomogenization:
             h_var = rng.standard_normal(4)
             u_var = rng.standard_normal(geom.n_reduced)
             u_full = R.full_displacement(p, u_hat=u_var, h=h_var)
-            lhs = 0.0
-            for blk in geom.blocks:
-                hv = np.einsum("eqab,eb->eqa", blk["B"], u_full[blk["edofs"]])
-                lo = blk["ip_offset"]
-                sig = p.cached.sigma_ips[lo:lo + blk["n_ip"]].reshape(hv.shape)
-                lhs += np.einsum("eq,eqa,eqa->", blk["w"], sig, hv)
-            lhs /= geom.volume
+            hv = geom.plan.gradients(u_full)
+            lhs = np.einsum("q,qa,qa->", geom.weights_flat, p.cached.sigma_ips, hv) / geom.volume
             rhs = out.sigma_bar @ h_var
             assert_allclose(lhs, rhs, rtol=1e-9)
 
@@ -244,6 +239,19 @@ class TestStaggeredMicro:
         out = R.solve_micro_staggered(p, H_SHEAR * 0.45, 1e-9, 20)
         # plastic: one factorization per Newton solve plus the tangent one
         assert out.factorizations == out.micro_iterations + 1
+
+    def test_converged_plastic_solve_skips_the_residual_column(self):
+        # sigma_alg is sigma_bar after a converged micro solve, so only the
+        # four tangent columns are solved: one auxiliary solve, not two
+        p = R.RveProblem(porous_geom())
+        R.begin_increment(p)
+        out = R.solve_micro_staggered(p, H_SHEAR * 0.45, 1e-9, 20)
+        assert p.cached.plastic_flow and not p.cached.flagged
+        assert p.aux_solves == 1
+        assert_array_equal(out.sigma_alg, out.sigma_bar)
+        # the 4-column tangent equals the 5-column one bit for bit
+        p.cached.c_tangent = None
+        assert_array_equal(R.homogenized_tangent_and_alg_stress(p).c_tangent, out.c_tangent)
 
 
 class TestMonolithicMicro:
