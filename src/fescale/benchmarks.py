@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from fescale.errors import ConfigError
+from fescale.macro import TwoScaleModel
 from fescale.material import ElasticParams, PlasticParams
 from fescale.mesh import QUAD4, TRI3, ElementBlock, Mesh
 from fescale.rve import MicroModel
@@ -198,8 +199,6 @@ def _fix_nodes(dirichlet, nodes, ux=None, uy=None):
 
 
 def _elastic_variant(model):
-    from fescale.rve import MicroModel
-
     mats = tuple(
         m.elastic if isinstance(m, PlasticParams) else m for m in model.materials
     )
@@ -208,8 +207,6 @@ def _elastic_variant(model):
 
 def model_notched_shear(scheme, n_macro=6, n_micro=6, u_end=0.03, elastic_only=False):
     """Notched plate under shear-like loading, porous plastic micro structure."""
-    from fescale.macro import TwoScaleModel
-
     mesh, sets = macro_notched_shear(n_macro)
     micro = rve_porous_tri(default_materials("notched-shear"), n=n_micro)
     if elastic_only:
@@ -228,8 +225,6 @@ def model_notched_shear(scheme, n_macro=6, n_micro=6, u_end=0.03, elastic_only=F
 
 def model_notched_bending(scheme, nx=10, ny=3, n_micro=6, f_end=-0.25, elastic_only=False):
     """Notched cantilever beam, force driven; composite micro structure."""
-    from fescale.macro import TwoScaleModel
-
     mesh, sets = macro_notched_beam(nx, ny)
     matrix = default_materials("notched-bending-2d")
     inclusion = ElasticParams(E=1000.0, nu=0.3)
@@ -249,8 +244,6 @@ def model_notched_bending(scheme, nx=10, ny=3, n_micro=6, f_end=-0.25, elastic_o
 
 def model_plate_hole(scheme, n_macro=6, n_micro=6, u_end=0.015, elastic_only=False):
     """Plate with a hole under tension, porous quad micro structure."""
-    from fescale.macro import TwoScaleModel
-
     mesh, sets = macro_plate_hole(n_macro)
     micro = rve_porous_quad(default_materials("plate-hole-tension"), n=n_micro)
     if elastic_only:

@@ -10,6 +10,7 @@ digits so repeated runs produce byte-identical curve files.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -48,47 +49,63 @@ def read_mesh(path) -> Mesh:
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read mesh file {path}: {exc}") from exc
 
     def fail(lineno, msg):
         raise ConfigError(f"{path}:{lineno + 1}: {msg}")
 
+    def tokens(lineno):
+        if lineno >= len(lines):
+            fail(lineno, "unexpected end of file")
+        return lines[lineno].split()
+
+    def number(lineno, token, kind=int):
+        try:
+            return kind(token)
+        except ValueError:
+            fail(lineno, f"expected {'an integer' if kind is int else 'a number'}, got {token!r}")
+
+    def count(lineno, key):
+        parts = tokens(lineno)
+        if len(parts) != 2 or parts[0] != key:
+            fail(lineno, f"expected '{key} <count>'")
+        n = number(lineno, parts[1])
+        if n < 0:
+            fail(lineno, f"negative {key} count {n}")
+        return n
+
+    def ident(lineno, token, k, what):
+        if number(lineno, token) != k:
+            fail(lineno, f"{what} ids must be consecutive, got {token}")
+
     if not lines or not lines[0].startswith("fescale-mesh"):
         fail(0, "missing 'fescale-mesh' header")
-    i = 1
-    parts = lines[i].split()
-    if len(parts) != 2 or parts[0] != "nodes":
-        fail(i, "expected 'nodes <count>'")
-    n_nodes = int(parts[1])
+    n_nodes = count(1, "nodes")
     nodes = np.zeros((n_nodes, 2))
     for k in range(n_nodes):
-        i += 1
-        parts = lines[i].split()
+        i = 2 + k
+        parts = tokens(i)
         if len(parts) != 3:
             fail(i, "expected '<id> <x> <y>'")
-        nid = int(parts[0])
-        if nid != k:
-            fail(i, f"node ids must be consecutive, got {nid}")
-        nodes[k] = [float(parts[1]), float(parts[2])]
-    i += 1
-    parts = lines[i].split()
-    if len(parts) != 2 or parts[0] != "elements":
-        fail(i, "expected 'elements <count>'")
-    n_el = int(parts[1])
+        ident(i, parts[0], k, "node")
+        nodes[k] = [number(i, t, float) for t in parts[1:]]
+    i = 2 + n_nodes
+    n_el = count(i, "elements")
     rows = {TRI3: [], QUAD4: []}
-    order = []
     for k in range(n_el):
         i += 1
-        parts = lines[i].split()
+        parts = tokens(i)
         if len(parts) < 3 or parts[1] not in _KINDS:
             fail(i, "expected '<id> <tri3|quad4> <n...>'")
+        ident(i, parts[0], k, "element")
         kind = parts[1]
-        conn = [int(p) for p in parts[2:]]
+        conn = [number(i, t) for t in parts[2:]]
         if len(conn) != _KINDS[kind]:
             fail(i, f"{kind} needs {_KINDS[kind]} nodes, got {len(conn)}")
+        if not all(0 <= n < n_nodes for n in conn):
+            fail(i, f"node index outside [0, {n_nodes})")
         rows[kind].append(conn)
-        order.append(kind)
     blocks = [ElementBlock(kind, np.array(rows[kind], dtype=np.int64))
               for kind in (TRI3, QUAD4) if rows[kind]]
     return Mesh(nodes, blocks)
@@ -157,7 +174,7 @@ def _material_from(spec):
                 elastic=elastic, sigma0=float(spec["sigma0"]), h=float(spec.get("h", 0.0))
             )
         return elastic
-    except (KeyError, StructuralError) as exc:
+    except (KeyError, TypeError, ValueError, StructuralError) as exc:
         raise ConfigError(f"invalid material spec {spec}: {exc}") from exc
 
 
@@ -170,11 +187,45 @@ def load_config(path) -> RunConfig:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
+
+
+def _typed(name, value, kind):
+    """``value`` if it is a JSON ``kind`` (bool, int or float), else a ConfigError.
+
+    A bool is not a number, and an int field takes no float.
+    """
+    numeric = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, numeric):
+        raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _dofs(name, value, pairs=False):
+    """A JSON list of integer DOFs, or of [dof, number] pairs when ``pairs``."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name}: expected a list, got {value!r}")
+    for entry in value:
+        if not pairs:
+            _typed(name, entry, int)
+        elif isinstance(entry, list) and len(entry) == 2:
+            _typed(name, entry[0], int)
+            _typed(name, entry[1], float)
+        else:
+            raise ConfigError(f"{name}: expected [dof, value] pairs, got {entry!r}")
+    return value
+
+
+def _override_defaults(benchmark):
+    """Each ``overrides`` key a run accepts, with its default (which gives the type)."""
+    if benchmark is None:
+        return {"n": 0}  # resolution of a built-in RVE
+    params = inspect.signature(benchmarks.BENCHMARK_BUILDERS[benchmark]).parameters
+    return {k: p.default for k, p in params.items() if k not in ("scheme", "elastic_only")}
 
 
 def parse_config(raw, base_dir=".") -> RunConfig:
@@ -190,6 +241,8 @@ def parse_config(raw, base_dir=".") -> RunConfig:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
 
     schemes = raw.get("schemes", ["staggered", "monolithic-stored"])
+    if not isinstance(schemes, list):
+        raise ConfigError(f"schemes: expected a list, got {schemes!r}")
     if not schemes:
         raise ConfigError("schemes: at least one scheme must be selected")
     try:
@@ -204,6 +257,8 @@ def parse_config(raw, base_dir=".") -> RunConfig:
     bad = set(solver_raw) - valid
     if bad:
         raise ConfigError(f"solver: unknown fields {sorted(bad)}")
+    for key, value in solver_raw.items():
+        _typed(f"solver.{key}", value, type(getattr(macro.SolverSettings, key)))
     try:
         settings = macro.SolverSettings(**solver_raw)
     except StructuralError as exc:
@@ -228,6 +283,15 @@ def parse_config(raw, base_dir=".") -> RunConfig:
         if not os.path.exists(rve_mesh):
             raise ConfigError(f"rve_mesh: file not found: {rve_mesh}")
 
+    overrides = raw.get("overrides", {})
+    if not isinstance(overrides, dict):
+        raise ConfigError("overrides: must be an object")
+    defaults = _override_defaults(benchmark)
+    for key, value in overrides.items():
+        if key not in defaults:
+            raise ConfigError(f"overrides: unknown field {key!r}; options: {sorted(defaults)}")
+        _typed(f"overrides.{key}", value, type(defaults[key]))
+
     name = raw.get("name") or benchmark or "custom"
     return RunConfig(
         name=name,
@@ -235,16 +299,16 @@ def parse_config(raw, base_dir=".") -> RunConfig:
         settings=settings,
         output_dir=os.path.join(base_dir, raw.get("output_dir", "out")),
         benchmark=benchmark,
-        overrides=raw.get("overrides", {}),
-        elastic_only=bool(raw.get("elastic_only", False)),
+        overrides=overrides,
+        elastic_only=_typed("elastic_only", raw.get("elastic_only", False), bool),
         macro_mesh=macro_mesh,
         rve_mesh=rve_mesh,
         rve_name=raw.get("rve"),
         materials=raw.get("materials", []),
-        dirichlet=raw.get("dirichlet", []),
-        point_loads=raw.get("point_loads", []),
-        control_dof=int(raw.get("control_dof", 0)),
-        reaction_dofs=raw.get("reaction_dofs", []),
+        dirichlet=_dofs("dirichlet", raw.get("dirichlet", []), pairs=True),
+        point_loads=_dofs("point_loads", raw.get("point_loads", []), pairs=True),
+        control_dof=_typed("control_dof", raw.get("control_dof", 0), int),
+        reaction_dofs=_dofs("reaction_dofs", raw.get("reaction_dofs", [])),
     )
 
 
@@ -443,14 +507,17 @@ def _default_workers():
 
 
 def _apply_cli_overrides(config, args):
-    if args.schemes:
-        config.schemes = [macro.canonical_scheme(s) for s in args.schemes.split(",")]
     if args.out:
         config.output_dir = args.out
     workers = args.workers if args.workers else _default_workers()
     fields = {f: getattr(config.settings, f) for f in macro.SolverSettings.__dataclass_fields__}
     fields["parallel_workers"] = workers
-    config.settings = macro.SolverSettings(**fields)
+    try:
+        if args.schemes:
+            config.schemes = [macro.canonical_scheme(s) for s in args.schemes.split(",")]
+        config.settings = macro.SolverSettings(**fields)
+    except StructuralError as exc:
+        raise ConfigError(f"command line: {exc}") from exc
     return config
 
 

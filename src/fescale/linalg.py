@@ -73,9 +73,9 @@ class SparseMatrix:
         return cls(n, row_offsets, cols, values)
 
     @classmethod
-    def from_dense(cls, a, keep_zeros=False):
+    def from_dense(cls, a):
         a = np.asarray(a, dtype=np.float64)
-        rows, cols = np.nonzero(a) if not keep_zeros else np.nonzero(np.ones_like(a))
+        rows, cols = np.nonzero(a)
         return cls.from_coo(a.shape[0], rows, cols, a[rows, cols])
 
     def to_dense(self):
@@ -205,7 +205,6 @@ class Factorization:
 
 def _adjacency(pattern: SparseMatrix):
     """Neighbor lists (diagonal excluded) of the pattern graph."""
-    rows = pattern.row_of_entries()
     cols = pattern.col_indices
     off = pattern.row_offsets
     return [cols[off[i]:off[i + 1]][cols[off[i]:off[i + 1]] != i] for i in range(pattern.n_rows)]

@@ -1,13 +1,12 @@
-"""Macroscopic Newton drivers: staggered and monolithic two-scale schemes.
+"""Macroscopic Newton loop of the staggered and monolithic two-scale schemes.
 
-The staggered driver converges every micro problem inside each macro
-iteration and assembles the macro system from the homogenized stress. The
-monolithic driver performs a single condensation update per micro problem
-per macro iteration and assembles from the algorithmic stress, so both
-scales converge in one common Newton loop. A third mode retains the micro
-factorizations between iterations ("monolithic-stored"); it produces
-bit-identical numbers to plain monolithic while factorizing once per
-iteration.
+All schemes share one macro Newton loop and differ only in the micro sweep
+it asks for. The staggered sweep converges every micro problem and returns
+its homogenized stress; the monolithic sweep performs a single condensation
+update per micro problem and returns the algorithmic stress, so both scales
+converge in the one loop. A third mode retains the micro factorizations
+between iterations ("monolithic-stored"); it produces bit-identical numbers
+to plain monolithic while factorizing once per iteration.
 
 Per-RVE work is dispatched through a pool that runs in-process or on a set
 of worker processes; reduction into the macro system always happens in
@@ -171,10 +170,9 @@ class _Shard:
     """
 
     def __init__(self, geom, indices, store_factorization):
-        self.indices = list(indices)
-        bands = geom.layout.empty_stack(len(self.indices))
+        bands = geom.layout.empty_stack(len(indices))
         self.rves = [rvemod.RveProblem(geom, store_factorization, bands, slot)
-                     for slot in range(len(self.indices))]
+                     for slot in range(len(indices))]
         # setup pass: assemble and factorize the virgin elastic stiffness so
         # the first condensation update consumes a retained factorization
         for p in self.rves:
@@ -188,40 +186,40 @@ class _Shard:
                 rvemod.extrapolate_u_hat(p, extrapolate_ratio)
 
     def staggered(self, h_sub, tol_micro, n_max):
-        m = len(self.rves)
-        sigma = np.zeros((m, 4))
-        c = np.zeros((m, 4, 4))
-        rnorm = np.zeros(m)
-        iters = np.zeros(m, dtype=np.int64)
-        failed = []
-        for i, p in enumerate(self.rves):
+        outs = []
+        for p, h in zip(self.rves, h_sub):
             try:
-                out = rvemod.solve_micro_staggered(p, h_sub[i], tol_micro, n_max)
+                outs.append(rvemod.solve_micro_staggered(p, h, tol_micro, n_max))
             except MicroDivergenceError:
-                failed.append(self.indices[i])
-                continue
-            sigma[i] = out.sigma_bar
-            c[i] = out.c_tangent
-            rnorm[i] = out.residual_norm
-            iters[i] = out.micro_iterations
-        return {"sigma": sigma, "c": c, "rnorm": rnorm, "iters": iters, "failed": failed}
+                outs.append(None)
+        return self._results(outs)
 
     def monolithic(self, dh_sub):
-        m = len(self.rves)
-        sigma = np.zeros((m, 4))
-        c = np.zeros((m, 4, 4))
-        rnorm = np.zeros(m)
-        ref = np.zeros(m)
         rvemod.micro_update_monolithic(self.rves, dh_sub)
         for p in self.rves:
             rvemod.assemble(p)
-        outs = rvemod.homogenized_tangent_and_alg_stress(self.rves)
+        return self._results(rvemod.homogenized_tangent_and_alg_stress(self.rves))
+
+    def _results(self, outs):
+        """One layout for both sweeps; ``None`` marks a diverged RVE.
+
+        ``sigma`` is the algorithmic stress, which for a converged staggered
+        micro problem is its homogenized stress.
+        """
+        m = len(self.rves)
+        res = {"sigma": np.zeros((m, 4)), "c": np.zeros((m, 4, 4)), "rnorm": np.zeros(m),
+               "ref": np.zeros(m), "iters": np.zeros(m, dtype=np.int64),
+               "failed": np.zeros(m, dtype=bool)}
         for i, (p, out) in enumerate(zip(self.rves, outs)):
-            sigma[i] = out.sigma_alg
-            c[i] = out.c_tangent
-            rnorm[i] = out.residual_norm
-            ref[i] = rvemod.residual_reference(p)
-        return {"sigma": sigma, "c": c, "rnorm": rnorm, "ref": ref, "failed": []}
+            if out is None:
+                res["failed"][i] = True
+                continue
+            res["sigma"][i] = out.sigma_alg
+            res["c"][i] = out.c_tangent
+            res["rnorm"][i] = out.residual_norm
+            res["ref"][i] = rvemod.residual_reference(p)
+            res["iters"][i] = out.micro_iterations
+        return res
 
     def commit(self):
         for p in self.rves:
@@ -232,7 +230,7 @@ class _Shard:
             rvemod.rollback(p)
 
     def counters(self, reset):
-        total = np.zeros(4, dtype=np.int64)
+        total = np.zeros(3, dtype=np.int64)
         for p in self.rves:
             total += np.array(p.counter_tuple(), dtype=np.int64)
             if reset:
@@ -314,7 +312,7 @@ class RvePool:
         serial run.
         """
         if args is None:
-            args = [()] * self.workers_effective
+            args = [()] * self.workers
         if self._local is not None:
             return [getattr(self._local, name)(*args[0])]
         for pipe, a in zip(self._pipes, args):
@@ -328,32 +326,25 @@ class RvePool:
     def _scatter(self, full):
         return [full[idx] for idx in self._shard_indices]
 
-    def _gather(self, results, keys):
-        out = {}
-        for key in keys:
-            first = results[0][key]
-            buf = np.empty((self.n_rves,) + first.shape[1:], dtype=first.dtype)
-            for idx, res in zip(self._shard_indices, results):
-                buf[idx] = res[key]
-            out[key] = buf
-        out["failed"] = sorted(i for res in results for i in res["failed"])
-        return out
+    def _gather(self, parts):
+        """One array in RVE order from per-shard arrays (first axis: the shard's RVEs)."""
+        buf = np.empty((self.n_rves,) + parts[0].shape[1:], dtype=parts[0].dtype)
+        for idx, part in zip(self._shard_indices, parts):
+            buf[idx] = part
+        return buf
+
+    def _sweep(self, name, payloads):
+        results = self._call(name, payloads)
+        return {key: self._gather([res[key] for res in results]) for key in results[0]}
 
     def begin_increment(self, extrapolate_ratio=None):
-        self._call("begin_increment", [(extrapolate_ratio,)] * self.workers_effective)
-
-    @property
-    def workers_effective(self):
-        return 1 if self._local is not None else self.workers
+        self._call("begin_increment", [(extrapolate_ratio,)] * self.workers)
 
     def staggered(self, h_all, tol_micro, n_max):
-        payloads = [(sub, tol_micro, n_max) for sub in self._scatter(h_all)]
-        results = self._call("staggered", payloads)
-        return self._gather(results, ("sigma", "c", "rnorm", "iters"))
+        return self._sweep("staggered", [(sub, tol_micro, n_max) for sub in self._scatter(h_all)])
 
     def monolithic(self, dh_all):
-        results = self._call("monolithic", [(sub,) for sub in self._scatter(dh_all)])
-        return self._gather(results, ("sigma", "c", "rnorm", "ref"))
+        return self._sweep("monolithic", [(sub,) for sub in self._scatter(dh_all)])
 
     def commit(self):
         self._call("commit")
@@ -362,29 +353,15 @@ class RvePool:
         self._call("rollback")
 
     def counters(self, reset=True):
-        parts = self._call("counters", [(reset,)] * self.workers_effective)
-        total = np.zeros(4, dtype=np.int64)
-        for p in parts:
-            total += p
+        total = sum(self._call("counters", [(reset,)] * self.workers))
         return {"update_solves": int(total[0]), "aux_solves": int(total[1]),
-                "factorizations": int(total[2]), "assemblies": int(total[3])}
+                "factorizations": int(total[2])}
 
     def plastic_any(self):
         return any(self._call("plastic_any"))
 
     def gather_alpha(self):
-        parts = self._call("gather_alpha")
-        buf = np.empty((self.n_rves, parts[0].shape[1]))
-        for idx, part in zip(self._shard_indices, parts):
-            buf[idx] = part
-        return buf
-
-    @property
-    def rves(self):
-        """Direct access to the RVE problems (serial pool only)."""
-        if self._local is None:
-            raise StructuralError("RVE problems live in worker processes")
-        return self._local.rves
+        return self._gather(self._call("gather_alpha"))
 
     def close(self):
         if self._local is None:
@@ -399,7 +376,7 @@ class RvePool:
 
 
 # ---------------------------------------------------------------------------
-# two-scale model and the Newton drivers
+# two-scale model and the Newton loop
 
 
 @dataclass
@@ -428,11 +405,6 @@ class TwoScaleModel:
             self.macro_mesh, self.dirichlet, self.point_loads,
             floor_force=rvemod.FLOOR_SCALE * e_max * float(span.max()),
         )
-        self.u = np.zeros(self.macro_mesh.n_dofs)
-        self.u_n = np.zeros(self.macro_mesh.n_dofs)
-        self.u_nm1 = np.zeros(self.macro_mesh.n_dofs)
-        self.n_commits = 0
-        self.rves = None  # populated by run() for serial pools
 
     @property
     def n_rves(self):
@@ -470,72 +442,44 @@ def adapt_step(record: IncrementRecord, settings: SolverSettings):
     return record.dt, False
 
 
-def _macro_residual(model, f_int, lam):
-    return f_int - lam * model.system.p_end
+def newton_increment(model, pool, settings, lam, u_start, u_n, record):
+    """One increment attempt; returns ``(U, f_int)`` on success, else None.
 
-
-def _macro_solve(model, k_red, r_free):
-    f = linalg.factorize(k_red, model.system.layout)
-    return linalg.solve(f, r_free)
-
-
-def newton_increment_staggered(model, pool, settings, lam, u_start, record):
-    """One staggered increment attempt; returns the final U on success."""
+    The schemes differ only in the micro sweep: staggered converges every
+    micro problem at the gradient of U, monolithic makes one condensation
+    update per micro problem for the gradient of the last change of U (the
+    predictor's difference to ``u_n`` on the first iteration). Both scales
+    have converged when the macro residual is within tol_macro and every
+    micro residual within tol_micro of its reference, which holds for
+    converged staggered micro problems by construction.
+    """
     sysm = model.system
     u = u_start.copy()
+    du = u - u_n
     ref = sysm.floor_force
     for k in range(1, settings.max_macro_iter + 1):
-        h_all = sysm.gradients(u)
-        outs = pool.staggered(h_all, settings.tol_micro, settings.n_max)
-        if outs["failed"]:
+        if model.scheme == "staggered":
+            outs = pool.staggered(sysm.gradients(u), settings.tol_micro, settings.n_max)
+        else:
+            outs = pool.monolithic(sysm.gradients(du))
+        if outs["failed"].any():
             record.macro_iterations += k
             return None
         record.micro_iters_max = max(record.micro_iters_max, int(outs["iters"].max()))
         f_int, k_t = sysm.assemble(outs["sigma"], outs["c"])
-        r_full = _macro_residual(model, f_int, lam)
+        r_free = (f_int - lam * sysm.p_end)[sysm.free]
         ref = max(ref, float(np.abs(f_int).max()))
-        rn = float(np.abs(r_full[sysm.free]).max()) if sysm.n_free else 0.0
+        rn = float(np.abs(r_free).max()) if sysm.n_free else 0.0
         record.residual_norms.append(rn)
-        if rn <= settings.tol_macro * ref:
+        converged = (rn <= settings.tol_macro * ref
+                     and bool(np.all(outs["rnorm"] <= settings.tol_micro * outs["ref"])))
+        if converged or k == settings.max_macro_iter:
             record.macro_iterations += k
-            model.last_f_int = f_int
-            return u
-        if k == settings.max_macro_iter:
-            record.macro_iterations += k
-            return None
-        du = _macro_solve(model, k_t, r_full[sysm.free])
+            return (u, f_int) if converged else None
+        du = np.zeros_like(u)
+        du[sysm.free] = -linalg.solve(linalg.factorize(k_t, sysm.layout), r_free)
         record.macro_factorizations += 1
-        u[sysm.free] -= du
-    return None
-
-
-def newton_increment_monolithic(model, pool, settings, lam, u_start, u_prev, record):
-    """One monolithic increment attempt (single coupled Newton loop)."""
-    sysm = model.system
-    u = u_start.copy()
-    du_full = u - u_prev  # predictor difference drives the first update
-    ref = sysm.floor_force
-    for k in range(1, settings.max_macro_iter + 1):
-        dh_all = sysm.gradients(du_full)
-        outs = pool.monolithic(dh_all)
-        f_int, k_t = sysm.assemble(outs["sigma"], outs["c"])
-        r_full = _macro_residual(model, f_int, lam)
-        ref = max(ref, float(np.abs(f_int).max()))
-        rn = float(np.abs(r_full[sysm.free]).max()) if sysm.n_free else 0.0
-        record.residual_norms.append(rn)
-        micro_ok = bool(np.all(outs["rnorm"] <= settings.tol_micro * outs["ref"]))
-        if rn <= settings.tol_macro * ref and micro_ok:
-            record.macro_iterations += k
-            model.last_f_int = f_int
-            return u
-        if k == settings.max_macro_iter:
-            record.macro_iterations += k
-            return None
-        du = _macro_solve(model, k_t, r_full[sysm.free])
-        record.macro_factorizations += 1
-        du_full = np.zeros_like(u)
-        du_full[sysm.free] = -du
-        u += du_full
+        u += du
     return None
 
 
@@ -543,99 +487,85 @@ def run(model: TwoScaleModel, settings: SolverSettings) -> SolveReport:
     """March the load from zero to t_end with adaptive increments.
 
     Returns a full report; a dt underflow after repeated cuts ends the march
-    early with ``converged=False`` and the partial curve retained.
+    early with ``converged=False`` and the partial curve retained. The model
+    is not changed, so it can be run again.
     """
-    scheme = model.scheme
-    store = scheme != "monolithic"
-    pool = RvePool(model.micro_model, model.n_rves, store, settings.parallel_workers)
-    if pool._local is not None:
-        model.rves = pool.rves
+    pool = RvePool(model.micro_model, model.n_rves, model.scheme != "monolithic",
+                   settings.parallel_workers)
     try:
-        return _run_loop(model, pool, settings, scheme)
+        return _run_loop(model, pool, settings)
     finally:
         pool.close()
 
 
-def _run_loop(model, pool, settings, scheme):
+def _run_loop(model, pool, settings):
     sysm = model.system
+    u_n, u_nm1 = np.zeros(sysm.mesh.n_dofs), np.zeros(sysm.mesh.n_dofs)
+    n_commits = 0
     records = []
     curve = [(0.0, 0.0, 0.0)]
     t = 0.0
     dt = settings.dt_initial
     dt_prev = None
     cuts_pending = 0
-    wall_pending = 0.0  # time spent on cut attempts, charged to the next success
-    converged_all = True
-    index = 1
+    wall_pending = 0.0  # time spent on cut attempts, charged to the next record
     pool.counters(reset=True)
     while t < settings.t_end - 1e-12 * settings.t_end:
         dt = min(dt, settings.dt_max, settings.t_end - t)
         lam = (t + dt) / settings.t_end
-        record = IncrementRecord(index=index, load_factor=lam, dt=dt, scheme=scheme)
+        record = IncrementRecord(index=len(records) + 1, load_factor=lam, dt=dt,
+                                 scheme=model.scheme)
         tic = time.perf_counter()
 
         ratio = dt / dt_prev if dt_prev else 1.0
         if settings.extrapolate:
-            u_start = extrapolate_initial_guess(model.u_n, model.u_nm1, ratio, model.n_commits)
+            u_start = extrapolate_initial_guess(u_n, u_nm1, ratio, n_commits)
         else:
-            u_start = model.u_n.copy()
+            u_start = u_n.copy()
         u_start[sysm.prescribed] = lam * sysm.g_end[sysm.prescribed]
         pool.begin_increment(
-            ratio if (settings.extrapolate and scheme == "staggered") else None
+            ratio if (settings.extrapolate and model.scheme == "staggered") else None
         )
+        result = newton_increment(model, pool, settings, lam, u_start, u_n, record)
 
-        if scheme == "staggered":
-            u_final = newton_increment_staggered(model, pool, settings, lam, u_start, record)
-        else:
-            u_final = newton_increment_monolithic(
-                model, pool, settings, lam, u_start, model.u_n, record
-            )
-
-        if u_final is None:
+        if result is None:
             pool.rollback()
             cuts_pending += 1
-            wall_pending += 1e3 * (time.perf_counter() - tic)
             next_dt, _ = adapt_step(record, settings)
-            if next_dt < settings.dt_min:
-                record.wall_ms = wall_pending
-                record.cut_events = cuts_pending
-                counters = pool.counters(reset=True)
-                record.factorizations += counters["factorizations"]
-                record.aux_solves += counters["aux_solves"]
-                records.append(record)
-                converged_all = False
-                break
-            dt = next_dt
-            continue
-
-        record.converged = True
-        record.cut_events = cuts_pending
-        record.plastic_flow = pool.plastic_any()
+            if next_dt >= settings.dt_min:
+                wall_pending += 1e3 * (time.perf_counter() - tic)
+                dt = next_dt
+                continue
+        else:
+            record.converged = True
+            record.plastic_flow = pool.plastic_any()
+        # a success or the give-up: the record takes the counters of every
+        # attempt since the last success
         counters = pool.counters(reset=True)
         record.factorizations = counters["factorizations"]
         record.aux_solves = counters["aux_solves"]
         record.micro_iters_total = counters["update_solves"]
+        record.cut_events = cuts_pending
         record.wall_ms = wall_pending + 1e3 * (time.perf_counter() - tic)
+        records.append(record)
+        if result is None:
+            break
         cuts_pending = 0
         wall_pending = 0.0
 
         pool.commit()
-        model.u_nm1 = model.u_n
-        model.u_n = u_final
-        model.u = u_final
-        model.n_commits += 1
+        u, f_int = result
+        u_nm1, u_n = u_n, u
+        n_commits += 1
         t += dt
-        dt_prev = record.dt
-        control = float(u_final[model.control_dof])
-        reaction = float(model.last_f_int[model.reaction_dofs].sum())
-        curve.append((lam, control, reaction))
-        records.append(record)
-        index += 1
+        dt_prev = dt
+        curve.append((lam, float(u[model.control_dof]),
+                      float(f_int[model.reaction_dofs].sum())))
         dt, _ = adapt_step(record, settings)
 
-    report = SolveReport(
-        scheme=scheme, records=records, curve=curve, converged=converged_all,
+    return SolveReport(
+        scheme=model.scheme, records=records, curve=curve,
+        converged=all(r.converged for r in records),
         n_rves=pool.n_rves, workers=settings.parallel_workers,
-        final_u=model.u.copy(), final_alpha=pool.gather_alpha(),
+        final_u=u_n.copy(), final_alpha=pool.gather_alpha(),
     )
-    return report

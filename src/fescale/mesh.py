@@ -56,7 +56,6 @@ class Mesh:
 
     nodes: np.ndarray
     blocks: tuple[ElementBlock, ...]
-    dim: int = 2
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=np.float64)
@@ -331,6 +330,8 @@ class AssemblyPlan:
             np.add.at(kvals, blk.slots, ke[blk.kept])
             kes.append(ke)
         return kvals, kes
+
+
 def total_area(mesh: Mesh):
     """Sum of integration weights = total reference area."""
     area = 0.0

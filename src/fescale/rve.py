@@ -167,7 +167,6 @@ class MicroGeometry:
         self.mesh = m
         self.pmap = build_periodic_map(m, tol_geom)
         self.n_reduced = self.pmap.n_reduced
-        self.n_full = m.n_dofs
 
         xmin, ymin, xmax, ymax = self.pmap.box
         self.volume = (xmax - xmin) * (ymax - ymin)
@@ -298,13 +297,12 @@ class RveProblem:
         self.update_solves = 0
         self.aux_solves = 0
         self.factorizations = 0
-        self.assemblies = 0
 
     def counter_tuple(self):
-        return (self.update_solves, self.aux_solves, self.factorizations, self.assemblies)
+        return (self.update_solves, self.aux_solves, self.factorizations)
 
     def reset_counters(self):
-        self.update_solves = self.aux_solves = self.factorizations = self.assemblies = 0
+        self.update_solves = self.aux_solves = self.factorizations = 0
 
 
 def full_displacement(rve: RveProblem, u_hat=None, h=None):
@@ -392,7 +390,6 @@ def assemble(rve: RveProblem) -> Assembly:
         factorization=fact, c_tangent=c_t,
     )
     rve.cached = asm
-    rve.assemblies += 1
     rve.ref_force = max(rve.ref_force, float(np.abs(f_full).max()) if len(f_full) else 0.0)
     return asm
 

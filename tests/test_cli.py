@@ -78,6 +78,20 @@ class TestLoadConfig:
         assert cfg.schemes == ["monolithic-stored"]
 
 
+SMALL_MESH = [
+    "fescale-mesh 2",
+    "nodes 3",
+    "0 0.0 0.0",
+    "1 1.0 0.0",
+    "2 1.0 1.0",
+    "elements 1",
+    "0 tri3 0 1 2",
+]
+# (line, column) of every count, id, coordinate and node index
+NUMERIC_FIELDS = [(i, j) for i, row in enumerate(SMALL_MESH) for j, token in enumerate(row.split())
+                  if i > 0 and token not in ("nodes", "elements", "tri3")]
+
+
 class TestMeshFile:
     def test_round_trip(self, tmp_path):
         nodes, conn = grid_quads(2, 2)
@@ -92,6 +106,26 @@ class TestMeshFile:
         path = tmp_path / "bad.mesh"
         path.write_text("fescale-mesh 2\nnodes 1\n0 0.0 0.0\nelements 1\n0 tri3 0 0\n")
         with pytest.raises(ConfigError, match="bad.mesh:5"):
+            read_mesh(path)
+
+    @pytest.mark.parametrize("keep", range(1, len(SMALL_MESH)))
+    def test_truncation_reports_line(self, tmp_path, keep):
+        path = tmp_path / "bad.mesh"
+        path.write_text("".join(line + "\n" for line in SMALL_MESH[:keep]))
+        with pytest.raises(ConfigError, match=f"bad.mesh:{keep + 1}: unexpected end of file"):
+            read_mesh(path)
+
+    @pytest.mark.parametrize("line, column, token", [
+        (line, column, "x") for line, column in NUMERIC_FIELDS
+    ] + [
+        (1, 1, "1.5"), (2, 0, "1.5"), (5, 1, "1.5"), (6, 0, "1.5"), (6, 3, "1.5"),
+    ])
+    def test_non_numeric_token_reports_line(self, tmp_path, line, column, token):
+        rows = [row.split() for row in SMALL_MESH]
+        rows[line][column] = token
+        path = tmp_path / "bad.mesh"
+        path.write_text("".join(" ".join(row) + "\n" for row in rows))
+        with pytest.raises(ConfigError, match=f"bad.mesh:{line + 1}: expected an? "):
             read_mesh(path)
 
     def test_missing_header(self, tmp_path):
@@ -225,6 +259,47 @@ class TestCustomMeshRun:
         assert main(["run", str(write_bar_config(tmp_path, **{field: value}))]) == 2
         assert f"{field}: DOF {dof} outside [0, 8)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value, shown", [
+        ("dirichlet", [[0, 0.0], [1.0, 0.0]], "1.0"),
+        ("dirichlet", [[0, 0.0], ["x", 0.0]], "'x'"),
+        ("point_loads", [[True, 1.0]], "True"),
+        ("control_dof", 5.7, "5.7"),
+        ("control_dof", "x", "'x'"),
+        ("reaction_dofs", [5.5, 7], "5.5"),
+    ])
+    def test_non_integer_dof_is_a_config_error(self, tmp_path, capsys, field, value, shown):
+        assert main(["run", str(write_bar_config(tmp_path, **{field: value}))]) == 2
+        assert f"{field}: expected int, got {shown}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spec", [{"E": "x", "nu": 0.3}, {"E": None, "nu": 0.3}, [100.0, 0.3]])
+    def test_malformed_material_is_a_config_error(self, tmp_path, capsys, spec):
+        assert main(["run", str(write_bar_config(tmp_path, materials=[spec]))]) == 2
+        assert "invalid material spec" in capsys.readouterr().err
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("extra, message", [
+        ({"solver": {"tol_macro": "tight"}}, "solver.tol_macro: expected float, got 'tight'"),
+        ({"solver": {"cut_factor": "half"}}, "solver.cut_factor: expected float, got 'half'"),
+        ({"solver": {"tol_micro": True}}, "solver.tol_micro: expected float, got True"),
+        ({"solver": {"max_macro_iter": 16.0}}, "solver.max_macro_iter: expected int, got 16.0"),
+        ({"solver": {"extrapolate": 1}}, "solver.extrapolate: expected bool, got 1"),
+        ({"overrides": {"bogus": 1}}, "overrides: unknown field 'bogus'"),
+        ({"overrides": {"n_macro": 3.0}}, "overrides.n_macro: expected int, got 3.0"),
+        ({"elastic_only": "yes"}, "elastic_only: expected bool, got 'yes'"),
+        ({"schemes": 5}, "schemes: expected a list, got 5"),
+    ])
+    def test_wrong_type_is_a_config_error_before_any_solve(self, tmp_path, capsys, extra, message):
+        path = write_tiny_config(tmp_path, output_dir="typed", **extra)
+        assert main(["run", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "typed").exists()
+
+    def test_custom_model_takes_only_the_rve_resolution(self, tmp_path, capsys):
+        assert main(["run", str(write_bar_config(tmp_path, overrides={"n_macro": 3}))]) == 2
+        assert "overrides: unknown field 'n_macro'; options: ['n']" in capsys.readouterr().err
+
 
 class TestMainEntry:
     def test_exit_code_config_error(self, tmp_path, capsys):
@@ -250,3 +325,13 @@ class TestMainEntry:
         out = tmp_path / "cli_out2"
         assert (out / "notched-shear_staggered_curve.csv").exists()
         assert not (out / "notched-shear_monolithic-stored_curve.csv").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--schemes", "bogus"], "unknown scheme 'bogus'"),
+        (["--workers", "-3"], "parallel_workers must be >= 1"),
+    ])
+    def test_bad_flag_is_a_config_error(self, tmp_path, capsys, flags, message):
+        path = write_tiny_config(tmp_path, output_dir="cli_out3")
+        assert main(["run", str(path)] + flags) == 2
+        assert f"command line: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "cli_out3").exists()

@@ -245,6 +245,21 @@ class TestDeterminism:
         assert rep.total_factorizations == sum(r.factorizations for r in rep.records)
         assert rep.total_micro_iterations == sum(r.micro_iters_total for r in rep.records)
 
+    @pytest.mark.parametrize("scheme", ["staggered", "monolithic", "monolithic-stored"])
+    def test_second_run_of_one_model_is_identical(self, scheme):
+        settings = SolverSettings(dt_initial=0.25, dt_max=0.25, **TIGHT)
+        model = build_benchmark("notched-shear", scheme, n_macro=3, n_micro=3)
+        first, second = run(model, settings), run(model, settings)
+        assert second.converged
+        assert second.curve == first.curve
+        assert_array_equal(second.final_u, first.final_u)
+        assert_array_equal(second.final_alpha, first.final_alpha)
+
+        def fields(rep):
+            return [dict(vars(r), wall_ms=None) for r in rep.records]
+
+        assert fields(second) == fields(first)
+
     def test_worker_pool_matches_serial(self):
         settings1 = SolverSettings(dt_initial=0.25, dt_max=0.25, parallel_workers=1, **TIGHT)
         settings2 = SolverSettings(dt_initial=0.25, dt_max=0.25, parallel_workers=2, **TIGHT)
@@ -283,11 +298,13 @@ class TestQuadraticConvergence:
         assert order > 1.4
 
 
-# Monolithic sweep of notched-shear (n_macro=3, n_micro=4, dt 0.125, TIGHT)
-# as computed by the one-RVE-at-a-time sweep before stacked solves: the
-# curve (float.hex), a SHA-256 of final_alpha's bytes, and per increment
-# (factorizations, aux_solves, micro_iters_total) per scheme.
-SWEEP_CURVE = [
+# Runs of notched-shear (n_macro=3, n_micro=4, dt 0.125, TIGHT): the monolithic
+# values as computed by the one-RVE-at-a-time sweep before stacked solves, the
+# staggered ones as computed by its own macro Newton loop before the schemes
+# shared one loop. Per scheme: the curve (float.hex), a SHA-256 of
+# final_alpha's bytes, and per increment (factorizations, aux_solves,
+# micro_iters_total, micro_iters_max, macro_factorizations).
+MONOLITHIC_CURVE = [
     ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     ("0x1.0000000000000p-3", "0x1.eb851eb851eb8p-9", "0x1.5f5df80e7f9fcp-5"),
     ("0x1.0000000000000p-2", "0x1.eb851eb851eb8p-8", "0x1.5f5df80e7fa38p-4"),
@@ -298,29 +315,54 @@ SWEEP_CURVE = [
     ("0x1.c000000000000p-1", "0x1.ae147ae147ae1p-6", "0x1.918b40bcc2d44p-3"),
     ("0x1.0000000000000p+0", "0x1.eb851eb851eb8p-6", "0x1.97a1c262d6646p-3"),
 ]
-SWEEP_ALPHA_SHA256 = "e0598ff201ec094d11b3d790e4272e5ccc60f5cf7279c0e743f692277ed769b6"
-SWEEP_COUNTERS = {
-    "monolithic": [
-        (16, 16, 32), (0, 0, 32), (0, 0, 16), (21, 24, 64), (57, 60, 80), (65, 64, 80),
-        (48, 48, 64), (36, 36, 48),
-    ],
-    "monolithic-stored": [
-        (0, 16, 32), (0, 0, 32), (0, 0, 16), (12, 24, 64), (30, 60, 80), (32, 64, 80),
-        (24, 48, 64), (18, 36, 48),
-    ],
+MONOLITHIC_ALPHA_SHA256 = "e0598ff201ec094d11b3d790e4272e5ccc60f5cf7279c0e743f692277ed769b6"
+SWEEP = {
+    "staggered": (
+        [
+            ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+            ("0x1.0000000000000p-3", "0x1.eb851eb851eb8p-9", "0x1.5f5df80e7fa18p-5"),
+            ("0x1.0000000000000p-2", "0x1.eb851eb851eb8p-8", "0x1.5f5df80e7fa17p-4"),
+            ("0x1.8000000000000p-2", "0x1.70a3d70a3d70ap-7", "0x1.07867a0adfb95p-3"),
+            ("0x1.0000000000000p-1", "0x1.eb851eb851eb8p-7", "0x1.561d661aae64bp-3"),
+            ("0x1.4000000000000p-1", "0x1.3333333333333p-6", "0x1.800619846b5a0p-3"),
+            ("0x1.8000000000000p-1", "0x1.70a3d70a3d70ap-6", "0x1.8a4f78deaec06p-3"),
+            ("0x1.c000000000000p-1", "0x1.ae147ae147ae1p-6", "0x1.918b40bd03835p-3"),
+            ("0x1.0000000000000p+0", "0x1.eb851eb851eb8p-6", "0x1.97a1c262cb7c6p-3"),
+        ],
+        "dc327985ab49d255041f5488b3d9d7f149c853ebbd80565586cdb6987a4573ce",
+        [
+            (0, 16, 22, 1, 1), (0, 0, 22, 1, 1), (0, 0, 0, 1, 0), (36, 12, 61, 3, 3),
+            (78, 24, 84, 4, 3), (81, 26, 85, 3, 3), (54, 18, 56, 3, 2), (49, 18, 51, 3, 2),
+        ],
+    ),
+    "monolithic": (
+        MONOLITHIC_CURVE, MONOLITHIC_ALPHA_SHA256,
+        [
+            (16, 16, 32, 0, 1), (0, 0, 32, 0, 1), (0, 0, 16, 0, 0), (21, 24, 64, 0, 3),
+            (57, 60, 80, 0, 4), (65, 64, 80, 0, 4), (48, 48, 64, 0, 3), (36, 36, 48, 0, 2),
+        ],
+    ),
+    "monolithic-stored": (
+        MONOLITHIC_CURVE, MONOLITHIC_ALPHA_SHA256,
+        [
+            (0, 16, 32, 0, 1), (0, 0, 32, 0, 1), (0, 0, 16, 0, 0), (12, 24, 64, 0, 3),
+            (30, 60, 80, 0, 4), (32, 64, 80, 0, 4), (24, 48, 64, 0, 3), (18, 36, 48, 0, 2),
+        ],
+    ),
 }
 
 
 class TestStackedSweep:
-    @pytest.mark.parametrize("scheme", ["monolithic", "monolithic-stored"])
+    @pytest.mark.parametrize("scheme", ["staggered", "monolithic", "monolithic-stored"])
     def test_matches_per_rve_sweep_bitwise(self, scheme):
         settings = SolverSettings(dt_initial=0.125, dt_max=0.125, **TIGHT)
         rep = run(build_benchmark("notched-shear", scheme, n_macro=3, n_micro=4), settings)
         assert rep.converged
-        assert [tuple(float(v).hex() for v in row) for row in rep.curve] == SWEEP_CURVE
-        assert hashlib.sha256(rep.final_alpha.tobytes()).hexdigest() == SWEEP_ALPHA_SHA256
-        counters = [(r.factorizations, r.aux_solves, r.micro_iters_total) for r in rep.records]
-        assert counters == SWEEP_COUNTERS[scheme]
+        curve, alpha_sha256, counters = SWEEP[scheme]
+        assert [tuple(float(v).hex() for v in row) for row in rep.curve] == curve
+        assert hashlib.sha256(rep.final_alpha.tobytes()).hexdigest() == alpha_sha256
+        assert [(r.factorizations, r.aux_solves, r.micro_iters_total, r.micro_iters_max,
+                 r.macro_factorizations) for r in rep.records] == counters
 
 
 class TestWorkerFailures:
