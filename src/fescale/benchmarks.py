@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fescale.errors import ConfigError
+from fescale.errors import ConfigError, StructuralError
 from fescale.macro import TwoScaleModel
 from fescale.material import ElasticParams, PlasticParams
 from fescale.mesh import QUAD4, TRI3, ElementBlock, Mesh
@@ -54,9 +54,12 @@ def grid_triangles(nx, ny, lx=1.0, ly=1.0):
 def drop_elements(nodes, conn, remove_mask, aux=None):
     """Remove flagged elements, drop orphan nodes, renumber the rest.
 
-    ``aux`` is an optional per-element array filtered alongside.
+    ``aux`` is an optional per-element array filtered alongside. A mesh
+    left without elements is a :class:`StructuralError`.
     """
     keep = ~np.asarray(remove_mask, dtype=bool)
+    if not keep.any():
+        raise StructuralError("the pixelated feature removes every element of the mesh")
     conn = conn[keep]
     used = np.unique(conn)
     remap = np.full(len(nodes), -1, dtype=np.int64)

@@ -14,7 +14,7 @@ import inspect
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -137,11 +137,17 @@ class RunConfig:
 
     def build_model(self, scheme):
         if self.benchmark is not None:
-            return benchmarks.build_benchmark(
-                self.benchmark, scheme, elastic_only=self.elastic_only, **self.overrides
-            )
+            try:
+                return benchmarks.build_benchmark(
+                    self.benchmark, scheme, elastic_only=self.elastic_only, **self.overrides
+                )
+            except FescaleError as exc:
+                raise ConfigError(f"overrides {self.overrides}: {exc}") from exc
         macro_mesh = read_mesh(self.macro_mesh)
-        micro = self._build_micro()
+        try:
+            micro = self._build_micro()
+        except StructuralError as exc:
+            raise ConfigError(f"rve: {exc}") from exc
         try:
             return macro.TwoScaleModel(
                 macro_mesh=macro_mesh, dirichlet=[tuple(d) for d in self.dirichlet],
@@ -220,6 +226,18 @@ def _dofs(name, value, pairs=False):
     return value
 
 
+def _env_workers():
+    """Worker count from ``FESCALE_WORKERS``: 1 when unset, else an integer >= 1."""
+    text = os.environ.get("FESCALE_WORKERS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"FESCALE_WORKERS: expected an integer >= 1, got {text!r}")
+    return workers
+
+
 def _override_defaults(benchmark):
     """Each ``overrides`` key a run accepts, with its default (which gives the type)."""
     if benchmark is None:
@@ -259,6 +277,8 @@ def parse_config(raw, base_dir=".") -> RunConfig:
         raise ConfigError(f"solver: unknown fields {sorted(bad)}")
     for key, value in solver_raw.items():
         _typed(f"solver.{key}", value, type(getattr(macro.SolverSettings, key)))
+    if "parallel_workers" not in solver_raw:
+        solver_raw = dict(solver_raw, parallel_workers=_env_workers())
     try:
         settings = macro.SolverSettings(**solver_raw)
     except StructuralError as exc:
@@ -291,6 +311,8 @@ def parse_config(raw, base_dir=".") -> RunConfig:
         if key not in defaults:
             raise ConfigError(f"overrides: unknown field {key!r}; options: {sorted(defaults)}")
         _typed(f"overrides.{key}", value, type(defaults[key]))
+        if type(defaults[key]) is int and value < 1:  # every integer override is a mesh size
+            raise ConfigError(f"overrides.{key}: must be >= 1, got {value}")
 
     name = raw.get("name") or benchmark or "custom"
     return RunConfig(
@@ -467,8 +489,9 @@ def _check_homogenized_tangent():
     el = material.ElasticParams(100.0, 0.3)
     geom = rvemod.MicroGeometry(benchmarks.rve_laminate(el, el, n=3))
     p = rvemod.RveProblem(geom)
-    out = rvemod.solve_micro_staggered(p, np.zeros(4), 1e-10, 5)
-    return np.allclose(out.c_tangent, el.stiffness(), atol=1e-9 * el.E)
+    rvemod.solve_micro_staggered(p, np.zeros(4), 1e-10, 5)
+    _, c = rvemod.homogenized_tangent_and_alg_stress([p], alg_stress=False)
+    return np.allclose(c[0], el.stiffness(), atol=1e-9 * el.E)
 
 
 CHECKS = [
@@ -499,23 +522,14 @@ def run_checks():
 # command line
 
 
-def _default_workers():
-    try:
-        return max(1, int(os.environ.get("FESCALE_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def _apply_cli_overrides(config, args):
     if args.out:
         config.output_dir = args.out
-    workers = args.workers if args.workers else _default_workers()
-    fields = {f: getattr(config.settings, f) for f in macro.SolverSettings.__dataclass_fields__}
-    fields["parallel_workers"] = workers
     try:
         if args.schemes:
             config.schemes = [macro.canonical_scheme(s) for s in args.schemes.split(",")]
-        config.settings = macro.SolverSettings(**fields)
+        if args.workers is not None:
+            config.settings = replace(config.settings, parallel_workers=args.workers)
     except StructuralError as exc:
         raise ConfigError(f"command line: {exc}") from exc
     return config

@@ -57,8 +57,12 @@ class SolverSettings:
             raise StructuralError("need 0 < cut_factor < 1 < growth_factor")
         if not (self.dt_min <= self.dt_initial <= self.dt_max):
             raise StructuralError("need dt_min <= dt_initial <= dt_max")
-        if self.parallel_workers < 1:
-            raise StructuralError("parallel_workers must be >= 1")
+        for name in ("tol_macro", "tol_micro", "t_end", "dt_min"):
+            if not getattr(self, name) > 0:
+                raise StructuralError(f"{name} must be > 0")
+        for name in ("max_macro_iter", "n_max", "parallel_workers"):
+            if getattr(self, name) < 1:
+                raise StructuralError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -165,8 +169,9 @@ class _Shard:
     """Owns a contiguous-by-stride subset of the RVE problems.
 
     The RVEs factorize into the slots of one band stack, so each solve of
-    the monolithic sweep is one stacked call over the whole shard. The pool
-    calls the public methods by name.
+    the monolithic sweep is one stacked call over the whole shard, and both
+    sweeps end in one condensation call that returns the shard's stresses
+    and tangents. The pool calls the public methods by name.
     """
 
     def __init__(self, geom, indices, store_factorization):
@@ -186,40 +191,34 @@ class _Shard:
                 rvemod.extrapolate_u_hat(p, extrapolate_ratio)
 
     def staggered(self, h_sub, tol_micro, n_max):
-        outs = []
-        for p, h in zip(self.rves, h_sub):
+        iters = np.zeros(len(self.rves), dtype=np.int64)
+        failed = np.zeros(len(self.rves), dtype=bool)
+        for i, (p, h) in enumerate(zip(self.rves, h_sub)):
             try:
-                outs.append(rvemod.solve_micro_staggered(p, h, tol_micro, n_max))
+                iters[i] = rvemod.solve_micro_staggered(p, h, tol_micro, n_max)
             except MicroDivergenceError:
-                outs.append(None)
-        return self._results(outs)
+                failed[i] = True
+        return self._results(iters, failed, alg_stress=False)
 
     def monolithic(self, dh_sub):
         rvemod.micro_update_monolithic(self.rves, dh_sub)
         for p in self.rves:
             rvemod.assemble(p)
-        return self._results(rvemod.homogenized_tangent_and_alg_stress(self.rves))
+        m = len(self.rves)
+        return self._results(np.zeros(m, dtype=np.int64), np.zeros(m, dtype=bool))
 
-    def _results(self, outs):
-        """One layout for both sweeps; ``None`` marks a diverged RVE.
+    def _results(self, iters, failed, alg_stress=True):
+        """One layout for both sweeps from one condensation call over the shard.
 
         ``sigma`` is the algorithmic stress, which for a converged staggered
-        micro problem is its homogenized stress.
+        micro problem is its homogenized stress; a ``failed`` (diverged)
+        RVE's rows of ``sigma`` and ``c`` are zero.
         """
-        m = len(self.rves)
-        res = {"sigma": np.zeros((m, 4)), "c": np.zeros((m, 4, 4)), "rnorm": np.zeros(m),
-               "ref": np.zeros(m), "iters": np.zeros(m, dtype=np.int64),
-               "failed": np.zeros(m, dtype=bool)}
-        for i, (p, out) in enumerate(zip(self.rves, outs)):
-            if out is None:
-                res["failed"][i] = True
-                continue
-            res["sigma"][i] = out.sigma_alg
-            res["c"][i] = out.c_tangent
-            res["rnorm"][i] = out.residual_norm
-            res["ref"][i] = rvemod.residual_reference(p)
-            res["iters"][i] = out.micro_iterations
-        return res
+        sigma, c = rvemod.homogenized_tangent_and_alg_stress(self.rves, alg_stress, failed)
+        return {"sigma": sigma, "c": c,
+                "rnorm": np.array([p.cached.residual_norm for p in self.rves]),
+                "ref": np.array([rvemod.residual_reference(p) for p in self.rves]),
+                "iters": iters, "failed": failed}
 
     def commit(self):
         for p in self.rves:

@@ -14,7 +14,7 @@ needed for the condensed macroscopic tangent and the algorithmic stress.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -252,18 +252,6 @@ class Assembly:
     c_tangent: np.ndarray | None = None
 
 
-@dataclass
-class HomogenizedOutput:
-    """Per-RVE result consumed by the macroscopic assembly."""
-
-    sigma_bar: np.ndarray
-    sigma_alg: np.ndarray
-    c_tangent: np.ndarray
-    residual_norm: float
-    micro_iterations: int
-    factorizations: int
-
-
 class RveProblem:
     """One micro problem instance: states, displacements, cached assembly.
 
@@ -406,11 +394,6 @@ def ensure_factorization(rve: RveProblem):
     return asm.factorization
 
 
-def homogenize_stress(rve: RveProblem) -> np.ndarray:
-    """Boundary-sum homogenized stress of the current assembly."""
-    return rve.cached.sigma_bar.copy()
-
-
 def volume_average_stress(rve: RveProblem) -> np.ndarray:
     """Volume-average form of the homogenized stress (verification route)."""
     geom = rve.geom
@@ -434,9 +417,7 @@ def boundary_average_gradient(rve: RveProblem) -> np.ndarray:
 
 
 def _batch(rves):
-    """``rves`` as a list: one RveProblem, or RVEs in consecutive slots of one band stack."""
-    if isinstance(rves, RveProblem):
-        return [rves]
+    """``rves`` as a list, checked to fill consecutive slots of one band stack."""
     rves = list(rves)
     for i, p in enumerate(rves):
         if p.bands is not rves[0].bands or p.slot != rves[0].slot + i:
@@ -450,28 +431,30 @@ def _stacked_solve(batch, rhs):
     return linalg.solve(batch[0].geom.layout.factors(batch[0].bands[lo:lo + len(batch)]), rhs)
 
 
-def homogenized_tangent_and_alg_stress(rves, alg_stress=True):
-    """Condensed macroscopic tangent and algorithmic stress of one or more RVEs.
+def homogenized_tangent_and_alg_stress(rves, alg_stress=True, skip=None):
+    """Condensed stress (b, 4) and macroscopic tangent (b, 4, 4) of b RVEs.
 
-    ``rves`` is one RveProblem (the result is one output) or RVEs that fill
-    consecutive slots of one band stack (a list of outputs). The inverse of
-    the micro stiffness is never formed: one stacked 5-column solve against
-    the retained factorizations gives the tangent sensitivity (4 columns)
-    and the residual correction (1 column); a column an RVE does not need is
+    ``rves`` fill consecutive slots of one band stack. The inverse of the
+    micro stiffness is never formed: one stacked 5-column solve against the
+    retained factorizations gives the tangent sensitivity (4 columns) and
+    the residual correction (1 column); a column an RVE does not need is
     zero and its result unused. Linear-flagged problems reuse the cached
     tangent and skip the residual correction (their residual is zero to
-    machine precision). With ``alg_stress=False`` (a converged micro
-    problem) the residual column is left out and sigma_alg is sigma_bar.
+    machine precision). With ``alg_stress=False`` (converged micro
+    problems) the residual column is left out and the stress is sigma_bar.
+    An RVE marked in the boolean mask ``skip`` (a diverged micro problem)
+    gets no solve and a zero row.
     """
     batch = _batch(rves)
+    b = len(batch)
     n = batch[0].geom.n_reduced if batch else 0
-    f0 = [p.factorizations for p in batch]
-    rhs = np.zeros((n, len(batch), 5 if alg_stress else 4))
+    skip = np.zeros(b, dtype=bool) if skip is None else skip
+    rhs = np.zeros((n, b, 5 if alg_stress else 4))
     needed = False
     for i, p in enumerate(batch):
         asm = p.cached
         correct = alg_stress and not asm.flagged
-        if n and (asm.c_tangent is None or correct):
+        if n and not skip[i] and (asm.c_tangent is None or correct):
             ensure_factorization(p)
             needed = True
             if asm.c_tangent is None:
@@ -481,38 +464,35 @@ def homogenized_tangent_and_alg_stress(rves, alg_stress=True):
                 rhs[:, i, 4] = asm.r_hat
                 p.aux_solves += 1
     x = _stacked_solve(batch, rhs) if needed else rhs
-    outs = []
+    sigma, c = np.zeros((b, 4)), np.zeros((b, 4, 4))
     for i, p in enumerate(batch):
+        if skip[i]:
+            continue
         asm = p.cached
         if asm.c_tangent is None:
             # contiguous copies keep the products' BLAS path of separate solves
             sens = np.ascontiguousarray(x[:, i, :4])
             asm.c_tangent = asm.dsig_dh - asm.dsig_du @ sens if n else asm.dsig_dh.copy()
+        c[i] = asm.c_tangent
         if asm.flagged or not alg_stress or n == 0:
-            sigma_alg = asm.sigma_bar.copy()
+            sigma[i] = asm.sigma_bar
         else:
-            sigma_alg = asm.sigma_bar - asm.dsig_du @ np.ascontiguousarray(x[:, i, 4])
+            sigma[i] = asm.sigma_bar - asm.dsig_du @ np.ascontiguousarray(x[:, i, 4])
         if not p.store_factorization and not asm.flagged:
             asm.factorization = None
-        outs.append(HomogenizedOutput(
-            sigma_bar=asm.sigma_bar.copy(), sigma_alg=sigma_alg,
-            c_tangent=asm.c_tangent.copy(), residual_norm=asm.residual_norm,
-            micro_iterations=0, factorizations=p.factorizations - f0[i],
-        ))
-    return outs[0] if isinstance(rves, RveProblem) else outs
+    return sigma, c
 
 
-def solve_micro_staggered(rve: RveProblem, h_target, tol_micro, max_iter) -> HomogenizedOutput:
-    """Full micro Newton at a fixed applied gradient, then the tangent.
+def solve_micro_staggered(rve: RveProblem, h_target, tol_micro, max_iter) -> int:
+    """Full micro Newton at a fixed applied gradient; returns its iteration count.
 
     Iterates until ||r||_inf <= tol_micro * max(running force, floor); a
     budget overrun raises :class:`MicroDivergenceError` so the caller can
-    cut the load increment. The converged stiffness is factorized (or the
-    retained factorization reused on linear steps) for the sensitivity
-    solve; the algorithmic stress equals the homogenized stress here.
+    cut the load increment. A converged problem counts at least one
+    iteration (the re-check) and leaves its converged assembly cached for
+    :func:`homogenized_tangent_and_alg_stress`.
     """
     rve.H = np.asarray(h_target, dtype=np.float64).copy()
-    f0 = rve.factorizations
     solves = 0
     asm = assemble(rve)
     while asm.residual_norm > tol_micro * residual_reference(rve):
@@ -534,17 +514,15 @@ def solve_micro_staggered(rve: RveProblem, h_target, tol_micro, max_iter) -> Hom
                 break
             rve.u_hat += step * du
             step *= 0.5
-    out = homogenized_tangent_and_alg_stress(rve, alg_stress=False)
-    return replace(out, micro_iterations=max(1, solves), factorizations=rve.factorizations - f0)
+    return max(1, solves)
 
 
 def micro_update_monolithic(rves, delta_h) -> np.ndarray:
     """Condensation displacement update: du = -k^-1 (r + dr/dH * dH).
 
-    ``rves`` is one RveProblem with ``delta_h`` shaped (4,), or RVEs that
-    fill consecutive slots of one band stack with ``delta_h`` shaped (b, 4);
-    ``du`` is returned in the matching shape. Exactly one linear solve per
-    RVE, all in one stacked call; no inner iteration. Uses the retained
+    ``rves`` fill consecutive slots of one band stack, ``delta_h`` is
+    shaped (b, 4) and ``du`` (b, n) is returned. Exactly one linear solve
+    per RVE, all in one stacked call; no inner iteration. Uses the retained
     factorization when present, otherwise refactorizes the cached stiffness
     (plain monolithic mode).
     """
@@ -565,7 +543,7 @@ def micro_update_monolithic(rves, delta_h) -> np.ndarray:
             if not p.store_factorization and not p.cached.flagged:
                 p.cached.factorization = None
         p.H = p.H + delta_h[i]
-    return du[0] if isinstance(rves, RveProblem) else du
+    return du
 
 
 def commit(rve: RveProblem):

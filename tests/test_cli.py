@@ -272,6 +272,11 @@ class TestCustomMeshRun:
         assert f"{field}: expected int, got {shown}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_builtin_rve_is_a_config_error(self, tmp_path, capsys):
+        path = write_bar_config(tmp_path, rve_mesh=None, rve="porous-square", overrides={"n": 1})
+        assert main(["run", str(path)]) == 2
+        assert "rve: the pixelated feature removes every element" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec", [{"E": "x", "nu": 0.3}, {"E": None, "nu": 0.3}, [100.0, 0.3]])
     def test_malformed_material_is_a_config_error(self, tmp_path, capsys, spec):
         assert main(["run", str(write_bar_config(tmp_path, materials=[spec]))]) == 2
@@ -295,6 +300,29 @@ class TestFieldTypes:
         assert main(["run", str(path)]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "typed").exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"overrides": {"n_macro": 0}}, "overrides.n_macro: must be >= 1, got 0"),
+        ({"overrides": {"n_micro": -1}}, "overrides.n_micro: must be >= 1, got -1"),
+        ({"overrides": {"n_micro": 0}}, "overrides.n_micro: must be >= 1, got 0"),
+        ({"overrides": {"n_micro": 1}},
+         "overrides {'n_micro': 1}: the pixelated feature removes every element"),
+        ({"benchmark": "plate-hole-tension", "overrides": {"n_macro": 1}},
+         "overrides {'n_macro': 1}: the pixelated feature removes every element"),
+        ({"benchmark": "notched-bending-2d", "overrides": {"nx": 0}},
+         "overrides.nx: must be >= 1, got 0"),
+        ({"solver": {"max_macro_iter": 0}}, "solver: max_macro_iter must be >= 1"),
+        ({"solver": {"n_max": -1}}, "solver: n_max must be >= 1"),
+        ({"solver": {"tol_macro": -1.0}}, "solver: tol_macro must be > 0"),
+        ({"solver": {"tol_micro": 0.0}}, "solver: tol_micro must be > 0"),
+        ({"solver": {"t_end": -1.0}}, "solver: t_end must be > 0"),
+        ({"solver": {"dt_min": 0.0}}, "solver: dt_min must be > 0"),
+    ])
+    def test_out_of_range_is_a_config_error(self, tmp_path, capsys, extra, message):
+        path = write_tiny_config(tmp_path, output_dir="ranged", **extra)
+        assert main(["run", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("ranged/*_curve.csv"))
 
     def test_custom_model_takes_only_the_rve_resolution(self, tmp_path, capsys):
         assert main(["run", str(write_bar_config(tmp_path, overrides={"n_macro": 3}))]) == 2
@@ -335,3 +363,31 @@ class TestMainEntry:
         assert main(["run", str(path)] + flags) == 2
         assert f"command line: {message}" in capsys.readouterr().err
         assert not (tmp_path / "cli_out3").exists()
+
+    @pytest.mark.parametrize("config, env, flag, expected", [
+        (2, None, None, 2),
+        (2, "1", None, 2),
+        (None, "2", None, 2),
+        (2, "2", "1", 1),
+        (None, None, None, 1),
+    ])
+    def test_worker_count_precedence(self, tmp_path, monkeypatch, config, env, flag, expected):
+        # the --workers flag, then solver.parallel_workers, then FESCALE_WORKERS, then 1
+        solver = dict(TINY["solver"], **({} if config is None else {"parallel_workers": config}))
+        path = write_tiny_config(tmp_path, output_dir="wk", schemes=["monolithic-stored"],
+                                 solver=solver)
+        if env is None:
+            monkeypatch.delenv("FESCALE_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("FESCALE_WORKERS", env)
+        assert main(["run", str(path)] + ([] if flag is None else ["--workers", flag])) == 0
+        echo = json.loads((tmp_path / "wk" / "notched-shear_config_echo.json").read_text())
+        assert echo["solver"]["parallel_workers"] == expected
+
+    @pytest.mark.parametrize("env", ["abc", "0", "-2", "1.5", ""])
+    def test_bad_worker_variable_is_a_config_error(self, tmp_path, monkeypatch, capsys, env):
+        monkeypatch.setenv("FESCALE_WORKERS", env)
+        path = write_tiny_config(tmp_path, output_dir="wk_bad")
+        assert main(["run", str(path)]) == 2
+        assert f"FESCALE_WORKERS: expected an integer >= 1, got {env!r}" in capsys.readouterr().err
+        assert not (tmp_path / "wk_bad").exists()

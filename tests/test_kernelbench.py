@@ -7,7 +7,7 @@ them with ``pytest -m kernelbench tests/test_kernelbench.py``.
 import numpy as np
 import pytest
 
-from fescale import linalg
+from fescale import linalg, material
 from fescale import rve as R
 from fescale.benchmarks import build_benchmark, default_materials, rve_porous_quad
 
@@ -30,6 +30,17 @@ def test_rve_assemble_plastic(benchmark):
     p.H = np.array([0.0, 0.01, 0.01, 0.004])
     assert R.assemble(p).plastic_flow
     benchmark(R.assemble, p)
+
+
+def test_material_evaluate_batch_plastic(benchmark, plate_hole_rve):
+    # every integration point of the RVE in a plastic trial state
+    geom, _ = plate_hole_rve
+    p = R.RveProblem(geom)
+    p.H = np.array([0.0, 0.01, 0.01, 0.004])
+    h = geom.plan.gradients(R.full_displacement(p))
+    (mat,), (states,) = geom.model.materials, p.states
+    assert material.evaluate_batch(mat, h, states)[3].any()
+    benchmark(material.evaluate_batch, mat, h, states)
 
 
 def test_macro_assemble(benchmark):
