@@ -420,15 +420,17 @@ def run_suite(config: RunConfig):
     """Run every selected scheme and write curves, stats, and the summary.
 
     Returns (exit_status, reports): 0 when every scheme converged, 1
-    otherwise; artifacts are written either way.
+    otherwise; artifacts are written either way. Every scheme's model is
+    built before the output directory is created, so a configuration error
+    leaves no file behind.
     """
+    models = {scheme: config.build_model(scheme) for scheme in config.schemes}
     os.makedirs(config.output_dir, exist_ok=True)
     _echo_config(config)
     reports = {}
     scheme_stats = {}
     status = 0
-    for scheme in config.schemes:
-        model = config.build_model(scheme)
+    for scheme, model in models.items():
         report = macro.run(model, config.settings)
         reports[scheme] = report
         prefix = os.path.join(config.output_dir, f"{config.name}_{scheme}")
@@ -469,7 +471,7 @@ def _check_linear_solver():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((25, 25))
     a = linalg.SparseMatrix.from_dense(m @ m.T + 25 * np.eye(25))
-    f = linalg.factorize(a, linalg.compute_ordering(a))
+    f = linalg.factorize(a)
     b = rng.standard_normal(25)
     x = linalg.solve(f, b)
     res = np.abs(a.to_dense() @ x - b).max()
@@ -497,7 +499,7 @@ def _check_homogenized_tangent():
 CHECKS = [
     ("element patch test", _check_patch_test),
     ("radial-return consistent tangent", _check_material_consistency),
-    ("sparse LU residual bound", _check_linear_solver),
+    ("retained factor residual bound", _check_linear_solver),
     ("periodic averaging identity", _check_periodic_averaging),
     ("homogenized elastic tangent identity", _check_homogenized_tangent),
 ]

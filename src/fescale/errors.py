@@ -15,12 +15,14 @@ class StructuralError(FescaleError):
 
 
 class SingularMatrixError(FescaleError):
-    """Factorization hit a pivot below tolerance.
+    """Factorization found the matrix singular to working precision.
 
     Attributes
     ----------
     pivot_index : int
-        Row index (in the original, unpermuted numbering) of the failing pivot.
+        The first row that is numerically dependent on the rows before it.
+    pivot_value : float
+        That row's distance from the span of the rows before it.
     """
 
     def __init__(self, pivot_index, pivot_value=0.0):

@@ -1,11 +1,17 @@
-"""Sparse linear algebra substrate.
+"""Linear algebra substrate.
 
-CSR matrices with a structurally symmetric pattern, reverse Cuthill-McKee
-bandwidth reduction, and a banded LU factorization with diagonal pivoting.
-Factorizations are retained and reused for repeated multi-RHS solves; a
-solve never mutates the factorization. Matrices of one pattern can be
-factorized into the slots of one padded band stack and solved together in
-one stacked call, bit for bit as if solved one by one.
+CSR matrices with a structurally symmetric pattern, and retained dense
+factors computed by numpy's LAPACK. The retained factor of a matrix is its
+inverse: a factorization scatters the CSR values into a dense buffer and
+inverts it, and every later solve is one matrix-vector product per
+right-hand-side column. A solve never mutates the factorization. Matrices of
+one pattern can be factorized into the slots of one stack and solved
+together in one stacked call, bit for bit as if solved one by one.
+
+Dense storage bounds the size: a system of more than ``MAX_DENSE_N``
+unknowns is refused when a two-scale model is built. Reverse Cuthill-McKee
+ordering stays available for patterns (:func:`compute_ordering`); the
+dense kernel does not need it.
 """
 
 from __future__ import annotations
@@ -13,13 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from fescale.errors import SingularMatrixError, StructuralError
 
-# Relative diagonal-pivot tolerance: pivots at or below this fraction of the
-# row's largest magnitude raise SingularMatrixError instead of perturbing.
+# A matrix whose condition number ||A||_inf * ||A^-1||_inf reaches
+# 1 / PIVOT_RTOL raises SingularMatrixError instead of being inverted.
 PIVOT_RTOL = 1e-14
+# Largest dense system: one retained factor takes n^2 * 8 bytes (2.9 MB at
+# n = 600) per RVE, and its inversion grows as n^3.
+MAX_DENSE_N = 600
 
 
 @dataclass(frozen=True)
@@ -130,77 +138,55 @@ class Permutation:
 
 
 @dataclass(frozen=True)
-class BandLayout:
-    """Where the entries of one sparsity pattern sit in a padded band.
+class DenseLayout:
+    """Where the entries of one sparsity pattern sit in a dense (n, n) matrix.
 
-    Every matrix of the pattern is factorized into an array of ``shape``:
-    band row ``half + i`` holds row i of the permuted matrix, entry (i, j) at
-    band column ``j - i + half``, and ``half`` zero rows above and below let
-    every row step of the elimination and of the substitutions address a
-    full-width sheared view. Built once per pattern and ordering.
+    Built once per pattern: ``flat`` holds the row-major index i * n + j of
+    every stored entry, so a matrix of the pattern scatters into a dense
+    buffer in one indexed assignment.
     """
 
     n: int
-    half_bandwidth: int
-    perm: Permutation
-    rows: np.ndarray  # padded band row of every stored entry
-    cols: np.ndarray  # band column of every stored entry
+    flat: np.ndarray
 
     @classmethod
-    def of(cls, pattern: SparseMatrix, perm: Permutation | None = None) -> BandLayout:
+    def of(cls, pattern: SparseMatrix) -> DenseLayout:
         n = pattern.n_rows
-        if perm is None:
-            perm = Permutation.identity(n)
-        if len(perm.forward) != n:
-            raise StructuralError("permutation size does not match matrix")
-        rows = perm.forward[pattern.row_of_entries()]
-        cols = perm.forward[pattern.col_indices]
-        half = int(np.max(np.abs(rows - cols))) if len(cols) else 0
-        return cls(n, half, perm, rows + half, cols - rows + half)
-
-    @property
-    def shape(self):
-        return (self.n + 2 * self.half_bandwidth, 2 * self.half_bandwidth + 1)
+        return cls(n, pattern.row_of_entries() * n + pattern.col_indices)
 
     def empty_stack(self, count) -> np.ndarray:
-        """Writable ``(count,) + shape`` band stack, one slot per matrix.
+        """Writable ``(count, n, n)`` stack of retained factors, one slot per matrix.
 
-        Consecutive slots overlap in their padding: the bottom padding rows
-        of slot i are the top padding rows of slot i + 1. Padding is never
-        read into a matrix row, so a slot can be refactorized without
-        disturbing its neighbours. Slots start as the identity, so a stacked
-        solve through a slot that was never factorized returns its
-        right-hand side unchanged.
+        Slots start as the identity, so a stacked solve through a slot that
+        was never factorized returns its right-hand side unchanged.
         """
-        n, half = self.n, self.half_bandwidth
-        buf = np.zeros((count * (n + half) + half, 2 * half + 1))
-        s0, s1 = buf.strides
-        bands = as_strided(buf, (count,) + self.shape, ((n + half) * s0, s0, s1))
-        bands[:, half:half + n, half] = 1.0
-        return bands
+        stack = np.zeros((count, self.n, self.n))
+        np.einsum("kii->ki", stack)[:] = 1.0
+        return stack
 
-    def factors(self, bands) -> Factorization:
-        """Read-only factorization view of one band or of a band stack."""
-        view = bands.view()
+    def factors(self, stack) -> Factorization:
+        """Read-only factorization view of one slot or of a stack of slots."""
+        view = stack.view()
         view.setflags(write=False)
-        return Factorization(self.n, self.half_bandwidth, view, self.perm)
+        return Factorization(self.n, view)
 
 
 @dataclass(frozen=True)
 class Factorization:
-    """Banded LU factors of a permuted matrix, or of a stack of them.
+    """The retained factor of a matrix, its inverse, or a stack of them.
 
-    ``band`` is one padded band (see :class:`BandLayout`) or a stack of
-    bands with a leading axis; L (unit diagonal, below) and U replace the
-    matrix entries. The view is read-only, so a solve never mutates it. A
-    factorization written into a slot of a band stack stays valid until the
-    slot is factorized again.
+    ``inverse`` is (n, n) or, for a stack, (b, n, n). The view is read-only,
+    so a solve never mutates it. A factor written into a slot of a stack
+    stays valid until the slot is factorized again.
     """
 
     n: int
-    half_bandwidth: int
-    band: np.ndarray
-    perm: Permutation
+    inverse: np.ndarray
+
+    @property
+    def half_bandwidth(self):
+        """n - 1: the factor is dense."""
+        return max(self.n - 1, 0)
 
 
 def _adjacency(pattern: SparseMatrix):
@@ -288,77 +274,79 @@ def compute_ordering(pattern: SparseMatrix) -> Permutation:
     return perm
 
 
-def factorize(a: SparseMatrix, perm: Permutation | BandLayout | None = None,
-              out: np.ndarray | None = None) -> Factorization:
-    """LU-factorize a sparse matrix under ``perm``.
+def _inf_norm(m):
+    return np.abs(m).sum(axis=1).max(initial=0.0)
 
-    ``perm`` is a :class:`Permutation` or a :class:`BandLayout` built for
-    the pattern of ``a`` (which skips recomputing the scatter indices); the
-    band is sized from the largest permuted |i - j|. ``out`` is a writable
-    slot of :meth:`BandLayout.empty_stack`: it is overwritten, and the
-    returned factorization is a view of it (after a failure the slot holds
-    no factorization until it is factorized again). Without ``out`` a new
-    band is allocated.
 
-    Banded Doolittle elimination with diagonal pivoting: a pivot whose
-    magnitude falls at or below ``PIVOT_RTOL`` times the row's largest
-    original magnitude raises :class:`SingularMatrixError` carrying the
-    failing row index (original numbering). The result is reusable for any
-    number of subsequent solves.
+def _dependent_row(dense):
+    """(row, distance) of the first row numerically dependent on the rows before it.
+
+    |R[k, k]| of the QR factorization of the transpose is the distance of
+    row k from the span of rows 0..k-1. The first row whose distance is at
+    most sqrt(PIVOT_RTOL) of its own norm is named, else the row that is
+    relatively nearest to the span of the rows before it.
     """
-    layout = perm if isinstance(perm, BandLayout) else BandLayout.of(a, perm)
-    n, half = layout.n, layout.half_bandwidth
-    if a.n_rows != n or len(a.values) != len(layout.rows):
-        raise StructuralError("matrix does not match the band layout")
-    if out is None:
-        band = np.zeros(layout.shape)
-    elif out.shape != layout.shape:
-        raise StructuralError(f"band slot shape {out.shape} does not match {layout.shape}")
-    else:
-        band = out
-        band.fill(0.0)
-    band[layout.rows, layout.cols] = a.values
-    if n == 0:
-        return layout.factors(band)
+    dist = np.abs(np.diagonal(np.linalg.qr(dense.T, mode="r")))
+    rel = dist / np.maximum(np.linalg.norm(dense, axis=1), np.finfo(np.float64).tiny)
+    weak = np.flatnonzero(rel <= np.sqrt(PIVOT_RTOL))
+    k = int(weak[0]) if weak.size else int(np.argmin(rel))
+    return k, dist[k]
 
-    diag = band[half:half + n, half]
-    # permuted-row scale for the pivot test
-    tol = PIVOT_RTOL * np.abs(band[half:half + n]).max(axis=1)
-    # Row step k, as views built once: L column k below the pivot, U row k
-    # right of it, and the trailing block sheared one column left per row.
-    # Near the last row the views reach into the zero padding.
-    s0, s1 = band.strides
-    lower = as_strided(band[half + 1:, half - 1:], (n, half), (s0, s0 - s1))
-    trailing = as_strided(band[half + 1:, half:], (n, half, half), (s0, s0 - s1, s1))
-    lower_col = lower[:, :, None]
-    upper_row = band[half:half + n, None, half + 1:]
-    update = np.empty((half, half))
-    for k in range(n):
-        piv = diag[k]
-        if abs(piv) <= tol[k]:
-            raise SingularMatrixError(layout.perm.inverse[k], piv)
-        col = lower[k]
-        np.divide(col, piv, out=col)
-        np.multiply(lower_col[k], upper_row[k], out=update)
-        block = trailing[k]
-        np.subtract(block, update, out=block)
-    return layout.factors(band)
+
+def factorize(a: SparseMatrix, layout: DenseLayout | None = None,
+              out: np.ndarray | None = None) -> Factorization:
+    """Retained factor of a sparse matrix: its inverse, from numpy's LAPACK.
+
+    ``layout`` is the :class:`DenseLayout` of the pattern of ``a`` (built
+    here when not given). ``out`` is a writable slot of
+    :meth:`DenseLayout.empty_stack`: it receives the inverse, and the
+    returned factorization is a view of it; after a failure the slot is
+    left as it was. Without ``out`` a new array is allocated.
+
+    A matrix that LAPACK finds singular, whose inverse is not finite, or
+    whose condition number ||A||_inf * ||A^-1||_inf reaches 1 / PIVOT_RTOL
+    raises :class:`SingularMatrixError` naming the first row that is
+    numerically dependent on the rows before it. The result is reusable for
+    any number of subsequent solves.
+    """
+    layout = DenseLayout.of(a) if layout is None else layout
+    n = layout.n
+    if a.n_rows != n or len(a.values) != len(layout.flat):
+        raise StructuralError("matrix does not match the dense layout")
+    if out is not None and out.shape != (n, n):
+        raise StructuralError(f"slot shape {out.shape} does not match {(n, n)}")
+    dense = np.zeros(n * n)
+    dense[layout.flat] = a.values
+    dense = dense.reshape(n, n)
+    try:
+        inverse = np.linalg.inv(dense)
+    except np.linalg.LinAlgError:
+        inverse = None
+    if (inverse is None or not np.isfinite(inverse).all()
+            or _inf_norm(dense) * _inf_norm(inverse) >= 1.0 / PIVOT_RTOL):
+        raise SingularMatrixError(*_dependent_row(dense))
+    if out is None:
+        out = inverse
+    else:
+        out[...] = inverse
+    return layout.factors(out)
 
 
 def solve(f: Factorization, rhs: np.ndarray) -> np.ndarray:
-    """Forward/backward substitution for one or many right-hand sides.
+    """Apply the retained factor to one or many right-hand sides.
 
     For one factorization ``rhs`` is shaped (n,) or (n, m); for a stack of
     b factorizations it is (n, b, m), block ``rhs[:, i]`` solved against
-    factorization i. The result matches. Every column and every stacked
-    system goes through identical elementwise operations, so a stacked
-    m-column solve equals the separate single-column solves bit for bit.
+    factorization i. The result matches. Each column is one batched
+    matrix-vector product over the stack, so a column's result depends only
+    on its own matrix and vector: a stacked m-column solve equals the
+    separate single-column solves bit for bit.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
-    n, half = f.n, f.half_bandwidth
-    stacked = f.band.ndim == 3
+    n = f.n
+    stacked = f.inverse.ndim == 3
     if stacked:
-        ok = rhs.ndim == 3 and rhs.shape[:2] == (n, f.band.shape[0])
+        ok = rhs.ndim == 3 and rhs.shape[:2] == (n, f.inverse.shape[0])
     else:
         ok = rhs.ndim in (1, 2) and rhs.shape[0] == n
     if not ok:
@@ -367,29 +355,11 @@ def solve(f: Factorization, rhs: np.ndarray) -> np.ndarray:
         )
     if n == 0:
         return rhs.copy()
-    bands = f.band if stacked else f.band[None]
+    inverses = f.inverse if stacked else f.inverse[None]
     blocks = rhs if stacked else rhs.reshape(n, 1, -1)
-    b, m = blocks.shape[1:]
-    # x[half + i] holds row i of every system, so each row step updates one
-    # contiguous block of rows
-    x = np.zeros((n + 2 * half, b, m))
-    x[half:half + n] = blocks[f.perm.inverse]
-    # views built once: L column k below the diagonal, U column k above it
-    # (rows k-h..k-1), and the pivots, each with the stack axis inside
-    sb, s0, s1 = bands.strides
-    lower = as_strided(bands[:, half + 1:, half - 1:], (n, half, b, 1), (s0, s0 - s1, sb, 0))
-    upper = as_strided(bands[:, :, 2 * half:], (n, half, b, 1), (s0, s0 - s1, sb, 0))
-    diag = as_strided(bands[:, half:, half], (n, b, 1), (s0, sb, 0))
-    update = np.empty((half, b, m))
-    for k in range(n - 1):  # L has unit diagonal
-        np.multiply(lower[k], x[half + k], out=update)
-        rows = x[half + k + 1:2 * half + k + 1]
-        np.subtract(rows, update, out=rows)
-    for k in range(n - 1, -1, -1):
-        xk = x[half + k]
-        np.divide(xk, diag[k], out=xk)
-        np.multiply(upper[k], xk, out=update)
-        rows = x[k:half + k]
-        np.subtract(rows, update, out=rows)
-    out = x[half:half + n][f.perm.forward]
-    return out if stacked else out.reshape(rhs.shape)
+    x = np.empty(blocks.shape)
+    for j in range(blocks.shape[2]):
+        # contiguous operands keep every column on the same BLAS path
+        col = np.ascontiguousarray(blocks[:, :, j].T)[..., None]
+        x[:, :, j] = np.matmul(inverses, col)[..., 0].T
+    return x if stacked else x.reshape(rhs.shape)

@@ -148,7 +148,7 @@ class MacroSystem:
         self.floor_force = floor_force
 
         self.pattern = fmesh.structure_of_stiffness(mesh, dof_map)
-        self.layout = linalg.BandLayout.of(self.pattern, linalg.compute_ordering(self.pattern))
+        self.layout = linalg.DenseLayout.of(self.pattern)
         self.plan = fmesh.AssemblyPlan(mesh, dof_map, self.pattern)
 
     def gradients(self, u):
@@ -168,15 +168,15 @@ class MacroSystem:
 class _Shard:
     """Owns a contiguous-by-stride subset of the RVE problems.
 
-    The RVEs factorize into the slots of one band stack, so each solve of
+    The RVEs factorize into the slots of one factor stack, so each solve of
     the monolithic sweep is one stacked call over the whole shard, and both
     sweeps end in one condensation call that returns the shard's stresses
     and tangents. The pool calls the public methods by name.
     """
 
     def __init__(self, geom, indices, store_factorization):
-        bands = geom.layout.empty_stack(len(indices))
-        self.rves = [rvemod.RveProblem(geom, store_factorization, bands, slot)
+        stack = geom.layout.empty_stack(len(indices))
+        self.rves = [rvemod.RveProblem(geom, store_factorization, stack, slot)
                      for slot in range(len(indices))]
         # setup pass: assemble and factorize the virgin elastic stiffness so
         # the first condensation update consumes a retained factorization
@@ -398,12 +398,21 @@ class TwoScaleModel:
         self.reaction_dofs = np.asarray(self.reaction_dofs, dtype=np.int64)
         _check_dofs("control_dof", [self.control_dof], self.macro_mesh.n_dofs)
         _check_dofs("reaction_dofs", self.reaction_dofs, self.macro_mesh.n_dofs)
+        pieces = fmesh.count_pieces(self.macro_mesh)
+        if pieces > 1:
+            raise StructuralError(f"the macro mesh falls apart into {pieces} pieces "
+                                  "that share no element edge")
         e_max = max(material.elastic_of(m).E for m in self.micro_model.materials)
         span = self.macro_mesh.nodes.max(axis=0) - self.macro_mesh.nodes.min(axis=0)
         self.system = MacroSystem(
             self.macro_mesh, self.dirichlet, self.point_loads,
             floor_force=rvemod.FLOOR_SCALE * e_max * float(span.max()),
         )
+        for what, n in (("macro system", self.system.n_free),
+                         ("micro problem", rvemod.build_periodic_map(self.micro_model.mesh).n_reduced)):
+            if n > linalg.MAX_DENSE_N:
+                raise StructuralError(f"{what}: {n} unknowns exceed the dense solver's "
+                                      f"limit of {linalg.MAX_DENSE_N}")
 
     @property
     def n_rves(self):

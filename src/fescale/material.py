@@ -215,21 +215,6 @@ def evaluate(params, h_micro, state: MaterialState) -> StressResult:
     return StressResult(sigma[0], tangent[0], new_state, bool(active[0]))
 
 
-def von_mises_full(s11, s22, s33, s12):
-    """Von Mises equivalent stress from the full plane-strain components."""
-    p = (s11 + s22 + s33) / 3.0
-    return _SQ32 * np.sqrt((s11 - p) ** 2 + (s22 - p) ** 2 + (s33 - p) ** 2 + 2.0 * s12**2)
-
-
-def stress_out_of_plane(params, h_micro, state: MaterialState):
-    """sigma33 companion of :func:`evaluate` (plane strain keeps e33 = 0)."""
-    el = elastic_of(params)
-    h = np.asarray(h_micro, dtype=np.float64).reshape(4)
-    ep_new = evaluate(params, h, state).new_state.eps_p
-    tr = h[0] + h[3] - (ep_new[0] + ep_new[1] + ep_new[2])
-    return el.lam * tr + 2.0 * el.mu * (-ep_new[2])
-
-
 def tangent_check(params, h_micro, state: MaterialState) -> float:
     """Max relative error of the returned tangent vs central differences.
 

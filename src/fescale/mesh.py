@@ -10,7 +10,7 @@ forces and the tangent stiffness for the macro system and every RVE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,18 +80,6 @@ class Mesh:
     @property
     def n_elements(self):
         return sum(b.n_elements for b in self.blocks)
-
-
-@dataclass(frozen=True)
-class IntegrationPoint:
-    """One quadrature point with its area-scaled weight and B-operator."""
-
-    element: int
-    local_index: int
-    weight: float
-    b_operator: np.ndarray
-    coordinates: np.ndarray
-    dofs: np.ndarray = field(repr=False, default=None)
 
 
 def _tri3_arrays(conn, nodes, first_element):
@@ -181,31 +169,6 @@ def element_dofs(conn):
     return dofs
 
 
-def build_integration_points(mesh: Mesh):
-    """All integration points of a mesh, element-major then quadrature-local.
-
-    Raises :class:`MeshQualityError` naming the first element with a
-    non-positive Jacobian determinant.
-    """
-    points = []
-    first = 0
-    for block in mesh.blocks:
-        w, b, coords = block_operators(mesh, block, first)
-        dofs = element_dofs(block.connectivity)
-        for e in range(block.n_elements):
-            for q in range(block.n_quad):
-                points.append(IntegrationPoint(
-                    element=first + e,
-                    local_index=q,
-                    weight=float(w[e, q]),
-                    b_operator=b[e, q],
-                    coordinates=coords[e, q],
-                    dofs=dofs[e],
-                ))
-        first += block.n_elements
-    return points
-
-
 def structure_of_stiffness(mesh: Mesh, dof_map: np.ndarray) -> SparseMatrix:
     """Sparsity pattern of the stiffness after constraint mapping.
 
@@ -273,8 +236,8 @@ class AssemblyPlan:
     """Element kernel of one mesh under one DOF map, used at both scales.
 
     Built once per mesh, DOF map and stiffness pattern. Integration points
-    are numbered block by block, element-major then quadrature-local, as in
-    :func:`build_integration_points`; per-point arrays follow that order.
+    are numbered block by block, element-major then quadrature-local;
+    per-point arrays follow that order.
     """
 
     def __init__(self, mesh: Mesh, dof_map: np.ndarray, pattern: SparseMatrix):
@@ -332,12 +295,32 @@ class AssemblyPlan:
         return kvals, kes
 
 
-def total_area(mesh: Mesh):
-    """Sum of integration weights = total reference area."""
-    area = 0.0
+def count_pieces(mesh: Mesh):
+    """Number of pieces the elements form when joined across shared edges.
+
+    Elements that meet at a single node do not join: such a node is a hinge,
+    about which a piece can turn freely.
+    """
+    keys, owner = [], []
     first = 0
     for block in mesh.blocks:
-        w, _, _ = block_operators(mesh, block, first)
-        area += float(w.sum())
-        first += block.n_elements
-    return area
+        conn = block.connectivity
+        ends = np.sort(np.stack([conn, np.roll(conn, -1, axis=1)], axis=2), axis=2)
+        keys.append((ends[..., 0] * mesh.n_nodes + ends[..., 1]).ravel())
+        owner.append(first + np.repeat(np.arange(len(conn)), conn.shape[1]))
+        first += len(conn)
+    if not first:
+        return 0
+    keys, owner = np.concatenate(keys), np.concatenate(owner)
+    order = np.argsort(keys, kind="stable")
+    keys, owner = keys[order], owner[order]
+    shared = np.flatnonzero(keys[1:] == keys[:-1])
+    left, right = owner[shared], owner[shared + 1]
+    label = np.arange(first)
+    while True:
+        before = label.copy()
+        np.minimum.at(label, left, label[right])
+        np.minimum.at(label, right, label[left])
+        label = label[label]
+        if np.array_equal(label, before):
+            return len(np.unique(label))

@@ -181,11 +181,10 @@ class MicroGeometry:
             | (np.abs(x[:, 1] - ymin) <= tol) | (np.abs(x[:, 1] - ymax) <= tol)
         )
         self.boundary_nodes = np.flatnonzero(on_box)
-        self._boundary_edges = _collect_boundary_edges(m, self.pmap.box, tol)
+        self.tol_geom = tol
 
         self.pattern = fmesh.structure_of_stiffness(m, self.pmap.dof_map)
-        ordering = linalg.compute_ordering(self.pattern) if self.n_reduced else linalg.Permutation.identity(0)
-        self.layout = linalg.BandLayout.of(self.pattern, ordering)
+        self.layout = linalg.DenseLayout.of(self.pattern)
 
         self.plan = fmesh.AssemblyPlan(m, self.pmap.dof_map, self.pattern)
         self.n_ip = self.plan.n_ip
@@ -255,18 +254,18 @@ class Assembly:
 class RveProblem:
     """One micro problem instance: states, displacements, cached assembly.
 
-    The stiffness is factorized into slot ``slot`` of the band stack
-    ``bands`` (see :meth:`linalg.BandLayout.empty_stack`), which RVEs of one
-    shard share so that their solves run as one stacked call; without a
+    The stiffness is factorized into slot ``slot`` of the factor stack
+    ``stack`` (see :meth:`linalg.DenseLayout.empty_stack`), which RVEs of
+    one shard share so that their solves run as one stacked call; without a
     stack the problem gets a stack of its own. The cached assembly's
     factorization, when present, is the slot's current content: it stays
     valid until the RVE is refactorized.
     """
 
     def __init__(self, geom: MicroGeometry, store_factorization: bool = True,
-                 bands: np.ndarray | None = None, slot: int = 0):
+                 stack: np.ndarray | None = None, slot: int = 0):
         self.geom = geom
-        self.bands = geom.layout.empty_stack(1) if bands is None else bands
+        self.stack = geom.layout.empty_stack(1) if stack is None else stack
         self.slot = slot
         n = geom.n_reduced
         self.states = geom.virgin_states()
@@ -389,7 +388,7 @@ def residual_reference(rve: RveProblem):
 def ensure_factorization(rve: RveProblem):
     asm = rve.cached
     if asm.factorization is None:
-        asm.factorization = linalg.factorize(asm.k_t, rve.geom.layout, out=rve.bands[rve.slot])
+        asm.factorization = linalg.factorize(asm.k_t, rve.geom.layout, out=rve.stack[rve.slot])
         rve.factorizations += 1
     return asm.factorization
 
@@ -411,34 +410,34 @@ def boundary_average_gradient(rve: RveProblem) -> np.ndarray:
     geom = rve.geom
     u_full = full_displacement(rve).reshape(-1, 2)
     out = np.zeros((2, 2))
-    for na, nb, normal, length in geom._boundary_edges:
+    for na, nb, normal, length in _collect_boundary_edges(geom.mesh, geom.pmap.box, geom.tol_geom):
         out += 0.5 * length * np.outer(u_full[na] + u_full[nb], normal)
     return out.ravel() / geom.volume
 
 
 def _batch(rves):
-    """``rves`` as a list, checked to fill consecutive slots of one band stack."""
+    """``rves`` as a list, checked to fill consecutive slots of one factor stack."""
     rves = list(rves)
     for i, p in enumerate(rves):
-        if p.bands is not rves[0].bands or p.slot != rves[0].slot + i:
-            raise StructuralError("a batch of RVEs must fill consecutive slots of one band stack")
+        if p.stack is not rves[0].stack or p.slot != rves[0].slot + i:
+            raise StructuralError("a batch of RVEs must fill consecutive slots of one factor stack")
     return rves
 
 
 def _stacked_solve(batch, rhs):
     """One stacked solve of ``rhs`` (n, b, m), block i against RVE i's factorization."""
     lo = batch[0].slot
-    return linalg.solve(batch[0].geom.layout.factors(batch[0].bands[lo:lo + len(batch)]), rhs)
+    return linalg.solve(batch[0].geom.layout.factors(batch[0].stack[lo:lo + len(batch)]), rhs)
 
 
 def homogenized_tangent_and_alg_stress(rves, alg_stress=True, skip=None):
     """Condensed stress (b, 4) and macroscopic tangent (b, 4, 4) of b RVEs.
 
-    ``rves`` fill consecutive slots of one band stack. The inverse of the
-    micro stiffness is never formed: one stacked 5-column solve against the
-    retained factorizations gives the tangent sensitivity (4 columns) and
-    the residual correction (1 column); a column an RVE does not need is
-    zero and its result unused. Linear-flagged problems reuse the cached
+    ``rves`` fill consecutive slots of one factor stack. One stacked
+    5-column solve against the retained factors (the inverses of the micro
+    stiffnesses) gives the tangent sensitivity (4 columns) and the residual
+    correction (1 column); a column an RVE does not need is zero and its
+    result unused. Linear-flagged problems reuse the cached
     tangent and skip the residual correction (their residual is zero to
     machine precision). With ``alg_stress=False`` (converged micro
     problems) the residual column is left out and the stress is sigma_bar.
@@ -520,7 +519,7 @@ def solve_micro_staggered(rve: RveProblem, h_target, tol_micro, max_iter) -> int
 def micro_update_monolithic(rves, delta_h) -> np.ndarray:
     """Condensation displacement update: du = -k^-1 (r + dr/dH * dH).
 
-    ``rves`` fill consecutive slots of one band stack, ``delta_h`` is
+    ``rves`` fill consecutive slots of one factor stack, ``delta_h`` is
     shaped (b, 4) and ``du`` (b, n) is returned. Exactly one linear solve
     per RVE, all in one stacked call; no inner iteration. Uses the retained
     factorization when present, otherwise refactorizes the cached stiffness

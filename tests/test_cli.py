@@ -16,6 +16,7 @@ from fescale.cli import (
     write_mesh,
 )
 from fescale.errors import ConfigError
+from fescale.linalg import MAX_DENSE_N
 from fescale.mesh import QUAD4, ElementBlock, Mesh
 
 TINY = {
@@ -327,6 +328,45 @@ class TestFieldTypes:
     def test_custom_model_takes_only_the_rve_resolution(self, tmp_path, capsys):
         assert main(["run", str(write_bar_config(tmp_path, overrides={"n_macro": 3}))]) == 2
         assert "overrides: unknown field 'n_macro'; options: ['n']" in capsys.readouterr().err
+
+
+class TestModelErrorsBeforeAnyFile:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", ["pixelated-empty", "out-of-range-dof"])
+    def test_config_error_leaves_no_file(self, tmp_path, capsys, case, workers):
+        # every scheme's model is built before the output directory exists
+        if case == "pixelated-empty":
+            path = write_tiny_config(tmp_path, output_dir="out", overrides={"n_micro": 1})
+        else:
+            path = write_bar_config(tmp_path, dirichlet=[[0, 0.0], [8, 0.0]],
+                                    schemes=["staggered", "monolithic-stored"])
+        assert main(["run", str(path), "--workers", str(workers)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out/*"))
+
+    def test_macro_mesh_cut_in_two_is_a_config_error(self, tmp_path, capsys):
+        # one row of elements: the mid-span notch leaves the two halves of
+        # the beam joined at a single node
+        path = write_tiny_config(tmp_path, output_dir="out", benchmark="notched-bending-2d",
+                                 overrides={"ny": 1})
+        assert main(["run", str(path)]) == 2
+        assert ("overrides {'ny': 1}: the macro mesh falls apart into 2 pieces that share "
+                "no element edge") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, overrides, message", [
+        pytest.param("plate-hole-tension", {"n_macro": 3, "n_micro": 20},
+                     "micro problem: 676 unknowns", id="micro"),
+        pytest.param("notched-bending-2d", {"nx": 48, "ny": 6},
+                     "macro system: 672 unknowns", id="macro"),
+    ])
+    def test_dense_size_limit_is_a_config_error(self, tmp_path, capsys, name, overrides, message):
+        path = write_tiny_config(tmp_path, output_dir="out", benchmark=name,
+                                 overrides=overrides)
+        assert main(["run", str(path)]) == 2
+        assert (f"overrides {overrides}: {message} exceed the dense solver's limit of "
+                f"{MAX_DENSE_N}") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestMainEntry:

@@ -1,7 +1,9 @@
-"""Kernel microbenchmarks at the plate-hole sizes (micro n = 116, half-bandwidth 49).
+"""Kernel microbenchmarks at the plate-hole sizes.
 
-Marked ``kernelbench`` and deselected by default (see pyproject.toml); run
-them with ``pytest -m kernelbench tests/test_kernelbench.py``.
+The micro kernels run at the shipped RVE (``n_micro`` 8, n = 116) and at
+``n_micro`` 16 (n = 436), where a dense factor costs most against a banded
+one. Marked ``kernelbench`` and deselected by default (see pyproject.toml);
+run them with ``pytest -m kernelbench tests/test_kernelbench.py``.
 """
 
 import numpy as np
@@ -14,10 +16,11 @@ from fescale.benchmarks import build_benchmark, default_materials, rve_porous_qu
 pytestmark = pytest.mark.kernelbench
 
 
-@pytest.fixture(scope="module")
-def plate_hole_rve():
-    geom = R.MicroGeometry(rve_porous_quad(default_materials("plate-hole-tension"), n=8))
-    assert (geom.layout.n, geom.layout.half_bandwidth) == (116, 49)
+@pytest.fixture(scope="module", params=[(8, 116), (16, 436)], ids=["n116", "n436"])
+def plate_hole_rve(request):
+    n_micro, n = request.param
+    geom = R.MicroGeometry(rve_porous_quad(default_materials("plate-hole-tension"), n=n_micro))
+    assert geom.layout.n == n
     p = R.RveProblem(geom)
     p.H = np.array([0.0, 0.01, 0.01, 0.004])
     return geom, R.assemble(p).k_t
@@ -61,8 +64,8 @@ def test_factorize(benchmark, plate_hole_rve):
 @pytest.mark.parametrize("count", [1, 16])
 def test_stacked_solve_five_columns(benchmark, plate_hole_rve, count):
     geom, k_t = plate_hole_rve
-    bands = geom.layout.empty_stack(count)
+    stack = geom.layout.empty_stack(count)
     for slot in range(count):
-        linalg.factorize(k_t, geom.layout, out=bands[slot])
+        linalg.factorize(k_t, geom.layout, out=stack[slot])
     rhs = np.random.default_rng(0).standard_normal((geom.n_reduced, count, 5))
-    benchmark(linalg.solve, geom.layout.factors(bands), rhs)
+    benchmark(linalg.solve, geom.layout.factors(stack), rhs)

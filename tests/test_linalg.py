@@ -1,4 +1,4 @@
-"""Tests for the sparse substrate: ordering, factorization, multi-RHS solves."""
+"""Tests for the linear algebra substrate: ordering, retained factors, multi-RHS solves."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from fescale import rve as R
+from fescale.benchmarks import build_benchmark, default_materials, rve_porous_quad, rve_porous_tri
 from fescale.errors import SingularMatrixError, StructuralError
 from fescale.linalg import (
-    BandLayout,
+    PIVOT_RTOL,
+    DenseLayout,
     Permutation,
     SparseMatrix,
     compute_ordering,
@@ -127,7 +130,7 @@ class TestFactorize:
         a = random_spd(20, seed=7)
         x_star = np.random.default_rng(8).standard_normal(20)
         rhs = a.to_dense() @ x_star
-        f = factorize(a, compute_ordering(a))
+        f = factorize(a)
         x = solve(f, rhs)
         assert_allclose(x, x_star, rtol=1e-10)
 
@@ -145,13 +148,14 @@ class TestResidualBound:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("use_ordering", [False, True])
     def test_residual_bound(self, seed, use_ordering):
+        # with the ordering, the RCM-permuted system is solved and permuted back
         a = random_spd(30, seed)
         dense = a.to_dense()
-        perm = compute_ordering(a) if use_ordering else None
-        f = factorize(a, perm)
+        perm = compute_ordering(a) if use_ordering else Permutation.identity(30)
+        f = factorize(relabel(a, Permutation(perm.inverse, perm.forward)))
         rng = np.random.default_rng(100 + seed)
         b = rng.standard_normal((30, 3))
-        x = solve(f, b)
+        x = solve(f, b[perm.inverse])[perm.forward]
         res = np.abs(dense @ x - b).max()
         scale = np.abs(dense).max() * np.abs(x).max() + np.abs(b).max()
         assert res <= 1e-10 * scale
@@ -161,7 +165,7 @@ class TestResidualBound:
     def test_residual_bound_property(self, n, seed):
         a = random_spd(n, seed)
         dense = a.to_dense()
-        f = factorize(a, compute_ordering(a))
+        f = factorize(a)
         b = np.random.default_rng(seed + 1).standard_normal(n)
         x = solve(f, b)
         res = np.abs(dense @ x - b).max()
@@ -172,7 +176,7 @@ class TestResidualBound:
 class TestFactorizationReuse:
     def test_multi_rhs_matches_columnwise_bitwise(self):
         a = random_spd(15, seed=3)
-        f = factorize(a, compute_ordering(a))
+        f = factorize(a)
         b = np.random.default_rng(4).standard_normal((15, 4))
         block = solve(f, b)
         for j in range(4):
@@ -181,13 +185,13 @@ class TestFactorizationReuse:
     def test_repeat_solve_identical_and_no_mutation(self):
         a = random_spd(12, seed=5)
         f = factorize(a)
-        band_before = f.band.copy()
+        factor_before = f.inverse.copy()
         b = np.random.default_rng(6).standard_normal(12)
         x1 = solve(f, b)
         x2 = solve(f, b)
         assert_array_equal(x1, x2)
-        assert_array_equal(f.band, band_before)
-        assert not f.band.flags.writeable
+        assert_array_equal(f.inverse, factor_before)
+        assert not f.inverse.flags.writeable
 
     def test_permutation_identity_roundtrip(self):
         p = Permutation.from_forward([2, 0, 1, 3])
@@ -216,40 +220,29 @@ def relabel(a, perm):
     return SparseMatrix.from_coo(a.n_rows, inv[a.row_of_entries()], inv[a.col_indices], a.values)
 
 
-def dense_lu_solve(a, perm, rhs):
-    """Right-looking dense LU without pivoting, column-oriented substitutions.
+def inverse_apply(a, rhs):
+    """Oracle: numpy's inverse of the dense matrix times one right-hand side column.
 
-    Test oracle: inside the band it performs the banded kernel's elementwise
-    operations in the same order (outside it subtracts exact zeros), so for
-    nonzero data the results agree bit for bit.
+    LAPACK's inverse of the same dense matrix is the same array, and a
+    matrix-vector product takes the path of a one-column solve, so the
+    results agree bit for bit.
     """
-    m = a.to_dense()[np.ix_(perm.inverse, perm.inverse)]
-    n = len(m)
-    for k in range(n):
-        m[k + 1:, k] /= m[k, k]
-        m[k + 1:, k + 1:] -= np.multiply.outer(m[k + 1:, k], m[k, k + 1:])
-    x = np.asarray(rhs, dtype=np.float64)[perm.inverse]
-    for k in range(n - 1):
-        x[k + 1:] -= np.multiply.outer(m[k + 1:, k], x[k])
-    for k in range(n - 1, -1, -1):
-        x[k] /= m[k, k]
-        x[:k] -= np.multiply.outer(m[:k, k], x[k])
-    return x[perm.forward]
+    return np.linalg.inv(a.to_dense()) @ rhs
 
 
-def stacked(matrices, perm, slots=None):
-    """Band stack with ``matrices[i]`` factorized into slot ``slots[i]``."""
-    layout = BandLayout.of(matrices[0], perm)
+def stacked(matrices, slots=None):
+    """Factor stack with ``matrices[i]`` factorized into slot ``slots[i]``."""
+    layout = DenseLayout.of(matrices[0])
     slots = range(len(matrices)) if slots is None else slots
-    bands = layout.empty_stack(max(slots) + 1)
+    stack = layout.empty_stack(max(slots) + 1)
     for a, slot in zip(matrices, slots):
-        factorize(a, layout, out=bands[slot])
-    return layout, bands
+        factorize(a, layout, out=stack[slot])
+    return layout, stack
 
 
 class TestStackedSolve:
-    # (n, half): the band reaches the matrix edge at every row step, or is
-    # narrower than the matrix so that only the last steps are cut off
+    # (n, half): sparsity patterns from a band that reaches the matrix edge
+    # at every row to one much narrower than the matrix
     SIZES = [(5, 4), (9, 8), (14, 3), (30, 7)]
 
     @pytest.mark.parametrize("n,half", SIZES)
@@ -257,22 +250,23 @@ class TestStackedSolve:
     def test_stack_equals_per_matrix_solves_bitwise(self, n, half, cols):
         perm = Permutation.from_forward(np.random.default_rng(n).permutation(n))
         matrices = [relabel(band_matrix(n, half, seed), perm) for seed in range(4)]
-        layout, bands = stacked(matrices, perm)
-        assert layout.half_bandwidth == half
+        layout, stack = stacked(matrices)
+        assert stack.shape == (4, n, n)
         rhs = np.random.default_rng(cols).standard_normal((n, 4, cols))
-        x = solve(layout.factors(bands), rhs)
+        x = solve(layout.factors(stack), rhs)
         assert x.shape == rhs.shape
         for i, a in enumerate(matrices):
-            single = factorize(a, perm)
+            single = factorize(a)
+            assert_array_equal(stack[i], single.inverse)
             assert_array_equal(x[:, i], solve(single, rhs[:, i]))
-            assert_array_equal(x[:, i], dense_lu_solve(a, perm, rhs[:, i]))
             for j in range(cols):
                 assert_array_equal(x[:, i, j], solve(single, rhs[:, i, j]))
+                assert_array_equal(x[:, i, j], inverse_apply(a, rhs[:, i, j]))
 
     def test_five_columns_equal_four_plus_one(self):
         matrices = [band_matrix(20, 6, seed) for seed in range(3)]
-        layout, bands = stacked(matrices, compute_ordering(matrices[0]))
-        f = layout.factors(bands)
+        layout, stack = stacked(matrices)
+        f = layout.factors(stack)
         rhs = np.random.default_rng(9).standard_normal((20, 3, 5))
         x = solve(f, rhs)
         assert_array_equal(x[..., :4], solve(f, rhs[..., :4]))
@@ -280,55 +274,115 @@ class TestStackedSolve:
 
     def test_unfactorized_slots_return_rhs(self):
         matrices = [band_matrix(12, 4, 0), band_matrix(12, 4, 1)]
-        perm = compute_ordering(matrices[0])
-        layout, bands = stacked(matrices, perm, slots=[1, 3])
+        layout, stack = stacked(matrices, slots=[1, 3])
         rhs = np.random.default_rng(2).standard_normal((12, 4, 5))
         with np.errstate(all="raise"):
-            x = solve(layout.factors(bands), rhs)
+            x = solve(layout.factors(stack), rhs)
         assert_array_equal(x[:, 0], rhs[:, 0])
         assert_array_equal(x[:, 2], rhs[:, 2])
-        assert_array_equal(x[:, 1], dense_lu_solve(matrices[0], perm, rhs[:, 1]))
-        assert_array_equal(x[:, 3], dense_lu_solve(matrices[1], perm, rhs[:, 3]))
+        for j in range(5):
+            assert_array_equal(x[:, 1, j], inverse_apply(matrices[0], rhs[:, 1, j]))
+            assert_array_equal(x[:, 3, j], inverse_apply(matrices[1], rhs[:, 3, j]))
 
     def test_refactorized_slot_keeps_no_stale_entries(self):
-        # a 5-point grid is sparse inside its band, so the first factors'
-        # fill-in would survive in the slot if it were not cleared
+        # a 5-point grid is sparse, so entries of the first matrix that the
+        # second does not store would survive if the buffer were reused
         pattern = five_point_grid_pattern(5, 4)
         first, second = band_matrix(20, 0, 3, pattern), band_matrix(20, 0, 4, pattern)
-        perm = compute_ordering(pattern)
-        layout, bands = stacked([first], perm)
-        f = factorize(second, layout, out=bands[0])
-        fresh = factorize(second, perm)
-        assert_array_equal(bands[0], fresh.band)
-        assert_array_equal(f.band, fresh.band)
-        assert not f.band.flags.writeable
+        layout, stack = stacked([first])
+        f = factorize(second, layout, out=stack[0])
+        fresh = factorize(second)
+        assert_array_equal(stack[0], fresh.inverse)
+        assert_array_equal(f.inverse, fresh.inverse)
+        assert not f.inverse.flags.writeable
         rhs = np.random.default_rng(5).standard_normal((20, 1, 5))
-        assert_array_equal(solve(layout.factors(bands), rhs)[:, 0],
-                           dense_lu_solve(second, perm, rhs[:, 0]))
+        assert_array_equal(solve(layout.factors(stack), rhs)[:, 0, 2],
+                           inverse_apply(second, rhs[:, 0, 2]))
 
     def test_singular_pivot_inside_sweep_names_original_row(self):
-        # zero row and column 6: the elimination reaches it after other pivots
+        # zero row and column 6 of a matrix otherwise far from singular; the
+        # failed slot keeps what it held
         a = band_matrix(10, 3, 7)
         dense = a.to_dense()
         dense[6, :] = 0.0
         dense[:, 6] = 0.0
         a = a.with_values(dense[a.row_of_entries(), a.col_indices])
-        perm = Permutation.from_forward(np.arange(10)[::-1])
-        layout = BandLayout.of(a, perm)
-        bands = layout.empty_stack(2)
+        layout = DenseLayout.of(a)
+        stack = layout.empty_stack(2)
         with pytest.raises(SingularMatrixError) as exc:
-            factorize(a, layout, out=bands[1])
+            factorize(a, layout, out=stack[1])
         assert exc.value.pivot_index == 6
+        assert_array_equal(stack, layout.empty_stack(2))
 
     def test_shape_mismatches_rejected(self):
         a = band_matrix(6, 2, 0)
-        layout = BandLayout.of(a)
-        bands = layout.empty_stack(2)
+        layout = DenseLayout.of(a)
+        stack = layout.empty_stack(2)
         with pytest.raises(StructuralError):
             factorize(a, layout, out=np.zeros((6, 5)))
         with pytest.raises(StructuralError):
             factorize(band_matrix(7, 2, 0), layout)
         with pytest.raises(StructuralError):
-            solve(layout.factors(bands), np.zeros((6, 3, 1)))
+            solve(layout.factors(stack), np.zeros((6, 3, 1)))
         with pytest.raises(StructuralError):
-            solve(layout.factors(bands), np.zeros((6, 1)))
+            solve(layout.factors(stack), np.zeros((6, 1)))
+
+
+def plastic_micro_stiffness(micro):
+    """Reduced tangent stiffness of one RVE of ``micro`` at a plastic state."""
+    p = R.RveProblem(R.MicroGeometry(micro))
+    p.H = np.array([0.0, 0.01, 0.01, 0.004])
+    asm = R.assemble(p)
+    assert asm.plastic_flow
+    return asm.k_t
+
+
+def elastic_macro_stiffness(name, **sizes):
+    """Macro tangent stiffness of a shipped benchmark with an isotropic elastic tangent."""
+    system = build_benchmark(name, "monolithic-stored", **sizes).system
+    c = np.broadcast_to(default_materials(name).elastic.stiffness(), (system.plan.n_ip, 4, 4))
+    return system.assemble(np.zeros((system.plan.n_ip, 4)), c)[1]
+
+
+class TestDenseKernel:
+    @pytest.mark.parametrize("matrix", [
+        pytest.param(lambda: plastic_micro_stiffness(
+            rve_porous_quad(default_materials("plate-hole-tension"), n=8)), id="plate-hole-micro"),
+        pytest.param(lambda: plastic_micro_stiffness(
+            rve_porous_tri(default_materials("notched-shear"), n=5)), id="notched-shear-micro"),
+        pytest.param(lambda: elastic_macro_stiffness(
+            "notched-bending-2d", nx=10, ny=3, n_micro=6), id="notched-bending-macro"),
+    ])
+    def test_inverse_residual_within_rounding(self, matrix):
+        # ||A X - I|| within a few n eps ||A|| ||X||, the bound of a
+        # backward-stable inversion
+        a = matrix()
+        n = a.n_rows
+        x = factorize(a).inverse
+        dense = a.to_dense()
+        residual = np.abs(dense @ x - np.eye(n)).sum(axis=1).max()
+        scale = np.abs(dense).sum(axis=1).max() * np.abs(x).sum(axis=1).max()
+        assert residual <= 4 * n * np.finfo(np.float64).eps * scale
+
+    def test_near_singular_matrix_names_the_dependent_row(self):
+        # row 5 is a combination of rows 1 and 3 up to a relative 1e-15:
+        # not exactly singular, but beyond the condition limit
+        rng = np.random.default_rng(12)
+        dense = rng.standard_normal((8, 8)) + 8 * np.eye(8)
+        dense[5] = dense[1] - 2.0 * dense[3]
+        dense[5, 0] *= 1.0 + 1e-15
+        a = SparseMatrix.from_dense(dense)
+        with pytest.raises(SingularMatrixError) as exc:
+            factorize(a)
+        assert exc.value.pivot_index == 5
+
+    def test_ill_conditioned_matrix_below_the_limit_is_inverted(self):
+        dense = np.diag([1.0, 1.0, 0.1 / PIVOT_RTOL])
+        f = factorize(SparseMatrix.from_dense(dense))
+        assert_array_equal(f.inverse, np.linalg.inv(dense))
+
+    def test_non_finite_entry_raises(self):
+        dense = np.eye(4)
+        dense[2, 1] = np.nan
+        with pytest.raises(SingularMatrixError):
+            factorize(SparseMatrix.from_dense(dense))

@@ -11,10 +11,9 @@ from fescale.material import (
     MaterialState,
     PlasticParams,
     evaluate,
-    stress_out_of_plane,
     tangent_check,
-    von_mises_full,
 )
+from tests_support import stress_out_of_plane, von_mises_full
 
 ELASTIC = ElasticParams(E=100.0, nu=0.3)
 PLASTIC = PlasticParams(elastic=ELASTIC, sigma0=1.0, h=2.0)

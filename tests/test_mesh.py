@@ -13,10 +13,10 @@ from fescale.mesh import (
     AssemblyPlan,
     ElementBlock,
     Mesh,
-    build_integration_points,
+    count_pieces,
     structure_of_stiffness,
-    total_area,
 )
+from tests_support import build_integration_points, total_area
 
 
 def unit_triangle():
@@ -93,6 +93,25 @@ class TestIntegrationPoints:
         with pytest.raises(MeshQualityError) as exc:
             build_integration_points(mesh)
         assert exc.value.element == 0
+
+
+class TestCountPieces:
+    # two unit quads side by side, joined along x = 1 or only at (1, 1)
+    NODES = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                      [2.0, 0.0], [2.0, 1.0], [2.0, 2.0], [1.0, 2.0]])
+
+    def test_elements_sharing_an_edge_are_one_piece(self):
+        mesh = Mesh(self.NODES, [ElementBlock(QUAD4, [[0, 1, 2, 3], [1, 4, 5, 2]])])
+        assert count_pieces(mesh) == 1
+
+    def test_elements_sharing_only_a_node_are_two_pieces(self):
+        mesh = Mesh(self.NODES, [ElementBlock(QUAD4, [[0, 1, 2, 3], [2, 5, 6, 7]])])
+        assert count_pieces(mesh) == 2
+
+    def test_blocks_join_across_a_shared_edge(self):
+        mesh = Mesh(self.NODES, [ElementBlock(QUAD4, [[0, 1, 2, 3]]),
+                                 ElementBlock(TRI3, [[1, 4, 5], [1, 5, 2]])])
+        assert count_pieces(mesh) == 1
 
 
 class TestStiffnessPattern:

@@ -305,9 +305,9 @@ class TestMonolithicMicro:
 
 
 def shard_of(geom, count, store=True):
-    """RVEs in consecutive slots of one band stack, assembled at a plastic state."""
-    bands = geom.layout.empty_stack(count)
-    rves = [R.RveProblem(geom, store, bands, slot) for slot in range(count)]
+    """RVEs in consecutive slots of one factor stack, assembled at a plastic state."""
+    stack = geom.layout.empty_stack(count)
+    rves = [R.RveProblem(geom, store, stack, slot) for slot in range(count)]
     for i, p in enumerate(rves):
         p.H = H_SHEAR * (0.3 + 0.05 * i)
         p.u_hat = 1e-3 * np.cos(np.arange(geom.n_reduced) + i)
@@ -399,6 +399,38 @@ class TestStackedSweep:
             R.micro_update_monolithic([rves[0], rves[2]], np.zeros((2, 4)))
         with pytest.raises(StructuralError):
             R.homogenized_tangent_and_alg_stress([rves[0], R.RveProblem(geom)])
+
+
+def one_rve_in_a_shard(geom, count, slot):
+    """Factors, update, stress and tangent of one plastic RVE at ``slot`` of a shard.
+
+    The other RVEs of the shard sit at states of their own.
+    """
+    stack = geom.layout.empty_stack(count)
+    rves = [R.RveProblem(geom, True, stack, k) for k in range(count)]
+    for k, p in enumerate(rves):
+        p.H = H_SHEAR * (0.4 if k == slot else 0.3 + 0.01 * k)
+        p.u_hat = 1e-3 * np.cos(np.arange(geom.n_reduced) + (0 if k == slot else k + 1))
+        R.assemble(p)
+    du = R.micro_update_monolithic(rves, np.tile([1e-3, -2e-3, 5e-4, 1e-3], (count, 1)))
+    first_factor = stack[slot].copy()
+    for p in rves:
+        R.assemble(p)
+    sigma, c = R.homogenized_tangent_and_alg_stress(rves)
+    return first_factor, stack[slot].copy(), du[slot], sigma[slot], c[slot]
+
+
+class TestShardPlacement:
+    def test_same_rve_gets_the_same_bits_in_any_shard_and_slot(self):
+        # each RVE's factor is its own LAPACK call and each solve column one
+        # matrix-vector product per RVE, so the neighbours cannot leak in
+        geom = porous_geom()
+        alone = one_rve_in_a_shard(geom, 1, 0)
+        for count in (1, 3, 16):
+            for slot in (0, count - 1):
+                placed = one_rve_in_a_shard(geom, count, slot)
+                for want, got in zip(alone, placed):
+                    assert_array_equal(got, want)
 
 
 class TestTangentAndAlgStress:
@@ -526,19 +558,28 @@ class TestStateDiscipline:
             prev = cur
 
     def test_rollback_restores_converged_point(self):
-        p = R.RveProblem(porous_geom())
+        geom = porous_geom()
+        p = R.RveProblem(geom)
         R.begin_increment(p)
         R.solve_micro_staggered(p, H_SHEAR * 0.4, 1e-9, 30)
-        r_converged = p.cached.residual_norm
         R.commit(p)
-        u_saved = p.u_hat.copy()
+        u_saved, h_saved = p.u_hat.copy(), p.H.copy()
         R.begin_increment(p)
         with pytest.raises(MicroDivergenceError):
             R.solve_micro_staggered(p, H_SHEAR * 5.0, 1e-9, 3)
         R.rollback(p)
         assert_array_equal(p.u_hat, u_saved)
-        # reassembly at the restored point reproduces the converged residual
-        assert p.cached.residual_norm == r_converged
+        assert_array_equal(p.H, h_saved)
+        # the rolled-back assembly is a fresh one at the committed point
+        # (the converged residual was evaluated from the states before the
+        # commit, so it need not match it bit for bit)
+        q = R.RveProblem(geom)
+        q.states = [s.copy() for s in p.states]
+        q.active_committed = p.active_committed.copy()
+        q.u_hat, q.H = u_saved.copy(), h_saved.copy()
+        fresh = R.assemble(q)
+        assert_array_equal(p.cached.r_hat, fresh.r_hat)
+        assert p.cached.residual_norm == fresh.residual_norm
 
     def test_linear_flag_reuses_factorization(self):
         p = R.RveProblem(porous_geom(mat=ELASTIC))
