@@ -5,7 +5,6 @@ from fescale.errors import (
     FescaleError,
     GeometryError,
     MeshQualityError,
-    MicroDivergenceError,
     SingularMatrixError,
     StructuralError,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "FescaleError",
     "GeometryError",
     "MeshQualityError",
-    "MicroDivergenceError",
     "SingularMatrixError",
     "StructuralError",
 ]

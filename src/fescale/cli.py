@@ -62,9 +62,12 @@ def read_mesh(path) -> Mesh:
 
     def number(lineno, token, kind=int):
         try:
-            return kind(token)
+            value = kind(token)
         except ValueError:
-            fail(lineno, f"expected {'an integer' if kind is int else 'a number'}, got {token!r}")
+            value = None
+        if value is None or (kind is float and not np.isfinite(value)):
+            fail(lineno, f"expected {'an integer' if kind is int else 'a finite number'}, got {token!r}")
+        return value
 
     def count(lineno, key):
         parts = tokens(lineno)
@@ -82,14 +85,14 @@ def read_mesh(path) -> Mesh:
     if not lines or not lines[0].startswith("fescale-mesh"):
         fail(0, "missing 'fescale-mesh' header")
     n_nodes = count(1, "nodes")
-    nodes = np.zeros((n_nodes, 2))
+    nodes = []  # grown line by line: a count beyond the file's end fails there
     for k in range(n_nodes):
         i = 2 + k
         parts = tokens(i)
         if len(parts) != 3:
             fail(i, "expected '<id> <x> <y>'")
         ident(i, parts[0], k, "node")
-        nodes[k] = [number(i, t, float) for t in parts[1:]]
+        nodes.append([number(i, t, float) for t in parts[1:]])
     i = 2 + n_nodes
     n_el = count(i, "elements")
     rows = {TRI3: [], QUAD4: []}
@@ -108,7 +111,7 @@ def read_mesh(path) -> Mesh:
         rows[kind].append(conn)
     blocks = [ElementBlock(kind, np.array(rows[kind], dtype=np.int64))
               for kind in (TRI3, QUAD4) if rows[kind]]
-    return Mesh(nodes, blocks)
+    return Mesh(np.reshape(nodes, (n_nodes, 2)), blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +149,7 @@ class RunConfig:
         macro_mesh = read_mesh(self.macro_mesh)
         try:
             micro = self._build_micro()
-        except StructuralError as exc:
+        except FescaleError as exc:
             raise ConfigError(f"rve: {exc}") from exc
         try:
             return macro.TwoScaleModel(
@@ -156,11 +159,11 @@ class RunConfig:
                 reaction_dofs=np.asarray(self.reaction_dofs or [self.control_dof], dtype=np.int64),
                 name=self.name,
             )
-        except StructuralError as exc:
+        except FescaleError as exc:
             raise ConfigError(str(exc)) from exc
 
     def _build_micro(self):
-        mats = [_material_from(spec) for spec in self.materials]
+        mats = self.materials
         if self.rve_mesh is not None:
             mesh = read_mesh(self.rve_mesh)
             ids = np.zeros(mesh.n_elements, dtype=np.int64)
@@ -170,18 +173,6 @@ class RunConfig:
             params["material2"] = mats[1]
         params.update({k: v for k, v in self.overrides.items() if k == "n"})
         return benchmarks.micro_by_name(self.rve_name or "porous-square", params)
-
-
-def _material_from(spec):
-    try:
-        elastic = material.ElasticParams(E=float(spec["E"]), nu=float(spec["nu"]))
-        if "sigma0" in spec:
-            return material.PlasticParams(
-                elastic=elastic, sigma0=float(spec["sigma0"]), h=float(spec.get("h", 0.0))
-            )
-        return elastic
-    except (KeyError, TypeError, ValueError, StructuralError) as exc:
-        raise ConfigError(f"invalid material spec {spec}: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:
@@ -201,7 +192,7 @@ def load_config(path) -> RunConfig:
 
 
 def _typed(name, value, kind):
-    """``value`` if it is a JSON ``kind`` (bool, int or float), else a ConfigError.
+    """``value`` if it is a JSON ``kind`` (bool, int, float or str), else a ConfigError.
 
     A bool is not a number, and an int field takes no float.
     """
@@ -224,6 +215,36 @@ def _dofs(name, value, pairs=False):
         else:
             raise ConfigError(f"{name}: expected [dof, value] pairs, got {entry!r}")
     return value
+
+
+def _materials(value):
+    """Material parameters from a JSON list of {E, nu[, sigma0[, h]]} objects.
+
+    Every entry takes numbers only and no other key; a spec with ``sigma0``
+    is J2-plastic (``h`` defaults to 0). Errors name ``materials[i]``.
+    """
+    if not isinstance(value, list):
+        raise ConfigError(f"materials: expected a list, got {value!r}")
+    mats = []
+    for i, spec in enumerate(value):
+        name = f"materials[{i}]"
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{name}: expected an object, got {spec!r}")
+        unknown = set(spec) - {"E", "nu", "sigma0", "h"}
+        if unknown:
+            raise ConfigError(f"{name}: unknown fields {sorted(unknown)}")
+        for key in ("E", "nu"):
+            if key not in spec:
+                raise ConfigError(f"{name}.{key}: missing")
+        for key, number in spec.items():
+            _typed(f"{name}.{key}", number, float)
+        try:
+            elastic = material.ElasticParams(E=float(spec["E"]), nu=float(spec["nu"]))
+            mats.append(elastic if "sigma0" not in spec else material.PlasticParams(
+                elastic, sigma0=float(spec["sigma0"]), h=float(spec.get("h", 0.0))))
+        except StructuralError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+    return mats
 
 
 def _env_workers():
@@ -257,6 +278,11 @@ def parse_config(raw, base_dir=".") -> RunConfig:
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    for key in ("name", "benchmark", "output_dir", "macro_mesh", "rve_mesh", "rve"):
+        if raw.get(key) is not None:
+            _typed(key, raw[key], str)
+    if any(sep in (raw.get("name") or "") for sep in ("/", os.sep)):
+        raise ConfigError(f"name: {raw['name']!r} must not contain a path separator")
 
     schemes = raw.get("schemes", ["staggered", "monolithic-stored"])
     if not isinstance(schemes, list):
@@ -264,7 +290,7 @@ def parse_config(raw, base_dir=".") -> RunConfig:
     if not schemes:
         raise ConfigError("schemes: at least one scheme must be selected")
     try:
-        schemes = [macro.canonical_scheme(s) for s in schemes]
+        schemes = [macro.canonical_scheme(_typed("schemes", s, str)) for s in schemes]
     except StructuralError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -326,7 +352,7 @@ def parse_config(raw, base_dir=".") -> RunConfig:
         macro_mesh=macro_mesh,
         rve_mesh=rve_mesh,
         rve_name=raw.get("rve"),
-        materials=raw.get("materials", []),
+        materials=_materials(raw.get("materials", [])),
         dirichlet=_dofs("dirichlet", raw.get("dirichlet", []), pairs=True),
         point_loads=_dofs("point_loads", raw.get("point_loads", []), pairs=True),
         control_dof=_typed("control_dof", raw.get("control_dof", 0), int),
@@ -481,18 +507,18 @@ def _check_linear_solver():
 def _check_periodic_averaging():
     el = material.ElasticParams(100.0, 0.3)
     geom = rvemod.MicroGeometry(benchmarks.rve_laminate(el, el, n=3))
-    p = rvemod.RveProblem(geom)
-    p.H = np.array([0.01, 0.004, -0.002, -0.006])
-    p.u_hat = 1e-3 * np.sin(np.arange(geom.n_reduced))
+    p = rvemod.RveBatch(geom)
+    p.H[0] = [0.01, 0.004, -0.002, -0.006]
+    p.u_hat[0] = 1e-3 * np.sin(np.arange(geom.n_reduced))
     return np.allclose(rvemod.average_gradient(p), p.H, atol=1e-10)
 
 
 def _check_homogenized_tangent():
     el = material.ElasticParams(100.0, 0.3)
     geom = rvemod.MicroGeometry(benchmarks.rve_laminate(el, el, n=3))
-    p = rvemod.RveProblem(geom)
+    p = rvemod.RveBatch(geom)
     rvemod.solve_micro_staggered(p, np.zeros(4), 1e-10, 5)
-    _, c = rvemod.homogenized_tangent_and_alg_stress([p], alg_stress=False)
+    _, c = rvemod.homogenized_tangent_and_alg_stress(p, alg_stress=False)
     return np.allclose(c[0], el.stiffness(), atol=1e-9 * el.E)
 
 

@@ -52,24 +52,5 @@ class GeometryError(FescaleError):
     """Periodic pairing of RVE boundary nodes failed."""
 
 
-class MicroDivergenceError(FescaleError):
-    """A micro Newton loop exhausted its iteration budget.
-
-    The caller is expected to cut the load increment.
-    """
-
-    def __init__(self, rve_index, iterations, residual):
-        self.rve_index = int(rve_index)
-        self.iterations = int(iterations)
-        self.residual = float(residual)
-        super().__init__(
-            f"micro problem {rve_index} did not converge in {iterations} iterations "
-            f"(residual {residual:.3e})"
-        )
-
-    def __reduce__(self):
-        return type(self), (self.rve_index, self.iterations, self.residual)
-
-
 class ConfigError(FescaleError):
     """A run configuration failed validation."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fescale import linalg, material, mesh as fmesh, rve as rvemod
-from fescale.errors import MicroDivergenceError, StructuralError
+from fescale.errors import StructuralError
 
 SCHEMES = ("staggered", "monolithic", "monolithic-stored")
 _SCHEME_ALIASES = {"monolithic-stored-factorization": "monolithic-stored"}
@@ -166,81 +166,66 @@ class MacroSystem:
 
 
 class _Shard:
-    """Owns a contiguous-by-stride subset of the RVE problems.
+    """The RVE problems of one worker, a contiguous-by-stride subset, as one batch.
 
-    The RVEs factorize into the slots of one factor stack, so each solve of
-    the monolithic sweep is one stacked call over the whole shard, and both
+    Every RVE factorizes into its slot of the batch's factor stack, so each
+    solve of either sweep is one stacked call over the shard, and both
     sweeps end in one condensation call that returns the shard's stresses
     and tangents. The pool calls the public methods by name.
     """
 
     def __init__(self, geom, indices, store_factorization):
-        stack = geom.layout.empty_stack(len(indices))
-        self.rves = [rvemod.RveProblem(geom, store_factorization, stack, slot)
-                     for slot in range(len(indices))]
-        # setup pass: assemble and factorize the virgin elastic stiffness so
-        # the first condensation update consumes a retained factorization
-        for p in self.rves:
-            rvemod.assemble(p)
-            rvemod.ensure_factorization(p)
+        self.rves = rvemod.RveBatch(geom, len(indices), store_factorization)
+        # setup pass: every RVE starts at the same virgin elastic stiffness;
+        # it is inverted once and copied into every slot, so the first
+        # condensation update consumes a retained factorization
+        rvemod.assemble(self.rves)
+        linalg.factorize(geom.pattern.with_values(self.rves.kvals[0]), geom.layout,
+                         out=self.rves.stack[0])
+        self.rves.stack[1:] = self.rves.stack[0]
+        self.rves.factor_valid[:] = True
 
     def begin_increment(self, extrapolate_ratio):
-        for p in self.rves:
-            rvemod.begin_increment(p)
-            if extrapolate_ratio is not None:
-                rvemod.extrapolate_u_hat(p, extrapolate_ratio)
+        rvemod.begin_increment(self.rves, extrapolate_ratio)
 
     def staggered(self, h_sub, tol_micro, n_max):
-        iters = np.zeros(len(self.rves), dtype=np.int64)
-        failed = np.zeros(len(self.rves), dtype=bool)
-        for i, (p, h) in enumerate(zip(self.rves, h_sub)):
-            try:
-                iters[i] = rvemod.solve_micro_staggered(p, h, tol_micro, n_max)
-            except MicroDivergenceError:
-                failed[i] = True
-        return self._results(iters, failed, alg_stress=False)
+        iters = rvemod.solve_micro_staggered(self.rves, h_sub, tol_micro, n_max)
+        return self._results(iters, alg_stress=False)
 
     def monolithic(self, dh_sub):
         rvemod.micro_update_monolithic(self.rves, dh_sub)
-        for p in self.rves:
-            rvemod.assemble(p)
-        m = len(self.rves)
-        return self._results(np.zeros(m, dtype=np.int64), np.zeros(m, dtype=bool))
+        rvemod.assemble(self.rves)
+        return self._results(np.zeros(self.rves.b, dtype=np.int64))
 
-    def _results(self, iters, failed, alg_stress=True):
+    def _results(self, iters, alg_stress=True):
         """One layout for both sweeps from one condensation call over the shard.
 
         ``sigma`` is the algorithmic stress, which for a converged staggered
-        micro problem is its homogenized stress; a ``failed`` (diverged)
-        RVE's rows of ``sigma`` and ``c`` are zero.
+        micro problem is its homogenized stress; a ``failed`` RVE's rows of
+        ``sigma`` and ``c`` are zero.
         """
-        sigma, c = rvemod.homogenized_tangent_and_alg_stress(self.rves, alg_stress, failed)
-        return {"sigma": sigma, "c": c,
-                "rnorm": np.array([p.cached.residual_norm for p in self.rves]),
-                "ref": np.array([rvemod.residual_reference(p) for p in self.rves]),
-                "iters": iters, "failed": failed}
+        sigma, c = rvemod.homogenized_tangent_and_alg_stress(self.rves, alg_stress)
+        return {"sigma": sigma, "c": c, "rnorm": self.rves.residual_norm.copy(),
+                "ref": rvemod.residual_reference(self.rves), "iters": iters,
+                "failed": self.rves.failed.copy()}
 
     def commit(self):
-        for p in self.rves:
-            rvemod.commit(p)
+        rvemod.commit(self.rves)
 
     def rollback(self):
-        for p in self.rves:
-            rvemod.rollback(p)
+        rvemod.rollback(self.rves)
 
     def counters(self, reset):
-        total = np.zeros(3, dtype=np.int64)
-        for p in self.rves:
-            total += np.array(p.counter_tuple(), dtype=np.int64)
-            if reset:
-                p.reset_counters()
+        total = self.rves.counts.sum(axis=0)
+        if reset:
+            self.rves.counts[:] = 0
         return total
 
     def plastic_any(self):
-        return any(p.cached.plastic_flow for p in self.rves)
+        return bool(self.rves.plastic_flow.any())
 
     def gather_alpha(self):
-        return np.stack([rvemod.committed_alpha_bar(p) for p in self.rves])
+        return rvemod.committed_alpha_bar(self.rves)
 
 
 def _worker_main(conn, model_bytes, indices, store_factorization):
@@ -399,9 +384,10 @@ class TwoScaleModel:
         _check_dofs("control_dof", [self.control_dof], self.macro_mesh.n_dofs)
         _check_dofs("reaction_dofs", self.reaction_dofs, self.macro_mesh.n_dofs)
         pieces = fmesh.count_pieces(self.macro_mesh)
-        if pieces > 1:
+        if pieces != 1:
             raise StructuralError(f"the macro mesh falls apart into {pieces} pieces "
-                                  "that share no element edge")
+                                  "that share no element edge" if pieces else
+                                  "the macro mesh has no element")
         e_max = max(material.elastic_of(m).E for m in self.micro_model.materials)
         span = self.macro_mesh.nodes.max(axis=0) - self.macro_mesh.nodes.min(axis=0)
         self.system = MacroSystem(
@@ -459,7 +445,10 @@ def newton_increment(model, pool, settings, lam, u_start, u_n, record):
     predictor's difference to ``u_n`` on the first iteration). Both scales
     have converged when the macro residual is within tol_macro and every
     micro residual within tol_micro of its reference, which holds for
-    converged staggered micro problems by construction.
+    converged staggered micro problems by construction. The attempt fails,
+    to be cut by the caller, when a micro problem fails (budget overrun,
+    singular stiffness, non-finite residual) or the macro residual is not
+    finite.
     """
     sysm = model.system
     u = u_start.copy()
@@ -481,7 +470,7 @@ def newton_increment(model, pool, settings, lam, u_start, u_n, record):
         record.residual_norms.append(rn)
         converged = (rn <= settings.tol_macro * ref
                      and bool(np.all(outs["rnorm"] <= settings.tol_micro * outs["ref"])))
-        if converged or k == settings.max_macro_iter:
+        if converged or k == settings.max_macro_iter or not np.isfinite(rn):
             record.macro_iterations += k
             return (u, f_int) if converged else None
         du = np.zeros_like(u)

@@ -39,8 +39,8 @@ class ElasticParams:
     nu: float
 
     def __post_init__(self):
-        if self.E <= 0.0:
-            raise StructuralError("Young's modulus must be positive")
+        if not 0.0 < self.E < np.inf:
+            raise StructuralError("Young's modulus must be positive and finite")
         if not -1.0 < self.nu < 0.5:
             raise StructuralError("Poisson ratio must lie in (-1, 0.5)")
 
@@ -70,10 +70,10 @@ class PlasticParams:
     h: float
 
     def __post_init__(self):
-        if self.sigma0 <= 0.0:
-            raise StructuralError("initial yield stress must be positive")
-        if self.h < 0.0:
-            raise StructuralError("hardening modulus must be nonnegative")
+        if not 0.0 < self.sigma0 < np.inf:
+            raise StructuralError("initial yield stress must be positive and finite")
+        if not 0.0 <= self.h < np.inf:
+            raise StructuralError("hardening modulus must be nonnegative and finite")
 
 
 @dataclass

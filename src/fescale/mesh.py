@@ -262,35 +262,46 @@ class AssemblyPlan:
         self.weights = np.concatenate([np.zeros(0)] + [blk.w.ravel() for blk in self.blocks])
 
     def gradients(self, u):
-        """Displacement gradient (n_ip, 4) of the nodal displacement ``u``."""
-        out = np.empty((self.n_ip, 4))
+        """Displacement gradients (..., n_ip, 4) of nodal displacements ``u`` (..., n_dofs).
+
+        Leading axes are a batch (one row per RVE at the micro scale); each
+        row comes out as it would alone.
+        """
+        out = np.empty(u.shape[:-1] + (self.n_ip, 4))
         for blk in self.blocks:
-            out[blk.ips] = np.einsum("eqab,eb->eqa", blk.B, u[blk.edofs]).reshape(-1, 4)
+            # take() keeps each row's element DOFs contiguous, as einsum's
+            # summation order (and so the bits) depends on the layout
+            g = np.einsum("eqab,...eb->...eqa", blk.B, np.take(u, blk.edofs, axis=-1))
+            out[..., blk.ips, :] = g.reshape(u.shape[:-1] + (-1, 4))
         return out
 
     def internal_force(self, sigma):
-        """Nodal force vector, sum of B^T w sigma, of per-point stresses (n_ip, 4)."""
-        f = np.zeros(self.n_dofs)
+        """Nodal forces (..., n_dofs), sum of B^T w sigma, of per-point stresses (..., n_ip, 4)."""
+        lead = sigma.shape[:-2]
+        f = np.zeros(lead + (self.n_dofs,))
         for blk in self.blocks:
-            sig = sigma[blk.ips].reshape(blk.w.shape + (4,))
-            fe = np.einsum("eqab,eqa->eb", blk.B, blk.w[..., None] * sig)
-            np.add.at(f, blk.edofs.ravel(), fe.ravel())
+            sig = sigma[..., blk.ips, :].reshape(lead + blk.w.shape + (4,))
+            fe = np.einsum("eqab,...eqa->...eb", blk.B, blk.w[..., None] * sig)
+            np.add.at(f, (..., blk.edofs.ravel()), fe.reshape(lead + (-1,)))
         return f
 
     def stiffness(self, d):
-        """CSR values of sum B^T w D B, and each block's element stiffness.
+        """CSR values (..., nnz) of sum B^T w D B, and each block's element stiffness.
 
-        ``d`` holds per-point tangents (n_ip, 4, 4). Element stiffnesses are
-        returned whole, (n_el, 2*n_en, 2*n_en) per block; only entries on
-        reduced rows and columns enter the CSR values.
+        ``d`` holds per-point tangents (..., n_ip, 4, 4). Element stiffnesses
+        are returned whole, (..., n_el, 2*n_en, 2*n_en) per block; only
+        entries on reduced rows and columns enter the CSR values.
         """
-        kvals = np.zeros(self.n_values)
+        lead = d.shape[:-3]
+        kvals = np.zeros(lead + (self.n_values,))
         kes = []
         for blk in self.blocks:
-            dw = blk.w[..., None, None] * d[blk.ips].reshape(blk.w.shape + (4, 4))
-            tmp = np.einsum("eqab,eqac->eqbc", blk.B, dw)
-            ke = np.einsum("eqbc,eqcd->ebd", tmp, blk.B)
-            np.add.at(kvals, blk.slots, ke[blk.kept])
+            dw = blk.w[..., None, None] * d[..., blk.ips, :, :].reshape(lead + blk.w.shape + (4, 4))
+            tmp = np.einsum("eqab,...eqac->...eqbc", blk.B, dw)
+            del dw  # a batch's temporaries are large: each is freed once used
+            ke = np.einsum("...eqbc,eqcd->...ebd", tmp, blk.B)
+            del tmp
+            np.add.at(kvals, (..., blk.slots), ke[..., blk.kept])
             kes.append(ke)
         return kvals, kes
 

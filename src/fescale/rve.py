@@ -1,15 +1,18 @@
 """Micro-scale boundary-value problems with periodic constraints.
 
-One :class:`RveProblem` instance lives at each macroscopic integration
-point. The micro displacement is decomposed as u = H*X + w with a periodic
+One micro problem lives at each macroscopic integration point; the problems
+of one shard are one :class:`RveBatch` of stacked arrays, a row per RVE.
+The micro displacement is decomposed as u = H*X + w with a periodic
 fluctuation w; slave boundary DOFs are eliminated onto their masters and
 one anchor corner pins the remaining rigid translation, so the reduced
 unknown is the fluctuation at the retained DOFs.
 
-A single assembly pass produces the reduced residual, the reduced tangent
-stiffness in CSR form, the residual sensitivity to the applied macroscopic
-gradient, the boundary-sum homogenized stress, and the stress sensitivities
-needed for the condensed macroscopic tangent and the algorithmic stress.
+A single assembly pass over a batch produces the reduced residual, the
+reduced tangent stiffness values, the residual sensitivity to the applied
+macroscopic gradient, the boundary-sum homogenized stress, and the stress
+sensitivities needed for the condensed macroscopic tangent and the
+algorithmic stress. Every row is computed as it would be alone, so an RVE's
+results do not depend on its neighbours in the batch.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fescale import linalg, material, mesh as fmesh
-from fescale.errors import GeometryError, MicroDivergenceError, StructuralError
+from fescale.errors import GeometryError, SingularMatrixError
 
 # absolute floor of the residual reference force: 1e-8 * E * edge length
 FLOOR_SCALE = 1e-8
@@ -154,8 +157,14 @@ class MicroModel:
     def __post_init__(self):
         object.__setattr__(self, "materials", tuple(self.materials))
         object.__setattr__(self, "mat_ids", np.asarray(self.mat_ids, dtype=np.int64))
+        if not self.mesh.n_elements:
+            raise GeometryError("the micro mesh has no element")
         if len(self.mat_ids) != self.mesh.n_elements:
             raise GeometryError("mat_ids must cover every element")
+        first = 0
+        for block in self.mesh.blocks:  # a non-positive Jacobian raises here
+            fmesh.block_operators(self.mesh, block, first)
+            first += block.n_elements
 
 
 class MicroGeometry:
@@ -200,9 +209,6 @@ class MicroGeometry:
         self.aff = [amap[blk.edofs] for blk in self.plan.blocks]
         self.xmom = [np.ascontiguousarray(np.swapaxes(bmap[blk.edofs], 1, 2)) for blk in self.plan.blocks]
 
-    def virgin_states(self):
-        return [material.StateBatch.virgin(len(g)) for g in self.mat_groups]
-
 
 def _collect_boundary_edges(m: fmesh.Mesh, box, tol):
     """Outer-boundary edges with outward normals, for surface averaging."""
@@ -229,354 +235,342 @@ def _collect_boundary_edges(m: fmesh.Mesh, box, tol):
     return edges
 
 
-@dataclass
-class Assembly:
-    """Everything one residual/stiffness pass produces at a micro state."""
-
-    r_hat: np.ndarray
-    k_t: linalg.SparseMatrix
-    dr_dH: np.ndarray
-    sigma_bar: np.ndarray
-    dsig_du: np.ndarray
-    dsig_dh: np.ndarray
-    f_full: np.ndarray
-    sigma_ips: np.ndarray
-    trial_states: list
-    active: np.ndarray
-    plastic_flow: bool
-    linear_now: bool
-    flagged: bool
-    residual_norm: float
-    factorization: linalg.Factorization | None = None
-    c_tangent: np.ndarray | None = None
+# columns of RveBatch.counts
+UPDATE_SOLVES, AUX_SOLVES, FACTORIZATIONS = range(3)
 
 
-class RveProblem:
-    """One micro problem instance: states, displacements, cached assembly.
+class RveBatch:
+    """The micro problems of one shard as stacked arrays, one row per RVE.
 
-    The stiffness is factorized into slot ``slot`` of the factor stack
-    ``stack`` (see :meth:`linalg.DenseLayout.empty_stack`), which RVEs of
-    one shard share so that their solves run as one stacked call; without a
-    stack the problem gets a stack of its own. The cached assembly's
-    factorization, when present, is the slot's current content: it stays
-    valid until the RVE is refactorized.
+    Committed state: ``states`` (one :class:`material.StateBatch` per
+    material over count x points, RVE-major), ``u_hat_n``, ``u_hat_nm1``,
+    ``H_n``, ``active_committed`` and ``last_step_linear``. The current
+    iterate is ``u_hat`` (b, n) and ``H`` (b, 4). Each RVE's last assembly
+    is kept in the arrays :func:`assemble` fills; its stiffness is inverted
+    into the RVE's slot of ``stack`` and stays valid while ``factor_valid``
+    holds, and ``c_tangent`` while ``tangent_valid`` holds. ``failed``
+    marks the RVEs whose current sweep met a numerical failure or a budget
+    overrun. ``counts`` holds per RVE the update solves, auxiliary solves
+    and factorizations since the macro run loop last reset them.
     """
 
-    def __init__(self, geom: MicroGeometry, store_factorization: bool = True,
-                 stack: np.ndarray | None = None, slot: int = 0):
-        self.geom = geom
-        self.stack = geom.layout.empty_stack(1) if stack is None else stack
-        self.slot = slot
-        n = geom.n_reduced
-        self.states = geom.virgin_states()
-        self.active_committed = np.zeros(geom.n_ip, dtype=bool)
-        self.last_step_linear = True
-        self.u_hat = np.zeros(n)
-        self.u_hat_n = np.zeros(n)
-        self.u_hat_nm1 = np.zeros(n)
-        self.H = np.zeros(4)
-        self.H_n = np.zeros(4)
-        self.cached: Assembly | None = None
-        self.store_factorization = store_factorization
-        self.ref_force = 0.0
+    def __init__(self, geom: MicroGeometry, count: int = 1, store_factorization: bool = True):
+        b, n, n_ip = count, geom.n_reduced, geom.n_ip
+        self.geom, self.b, self.store_factorization = geom, b, store_factorization
+        self.stack = geom.layout.empty_stack(b)
+        self.states = [material.StateBatch.virgin(b * len(g)) for g in geom.mat_groups]
+        self.trial = [s.copy() for s in self.states]
+        self.active_committed = np.zeros((b, n_ip), dtype=bool)
+        self.last_step_linear = np.ones(b, dtype=bool)
+        self.u_hat, self.u_hat_n, self.u_hat_nm1 = np.zeros((3, b, n))
+        self.H, self.H_n = np.zeros((2, b, 4))
         self.n_commits = 0
-        # counters, reset by the driver at increment boundaries
-        self.update_solves = 0
-        self.aux_solves = 0
-        self.factorizations = 0
+        self.ref_force = np.zeros(b)
+        self.r_hat = np.zeros((b, n))
+        self.kvals = np.zeros((b, len(geom.pattern.values)))
+        self.dr_dH = np.zeros((b, n, 4))
+        # each RVE's (4, n) block is column-major, as the transpose it is
+        # computed as, which fixes the BLAS kernel of its products
+        self.dsig_du = np.zeros((b, n, 4)).transpose(0, 2, 1)
+        self.dsig_dh, self.c_tangent = np.zeros((2, b, 4, 4))
+        self.sigma_bar = np.zeros((b, 4))
+        self.f_full = np.zeros((b, geom.mesh.n_dofs))
+        self.sigma_ips = np.zeros((b, n_ip, 4))
+        self.active = np.zeros((b, n_ip), dtype=bool)
+        self.residual_norm = np.zeros(b)
+        (self.plastic_flow, self.linear_now, self.flagged, self.factor_valid,
+         self.tangent_valid, self.failed) = np.zeros((6, b), dtype=bool)
+        self.counts = np.zeros((b, 3), dtype=np.int64)
 
-    def counter_tuple(self):
-        return (self.update_solves, self.aux_solves, self.factorizations)
 
-    def reset_counters(self):
-        self.update_solves = self.aux_solves = self.factorizations = 0
-
-
-def full_displacement(rve: RveProblem, u_hat=None, h=None):
-    """Reconstruct the full nodal displacement from (u_hat, H)."""
-    geom = rve.geom
-    u_hat = rve.u_hat if u_hat is None else u_hat
-    h = rve.H if h is None else h
-    u_aff = (geom.mesh.nodes @ h.reshape(2, 2).T).ravel()
+def full_displacement(rves: RveBatch, u_hat=None, h=None):
+    """Full nodal displacements (..., n_dofs) from (u_hat, H), by default the batch's."""
+    geom = rves.geom
+    u_hat = rves.u_hat if u_hat is None else np.asarray(u_hat)
+    h = rves.H if h is None else np.asarray(h)
+    u_aff = geom.mesh.nodes @ np.swapaxes(h.reshape(h.shape[:-1] + (2, 2)), -1, -2)
     red = geom.pmap.dof_map
-    fluct = np.where(red >= 0, np.concatenate([u_hat, [0.0]])[red], 0.0)
-    return u_aff + fluct
+    pad = np.concatenate([u_hat, np.zeros(u_hat.shape[:-1] + (1,))], axis=-1)
+    return u_aff.reshape(h.shape[:-1] + (-1,)) + np.where(red >= 0, pad[..., red], 0.0)
 
 
-def assemble(rve: RveProblem) -> Assembly:
-    """Residual, tangent, sensitivities, and homogenized stress at (u_hat, H).
+def assemble(rves: RveBatch, mask=None):
+    """Residual, tangent, sensitivities and homogenized stress at (u_hat, H).
 
-    Material states are evaluated from the last committed values; the trial
-    states are stored on the returned assembly for a possible commit. When
-    the step is detected linear (no plastic flow now or in the last
-    committed step, no activity change) the state-independent matrices and
-    any retained factorization are carried over from the previous assembly.
+    Assembles the RVEs in the boolean ``mask`` (default: all) in one pass
+    with one material evaluation per material. Material states are
+    evaluated from the last committed values; the trial states go to
+    ``rves.trial`` for a possible commit. An RVE whose step is linear (no
+    plastic flow now or in the last committed step, no activity change)
+    keeps the state-independent matrices of its previous assembly, and with
+    them its retained factor and condensed tangent (``flagged``). A
+    non-finite residual marks the RVE ``failed``.
     """
-    geom = rve.geom
-    u_full = full_displacement(rve)
+    geom, b = rves.geom, rves.b
+    sel = np.arange(b) if mask is None else np.flatnonzero(mask)
+    k = len(sel)
+    h = geom.plan.gradients(full_displacement(rves, rves.u_hat[sel], rves.H[sel]))
+    sigma = np.empty((k, geom.n_ip, 4))
+    d = np.empty((k, geom.n_ip, 4, 4))
+    active = np.empty((k, geom.n_ip), dtype=bool)
+    for mat, idx, states, trial in zip(geom.model.materials, geom.mat_groups, rves.states, rves.trial):
+        m = len(idx)
+        rows = states if mask is None else material.StateBatch(
+            states.eps_p.reshape(b, m, 4)[sel].reshape(-1, 4), states.alpha_bar.reshape(b, m)[sel].ravel())
+        sig, tan, new, act = material.evaluate_batch(mat, h[:, idx].reshape(-1, 4), rows)
+        sigma[:, idx] = sig.reshape(k, m, 4)
+        d[:, idx] = tan.reshape(k, m, 4, 4)
+        active[:, idx] = act.reshape(k, m)
+        trial.eps_p.reshape(b, m, 4)[sel] = new.eps_p.reshape(k, m, 4)
+        trial.alpha_bar.reshape(b, m)[sel] = new.alpha_bar.reshape(k, m)
+        del sig, tan, new, act  # the batch's arrays are large: free them before the stiffness
 
-    h_flat = geom.plan.gradients(u_full)
-    sigma_flat = np.empty((geom.n_ip, 4))
-    d_flat = np.empty((geom.n_ip, 4, 4))
-    active = np.zeros(geom.n_ip, dtype=bool)
-    trial_states = []
-    for mat, idx, states in zip(geom.model.materials, geom.mat_groups, rve.states):
-        sig, tan, new_states, act = material.evaluate_batch(mat, h_flat[idx], states)
-        sigma_flat[idx] = sig
-        d_flat[idx] = tan
-        active[idx] = act
-        trial_states.append(new_states)
-
-    plastic_flow = bool(active.any())
-    linear_now = (not plastic_flow) and bool(np.array_equal(active, rve.active_committed))
+    plastic_flow = active.any(axis=1)
+    linear_now = ~plastic_flow & ~rves.active_committed[sel].any(axis=1)
     # matrices may only be carried over from an assembly that was itself
     # evaluated in the linear regime (elastic tangent everywhere)
-    flagged = (
-        rve.last_step_linear and linear_now
-        and rve.cached is not None and rve.cached.linear_now
-    )
+    flagged = rves.last_step_linear[sel] & linear_now & rves.linear_now[sel]
 
-    f_full = geom.plan.internal_force(sigma_flat)
+    f_full = geom.plan.internal_force(sigma)
     red = geom.pmap.dof_map
-    r_hat = np.zeros(geom.n_reduced)
-    keep = red >= 0
-    np.add.at(r_hat, red[keep], f_full[keep])
+    r_hat = np.zeros((k, geom.n_reduced))
+    np.add.at(r_hat, (slice(None), red[red >= 0]), f_full[:, red >= 0])
 
-    if flagged:
-        prev = rve.cached
-        k_t, dr_dh = prev.k_t, prev.dr_dH
-        dsig_du, dsig_dh = prev.dsig_du, prev.dsig_dh
-        fact, c_t = prev.factorization, prev.c_tangent
-    else:
-        kvals, kes = geom.plan.stiffness(d_flat)
-        dr_dh = np.zeros((geom.n_reduced, 4))
-        dsig_dut = np.zeros((geom.n_reduced, 4))
-        dsig_dh = np.zeros((4, 4))
+    fresh = sel[~flagged]
+    if len(fresh):
+        kvals, kes = geom.plan.stiffness(d[~flagged] if flagged.any() else d)
+        dr_dh = np.zeros((len(fresh), geom.n_reduced, 4))
+        dsig_dut = np.zeros((len(fresh), geom.n_reduced, 4))
+        dsig_dh = np.zeros((len(fresh), 4, 4))
         for blk, ke, aff, xmom in zip(geom.plan.blocks, kes, geom.aff, geom.xmom):
-            ge = np.einsum("ebd,edc->ebc", ke, aff)
             rkeep = blk.red >= 0
-            np.add.at(dr_dh, blk.red[rkeep], ge[rkeep])
-            me = np.einsum("ecb,ebd->edc", xmom, ke)  # (e, 2n, 4)
-            np.add.at(dsig_dut, blk.red[rkeep], me[rkeep])
-            dsig_dh += np.einsum("edc,eda->ca", me, aff)
-        k_t = geom.pattern.with_values(kvals)
-        dsig_du = dsig_dut.T / geom.volume
-        dsig_dh = dsig_dh / geom.volume
-        fact, c_t = None, None
+            ge = np.einsum("rebd,edc->rebc", ke, aff)
+            np.add.at(dr_dh, (slice(None), blk.red[rkeep]), ge[:, rkeep])
+            me = np.einsum("ecb,rebd->redc", xmom, ke)  # (r, e, 2n, 4)
+            np.add.at(dsig_dut, (slice(None), blk.red[rkeep]), me[:, rkeep])
+            dsig_dh += np.einsum("redc,eda->rca", me, aff)
+        rves.kvals[fresh] = kvals
+        rves.dr_dH[fresh] = dr_dh
+        rves.dsig_du[fresh] = np.swapaxes(dsig_dut, 1, 2) / geom.volume
+        rves.dsig_dh[fresh] = dsig_dh / geom.volume
+        rves.factor_valid[fresh] = rves.tangent_valid[fresh] = False
 
-    f2 = f_full.reshape(-1, 2)
+    f2 = np.take(f_full.reshape(k, -1, 2), geom.boundary_nodes, axis=1)
     bx = geom.mesh.nodes[geom.boundary_nodes]
-    sigma_bar = (f2[geom.boundary_nodes].T @ bx).ravel() / geom.volume
-
-    asm = Assembly(
-        r_hat=r_hat, k_t=k_t, dr_dH=dr_dh, sigma_bar=sigma_bar,
-        dsig_du=dsig_du, dsig_dh=dsig_dh, f_full=f_full, sigma_ips=sigma_flat,
-        trial_states=trial_states, active=active, plastic_flow=plastic_flow,
-        linear_now=linear_now, flagged=flagged,
-        residual_norm=float(np.abs(r_hat).max()) if len(r_hat) else 0.0,
-        factorization=fact, c_tangent=c_t,
-    )
-    rve.cached = asm
-    rve.ref_force = max(rve.ref_force, float(np.abs(f_full).max()) if len(f_full) else 0.0)
-    return asm
+    rves.sigma_bar[sel] = (np.swapaxes(f2, 1, 2) @ bx).reshape(k, 4) / geom.volume
+    rves.r_hat[sel], rves.f_full[sel], rves.sigma_ips[sel], rves.active[sel] = r_hat, f_full, sigma, active
+    rves.plastic_flow[sel], rves.linear_now[sel], rves.flagged[sel] = plastic_flow, linear_now, flagged
+    rves.residual_norm[sel] = np.abs(r_hat).max(axis=1, initial=0.0)
+    rves.ref_force[sel] = np.maximum(rves.ref_force[sel], np.abs(f_full).max(axis=1, initial=0.0))
+    rves.failed[sel] |= ~np.isfinite(rves.residual_norm[sel])
 
 
-def residual_reference(rve: RveProblem):
-    return max(rve.ref_force, rve.geom.force_floor)
+def residual_reference(rves: RveBatch):
+    return np.maximum(rves.ref_force, rves.geom.force_floor)
 
 
-def ensure_factorization(rve: RveProblem):
-    asm = rve.cached
-    if asm.factorization is None:
-        asm.factorization = linalg.factorize(asm.k_t, rve.geom.layout, out=rve.stack[rve.slot])
-        rve.factorizations += 1
-    return asm.factorization
+def _ensure_factorization(rves: RveBatch, need):
+    """Invert the stiffness of every RVE in ``need`` that has no valid factor.
 
-
-def volume_average_stress(rve: RveProblem) -> np.ndarray:
-    """Volume-average form of the homogenized stress (verification route)."""
-    geom = rve.geom
-    return (geom.weights_flat[:, None] * rve.cached.sigma_ips).sum(axis=0) / geom.volume
-
-
-def average_gradient(rve: RveProblem) -> np.ndarray:
-    """Volume average of the displacement gradient over the meshed domain."""
-    w = rve.geom.weights_flat
-    return w @ rve.geom.plan.gradients(full_displacement(rve)) / w.sum()
-
-
-def boundary_average_gradient(rve: RveProblem) -> np.ndarray:
-    """Surface form (1/V0) * integral of u (x) n over the outer boundary."""
-    geom = rve.geom
-    u_full = full_displacement(rve).reshape(-1, 2)
-    out = np.zeros((2, 2))
-    for na, nb, normal, length in _collect_boundary_edges(geom.mesh, geom.pmap.box, geom.tol_geom):
-        out += 0.5 * length * np.outer(u_full[na] + u_full[nb], normal)
-    return out.ravel() / geom.volume
-
-
-def _batch(rves):
-    """``rves`` as a list, checked to fill consecutive slots of one factor stack."""
-    rves = list(rves)
-    for i, p in enumerate(rves):
-        if p.stack is not rves[0].stack or p.slot != rves[0].slot + i:
-            raise StructuralError("a batch of RVEs must fill consecutive slots of one factor stack")
-    return rves
-
-
-def _stacked_solve(batch, rhs):
-    """One stacked solve of ``rhs`` (n, b, m), block i against RVE i's factorization."""
-    lo = batch[0].slot
-    return linalg.solve(batch[0].geom.layout.factors(batch[0].stack[lo:lo + len(batch)]), rhs)
-
-
-def homogenized_tangent_and_alg_stress(rves, alg_stress=True, skip=None):
-    """Condensed stress (b, 4) and macroscopic tangent (b, 4, 4) of b RVEs.
-
-    ``rves`` fill consecutive slots of one factor stack. One stacked
-    5-column solve against the retained factors (the inverses of the micro
-    stiffnesses) gives the tangent sensitivity (4 columns) and the residual
-    correction (1 column); a column an RVE does not need is zero and its
-    result unused. Linear-flagged problems reuse the cached
-    tangent and skip the residual correction (their residual is zero to
-    machine precision). With ``alg_stress=False`` (converged micro
-    problems) the residual column is left out and the stress is sigma_bar.
-    An RVE marked in the boolean mask ``skip`` (a diverged micro problem)
-    gets no solve and a zero row.
+    One :func:`linalg.factorize` call per such RVE, into its slot of the
+    stack. A singular stiffness marks the RVE ``failed`` instead of raising.
     """
-    batch = _batch(rves)
-    b = len(batch)
-    n = batch[0].geom.n_reduced if batch else 0
-    skip = np.zeros(b, dtype=bool) if skip is None else skip
-    rhs = np.zeros((n, b, 5 if alg_stress else 4))
-    needed = False
-    for i, p in enumerate(batch):
-        asm = p.cached
-        correct = alg_stress and not asm.flagged
-        if n and not skip[i] and (asm.c_tangent is None or correct):
-            ensure_factorization(p)
-            needed = True
-            if asm.c_tangent is None:
-                rhs[:, i, :4] = asm.dr_dH
-                p.aux_solves += 1
-            if correct:
-                rhs[:, i, 4] = asm.r_hat
-                p.aux_solves += 1
-    x = _stacked_solve(batch, rhs) if needed else rhs
-    sigma, c = np.zeros((b, 4)), np.zeros((b, 4, 4))
-    for i, p in enumerate(batch):
-        if skip[i]:
+    geom = rves.geom
+    for i in np.flatnonzero(need & ~rves.factor_valid & ~rves.failed):
+        try:
+            linalg.factorize(geom.pattern.with_values(rves.kvals[i]), geom.layout, out=rves.stack[i])
+        except SingularMatrixError:
+            rves.failed[i] = True
             continue
-        asm = p.cached
-        if asm.c_tangent is None:
-            # contiguous copies keep the products' BLAS path of separate solves
-            sens = np.ascontiguousarray(x[:, i, :4])
-            asm.c_tangent = asm.dsig_dh - asm.dsig_du @ sens if n else asm.dsig_dh.copy()
-        c[i] = asm.c_tangent
-        if asm.flagged or not alg_stress or n == 0:
-            sigma[i] = asm.sigma_bar
-        else:
-            sigma[i] = asm.sigma_bar - asm.dsig_du @ np.ascontiguousarray(x[:, i, 4])
-        if not p.store_factorization and not asm.flagged:
-            asm.factorization = None
-    return sigma, c
+        rves.factor_valid[i] = True
+        rves.counts[i, FACTORIZATIONS] += 1
 
 
-def solve_micro_staggered(rve: RveProblem, h_target, tol_micro, max_iter) -> int:
-    """Full micro Newton at a fixed applied gradient; returns its iteration count.
+def _drop_unstored_factors(rves: RveBatch):
+    """Plain monolithic mode: a used factor is not kept past its assembly."""
+    if not rves.store_factorization:
+        rves.factor_valid &= rves.flagged | rves.failed
 
-    Iterates until ||r||_inf <= tol_micro * max(running force, floor); a
-    budget overrun raises :class:`MicroDivergenceError` so the caller can
-    cut the load increment. A converged problem counts at least one
-    iteration (the re-check) and leaves its converged assembly cached for
+
+def _matvec(a, v):
+    """Per-row products a[i] @ v[i], each on the BLAS path of a single product."""
+    return np.matmul(a, np.ascontiguousarray(v)[..., None])[..., 0]
+
+
+def volume_average_stress(rves: RveBatch) -> np.ndarray:
+    """Volume-average form of the homogenized stress (verification route), (b, 4)."""
+    geom = rves.geom
+    return (geom.weights_flat[:, None] * rves.sigma_ips).sum(axis=1) / geom.volume
+
+
+def average_gradient(rves: RveBatch) -> np.ndarray:
+    """Volume average of the displacement gradient over the meshed domain."""
+    w = rves.geom.weights_flat
+    return w @ rves.geom.plan.gradients(full_displacement(rves)) / w.sum()
+
+
+def boundary_average_gradient(rves: RveBatch) -> np.ndarray:
+    """Surface form (1/V0) * integral of u (x) n over the outer boundary, (b, 4)."""
+    geom = rves.geom
+    u_full = full_displacement(rves).reshape(rves.b, -1, 2)
+    out = np.zeros((rves.b, 2, 2))
+    for na, nb, normal, length in _collect_boundary_edges(geom.mesh, geom.pmap.box, geom.tol_geom):
+        out += 0.5 * length * (u_full[:, na] + u_full[:, nb])[:, :, None] * normal
+    return out.reshape(rves.b, 4) / geom.volume
+
+
+def homogenized_tangent_and_alg_stress(rves: RveBatch, alg_stress=True):
+    """Condensed stress (b, 4) and macroscopic tangent (b, 4, 4) of every RVE.
+
+    One stacked 5-column solve against the retained factors (the inverses
+    of the micro stiffnesses) gives the tangent sensitivity (4 columns) and
+    the residual correction (1 column); a column an RVE does not need is
+    zero and its result unused. An RVE with a valid condensed tangent (a
+    linear-flagged one) reuses it, and a flagged RVE skips the residual
+    correction (its residual is zero to machine precision). With
+    ``alg_stress=False`` (converged micro problems) the residual column is
+    left out and the stress is sigma_bar. A ``failed`` RVE gets no solve
+    and zero rows.
+    """
+    geom, n = rves.geom, rves.geom.n_reduced
+    if n:
+        _ensure_factorization(rves, ~rves.tangent_valid | (alg_stress & ~rves.flagged))
+    ok = ~rves.failed
+    tangent = ok & ~rves.tangent_valid
+    correct = ok & ~rves.flagged & bool(alg_stress and n)
+    rhs = np.zeros((n, rves.b, 5 if alg_stress else 4))
+    rhs[:, tangent, :4] = rves.dr_dH[tangent].transpose(1, 0, 2)
+    if alg_stress:
+        rhs[:, correct, 4] = rves.r_hat[correct].T
+    x = rhs
+    if n and (tangent | correct).any():
+        x = linalg.solve(geom.layout.factors(rves.stack), rhs)
+        rves.counts[:, AUX_SOLVES] += tangent.astype(np.int64) + correct
+    if tangent.any():
+        sens = np.ascontiguousarray(x[:, tangent, :4].transpose(1, 0, 2))
+        rves.c_tangent[tangent] = rves.dsig_dh[tangent] - rves.dsig_du[tangent] @ sens
+        rves.tangent_valid[tangent] = True
+    sigma = np.where(ok[:, None], rves.sigma_bar, 0.0)
+    if correct.any():
+        sigma[correct] -= _matvec(rves.dsig_du[correct], x[:, correct, 4].T)
+    _drop_unstored_factors(rves)
+    return sigma, np.where(ok[:, None, None], rves.c_tangent, 0.0)
+
+
+def _norm2(r):
+    """Per-row 2-norms of r (k, n), each computed as np.linalg.norm does for one row."""
+    return np.sqrt(np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
+
+
+def solve_micro_staggered(rves: RveBatch, h_target, tol_micro, max_iter) -> np.ndarray:
+    """Full micro Newton of every RVE at fixed applied gradients ``h_target`` (b, 4).
+
+    The RVEs iterate in lockstep: each round assembles, in one pass, every
+    RVE that took a Newton step or backtracks, and each RVE goes through
+    exactly the iterates of a loop of its own. An RVE has converged when
+    ||r||_inf <= tol_micro * max(running force, floor); it is marked
+    ``failed`` on a budget overrun, a singular stiffness or a non-finite
+    residual, and the caller cuts the load increment. Returns the
+    iteration counts (b,): a converged RVE counts at least one (the
+    re-check) and leaves its converged assembly for
     :func:`homogenized_tangent_and_alg_stress`.
     """
-    rve.H = np.asarray(h_target, dtype=np.float64).copy()
-    solves = 0
-    asm = assemble(rve)
-    while asm.residual_norm > tol_micro * residual_reference(rve):
-        if solves >= max_iter:
-            raise MicroDivergenceError(-1, solves, asm.residual_norm)
-        ensure_factorization(rve)
-        du = linalg.solve(asm.factorization, asm.r_hat)
-        rve.update_solves += 1
-        solves += 1
+    b = rves.b
+    rves.H = np.array(h_target, dtype=np.float64).reshape(b, 4)
+    rves.failed[:] = False
+    solves = np.zeros(b, dtype=np.int64)
+    step, r_prev = np.ones(b), np.zeros(b)
+    du = np.zeros_like(rves.u_hat)
+    live = np.ones(b, dtype=bool)
+    search = np.zeros(b, dtype=bool)
+    assemble(rves)
+    while True:
+        live &= ~rves.failed
         # Backtracking keeps the update inside the convergence basin. The
         # Newton direction descends the residual 2-norm (exact tangent), so
         # acceptance tests that norm; convergence stays on the inf-norm.
-        r_prev = float(np.linalg.norm(asm.r_hat))
-        step = 1.0
-        while True:
-            rve.u_hat -= step * du
-            asm = assemble(rve)
-            if float(np.linalg.norm(asm.r_hat)) <= r_prev or step <= 0.03125:
-                break
-            rve.u_hat += step * du
-            step *= 0.5
-    return max(1, solves)
+        back = search & live & (_norm2(rves.r_hat) > r_prev) & (step > 0.03125)
+        rves.u_hat[back] += step[back, None] * du[back]
+        step[back] *= 0.5
+        rves.u_hat[back] -= step[back, None] * du[back]
+        check = live & ~back
+        live &= ~(check & (rves.residual_norm <= tol_micro * residual_reference(rves)))
+        rves.failed |= check & live & (solves >= max_iter)
+        go = check & live & ~rves.failed
+        _ensure_factorization(rves, go)
+        go &= ~rves.failed
+        if go.any():
+            rhs = np.zeros((rves.geom.n_reduced, b, 1))
+            rhs[:, go, 0] = rves.r_hat[go].T
+            du[go] = linalg.solve(rves.geom.layout.factors(rves.stack), rhs)[:, go, 0].T
+            rves.counts[go, UPDATE_SOLVES] += 1
+            solves[go] += 1
+            r_prev[go] = _norm2(rves.r_hat[go])
+            step[go] = 1.0
+            rves.u_hat[go] -= step[go, None] * du[go]
+        search = back | go
+        if not search.any():
+            return np.maximum(solves, 1)
+        assemble(rves, search)
 
 
-def micro_update_monolithic(rves, delta_h) -> np.ndarray:
+def micro_update_monolithic(rves: RveBatch, delta_h) -> np.ndarray:
     """Condensation displacement update: du = -k^-1 (r + dr/dH * dH).
 
-    ``rves`` fill consecutive slots of one factor stack, ``delta_h`` is
-    shaped (b, 4) and ``du`` (b, n) is returned. Exactly one linear solve
-    per RVE, all in one stacked call; no inner iteration. Uses the retained
-    factorization when present, otherwise refactorizes the cached stiffness
-    (plain monolithic mode).
+    ``delta_h`` is shaped (b, 4) and ``du`` (b, n) is returned. Exactly one
+    linear solve per RVE, all in one stacked call; no inner iteration. Uses
+    the retained factor when valid, otherwise refactorizes the cached
+    stiffness (plain monolithic mode). This starts a sweep: ``failed`` is
+    cleared, and an RVE whose stiffness is singular is marked failed and
+    not updated.
     """
-    batch = _batch(rves)
-    delta_h = np.asarray(delta_h, dtype=np.float64).reshape(len(batch), 4)
-    n = batch[0].geom.n_reduced if batch else 0
-    du = np.zeros((len(batch), n))
-    if n:
-        rhs = np.empty((n, len(batch), 1))
-        for i, p in enumerate(batch):
-            ensure_factorization(p)
-            rhs[:, i, 0] = p.cached.r_hat + p.cached.dr_dH @ delta_h[i]
-        du = -_stacked_solve(batch, rhs)[:, :, 0].T
-    for i, p in enumerate(batch):
-        if n:
-            p.update_solves += 1
-            p.u_hat += du[i]
-            if not p.store_factorization and not p.cached.flagged:
-                p.cached.factorization = None
-        p.H = p.H + delta_h[i]
+    geom, b = rves.geom, rves.b
+    delta_h = np.asarray(delta_h, dtype=np.float64).reshape(b, 4)
+    rves.failed[:] = False
+    du = np.zeros((b, geom.n_reduced))
+    if geom.n_reduced:
+        _ensure_factorization(rves, np.ones(b, dtype=bool))
+        rhs = (rves.r_hat + _matvec(rves.dr_dH, delta_h)).T[:, :, None]
+        du = -linalg.solve(geom.layout.factors(rves.stack), rhs)[:, :, 0].T
+        du[rves.failed] = 0.0
+        rves.counts[~rves.failed, UPDATE_SOLVES] += 1
+        rves.u_hat += du
+        _drop_unstored_factors(rves)
+    rves.H = rves.H + delta_h
     return du
 
 
-def commit(rve: RveProblem):
+def commit(rves: RveBatch):
     """Accept the trial states of the current assembly as converged."""
-    asm = rve.cached
-    rve.states = [s.copy() for s in asm.trial_states]
-    rve.active_committed = asm.active.copy()
-    rve.last_step_linear = asm.linear_now
-    rve.u_hat_nm1 = rve.u_hat_n
-    rve.u_hat_n = rve.u_hat.copy()
-    rve.H_n = rve.H.copy()
-    rve.n_commits += 1
+    rves.states = [s.copy() for s in rves.trial]
+    rves.active_committed = rves.active.copy()
+    rves.last_step_linear = rves.linear_now.copy()
+    rves.u_hat_nm1 = rves.u_hat_n
+    rves.u_hat_n = rves.u_hat.copy()
+    rves.H_n = rves.H.copy()
+    rves.n_commits += 1
 
 
-def rollback(rve: RveProblem):
+def rollback(rves: RveBatch):
     """Restore the last committed displacements and reassemble there."""
-    rve.u_hat = rve.u_hat_n.copy()
-    rve.H = rve.H_n.copy()
-    assemble(rve)
+    rves.u_hat = rves.u_hat_n.copy()
+    rves.H = rves.H_n.copy()
+    assemble(rves)
 
 
-def begin_increment(rve: RveProblem):
-    rve.ref_force = 0.0
+def begin_increment(rves: RveBatch, extrapolate_ratio=None):
+    """Reset the running reference force; with a ratio, extrapolate u_hat.
+
+    The linear displacement predictor uses the last two committed states.
+    """
+    rves.ref_force[:] = 0.0
+    if extrapolate_ratio is not None and rves.n_commits >= 2:
+        rves.u_hat = rves.u_hat_n + extrapolate_ratio * (rves.u_hat_n - rves.u_hat_nm1)
 
 
-def extrapolate_u_hat(rve: RveProblem, dt_ratio: float):
-    """Linear displacement predictor from the last two committed states."""
-    if rve.n_commits >= 2:
-        rve.u_hat = rve.u_hat_n + dt_ratio * (rve.u_hat_n - rve.u_hat_nm1)
-
-
-def committed_alpha_bar(rve: RveProblem) -> np.ndarray:
-    """Accumulated plastic strain per integration point, global ip order."""
-    out = np.zeros(rve.geom.n_ip)
-    for idx, states in zip(rve.geom.mat_groups, rve.states):
-        out[idx] = states.alpha_bar
+def committed_alpha_bar(rves: RveBatch) -> np.ndarray:
+    """Accumulated plastic strain per RVE and integration point, (b, n_ip)."""
+    out = np.zeros((rves.b, rves.geom.n_ip))
+    for idx, states in zip(rves.geom.mat_groups, rves.states):
+        out[:, idx] = states.alpha_bar.reshape(rves.b, len(idx))
     return out

@@ -149,13 +149,13 @@ class TestCriterion3MicroSolveSavings:
 class TestCriterion4ConsistentTangent:
     def _fd_check(self, geom, h_star, label):
         def converged_sigma(h):
-            p = R.RveProblem(geom)
+            p = R.RveBatch(geom)
             R.solve_micro_staggered(p, h, 1e-12, 60)
-            return p.cached.sigma_bar
+            return p.sigma_bar
 
-        p = R.RveProblem(geom)
+        p = R.RveBatch(geom)
         R.solve_micro_staggered(p, h_star, 1e-12, 60)
-        c_tangent = R.homogenized_tangent_and_alg_stress([p], alg_stress=False)[1][0]
+        c_tangent = R.homogenized_tangent_and_alg_stress(p, alg_stress=False)[1][0]
         fd = np.empty((4, 4))
         step = 1e-6
         for c in range(4):
@@ -200,33 +200,33 @@ class TestCriterion5HomogenizationIdentities:
         rng = np.random.default_rng(5)
 
         lam_geom = R.MicroGeometry(rve_laminate(ELASTIC, STIFF, n=4))
-        p = R.RveProblem(lam_geom)
+        p = R.RveBatch(lam_geom)
         p.H = h_mixed.copy()
         p.u_hat = 1e-3 * rng.standard_normal(lam_geom.n_reduced)
         assert np.abs(R.average_gradient(p) - h_mixed).max() <= 1e-10
 
         por_geom = R.MicroGeometry(rve_porous_tri(PLASTIC, n=6))
-        q = R.RveProblem(por_geom)
+        q = R.RveBatch(por_geom)
         R.solve_micro_staggered(q, h_mixed, 1e-11, 40)
         assert np.abs(R.boundary_average_gradient(q) - h_mixed).max() <= 1e-10
         sv = R.volume_average_stress(q)
-        assert np.abs(q.cached.sigma_bar - sv).max() <= 1e-10 * np.abs(sv).max() + 1e-13
+        assert np.abs(q.sigma_bar - sv).max() <= 1e-10 * np.abs(sv).max() + 1e-13
 
-        f = q.cached.f_full.reshape(-1, 2)
+        f = q.f_full.reshape(-1, 2)
         fmax = np.abs(f).max()
         for plus, minus, _ in por_geom.pmap.pairs:
             if minus != por_geom.pmap.anchor_node:
                 assert np.abs(f[plus] + f[minus]).max() <= 1e-9 * fmax
 
         hom_geom = R.MicroGeometry(rve_laminate(ELASTIC, ELASTIC, n=4))
-        phom = R.RveProblem(hom_geom)
+        phom = R.RveBatch(hom_geom)
         R.solve_micro_staggered(phom, h_mixed, 1e-11, 10)
-        c_hom = R.homogenized_tangent_and_alg_stress([phom], alg_stress=False)[1][0]
+        c_hom = R.homogenized_tangent_and_alg_stress(phom, alg_stress=False)[1][0]
         assert np.abs(c_hom - ELASTIC.stiffness()).max() <= 1e-9 * ELASTIC.E
 
-        plam = R.RveProblem(lam_geom)
+        plam = R.RveBatch(lam_geom)
         R.solve_micro_staggered(plam, np.zeros(4), 1e-11, 10)
-        c_lam = R.homogenized_tangent_and_alg_stress([plam], alg_stress=False)[1][0]
+        c_lam = R.homogenized_tangent_and_alg_stress(plam, alg_stress=False)[1][0]
         from tests_support import laminate_closed_form
 
         expected = laminate_closed_form((ELASTIC, STIFF), (0.5, 0.5))

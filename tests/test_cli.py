@@ -1,9 +1,15 @@
 """Tests for configuration loading, artifacts, and the command line."""
 
+import contextlib
+import io
 import json
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fescale.benchmarks import grid_quads
 from fescale.cli import (
@@ -120,6 +126,7 @@ class TestMeshFile:
         (line, column, "x") for line, column in NUMERIC_FIELDS
     ] + [
         (1, 1, "1.5"), (2, 0, "1.5"), (5, 1, "1.5"), (6, 0, "1.5"), (6, 3, "1.5"),
+        (2, 1, "1e400"), (3, 2, "nan"),
     ])
     def test_non_numeric_token_reports_line(self, tmp_path, line, column, token):
         rows = [row.split() for row in SMALL_MESH]
@@ -127,6 +134,12 @@ class TestMeshFile:
         path = tmp_path / "bad.mesh"
         path.write_text("".join(" ".join(row) + "\n" for row in rows))
         with pytest.raises(ConfigError, match=f"bad.mesh:{line + 1}: expected an? "):
+            read_mesh(path)
+
+    def test_count_beyond_the_end_reports_the_end(self, tmp_path):
+        path = tmp_path / "bad.mesh"
+        path.write_text("fescale-mesh 2\nnodes 99999999999\n0 0.0 0.0\n")
+        with pytest.raises(ConfigError, match="bad.mesh:4: unexpected end of file"):
             read_mesh(path)
 
     def test_missing_header(self, tmp_path):
@@ -278,10 +291,27 @@ class TestCustomMeshRun:
         assert main(["run", str(path)]) == 2
         assert "rve: the pixelated feature removes every element" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("spec", [{"E": "x", "nu": 0.3}, {"E": None, "nu": 0.3}, [100.0, 0.3]])
-    def test_malformed_material_is_a_config_error(self, tmp_path, capsys, spec):
+    @pytest.mark.parametrize("spec, message", [
+        pytest.param({"E": "x", "nu": 0.3}, "materials[0].E: expected float, got 'x'", id="spec0"),
+        pytest.param({"E": None, "nu": 0.3}, "materials[0].E: expected float, got None", id="spec1"),
+        pytest.param([100.0, 0.3], "materials[0]: expected an object, got [100.0, 0.3]", id="spec2"),
+        pytest.param({"E": True, "nu": 0.3}, "materials[0].E: expected float, got True", id="spec3"),
+        pytest.param({"E": "2e5", "nu": "0.3"}, "materials[0].E: expected float, got '2e5'",
+                     id="spec4"),
+        pytest.param({"E": 100.0, "nu": 0.3, "sigma0": "1e2"},
+                     "materials[0].sigma0: expected float, got '1e2'", id="spec5"),
+        pytest.param({"E": 100.0}, "materials[0].nu: missing", id="spec6"),
+        pytest.param({"E": 100.0, "nu": 0.3, "G": 38.0}, "materials[0]: unknown fields ['G']",
+                     id="spec7"),
+        pytest.param({"E": -1.0, "nu": 0.3}, "materials[0]: Young's modulus must be positive",
+                     id="spec8"),
+        pytest.param({"E": 100.0, "nu": 0.3, "sigma0": float("inf")},
+                     "materials[0]: initial yield stress must be positive and finite", id="spec9"),
+    ])
+    def test_malformed_material_is_a_config_error(self, tmp_path, capsys, spec, message):
         assert main(["run", str(write_bar_config(tmp_path, materials=[spec]))]) == 2
-        assert "invalid material spec" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestFieldTypes:
@@ -295,6 +325,9 @@ class TestFieldTypes:
         ({"overrides": {"n_macro": 3.0}}, "overrides.n_macro: expected int, got 3.0"),
         ({"elastic_only": "yes"}, "elastic_only: expected bool, got 'yes'"),
         ({"schemes": 5}, "schemes: expected a list, got 5"),
+        ({"schemes": [[]]}, "schemes: expected str, got []"),
+        ({"benchmark": []}, "benchmark: expected str, got []"),
+        ({"name": "a/b"}, "name: 'a/b' must not contain a path separator"),
     ])
     def test_wrong_type_is_a_config_error_before_any_solve(self, tmp_path, capsys, extra, message):
         path = write_tiny_config(tmp_path, output_dir="typed", **extra)
@@ -352,6 +385,22 @@ class TestModelErrorsBeforeAnyFile:
         assert main(["run", str(path)]) == 2
         assert ("overrides {'ny': 1}: the macro mesh falls apart into 2 pieces that share "
                 "no element edge") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mesh, line, text, message", [
+        pytest.param("macro.mesh", 6, "elements 0", "the macro mesh has no element", id="macro"),
+        pytest.param("micro.mesh", 6, "elements 0", "rve: the micro mesh has no element",
+                     id="micro"),
+        pytest.param("macro.mesh", 7, "0 quad4 0 2 3 1", "element 0: non-positive Jacobian",
+                     id="inverted"),
+    ])
+    def test_bad_mesh_is_a_config_error(self, tmp_path, capsys, mesh, line, text, message):
+        path = write_bar_config(tmp_path)
+        lines = (tmp_path / mesh).read_text().splitlines()
+        lines[line] = text
+        (tmp_path / mesh).write_text("\n".join(lines) + "\n")
+        assert main(["run", str(path)]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name, overrides, message", [
@@ -431,3 +480,63 @@ class TestMainEntry:
         assert main(["run", str(path)]) == 2
         assert f"FESCALE_WORKERS: expected an integer >= 1, got {env!r}" in capsys.readouterr().err
         assert not (tmp_path / "wk_bad").exists()
+
+
+# Fuzzing through the command line: a malformed config or mesh file ends
+# with exit 2 (a configuration error) or a clean run (exit 0, or 1 when a
+# scheme does not converge), never with an exception. Examples are drawn
+# from a fixed seed and every run is serial, so the tests are deterministic.
+FUZZ = settings(derandomize=True, max_examples=100, deadline=None, database=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 9) | st.floats(-1e3, 1e3)
+                | st.sampled_from([float("nan"), float("inf"), 0.5, 1e300])
+                | st.text("abx-/ .", max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["E", "nu", "sigma0", "h", "n", "x"]), inner, max_size=3),
+    max_leaves=6)
+CONFIG_FIELDS = ["name", "benchmark", "schemes", "overrides", "elastic_only", "rve",
+                 "materials", "dirichlet", "point_loads", "control_dof", "reaction_dofs"]
+MESH_TOKENS = st.sampled_from(["0", "1", "2", "3", "4", "-1", "9", "0.5", "1e400", "nan",
+                               "99999999999", "tri3", "quad4", "nodes", "elements", "x"])
+
+
+def run_cli(config_path):
+    """Exit code and stderr of ``fescale run``; an exception fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", str(config_path)])
+    assert code in (0, 1, 2), err.getvalue()
+    assert (code == 2) == ("error:" in err.getvalue()), err.getvalue()
+    return code
+
+
+class TestFuzz:
+    @FUZZ
+    @given(edits=st.dictionaries(st.sampled_from(CONFIG_FIELDS), JSON_VALUES
+                                 | st.sampled_from(["laminate", "composite", "porous-square"]),
+                                 min_size=1, max_size=3))
+    def test_malformed_config_exits_2_or_runs(self, edits, monkeypatch):
+        monkeypatch.delenv("FESCALE_WORKERS", raising=False)
+        with tempfile.TemporaryDirectory() as tmp:
+            run_cli(write_bar_config(pathlib.Path(tmp), **edits))
+
+    @FUZZ
+    @given(which=st.sampled_from(["macro.mesh", "micro.mesh"]), data=st.data())
+    def test_malformed_mesh_exits_2_or_runs(self, which, data, monkeypatch):
+        monkeypatch.delenv("FESCALE_WORKERS", raising=False)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_bar_config(pathlib.Path(tmp))
+            lines = (pathlib.Path(tmp) / which).read_text().splitlines()
+            k = data.draw(st.integers(0, len(lines)))
+            edit = data.draw(st.sampled_from(["token", "replace", "insert", "truncate"]))
+            if edit == "token" and k < len(lines):
+                tokens = lines[k].split()
+                tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(MESH_TOKENS)
+                lines[k] = " ".join(tokens)
+            elif edit == "truncate":
+                lines = lines[:k]
+            else:
+                lines[k:k + (edit == "replace")] = [" ".join(data.draw(st.lists(MESH_TOKENS, max_size=5)))]
+            (pathlib.Path(tmp) / which).write_text("\n".join(lines) + "\n")
+            run_cli(cfg)

@@ -21,26 +21,28 @@ def plate_hole_rve(request):
     n_micro, n = request.param
     geom = R.MicroGeometry(rve_porous_quad(default_materials("plate-hole-tension"), n=n_micro))
     assert geom.layout.n == n
-    p = R.RveProblem(geom)
-    p.H = np.array([0.0, 0.01, 0.01, 0.004])
-    return geom, R.assemble(p).k_t
+    p = R.RveBatch(geom)
+    p.H[0] = [0.0, 0.01, 0.01, 0.004]
+    R.assemble(p)
+    return geom, geom.pattern.with_values(p.kvals[0])
 
 
 def test_rve_assemble_plastic(benchmark):
     # plastic trial state: every call evaluates the material and assembles
     # the stiffness and sensitivities (nothing is carried over)
-    p = R.RveProblem(R.MicroGeometry(rve_porous_quad(default_materials("plate-hole-tension"), n=8)))
-    p.H = np.array([0.0, 0.01, 0.01, 0.004])
-    assert R.assemble(p).plastic_flow
+    p = R.RveBatch(R.MicroGeometry(rve_porous_quad(default_materials("plate-hole-tension"), n=8)))
+    p.H[0] = [0.0, 0.01, 0.01, 0.004]
+    R.assemble(p)
+    assert p.plastic_flow[0]
     benchmark(R.assemble, p)
 
 
 def test_material_evaluate_batch_plastic(benchmark, plate_hole_rve):
     # every integration point of the RVE in a plastic trial state
     geom, _ = plate_hole_rve
-    p = R.RveProblem(geom)
-    p.H = np.array([0.0, 0.01, 0.01, 0.004])
-    h = geom.plan.gradients(R.full_displacement(p))
+    p = R.RveBatch(geom)
+    p.H[0] = [0.0, 0.01, 0.01, 0.004]
+    h = geom.plan.gradients(R.full_displacement(p))[0]
     (mat,), (states,) = geom.model.materials, p.states
     assert material.evaluate_batch(mat, h, states)[3].any()
     benchmark(material.evaluate_batch, mat, h, states)

@@ -330,11 +330,11 @@ class TestStackedSolve:
 
 def plastic_micro_stiffness(micro):
     """Reduced tangent stiffness of one RVE of ``micro`` at a plastic state."""
-    p = R.RveProblem(R.MicroGeometry(micro))
-    p.H = np.array([0.0, 0.01, 0.01, 0.004])
-    asm = R.assemble(p)
-    assert asm.plastic_flow
-    return asm.k_t
+    p = R.RveBatch(R.MicroGeometry(micro))
+    p.H[0] = [0.0, 0.01, 0.01, 0.004]
+    R.assemble(p)
+    assert p.plastic_flow[0]
+    return p.geom.pattern.with_values(p.kvals[0])
 
 
 def elastic_macro_stiffness(name, **sizes):

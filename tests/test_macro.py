@@ -15,10 +15,9 @@ from fescale.benchmarks import (
     rve_porous_tri,
     rve_single_element,
 )
-from fescale import linalg
+from fescale import linalg, macro
 from fescale.errors import (
     MeshQualityError,
-    MicroDivergenceError,
     SingularMatrixError,
     StructuralError,
 )
@@ -400,21 +399,41 @@ class TestWorkerFailures:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kernel", ["factorize", "solve"])
     def test_worker_error_keeps_its_type(self, workers, kernel, monkeypatch):
-        # forked workers inherit the patch; the first micro factorization
-        # (while a worker builds its shard) or the first micro solve fails
+        # A numerical failure inside a micro sweep (every micro factorize
+        # fails, or every micro solve returns NaN) cuts the load until the
+        # run gives up, at any worker count. A factorization that fails
+        # while a worker builds its shard raises with its type; forked
+        # workers inherit the patches.
         def singular(*args, **kwargs):
             raise SingularMatrixError(3, 0.0)
 
-        monkeypatch.setattr(linalg, kernel, singular)
-        settings = SolverSettings(dt_initial=0.25, dt_max=0.25, parallel_workers=workers, **TIGHT)
+        def not_finite(f, rhs):
+            return np.full(np.shape(rhs), np.nan)
+
+        sweep = macro._Shard.monolithic
+
+        def broken_sweep(shard, *args):
+            with monkeypatch.context() as m:
+                m.setattr(linalg, kernel, singular if kernel == "factorize" else not_finite)
+                return sweep(shard, *args)
+
+        settings = SolverSettings(dt_initial=0.25, dt_max=0.25, dt_min=0.01,
+                                  parallel_workers=workers, **TIGHT)
         model = build_benchmark("notched-shear", "monolithic-stored", n_macro=3, n_micro=3)
-        with pytest.raises(SingularMatrixError) as exc:
-            run(model, settings)
-        assert exc.value.pivot_index == 3
+        with monkeypatch.context() as m:
+            m.setattr(macro._Shard, "monolithic", broken_sweep)
+            rep = run(model, settings)
+        assert not rep.converged
+        assert rep.records[-1].cut_events > 0 and not rep.records[-1].converged
+        if kernel == "factorize":
+            monkeypatch.setattr(linalg, kernel, singular)
+            with pytest.raises(SingularMatrixError) as exc:
+                run(model, settings)
+            assert exc.value.pivot_index == 3
 
     def test_errors_survive_pickling(self):
-        for exc in (SingularMatrixError(3, 1e-20), MicroDivergenceError(2, 7, 0.5),
-                    MeshQualityError(4, -1.0), StructuralError("bad shape")):
+        for exc in (SingularMatrixError(3, 1e-20), MeshQualityError(4, -1.0),
+                    StructuralError("bad shape")):
             back = pickle.loads(pickle.dumps(exc))
             assert type(back) is type(exc)
             assert str(back) == str(exc)
