@@ -1,17 +1,15 @@
-"""Linear algebra substrate.
+"""Linear algebra substrate: retained dense factors from numpy's LAPACK.
 
-CSR matrices with a structurally symmetric pattern, and retained dense
-factors computed by numpy's LAPACK. The retained factor of a matrix is its
-inverse: a factorization scatters the CSR values into a dense buffer and
-inverts it, and every later solve is one matrix-vector product per
+The retained factor of a matrix is its inverse: a factorization inverts a
+dense matrix, and every later solve is one matrix-vector product per
 right-hand-side column. A solve never mutates the factorization. Matrices of
-one pattern can be factorized into the slots of one stack and solved
-together in one stacked call, bit for bit as if solved one by one.
+one size can be factorized into the slots of one stack (:func:`empty_stack`)
+and solved together in one stacked call, bit for bit as if solved one by one.
 
 Dense storage bounds the size: a system of more than ``MAX_DENSE_N``
 unknowns is refused when a two-scale model is built. Reverse Cuthill-McKee
-ordering stays available for patterns (:func:`compute_ordering`); the
-dense kernel does not need it.
+ordering of a matrix's nonzero pattern stays available
+(:func:`compute_ordering`); the dense kernel does not need it.
 """
 
 from __future__ import annotations
@@ -28,147 +26,6 @@ PIVOT_RTOL = 1e-14
 # Largest dense system: one retained factor takes n^2 * 8 bytes (2.9 MB at
 # n = 600) per RVE, and its inversion grows as n^3.
 MAX_DENSE_N = 600
-
-
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Square sparse matrix in compressed sparse row format.
-
-    Within each row the column indices are strictly increasing, and the
-    pattern is expected to be structurally symmetric (entry (i, j) present
-    iff (j, i) is); :func:`compute_ordering` checks this once per pattern.
-    """
-
-    n_rows: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        ro, ci, v = self.row_offsets, self.col_indices, self.values
-        if len(ro) != self.n_rows + 1 or ro[0] != 0 or ro[-1] != len(ci):
-            raise StructuralError("inconsistent row offsets")
-        if len(v) != len(ci):
-            raise StructuralError("values/col_indices length mismatch")
-        if np.any(np.diff(ro) < 0):
-            raise StructuralError("row offsets must be nondecreasing")
-
-    @classmethod
-    def from_coo(cls, n, rows, cols, values=None):
-        """Build from triplets, summing duplicates and sorting each row."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
-            raise StructuralError("triplet index out of range")
-        if values is None:
-            values = np.zeros(rows.shape, dtype=np.float64)
-        else:
-            values = np.asarray(values, dtype=np.float64)
-        # lexicographic sort by (row, col), then reduce duplicates
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
-        if rows.size:
-            keep = np.empty(rows.shape, dtype=bool)
-            keep[0] = True
-            keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            group = np.cumsum(keep) - 1
-            summed = np.zeros(int(group[-1]) + 1, dtype=np.float64)
-            np.add.at(summed, group, values)
-            rows, cols, values = rows[keep], cols[keep], summed
-        row_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(row_offsets, rows + 1, 1)
-        np.cumsum(row_offsets, out=row_offsets)
-        return cls(n, row_offsets, cols, values)
-
-    @classmethod
-    def from_dense(cls, a):
-        a = np.asarray(a, dtype=np.float64)
-        rows, cols = np.nonzero(a)
-        return cls.from_coo(a.shape[0], rows, cols, a[rows, cols])
-
-    def to_dense(self):
-        a = np.zeros((self.n_rows, self.n_rows))
-        rows = np.repeat(np.arange(self.n_rows), np.diff(self.row_offsets))
-        a[rows, self.col_indices] = self.values
-        return a
-
-    def row_of_entries(self):
-        return np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.row_offsets))
-
-    def bandwidth(self):
-        if len(self.col_indices) == 0:
-            return 0
-        return int(np.max(np.abs(self.row_of_entries() - self.col_indices)))
-
-    def is_structurally_symmetric(self):
-        rows = self.row_of_entries()
-        fwd = set(zip(rows.tolist(), self.col_indices.tolist()))
-        return all((j, i) in fwd for (i, j) in fwd)
-
-    def with_values(self, values):
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != self.values.shape:
-            raise StructuralError("value array shape mismatch")
-        return SparseMatrix(self.n_rows, self.row_offsets, self.col_indices, values)
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on [0, n): forward maps old->new, inverse maps new->old."""
-
-    forward: np.ndarray
-    inverse: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.forward)
-        if len(self.inverse) != n or not np.array_equal(self.forward[self.inverse], np.arange(n)):
-            raise StructuralError("forward/inverse are not mutually inverse")
-
-    @classmethod
-    def identity(cls, n):
-        idx = np.arange(n, dtype=np.int64)
-        return cls(idx, idx.copy())
-
-    @classmethod
-    def from_forward(cls, forward):
-        forward = np.asarray(forward, dtype=np.int64)
-        inverse = np.empty_like(forward)
-        inverse[forward] = np.arange(len(forward), dtype=np.int64)
-        return cls(forward, inverse)
-
-
-@dataclass(frozen=True)
-class DenseLayout:
-    """Where the entries of one sparsity pattern sit in a dense (n, n) matrix.
-
-    Built once per pattern: ``flat`` holds the row-major index i * n + j of
-    every stored entry, so a matrix of the pattern scatters into a dense
-    buffer in one indexed assignment.
-    """
-
-    n: int
-    flat: np.ndarray
-
-    @classmethod
-    def of(cls, pattern: SparseMatrix) -> DenseLayout:
-        n = pattern.n_rows
-        return cls(n, pattern.row_of_entries() * n + pattern.col_indices)
-
-    def empty_stack(self, count) -> np.ndarray:
-        """Writable ``(count, n, n)`` stack of retained factors, one slot per matrix.
-
-        Slots start as the identity, so a stacked solve through a slot that
-        was never factorized returns its right-hand side unchanged.
-        """
-        stack = np.zeros((count, self.n, self.n))
-        np.einsum("kii->ki", stack)[:] = 1.0
-        return stack
-
-    def factors(self, stack) -> Factorization:
-        """Read-only factorization view of one slot or of a stack of slots."""
-        view = stack.view()
-        view.setflags(write=False)
-        return Factorization(self.n, view)
 
 
 @dataclass(frozen=True)
@@ -189,11 +46,27 @@ class Factorization:
         return max(self.n - 1, 0)
 
 
-def _adjacency(pattern: SparseMatrix):
-    """Neighbor lists (diagonal excluded) of the pattern graph."""
-    cols = pattern.col_indices
-    off = pattern.row_offsets
-    return [cols[off[i]:off[i + 1]][cols[off[i]:off[i + 1]] != i] for i in range(pattern.n_rows)]
+def empty_stack(count, n) -> np.ndarray:
+    """Writable ``(count, n, n)`` stack of retained factors, one slot per matrix.
+
+    Slots start as the identity, so a stacked solve through a slot that was
+    never factorized returns its right-hand side unchanged.
+    """
+    stack = np.zeros((count, n, n))
+    np.einsum("kii->ki", stack)[:] = 1.0
+    return stack
+
+
+def factors(stack) -> Factorization:
+    """Read-only factorization view of one slot or of a stack of slots."""
+    view = stack.view()
+    view.setflags(write=False)
+    return Factorization(stack.shape[-1], view)
+
+
+def _adjacency(nz):
+    """Neighbor lists (diagonal excluded) of the graph of a nonzero pattern."""
+    return [np.flatnonzero(row) for row in nz & ~np.eye(len(nz), dtype=bool)]
 
 
 def _pseudo_peripheral(adj, start, degrees):
@@ -228,24 +101,26 @@ def _bfs_levels(adj, root):
         levels.append(np.array(level, dtype=np.int64))
 
 
-def compute_ordering(pattern: SparseMatrix) -> Permutation:
-    """Bandwidth-reducing permutation (reverse Cuthill-McKee).
+def compute_ordering(a: np.ndarray) -> np.ndarray:
+    """Bandwidth-reducing ordering (reverse Cuthill-McKee) of the nonzeros of ``a``.
 
-    Deterministic for identical patterns. Requires a structurally symmetric
-    pattern with no empty rows. If RCM would not improve on the natural
-    ordering, the identity permutation is returned so the permuted bandwidth
-    never exceeds the original one.
+    Returns the forward index array: row i of ``a`` becomes row
+    ``forward[i]``. Deterministic for identical patterns. Requires a
+    structurally symmetric pattern with no empty rows. If RCM would not
+    improve on the natural ordering, the identity is returned so the
+    permuted bandwidth never exceeds the original one.
     """
-    n = pattern.n_rows
+    nz = np.asarray(a) != 0
+    n = len(nz)
     if n == 0:
-        return Permutation.identity(0)
-    if np.any(np.diff(pattern.row_offsets) == 0):
+        return np.zeros(0, dtype=np.int64)
+    if not nz.any(axis=1).all():
         raise StructuralError("pattern has an empty row")
-    if not pattern.is_structurally_symmetric():
+    if not np.array_equal(nz, nz.T):
         raise StructuralError("pattern is not structurally symmetric")
 
-    adj = _adjacency(pattern)
-    degrees = np.array([len(a) for a in adj], dtype=np.int64)
+    adj = _adjacency(nz)
+    degrees = np.array([len(nbrs) for nbrs in adj], dtype=np.int64)
     visited = np.zeros(n, dtype=bool)
     order = []
     while len(order) < n:
@@ -265,13 +140,11 @@ def compute_ordering(pattern: SparseMatrix) -> Permutation:
     order.reverse()
     forward = np.empty(n, dtype=np.int64)
     forward[np.array(order, dtype=np.int64)] = np.arange(n, dtype=np.int64)
-    perm = Permutation.from_forward(forward)
 
-    rows = pattern.row_of_entries()
-    new_bw = int(np.max(np.abs(forward[rows] - forward[pattern.col_indices])))
-    if new_bw > pattern.bandwidth():
-        return Permutation.identity(n)
-    return perm
+    rows, cols = np.nonzero(nz)
+    if np.abs(forward[rows] - forward[cols]).max() > np.abs(rows - cols).max():
+        return np.arange(n, dtype=np.int64)
+    return forward
 
 
 def _inf_norm(m):
@@ -293,15 +166,12 @@ def _dependent_row(dense):
     return k, dist[k]
 
 
-def factorize(a: SparseMatrix, layout: DenseLayout | None = None,
-              out: np.ndarray | None = None) -> Factorization:
-    """Retained factor of a sparse matrix: its inverse, from numpy's LAPACK.
+def factorize(a: np.ndarray, out: np.ndarray | None = None) -> Factorization:
+    """Retained factor of a dense square matrix: its inverse, from numpy's LAPACK.
 
-    ``layout`` is the :class:`DenseLayout` of the pattern of ``a`` (built
-    here when not given). ``out`` is a writable slot of
-    :meth:`DenseLayout.empty_stack`: it receives the inverse, and the
-    returned factorization is a view of it; after a failure the slot is
-    left as it was. Without ``out`` a new array is allocated.
+    ``out`` is a writable slot of :func:`empty_stack`: it receives the
+    inverse, and the returned factorization is a view of it; after a failure
+    the slot is left as it was. Without ``out`` a new array is allocated.
 
     A matrix that LAPACK finds singular, whose inverse is not finite, or
     whose condition number ||A||_inf * ||A^-1||_inf reaches 1 / PIVOT_RTOL
@@ -309,27 +179,23 @@ def factorize(a: SparseMatrix, layout: DenseLayout | None = None,
     numerically dependent on the rows before it. The result is reusable for
     any number of subsequent solves.
     """
-    layout = DenseLayout.of(a) if layout is None else layout
-    n = layout.n
-    if a.n_rows != n or len(a.values) != len(layout.flat):
-        raise StructuralError("matrix does not match the dense layout")
-    if out is not None and out.shape != (n, n):
-        raise StructuralError(f"slot shape {out.shape} does not match {(n, n)}")
-    dense = np.zeros(n * n)
-    dense[layout.flat] = a.values
-    dense = dense.reshape(n, n)
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise StructuralError(f"matrix shape {a.shape} is not square")
+    if out is not None and out.shape != a.shape:
+        raise StructuralError(f"slot shape {out.shape} does not match {a.shape}")
     try:
-        inverse = np.linalg.inv(dense)
+        inverse = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         inverse = None
     if (inverse is None or not np.isfinite(inverse).all()
-            or _inf_norm(dense) * _inf_norm(inverse) >= 1.0 / PIVOT_RTOL):
-        raise SingularMatrixError(*_dependent_row(dense))
+            or _inf_norm(a) * _inf_norm(inverse) >= 1.0 / PIVOT_RTOL):
+        raise SingularMatrixError(*_dependent_row(a))
     if out is None:
         out = inverse
     else:
         out[...] = inverse
-    return layout.factors(out)
+    return factors(out)
 
 
 def solve(f: Factorization, rhs: np.ndarray) -> np.ndarray:

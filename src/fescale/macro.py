@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fescale import linalg, material, mesh as fmesh, rve as rvemod
-from fescale.errors import StructuralError
+from fescale.errors import SingularMatrixError, StructuralError
 
 SCHEMES = ("staggered", "monolithic", "monolithic-stored")
 _SCHEME_ALIASES = {"monolithic-stored-factorization": "monolithic-stored"}
@@ -95,7 +95,6 @@ class SolveReport:
     curve: list
     converged: bool
     n_rves: int
-    workers: int
     final_u: np.ndarray = None
     final_alpha: np.ndarray = None
 
@@ -147,18 +146,16 @@ class MacroSystem:
         self.n_free = len(self.free)
         self.floor_force = floor_force
 
-        self.pattern = fmesh.structure_of_stiffness(mesh, dof_map)
-        self.layout = linalg.DenseLayout.of(self.pattern)
-        self.plan = fmesh.AssemblyPlan(mesh, dof_map, self.pattern)
+        self.plan = fmesh.AssemblyPlan(mesh, dof_map)
 
     def gradients(self, u):
         """Displacement gradient at every macro integration point."""
         return self.plan.gradients(u)
 
     def assemble(self, sigma_all, c_all):
-        """Internal force vector and tangent stiffness from per-ip data."""
+        """Internal force vector and dense tangent stiffness from per-ip data."""
         kvals, _ = self.plan.stiffness(c_all)
-        return self.plan.internal_force(sigma_all), self.pattern.with_values(kvals)
+        return self.plan.internal_force(sigma_all), self.plan.dense(kvals)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +177,7 @@ class _Shard:
         # it is inverted once and copied into every slot, so the first
         # condensation update consumes a retained factorization
         rvemod.assemble(self.rves)
-        linalg.factorize(geom.pattern.with_values(self.rves.kvals[0]), geom.layout,
-                         out=self.rves.stack[0])
+        linalg.factorize(geom.plan.dense(self.rves.kvals[0]), out=self.rves.stack[0])
         self.rves.stack[1:] = self.rves.stack[0]
         self.rves.factor_valid[:] = True
 
@@ -388,17 +384,26 @@ class TwoScaleModel:
             raise StructuralError(f"the macro mesh falls apart into {pieces} pieces "
                                   "that share no element edge" if pieces else
                                   "the macro mesh has no element")
-        e_max = max(material.elastic_of(m).E for m in self.micro_model.materials)
+        stiffest = max((material.elastic_of(m) for m in self.micro_model.materials),
+                       key=lambda p: p.E)
         span = self.macro_mesh.nodes.max(axis=0) - self.macro_mesh.nodes.min(axis=0)
         self.system = MacroSystem(
             self.macro_mesh, self.dirichlet, self.point_loads,
-            floor_force=rvemod.FLOOR_SCALE * e_max * float(span.max()),
+            floor_force=rvemod.FLOOR_SCALE * stiffest.E * float(span.max()),
         )
         for what, n in (("macro system", self.system.n_free),
                          ("micro problem", rvemod.build_periodic_map(self.micro_model.mesh).n_reduced)):
             if n > linalg.MAX_DENSE_N:
                 raise StructuralError(f"{what}: {n} unknowns exceed the dense solver's "
                                       f"limit of {linalg.MAX_DENSE_N}")
+        # a rigid-body mode makes the macro stiffness singular at any tangent
+        c = np.broadcast_to(stiffest.stiffness(), (self.n_rves, 4, 4))
+        try:
+            linalg.factorize(self.system.assemble(np.zeros((self.n_rves, 4)), c)[1])
+        except SingularMatrixError as exc:
+            dof = self.system.free[exc.pivot_index]
+            raise StructuralError("dirichlet: the prescribed DOFs leave the macro mesh a rigid-body "
+                                  f"motion (singular elastic stiffness at DOF {dof})") from exc
 
     @property
     def n_rves(self):
@@ -447,8 +452,8 @@ def newton_increment(model, pool, settings, lam, u_start, u_n, record):
     micro residual within tol_micro of its reference, which holds for
     converged staggered micro problems by construction. The attempt fails,
     to be cut by the caller, when a micro problem fails (budget overrun,
-    singular stiffness, non-finite residual) or the macro residual is not
-    finite.
+    singular stiffness, non-finite residual), the macro residual is not
+    finite or the macro tangent is singular.
     """
     sysm = model.system
     u = u_start.copy()
@@ -473,9 +478,14 @@ def newton_increment(model, pool, settings, lam, u_start, u_n, record):
         if converged or k == settings.max_macro_iter or not np.isfinite(rn):
             record.macro_iterations += k
             return (u, f_int) if converged else None
-        du = np.zeros_like(u)
-        du[sysm.free] = -linalg.solve(linalg.factorize(k_t, sysm.layout), r_free)
+        try:
+            factor = linalg.factorize(k_t)
+        except SingularMatrixError:
+            record.macro_iterations += k
+            return None
         record.macro_factorizations += 1
+        du = np.zeros_like(u)
+        du[sysm.free] = -linalg.solve(factor, r_free)
         u += du
     return None
 
@@ -563,6 +573,6 @@ def _run_loop(model, pool, settings):
     return SolveReport(
         scheme=model.scheme, records=records, curve=curve,
         converged=all(r.converged for r in records),
-        n_rves=pool.n_rves, workers=settings.parallel_workers,
+        n_rves=pool.n_rves,
         final_u=u_n.copy(), final_alpha=pool.gather_alpha(),
     )

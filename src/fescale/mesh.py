@@ -5,7 +5,9 @@ bilinear quads (2x2 Gauss). The B-operator of an integration point maps the
 element nodal displacements, interleaved node-major as (ux0, uy0, ux1, ...),
 to the four displacement-gradient components (H11, H12, H21, H22). One
 :class:`AssemblyPlan` per mesh and DOF map computes gradients, internal
-forces and the tangent stiffness for the macro system and every RVE.
+forces and the tangent stiffness for the macro system and every RVE; a
+stiffness is kept as its packed values on the plan's index ``flat`` and
+scattered into a dense matrix when it is factorized.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from fescale.errors import MeshQualityError, StructuralError
-from fescale.linalg import SparseMatrix
 
 TRI3 = "tri3"
 QUAD4 = "quad4"
@@ -169,58 +170,14 @@ def element_dofs(conn):
     return dofs
 
 
-def structure_of_stiffness(mesh: Mesh, dof_map: np.ndarray) -> SparseMatrix:
-    """Sparsity pattern of the stiffness after constraint mapping.
-
-    ``dof_map`` sends each mesh DOF to its reduced equation number or to -1
-    for eliminated DOFs; slave DOFs map onto their master's equation. The
-    pattern holds (i, j) iff reduced DOFs i and j meet in some element, and
-    is structurally symmetric by construction. Values are zero-initialized.
-    """
-    dof_map = np.asarray(dof_map, dtype=np.int64)
-    if len(dof_map) != mesh.n_dofs:
-        raise StructuralError("dof_map must cover every mesh DOF")
-    n_red = int(dof_map.max()) + 1 if dof_map.size and dof_map.max() >= 0 else 0
-    rows, cols = [], []
-    for block in mesh.blocks:
-        red = dof_map[element_dofs(block.connectivity)]  # (n_el, 2n)
-        n = red.shape[1]
-        ri = np.repeat(red, n, axis=1).ravel()
-        ci = np.tile(red, (1, n)).ravel()
-        keep = (ri >= 0) & (ci >= 0)
-        rows.append(ri[keep])
-        cols.append(ci[keep])
-    rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    cols = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-    return SparseMatrix.from_coo(n_red, rows, cols)
-
-
-def build_csr_slots(pattern: SparseMatrix, red_edofs: np.ndarray) -> np.ndarray:
-    """Per-element scatter positions into the CSR value array (-1 = dropped)."""
-    off, ci = pattern.row_offsets, pattern.col_indices
-    n_el, mloc = red_edofs.shape
-    slots = np.full((n_el, mloc, mloc), -1, dtype=np.int64)
-    for e in range(n_el):
-        red = red_edofs[e]
-        cols = np.where(red >= 0, red, 0)
-        for a in range(mloc):
-            ra = red[a]
-            if ra < 0:
-                continue
-            row_cols = ci[off[ra]:off[ra + 1]]
-            pos = np.searchsorted(row_cols, cols)
-            slots[e, a] = np.where(red >= 0, off[ra] + pos, -1)
-    return slots
-
-
 @dataclass(frozen=True)
 class PlanBlock:
     """One element block of an :class:`AssemblyPlan`.
 
     ``red`` holds the reduced equation of every element DOF (-1 =
-    eliminated); ``slots`` are the CSR value positions of the entries of the
-    element stiffness selected by ``kept``; ``ips`` is the block's slice of
-    the global integration-point order.
+    eliminated); ``slots`` are the packed-value positions (in the plan's
+    ``flat``) of the entries of the element stiffness selected by ``kept``;
+    ``ips`` is the block's slice of the global integration-point order.
     """
 
     w: np.ndarray
@@ -235,24 +192,29 @@ class PlanBlock:
 class AssemblyPlan:
     """Element kernel of one mesh under one DOF map, used at both scales.
 
-    Built once per mesh, DOF map and stiffness pattern. Integration points
-    are numbered block by block, element-major then quadrature-local;
+    Built once per mesh and DOF map. A stiffness of the ``n`` reduced
+    equations is kept packed: its values on ``flat``, the sorted row-major
+    indices i * n + j of the reduced DOF pairs (i, j) that meet in some
+    element, which is structurally symmetric by construction. Integration
+    points are numbered block by block, element-major then quadrature-local;
     per-point arrays follow that order.
     """
 
-    def __init__(self, mesh: Mesh, dof_map: np.ndarray, pattern: SparseMatrix):
+    def __init__(self, mesh: Mesh, dof_map: np.ndarray):
         self.n_dofs = mesh.n_dofs
-        self.n_values = len(pattern.values)
+        self.n = n = int(dof_map.max(initial=-1)) + 1
+        reds = [dof_map[element_dofs(block.connectivity)] for block in mesh.blocks]
+        keys = [red[:, :, None] * n + red[:, None, :] for red in reds]
+        kept = [(red[:, :, None] >= 0) & (red[:, None, :] >= 0) for red in reds]
+        self.flat = np.unique(np.concatenate([np.zeros(0, dtype=np.int64)]
+                                             + [k[m] for k, m in zip(keys, kept)]))
         self.blocks = []
         ip_element = [np.zeros(0, dtype=np.int64)]
         first_el = first_ip = 0
-        for block in mesh.blocks:
+        for block, red, key, keep in zip(mesh.blocks, reds, keys, kept):
             w, b, _ = block_operators(mesh, block, first_el)
-            edofs = element_dofs(block.connectivity)
-            red = dof_map[edofs]
-            slots = build_csr_slots(pattern, red)
-            kept = slots >= 0
-            self.blocks.append(PlanBlock(w, b, edofs, red, kept, slots[kept],
+            self.blocks.append(PlanBlock(w, b, element_dofs(block.connectivity), red, keep,
+                                         np.searchsorted(self.flat, key[keep]),
                                          slice(first_ip, first_ip + w.size)))
             ip_element.append(np.repeat(first_el + np.arange(block.n_elements), block.n_quad))
             first_el += block.n_elements
@@ -260,6 +222,12 @@ class AssemblyPlan:
         self.n_ip = first_ip
         self.ip_element = np.concatenate(ip_element)
         self.weights = np.concatenate([np.zeros(0)] + [blk.w.ravel() for blk in self.blocks])
+
+    def dense(self, values):
+        """Dense matrices (..., n, n) of packed stiffness values (..., len(flat))."""
+        out = np.zeros(values.shape[:-1] + (self.n * self.n,))
+        out[..., self.flat] = values
+        return out.reshape(values.shape[:-1] + (self.n, self.n))
 
     def gradients(self, u):
         """Displacement gradients (..., n_ip, 4) of nodal displacements ``u`` (..., n_dofs).
@@ -286,14 +254,14 @@ class AssemblyPlan:
         return f
 
     def stiffness(self, d):
-        """CSR values (..., nnz) of sum B^T w D B, and each block's element stiffness.
+        """Packed values (..., len(flat)) of sum B^T w D B, and each block's element stiffness.
 
         ``d`` holds per-point tangents (..., n_ip, 4, 4). Element stiffnesses
         are returned whole, (..., n_el, 2*n_en, 2*n_en) per block; only
-        entries on reduced rows and columns enter the CSR values.
+        entries on reduced rows and columns enter the packed values.
         """
         lead = d.shape[:-3]
-        kvals = np.zeros(lead + (self.n_values,))
+        kvals = np.zeros(lead + (len(self.flat),))
         kes = []
         for blk in self.blocks:
             dw = blk.w[..., None, None] * d[..., blk.ips, :, :].reshape(lead + blk.w.shape + (4, 4))

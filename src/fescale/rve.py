@@ -192,10 +192,7 @@ class MicroGeometry:
         self.boundary_nodes = np.flatnonzero(on_box)
         self.tol_geom = tol
 
-        self.pattern = fmesh.structure_of_stiffness(m, self.pmap.dof_map)
-        self.layout = linalg.DenseLayout.of(self.pattern)
-
-        self.plan = fmesh.AssemblyPlan(m, self.pmap.dof_map, self.pattern)
+        self.plan = fmesh.AssemblyPlan(m, self.pmap.dof_map)
         self.n_ip = self.plan.n_ip
         self.weights_flat = self.plan.weights
         self.ip_mat = model.mat_ids[self.plan.ip_element]
@@ -257,7 +254,7 @@ class RveBatch:
     def __init__(self, geom: MicroGeometry, count: int = 1, store_factorization: bool = True):
         b, n, n_ip = count, geom.n_reduced, geom.n_ip
         self.geom, self.b, self.store_factorization = geom, b, store_factorization
-        self.stack = geom.layout.empty_stack(b)
+        self.stack = linalg.empty_stack(b, n)
         self.states = [material.StateBatch.virgin(b * len(g)) for g in geom.mat_groups]
         self.trial = [s.copy() for s in self.states]
         self.active_committed = np.zeros((b, n_ip), dtype=bool)
@@ -267,7 +264,7 @@ class RveBatch:
         self.n_commits = 0
         self.ref_force = np.zeros(b)
         self.r_hat = np.zeros((b, n))
-        self.kvals = np.zeros((b, len(geom.pattern.values)))
+        self.kvals = np.zeros((b, len(geom.plan.flat)))
         self.dr_dH = np.zeros((b, n, 4))
         # each RVE's (4, n) block is column-major, as the transpose it is
         # computed as, which fixes the BLAS kernel of its products
@@ -378,7 +375,7 @@ def _ensure_factorization(rves: RveBatch, need):
     geom = rves.geom
     for i in np.flatnonzero(need & ~rves.factor_valid & ~rves.failed):
         try:
-            linalg.factorize(geom.pattern.with_values(rves.kvals[i]), geom.layout, out=rves.stack[i])
+            linalg.factorize(geom.plan.dense(rves.kvals[i]), out=rves.stack[i])
         except SingularMatrixError:
             rves.failed[i] = True
             continue
@@ -432,7 +429,7 @@ def homogenized_tangent_and_alg_stress(rves: RveBatch, alg_stress=True):
     left out and the stress is sigma_bar. A ``failed`` RVE gets no solve
     and zero rows.
     """
-    geom, n = rves.geom, rves.geom.n_reduced
+    n = rves.geom.n_reduced
     if n:
         _ensure_factorization(rves, ~rves.tangent_valid | (alg_stress & ~rves.flagged))
     ok = ~rves.failed
@@ -444,7 +441,7 @@ def homogenized_tangent_and_alg_stress(rves: RveBatch, alg_stress=True):
         rhs[:, correct, 4] = rves.r_hat[correct].T
     x = rhs
     if n and (tangent | correct).any():
-        x = linalg.solve(geom.layout.factors(rves.stack), rhs)
+        x = linalg.solve(linalg.factors(rves.stack), rhs)
         rves.counts[:, AUX_SOLVES] += tangent.astype(np.int64) + correct
     if tangent.any():
         sens = np.ascontiguousarray(x[:, tangent, :4].transpose(1, 0, 2))
@@ -502,7 +499,7 @@ def solve_micro_staggered(rves: RveBatch, h_target, tol_micro, max_iter) -> np.n
         if go.any():
             rhs = np.zeros((rves.geom.n_reduced, b, 1))
             rhs[:, go, 0] = rves.r_hat[go].T
-            du[go] = linalg.solve(rves.geom.layout.factors(rves.stack), rhs)[:, go, 0].T
+            du[go] = linalg.solve(linalg.factors(rves.stack), rhs)[:, go, 0].T
             rves.counts[go, UPDATE_SOLVES] += 1
             solves[go] += 1
             r_prev[go] = _norm2(rves.r_hat[go])
@@ -531,7 +528,7 @@ def micro_update_monolithic(rves: RveBatch, delta_h) -> np.ndarray:
     if geom.n_reduced:
         _ensure_factorization(rves, np.ones(b, dtype=bool))
         rhs = (rves.r_hat + _matvec(rves.dr_dH, delta_h)).T[:, :, None]
-        du = -linalg.solve(geom.layout.factors(rves.stack), rhs)[:, :, 0].T
+        du = -linalg.solve(linalg.factors(rves.stack), rhs)[:, :, 0].T
         du[rves.failed] = 0.0
         rves.counts[~rves.failed, UPDATE_SOLVES] += 1
         rves.u_hat += du

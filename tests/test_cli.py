@@ -387,6 +387,15 @@ class TestModelErrorsBeforeAnyFile:
                 "no element edge") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_rigid_body_mode_is_a_config_error(self, tmp_path, capsys):
+        # one fixed DOF leaves the quad free to move rigidly: the elastic
+        # macro stiffness is factorized once when the model is built
+        path = write_bar_config(tmp_path, dirichlet=[[0, 0.0]], point_loads=[[5, 1.0]])
+        assert main(["run", str(path)]) == 2
+        assert ("config error: dirichlet: the prescribed DOFs leave the macro mesh a "
+                "rigid-body motion (singular elastic stiffness at DOF ") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("mesh, line, text, message", [
         pytest.param("macro.mesh", 6, "elements 0", "the macro mesh has no element", id="macro"),
         pytest.param("micro.mesh", 6, "elements 0", "rve: the micro mesh has no element",

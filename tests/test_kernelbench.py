@@ -20,11 +20,11 @@ pytestmark = pytest.mark.kernelbench
 def plate_hole_rve(request):
     n_micro, n = request.param
     geom = R.MicroGeometry(rve_porous_quad(default_materials("plate-hole-tension"), n=n_micro))
-    assert geom.layout.n == n
+    assert geom.plan.n == n
     p = R.RveBatch(geom)
     p.H[0] = [0.0, 0.01, 0.01, 0.004]
     R.assemble(p)
-    return geom, geom.pattern.with_values(p.kvals[0])
+    return geom, geom.plan.dense(p.kvals[0])
 
 
 def test_rve_assemble_plastic(benchmark):
@@ -59,15 +59,15 @@ def test_macro_assemble(benchmark):
 
 def test_factorize(benchmark, plate_hole_rve):
     geom, k_t = plate_hole_rve
-    slot = geom.layout.empty_stack(1)[0]
-    benchmark(linalg.factorize, k_t, geom.layout, out=slot)
+    slot = linalg.empty_stack(1, geom.n_reduced)[0]
+    benchmark(linalg.factorize, k_t, out=slot)
 
 
 @pytest.mark.parametrize("count", [1, 16])
 def test_stacked_solve_five_columns(benchmark, plate_hole_rve, count):
     geom, k_t = plate_hole_rve
-    stack = geom.layout.empty_stack(count)
+    stack = linalg.empty_stack(count, geom.n_reduced)
     for slot in range(count):
-        linalg.factorize(k_t, geom.layout, out=stack[slot])
+        linalg.factorize(k_t, out=stack[slot])
     rhs = np.random.default_rng(0).standard_normal((geom.n_reduced, count, 5))
-    benchmark(linalg.solve, geom.layout.factors(stack), rhs)
+    benchmark(linalg.solve, linalg.factors(stack), rhs)

@@ -431,6 +431,26 @@ class TestWorkerFailures:
                 run(model, settings)
             assert exc.value.pivot_index == 3
 
+    @pytest.mark.parametrize("scheme", macro.SCHEMES)
+    def test_singular_macro_tangent_cuts_the_load(self, scheme, monkeypatch):
+        # the first macro factorization fails as singular: the attempt is
+        # rolled back and cut as one with a failed RVE is, and the retry at
+        # half the increment converges
+        model = bar_model(scheme)
+        factorize, failed = linalg.factorize, []
+
+        def singular_once(a, out=None):
+            if out is None and not failed:  # a micro factor goes into a slot
+                failed.append(len(a))
+                raise SingularMatrixError(0, 0.0)
+            return factorize(a, out)
+
+        monkeypatch.setattr(linalg, "factorize", singular_once)
+        rep = run(model, SolverSettings(dt_initial=0.25, dt_max=0.25, **TIGHT))
+        assert failed == [model.system.n_free]
+        assert rep.converged
+        assert (rep.records[0].cut_events, rep.records[0].dt) == (1, 0.125)
+
     def test_errors_survive_pickling(self):
         for exc in (SingularMatrixError(3, 1e-20), MeshQualityError(4, -1.0),
                     StructuralError("bad shape")):

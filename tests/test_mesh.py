@@ -1,4 +1,4 @@
-"""Tests for element kinematics: B-operators, weights, stiffness pattern."""
+"""Tests for element kinematics: B-operators, weights, the stiffness index."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from fescale.mesh import (
     ElementBlock,
     Mesh,
     count_pieces,
-    structure_of_stiffness,
 )
 from tests_support import build_integration_points, total_area
 
@@ -114,24 +113,24 @@ class TestCountPieces:
         assert count_pieces(mesh) == 1
 
 
+def stiffness_pattern(mesh, dof_map):
+    """The plan's packed-value index ``flat`` as a dense boolean (n, n) pattern."""
+    plan = AssemblyPlan(mesh, np.asarray(dof_map))
+    pattern = np.zeros(plan.n * plan.n, dtype=bool)
+    pattern[plan.flat] = True
+    return plan, pattern.reshape(plan.n, plan.n)
+
+
 class TestStiffnessPattern:
     def test_single_triangle_dense(self):
-        mesh = unit_triangle()
-        pat = structure_of_stiffness(mesh, np.arange(6))
-        assert pat.n_rows == 6
-        assert len(pat.col_indices) == 36
+        plan, pattern = stiffness_pattern(unit_triangle(), np.arange(6))
+        assert plan.n == 6 and len(plan.flat) == 36 and pattern.all()
 
     def test_shared_edge_uncoupled_corners(self):
-        mesh = two_triangles()
-        pat = structure_of_stiffness(mesh, np.arange(8))
-        dense = pat.to_dense()
-        rows = pat.row_of_entries()
-        coupled = set(zip(rows.tolist(), pat.col_indices.tolist()))
+        _, pattern = stiffness_pattern(two_triangles(), np.arange(8))
         # nodes 0 and 3 never share an element
-        for i in (0, 1):
-            for j in (6, 7):
-                assert (i, j) not in coupled and (j, i) not in coupled
-        assert dense.shape == (8, 8)
+        assert pattern.shape == (8, 8)
+        assert not pattern[:2, 6:].any() and not pattern[6:, :2].any()
 
     def test_quad_grid_matches_brute_force(self):
         # 4x4 grid of quads, 25 nodes
@@ -143,27 +142,32 @@ class TestStiffnessPattern:
                 n0 = j * (nx + 1) + i
                 conn.append([n0, n0 + 1, n0 + nx + 2, n0 + nx + 1])
         mesh = Mesh(nodes, [ElementBlock(QUAD4, conn)])
-        dof_map = np.arange(mesh.n_dofs)
-        pat = structure_of_stiffness(mesh, dof_map)
-
         expected = np.zeros((mesh.n_dofs, mesh.n_dofs), dtype=bool)
         for row in conn:
             dofs = np.array([[2 * n, 2 * n + 1] for n in row]).ravel()
             expected[np.ix_(dofs, dofs)] = True
-        got = np.zeros_like(expected)
-        got[pat.row_of_entries(), pat.col_indices] = True
-        assert np.array_equal(got, expected)
+        _, pattern = stiffness_pattern(mesh, np.arange(mesh.n_dofs))
+        assert_array_equal(pattern, expected)
 
     def test_pattern_respects_dof_map_elimination(self):
-        mesh = unit_triangle()
-        dof_map = np.array([-1, -1, 0, 1, 2, 3])
-        pat = structure_of_stiffness(mesh, dof_map)
-        assert pat.n_rows == 4
-        assert len(pat.col_indices) == 16
+        plan, _ = stiffness_pattern(unit_triangle(), [-1, -1, 0, 1, 2, 3])
+        assert plan.n == 4 and len(plan.flat) == 16
 
     def test_pattern_structurally_symmetric(self):
-        pat = structure_of_stiffness(two_triangles(), np.arange(8))
-        assert pat.is_structurally_symmetric()
+        # two blocks, eliminated DOFs and a slave DOF merged onto its master:
+        # flat is sorted and unique, symmetric, and holds exactly the pairs
+        # of reduced DOFs that meet in some element
+        mesh, dof_map = mixed_mesh(), mixed_dof_map()
+        plan, pattern = stiffness_pattern(mesh, dof_map)
+        assert np.all(np.diff(plan.flat) > 0)
+        assert_array_equal(pattern, pattern.T)
+        expected = np.zeros_like(pattern)
+        for block in mesh.blocks:
+            for nodes in block.connectivity:
+                red = dof_map[np.ravel([[2 * n, 2 * n + 1] for n in nodes])]
+                red = red[red >= 0]
+                expected[np.ix_(red, red)] = True
+        assert_array_equal(pattern, expected)
 
 
 def mixed_mesh():
@@ -176,20 +180,26 @@ def mixed_mesh():
     ])
 
 
+def mixed_dof_map():
+    """DOF map of :func:`mixed_mesh` with eliminated and merged DOFs.
+
+    Node 0 and the y DOF of node 4 are eliminated, and the x DOF of node 7
+    is merged onto that of node 3 (as a periodic slave onto its master).
+    """
+    dof_map = np.full(16, -1, dtype=np.int64)
+    kept = [d for d in range(16) if d not in (0, 1, 9, 14)]
+    dof_map[kept] = np.arange(len(kept))
+    dof_map[14] = dof_map[6]
+    return dof_map
+
+
 class TestAssemblyPlan:
     """The plan's block kernels against an element-by-element oracle."""
 
     def setup_method(self):
         self.mesh = mesh = mixed_mesh()
-        # node 0 and the y DOF of node 4 eliminated, the x DOF of node 7
-        # merged onto that of node 3 (as a periodic slave onto its master)
-        dof_map = np.full(mesh.n_dofs, -1, dtype=np.int64)
-        kept = [d for d in range(mesh.n_dofs) if d not in (0, 1, 9, 14)]
-        dof_map[kept] = np.arange(len(kept))
-        dof_map[14] = dof_map[6]
-        self.dof_map = dof_map
-        self.pattern = structure_of_stiffness(mesh, dof_map)
-        self.plan = AssemblyPlan(mesh, dof_map, self.pattern)
+        self.dof_map = dof_map = mixed_dof_map()
+        self.plan = AssemblyPlan(mesh, dof_map)
         self.points = build_integration_points(mesh)
         rng = np.random.default_rng(8)
         n_ip = len(self.points)
@@ -218,13 +228,13 @@ class TestAssemblyPlan:
         ke = [0.0] * n_el
         for ip, d in zip(self.points, self.d):
             ke[ip.element] = ke[ip.element] + ip.weight * ip.b_operator.T @ d @ ip.b_operator
-        dense = np.zeros((self.pattern.n_rows,) * 2)
+        dense = np.zeros((self.plan.n,) * 2)
         for e, ip in {ip.element: ip for ip in self.points}.items():
             red = self.dof_map[ip.dofs]
             keep = np.flatnonzero(red >= 0)
             np.add.at(dense, (red[keep][:, None], red[keep][None, :]), ke[e][np.ix_(keep, keep)])
         kvals, kes = self.plan.stiffness(self.d)
-        assert_allclose(self.pattern.with_values(kvals).to_dense(), dense, rtol=1e-12)
+        assert_allclose(self.plan.dense(kvals), dense, rtol=1e-12)
         per_element = [k for block in kes for k in block]
         assert len(per_element) == n_el
         for got, want in zip(per_element, ke):

@@ -51,8 +51,8 @@ def converge(rve, h_target, tol=1e-10, max_iter=40):
 
 
 def stiffness(rves, i=0):
-    """RVE i's last assembled tangent stiffness as a sparse matrix."""
-    return rves.geom.pattern.with_values(rves.kvals[i])
+    """RVE i's last assembled tangent stiffness as a dense matrix."""
+    return rves.geom.plan.dense(rves.kvals[i])
 
 
 def laminate_closed_form(mats, fracs):
@@ -124,7 +124,7 @@ class TestAssemble:
         R.assemble(p)
         assert p.residual_norm[0] == 0.0
         assert not p.plastic_flow[0]
-        k = stiffness(p).to_dense()
+        k = stiffness(p)
         assert np.abs(k - k.T).max() <= 1e-10 * np.abs(k).max()
 
     def test_dr_dh_against_finite_difference(self):
@@ -422,16 +422,16 @@ class TestStackedSweep:
         # factorization names the dependent row
         geom = porous_geom()
         rves = shard_of(geom, 2)
-        dense = stiffness(rves, 1).to_dense()
+        dense = stiffness(rves, 1)
         dense[5, :] = 0.0
         dense[:, 5] = 0.0
-        rves.kvals[1] = dense[geom.pattern.row_of_entries(), geom.pattern.col_indices]
+        rves.kvals[1] = dense.ravel()[geom.plan.flat]
         du = R.micro_update_monolithic(rves, np.zeros((2, 4)))
         assert rves.failed.tolist() == [False, True]
         assert rves.counts[:, R.UPDATE_SOLVES].tolist() == [1, 0]
         assert_array_equal(du[1], np.zeros(geom.n_reduced))
         with pytest.raises(SingularMatrixError) as exc:
-            linalg.factorize(stiffness(rves, 1), geom.layout)
+            linalg.factorize(stiffness(rves, 1))
         assert exc.value.pivot_index == 5
 
 
@@ -480,7 +480,7 @@ class TestTangentAndAlgStress:
         R.assemble(p)
         assert p.residual_norm[0] > 0
         sigma, c = condense(p)
-        kd = stiffness(p).to_dense()
+        kd = stiffness(p)
         expected = p.sigma_bar[0] - p.dsig_du[0] @ np.linalg.solve(kd, p.r_hat[0])
         assert_allclose(sigma, expected, rtol=1e-9)
         x = np.linalg.solve(kd, p.dr_dH[0])
