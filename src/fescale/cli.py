@@ -191,14 +191,18 @@ def load_config(path) -> RunConfig:
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _typed(name, value, kind):
+def _typed(name, value, kind, finite=True):
     """``value`` if it is a JSON ``kind`` (bool, int, float or str), else a ConfigError.
 
-    A bool is not a number, and an int field takes no float.
+    A bool is not a number, an int field takes no float, and a float field
+    takes no NaN, infinity (both of which Python's json reads) or integer
+    beyond the float range unless ``finite`` is False.
     """
     numeric = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, numeric):
         raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
+    if kind is float and finite and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
     return value
 
 
@@ -236,13 +240,13 @@ def _materials(value):
         for key in ("E", "nu"):
             if key not in spec:
                 raise ConfigError(f"{name}.{key}: missing")
-        for key, number in spec.items():
-            _typed(f"{name}.{key}", number, float)
+        for key, number in spec.items():  # the material model checks the range
+            _typed(f"{name}.{key}", number, float, finite=False)
         try:
             elastic = material.ElasticParams(E=float(spec["E"]), nu=float(spec["nu"]))
             mats.append(elastic if "sigma0" not in spec else material.PlasticParams(
                 elastic, sigma0=float(spec["sigma0"]), h=float(spec.get("h", 0.0))))
-        except StructuralError as exc:
+        except (StructuralError, OverflowError) as exc:  # float() of an int beyond the range
             raise ConfigError(f"{name}: {exc}") from exc
     return mats
 

@@ -5,8 +5,8 @@ class FescaleError(Exception):
     """Base class for all solver errors.
 
     Subclasses whose constructor takes other than the message define
-    ``__reduce__``, so an error pickled back from a worker process keeps its
-    type and attributes.
+    ``__reduce__``, so an error sent back through a worker process's pipe
+    keeps its type and attributes.
     """
 
 

@@ -15,14 +15,13 @@ integration-point order, so results do not depend on the worker count.
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from fescale import linalg, material, mesh as fmesh, rve as rvemod
-from fescale.errors import SingularMatrixError, StructuralError
+from fescale.errors import FescaleError, SingularMatrixError, StructuralError
 
 SCHEMES = ("staggered", "monolithic", "monolithic-stored")
 _SCHEME_ALIASES = {"monolithic-stored-factorization": "monolithic-stored"}
@@ -211,10 +210,9 @@ class _Shard:
     def rollback(self):
         rvemod.rollback(self.rves)
 
-    def counters(self, reset):
+    def counters(self):
         total = self.rves.counts.sum(axis=0)
-        if reset:
-            self.rves.counts[:] = 0
+        self.rves.counts[:] = 0
         return total
 
     def plastic_any(self):
@@ -224,15 +222,15 @@ class _Shard:
         return rvemod.committed_alpha_bar(self.rves)
 
 
-def _worker_main(conn, model_bytes, indices, store_factorization):
+def _worker_main(conn, geom, indices, store_factorization):
     """Serve ``(method name, args)`` requests on one shard until ``(None, None)``.
 
-    Every reply is ``(True, result)`` or ``(False, exception)``; a failure
-    to build the shard is replied to every request.
+    ``geom`` is the model's micro geometry, inherited through fork. Every
+    reply is ``(True, result)`` or ``(False, exception)``; a failure to
+    build the shard is replied to every request.
     """
     try:
-        shard = _Shard(rvemod.MicroGeometry(pickle.loads(model_bytes)), indices,
-                       store_factorization)
+        shard = _Shard(geom, indices, store_factorization)
     except Exception as exc:  # surfaced in the parent process
         shard, setup_error = None, exc
     while True:
@@ -253,22 +251,22 @@ class RvePool:
     """Serial or multi-process pool over all RVE problems.
 
     Every gather reassembles per-RVE arrays in integration-point order, so
-    numerical results are independent of the worker count.
+    numerical results are independent of the worker count. The shards
+    share the model's micro geometry ``geom``: the serial shard uses it
+    directly and forked workers inherit it.
     """
 
-    def __init__(self, micro_model, n_rves, store_factorization, workers=1):
+    def __init__(self, geom, n_rves, store_factorization, workers=1):
         self.n_rves = n_rves
         self.workers = max(1, min(workers, n_rves)) if n_rves else 1
         self._shard_indices = [list(range(w, n_rves, self.workers)) for w in range(self.workers)]
         if self.workers == 1:
-            geom = rvemod.MicroGeometry(micro_model)
             self._local = _Shard(geom, range(n_rves), store_factorization)
             self._pipes = None
         else:
             import multiprocessing as mp
 
             ctx = mp.get_context("fork")
-            payload = pickle.dumps(micro_model)
             self._local = None
             self._pipes = []
             self._procs = []
@@ -276,7 +274,7 @@ class RvePool:
                 parent, child = ctx.Pipe()
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(child, payload, self._shard_indices[w], store_factorization),
+                    args=(child, geom, self._shard_indices[w], store_factorization),
                     daemon=True,
                 )
                 proc.start()
@@ -332,8 +330,9 @@ class RvePool:
     def rollback(self):
         self._call("rollback")
 
-    def counters(self, reset=True):
-        total = sum(self._call("counters", [(reset,)] * self.workers))
+    def counters(self):
+        """Update solves, auxiliary solves and factorizations since the last call."""
+        total = sum(self._call("counters"))
         return {"update_solves": int(total[0]), "aux_solves": int(total[1]),
                 "factorizations": int(total[2])}
 
@@ -361,7 +360,12 @@ class RvePool:
 
 @dataclass
 class TwoScaleModel:
-    """Macro mesh plus one micro problem per macroscopic integration point."""
+    """Macro mesh plus one micro problem per macroscopic integration point.
+
+    Building it checks the inputs and builds the micro geometry, which
+    every run of the model shares; an error the geometry finds in the
+    micro mesh is reported as ``rve: ...``.
+    """
 
     macro_mesh: fmesh.Mesh
     dirichlet: list
@@ -373,6 +377,10 @@ class TwoScaleModel:
     name: str = "model"
 
     def __post_init__(self):
+        try:
+            self.micro_geometry = rvemod.MicroGeometry(self.micro_model)
+        except FescaleError as exc:
+            raise StructuralError(f"rve: {exc}") from exc
         self.scheme = canonical_scheme(self.scheme)
         if self.reaction_dofs is None:
             self.reaction_dofs = np.array([self.control_dof], dtype=np.int64)
@@ -392,7 +400,7 @@ class TwoScaleModel:
             floor_force=rvemod.FLOOR_SCALE * stiffest.E * float(span.max()),
         )
         for what, n in (("macro system", self.system.n_free),
-                         ("micro problem", rvemod.build_periodic_map(self.micro_model.mesh).n_reduced)):
+                         ("micro problem", self.micro_geometry.n_reduced)):
             if n > linalg.MAX_DENSE_N:
                 raise StructuralError(f"{what}: {n} unknowns exceed the dense solver's "
                                       f"limit of {linalg.MAX_DENSE_N}")
@@ -497,7 +505,7 @@ def run(model: TwoScaleModel, settings: SolverSettings) -> SolveReport:
     early with ``converged=False`` and the partial curve retained. The model
     is not changed, so it can be run again.
     """
-    pool = RvePool(model.micro_model, model.n_rves, model.scheme != "monolithic",
+    pool = RvePool(model.micro_geometry, model.n_rves, model.scheme != "monolithic",
                    settings.parallel_workers)
     try:
         return _run_loop(model, pool, settings)
@@ -516,7 +524,7 @@ def _run_loop(model, pool, settings):
     dt_prev = None
     cuts_pending = 0
     wall_pending = 0.0  # time spent on cut attempts, charged to the next record
-    pool.counters(reset=True)
+    pool.counters()
     while t < settings.t_end - 1e-12 * settings.t_end:
         dt = min(dt, settings.dt_max, settings.t_end - t)
         lam = (t + dt) / settings.t_end
@@ -530,9 +538,10 @@ def _run_loop(model, pool, settings):
         else:
             u_start = u_n.copy()
         u_start[sysm.prescribed] = lam * sysm.g_end[sysm.prescribed]
-        pool.begin_increment(
-            ratio if (settings.extrapolate and model.scheme == "staggered") else None
-        )
+        # the micro predictor extrapolates as the macro one does, and only
+        # for staggered: the pool commits exactly when this loop does
+        extrapolate = settings.extrapolate and model.scheme == "staggered" and n_commits >= 2
+        pool.begin_increment(ratio if extrapolate else None)
         result = newton_increment(model, pool, settings, lam, u_start, u_n, record)
 
         if result is None:
@@ -548,7 +557,7 @@ def _run_loop(model, pool, settings):
             record.plastic_flow = pool.plastic_any()
         # a success or the give-up: the record takes the counters of every
         # attempt since the last success
-        counters = pool.counters(reset=True)
+        counters = pool.counters()
         record.factorizations = counters["factorizations"]
         record.aux_solves = counters["aux_solves"]
         record.micro_iters_total = counters["update_solves"]

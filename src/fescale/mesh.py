@@ -1,7 +1,9 @@
 """Finite-element geometry, kinematics and assembly shared by both scales.
 
 Two-dimensional meshes of linear triangles (one quadrature point) and
-bilinear quads (2x2 Gauss). The B-operator of an integration point maps the
+bilinear quads (2x2 Gauss), both served by one isoparametric kernel that
+each kind drives with its integration rule (parent shape-function
+derivatives and weights). The B-operator of an integration point maps the
 element nodal displacements, interleaved node-major as (ux0, uy0, ux1, ...),
 to the four displacement-gradient components (H11, H12, H21, H22). One
 :class:`AssemblyPlan` per mesh and DOF map computes gradients, internal
@@ -21,9 +23,17 @@ from fescale.errors import MeshQualityError, StructuralError
 TRI3 = "tri3"
 QUAD4 = "quad4"
 
-# parent coordinates and weights of the 2x2 Gauss rule on [-1, 1]^2
+# integration rule of each element kind: parent shape-function derivatives
+# dN/dxi (point, node, parent direction) and weights; one point for the
+# triangle, the 2x2 Gauss rule on [-1, 1]^2 for the quad
 _GP = 1.0 / np.sqrt(3.0)
-_QUAD_POINTS = np.array([[-_GP, -_GP], [_GP, -_GP], [_GP, _GP], [-_GP, _GP]])
+_RULES = {
+    TRI3: (np.array([[[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]]), np.array([0.5])),
+    QUAD4: (np.array([0.25 * np.array([[-(1 - eta), -(1 - xi)], [1 - eta, -(1 + xi)],
+                                       [1 + eta, 1 + xi], [-(1 + eta), 1 - xi]])
+                      for xi, eta in [(-_GP, -_GP), (_GP, -_GP), (_GP, _GP), (-_GP, _GP)]]),
+            np.ones(4)),
+}
 
 
 @dataclass(frozen=True)
@@ -36,9 +46,9 @@ class ElementBlock:
     def __post_init__(self):
         conn = np.asarray(self.connectivity, dtype=np.int64)
         object.__setattr__(self, "connectivity", conn)
-        expected = {TRI3: 3, QUAD4: 4}.get(self.kind)
-        if expected is None:
+        if self.kind not in _RULES:
             raise StructuralError(f"unknown element kind {self.kind!r}")
+        expected = _RULES[self.kind][0].shape[1]
         if conn.ndim != 2 or conn.shape[1] != expected:
             raise StructuralError(f"{self.kind} connectivity must be (n, {expected})")
 
@@ -48,7 +58,7 @@ class ElementBlock:
 
     @property
     def n_quad(self):
-        return 1 if self.kind == TRI3 else 4
+        return len(_RULES[self.kind][1])
 
 
 @dataclass(frozen=True)
@@ -83,82 +93,33 @@ class Mesh:
         return sum(b.n_elements for b in self.blocks)
 
 
-def _tri3_arrays(conn, nodes, first_element):
-    """Batched weights/B/coordinates for a linear-triangle block."""
-    xy = nodes[conn]                      # (e, 3, 2)
-    d1 = xy[:, 1] - xy[:, 0]
-    d2 = xy[:, 2] - xy[:, 0]
-    detj = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    bad = np.flatnonzero(detj <= 0.0)
-    if bad.size:
-        raise MeshQualityError(first_element + bad[0], detj[bad[0]])
-    area = 0.5 * detj
-    # constant shape-function gradients: dN/dx via the inverse Jacobian
-    dndx = np.empty((len(conn), 3, 2))
-    dndx[:, 1, 0] = d2[:, 1] / detj
-    dndx[:, 1, 1] = -d2[:, 0] / detj
-    dndx[:, 2, 0] = -d1[:, 1] / detj
-    dndx[:, 2, 1] = d1[:, 0] / detj
-    dndx[:, 0] = -dndx[:, 1] - dndx[:, 2]
-    b = np.zeros((len(conn), 1, 4, 6))
-    for a in range(3):
-        b[:, 0, 0, 2 * a] = dndx[:, a, 0]      # H11 = dux/dx
-        b[:, 0, 1, 2 * a] = dndx[:, a, 1]      # H12 = dux/dy
-        b[:, 0, 2, 2 * a + 1] = dndx[:, a, 0]  # H21 = duy/dx
-        b[:, 0, 3, 2 * a + 1] = dndx[:, a, 1]  # H22 = duy/dy
-    w = area.reshape(-1, 1)
-    coords = xy.mean(axis=1).reshape(-1, 1, 2)
-    return w, b, coords
+def block_operators(mesh: Mesh, block: ElementBlock, first_element: int):
+    """Stacked (weights, B) arrays of one block: (n_el, n_q) and (n_el, n_q, 4, 2*n_en).
 
-
-def _quad4_arrays(conn, nodes, first_element):
-    """Batched weights/B/coordinates for a bilinear-quad block (2x2 Gauss)."""
-    xy = nodes[conn]                      # (e, 4, 2)
-    n_el = len(conn)
-    w = np.empty((n_el, 4))
-    b = np.zeros((n_el, 4, 4, 8))
-    coords = np.empty((n_el, 4, 2))
-    for q, (xi, eta) in enumerate(_QUAD_POINTS):
-        shape = 0.25 * np.array([
-            (1 - xi) * (1 - eta), (1 + xi) * (1 - eta),
-            (1 + xi) * (1 + eta), (1 - xi) * (1 + eta),
-        ])
-        dn = 0.25 * np.array([
-            [-(1 - eta), -(1 - xi)],
-            [(1 - eta), -(1 + xi)],
-            [(1 + eta), (1 + xi)],
-            [-(1 + eta), (1 - xi)],
-        ])                                # (4 nodes, 2 parent dirs)
-        jac = np.einsum("ar,ena->enr", dn, np.swapaxes(xy, 1, 2))  # (e, 2, 2): dx_n/dxi_r
+    One isoparametric pass per quadrature point of the kind's rule; the
+    weights include the Jacobian determinant. A non-positive determinant
+    raises :class:`MeshQualityError` naming the element (numbered from
+    ``first_element``).
+    """
+    dn_rule, w_rule = _RULES[block.kind]
+    xy = np.swapaxes(mesh.nodes[block.connectivity], 1, 2)  # (e, 2, n_en)
+    n_el, _, n_en = xy.shape
+    w = np.empty((n_el, len(w_rule)))
+    dndx = np.empty((n_el, len(w_rule), n_en, 2))
+    for q, dn in enumerate(dn_rule):
+        jac = np.einsum("ar,ena->enr", dn, xy)  # (e, 2, 2): dx_n/dxi_r
         detj = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         bad = np.flatnonzero(detj <= 0.0)
         if bad.size:
             raise MeshQualityError(first_element + bad[0], detj[bad[0]])
-        inv = np.empty_like(jac)
-        inv[:, 0, 0] = jac[:, 1, 1] / detj
-        inv[:, 0, 1] = -jac[:, 0, 1] / detj
-        inv[:, 1, 0] = -jac[:, 1, 0] / detj
-        inv[:, 1, 1] = jac[:, 0, 0] / detj
-        dndx = np.einsum("ar,erx->eax", dn, inv)  # (e, 4 nodes, 2)
-        w[:, q] = detj  # unit Gauss weights on the 2x2 rule
-        for a in range(4):
-            b[:, q, 0, 2 * a] = dndx[:, a, 0]
-            b[:, q, 1, 2 * a] = dndx[:, a, 1]
-            b[:, q, 2, 2 * a + 1] = dndx[:, a, 0]
-            b[:, q, 3, 2 * a + 1] = dndx[:, a, 1]
-        coords[:, q] = shape @ xy
-    return w, b, coords
-
-
-def block_operators(mesh: Mesh, block: ElementBlock, first_element: int):
-    """Stacked (weights, B, coordinates) arrays for one block.
-
-    Shapes: weights (n_el, n_q), B (n_el, n_q, 4, 2*n_en),
-    coordinates (n_el, n_q, 2). Weights include the Jacobian determinant.
-    """
-    if block.kind == TRI3:
-        return _tri3_arrays(block.connectivity, mesh.nodes, first_element)
-    return _quad4_arrays(block.connectivity, mesh.nodes, first_element)
+        inv = np.stack([jac[:, 1, 1], -jac[:, 0, 1], -jac[:, 1, 0], jac[:, 0, 0]],
+                       axis=1).reshape(-1, 2, 2) / detj[:, None, None]  # dxi_r/dx_n
+        dndx[:, q] = np.einsum("ar,erx->eax", dn, inv)
+        w[:, q] = w_rule[q] * detj
+    b = np.zeros((n_el, len(w_rule), 4, 2 * n_en))
+    b[..., 0, 0::2] = b[..., 2, 1::2] = dndx[..., 0]  # H11 = dux/dx, H21 = duy/dx
+    b[..., 1, 0::2] = b[..., 3, 1::2] = dndx[..., 1]  # H12 = dux/dy, H22 = duy/dy
+    return w, b
 
 
 def element_dofs(conn):
@@ -212,7 +173,7 @@ class AssemblyPlan:
         ip_element = [np.zeros(0, dtype=np.int64)]
         first_el = first_ip = 0
         for block, red, key, keep in zip(mesh.blocks, reds, keys, kept):
-            w, b, _ = block_operators(mesh, block, first_el)
+            w, b = block_operators(mesh, block, first_el)
             self.blocks.append(PlanBlock(w, b, element_dofs(block.connectivity), red, keep,
                                          np.searchsorted(self.flat, key[keep]),
                                          slice(first_ip, first_ip + w.size)))

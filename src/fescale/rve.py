@@ -2,6 +2,8 @@
 
 One micro problem lives at each macroscopic integration point; the problems
 of one shard are one :class:`RveBatch` of stacked arrays, a row per RVE.
+Their fixed data is one :class:`MicroGeometry` per micro model, built with
+the model and shared by every shard, forked workers included.
 The micro displacement is decomposed as u = H*X + w with a periodic
 fluctuation w; slave boundary DOFs are eliminated onto their masters and
 one anchor corner pins the remaining rigid translation, so the reduced
@@ -26,6 +28,10 @@ from fescale.errors import GeometryError, SingularMatrixError
 
 # absolute floor of the residual reference force: 1e-8 * E * edge length
 FLOOR_SCALE = 1e-8
+# box sides and periodic partners are matched within 1e-8 of the longer box edge
+PAIRING_TOL = 1e-8
+# outward unit normals of the box sides, in the order of PeriodicMap.sides
+_NORMALS = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -36,7 +42,9 @@ class PeriodicMap:
     reference-coordinate difference X(plus) - X(minus); corner nodes chain
     to the single anchor corner so the constraints stay non-redundant.
     ``dof_map`` sends every mesh DOF to its reduced equation: slave DOFs map
-    onto their master's equation and the anchor DOFs map to -1.
+    onto their master's equation and the anchor DOFs map to -1. ``sides``
+    (4, n_nodes) marks the nodes on the box sides x = min, x = max,
+    y = min and y = max.
     """
 
     pairs: tuple
@@ -46,6 +54,7 @@ class PeriodicMap:
     dof_map: np.ndarray
     n_reduced: int
     box: tuple
+    sides: np.ndarray
 
 
 def _match_side(plus_nodes, minus_nodes, coords, axis, tol):
@@ -72,24 +81,21 @@ def _match_side(plus_nodes, minus_nodes, coords, axis, tol):
     return pairs
 
 
-def build_periodic_map(m: fmesh.Mesh, tol_geom: float | None = None) -> PeriodicMap:
+def build_periodic_map(m: fmesh.Mesh) -> PeriodicMap:
     """Periodic DOF map of a rectangle-bounded RVE mesh.
 
-    Opposite edge nodes must match within ``tol_geom`` (default 1e-8 of the
-    longer box edge); a mismatch raises :class:`GeometryError` naming the
-    node and the nearest-candidate distance.
+    Nodes on the box sides, and opposite side nodes as partners, must match
+    within PAIRING_TOL of the longer box edge; a mismatch raises
+    :class:`GeometryError` naming the node and the nearest-candidate
+    distance.
     """
     x = m.nodes
     xmin, ymin = x.min(axis=0)
     xmax, ymax = x.max(axis=0)
-    lx, ly = xmax - xmin, ymax - ymin
-    if tol_geom is None:
-        tol_geom = 1e-8 * max(lx, ly)
-
-    on_left = np.abs(x[:, 0] - xmin) <= tol_geom
-    on_right = np.abs(x[:, 0] - xmax) <= tol_geom
-    on_bottom = np.abs(x[:, 1] - ymin) <= tol_geom
-    on_top = np.abs(x[:, 1] - ymax) <= tol_geom
+    tol = PAIRING_TOL * max(xmax - xmin, ymax - ymin)
+    sides = np.array([np.abs(x[:, 0] - xmin), np.abs(x[:, 0] - xmax),
+                      np.abs(x[:, 1] - ymin), np.abs(x[:, 1] - ymax)]) <= tol
+    on_left, on_right, on_bottom, on_top = sides
 
     def corner(mask_a, mask_b, name):
         hits = np.flatnonzero(mask_a & mask_b)
@@ -103,52 +109,45 @@ def build_periodic_map(m: fmesh.Mesh, tol_geom: float | None = None) -> Periodic
     c_tr = corner(on_right, on_top, "max/max")
     corners = {c_bl, c_br, c_tl, c_tr}
 
-    left = sorted(int(i) for i in np.flatnonzero(on_left) if i not in corners)
-    right = sorted(int(i) for i in np.flatnonzero(on_right) if i not in corners)
-    bottom = sorted(int(i) for i in np.flatnonzero(on_bottom) if i not in corners)
-    top = sorted(int(i) for i in np.flatnonzero(on_top) if i not in corners)
+    left, right, bottom, top = ([int(i) for i in np.flatnonzero(side) if i not in corners]
+                                for side in sides)
 
-    pairs = []
-    for p, mn in _match_side(right, left, x, axis=1, tol=tol_geom):
-        pairs.append((p, mn, x[p] - x[mn]))
-    for p, mn in _match_side(top, bottom, x, axis=0, tol=tol_geom):
-        pairs.append((p, mn, x[p] - x[mn]))
-    for c in (c_br, c_tl, c_tr):
-        pairs.append((c, c_bl, x[c] - x[c_bl]))
+    pairs = (_match_side(right, left, x, axis=1, tol=tol)
+             + _match_side(top, bottom, x, axis=0, tol=tol)
+             + [(c, c_bl) for c in (c_br, c_tl, c_tr)])
 
-    n_dofs = m.n_dofs
-    slave_nodes = np.array([p for p, _, _ in pairs], dtype=np.int64)
-    slave_dofs = np.sort(np.concatenate([2 * slave_nodes, 2 * slave_nodes + 1]))
-    is_slave = np.zeros(n_dofs, dtype=bool)
+    # masters (all but the anchor) are numbered in DOF order; a slave, whose
+    # partner is always a master, shares its partner's equation
+    plus, minus = np.array(pairs, dtype=np.int64).T
+    slave_dofs = np.sort(np.concatenate([2 * plus, 2 * plus + 1]))
+    is_slave = np.zeros(m.n_dofs, dtype=bool)
     is_slave[slave_dofs] = True
     master_dofs = np.flatnonzero(~is_slave)
-
-    dof_map = np.full(n_dofs, -1, dtype=np.int64)
-    nxt = 0
-    anchor = {2 * c_bl, 2 * c_bl + 1}
-    for d in master_dofs:
-        if d in anchor:
-            continue
-        dof_map[d] = nxt
-        nxt += 1
-    for p, mn, _ in pairs:
-        dof_map[2 * p] = dof_map[2 * mn]
-        dof_map[2 * p + 1] = dof_map[2 * mn + 1]
+    numbered = master_dofs[master_dofs // 2 != c_bl]
+    dof_map = np.full(m.n_dofs, -1, dtype=np.int64)
+    dof_map[numbered] = np.arange(len(numbered))
+    for k in (0, 1):
+        dof_map[2 * plus + k] = dof_map[2 * minus + k]
 
     return PeriodicMap(
-        pairs=tuple((int(p), int(mn), off.copy()) for p, mn, off in pairs),
+        pairs=tuple((p, mn, x[p] - x[mn]) for p, mn in pairs),
         master_dofs=master_dofs,
         slave_dofs=slave_dofs,
         anchor_node=c_bl,
         dof_map=dof_map,
-        n_reduced=nxt,
+        n_reduced=len(numbered),
         box=(float(xmin), float(ymin), float(xmax), float(ymax)),
+        sides=sides,
     )
 
 
 @dataclass(frozen=True)
 class MicroModel:
-    """Definition of one micro structure: mesh, materials, per-element ids."""
+    """Definition of one micro structure: mesh, materials, per-element ids.
+
+    Only the cheap checks run here; :class:`MicroGeometry` checks the
+    element Jacobians and the periodic pairing.
+    """
 
     mesh: fmesh.Mesh
     materials: tuple
@@ -161,36 +160,30 @@ class MicroModel:
             raise GeometryError("the micro mesh has no element")
         if len(self.mat_ids) != self.mesh.n_elements:
             raise GeometryError("mat_ids must cover every element")
-        first = 0
-        for block in self.mesh.blocks:  # a non-positive Jacobian raises here
-            fmesh.block_operators(self.mesh, block, first)
-            first += block.n_elements
 
 
 class MicroGeometry:
-    """Immutable precomputed data shared by every RVE of one micro model."""
+    """Immutable precomputed data shared by every RVE of one micro model.
 
-    def __init__(self, model: MicroModel, tol_geom: float | None = None):
+    Built once per model, at model build: the periodic map, the assembly
+    plan of the reduced system (which checks every element's Jacobian) and
+    the affine and first-moment maps. A bad mesh raises
+    :class:`GeometryError` or :class:`MeshQualityError` here.
+    """
+
+    def __init__(self, model: MicroModel):
         m = model.mesh
         self.model = model
         self.mesh = m
-        self.pmap = build_periodic_map(m, tol_geom)
+        self.pmap = build_periodic_map(m)
         self.n_reduced = self.pmap.n_reduced
 
         xmin, ymin, xmax, ymax = self.pmap.box
         self.volume = (xmax - xmin) * (ymax - ymin)
-        self.edge_length = max(xmax - xmin, ymax - ymin)
         self.e_max = max(material.elastic_of(p).E for p in model.materials)
-        self.force_floor = FLOOR_SCALE * self.e_max * self.edge_length
-
-        tol = 1e-8 * self.edge_length if tol_geom is None else tol_geom
-        x = m.nodes
-        on_box = (
-            (np.abs(x[:, 0] - xmin) <= tol) | (np.abs(x[:, 0] - xmax) <= tol)
-            | (np.abs(x[:, 1] - ymin) <= tol) | (np.abs(x[:, 1] - ymax) <= tol)
-        )
+        self.force_floor = FLOOR_SCALE * self.e_max * max(xmax - xmin, ymax - ymin)
+        on_box = self.pmap.sides.any(axis=0)
         self.boundary_nodes = np.flatnonzero(on_box)
-        self.tol_geom = tol
 
         self.plan = fmesh.AssemblyPlan(m, self.pmap.dof_map)
         self.n_ip = self.plan.n_ip
@@ -200,36 +193,11 @@ class MicroGeometry:
         # affine map X -> H*X per DOF (rows: ux, uy; columns: H11..H22) and
         # its boundary-node part, the first moment of the boundary forces
         amap = np.zeros((m.n_nodes, 2, 4))
-        amap[:, 0, :2] = amap[:, 1, 2:] = x
+        amap[:, 0, :2] = amap[:, 1, 2:] = m.nodes
         amap = amap.reshape(-1, 4)
         bmap = amap * np.repeat(on_box, 2)[:, None]
         self.aff = [amap[blk.edofs] for blk in self.plan.blocks]
         self.xmom = [np.ascontiguousarray(np.swapaxes(bmap[blk.edofs], 1, 2)) for blk in self.plan.blocks]
-
-
-def _collect_boundary_edges(m: fmesh.Mesh, box, tol):
-    """Outer-boundary edges with outward normals, for surface averaging."""
-    xmin, ymin, xmax, ymax = box
-    x = m.nodes
-    sides = [
-        (np.abs(x[:, 0] - xmin) <= tol, np.array([-1.0, 0.0])),
-        (np.abs(x[:, 0] - xmax) <= tol, np.array([1.0, 0.0])),
-        (np.abs(x[:, 1] - ymin) <= tol, np.array([0.0, -1.0])),
-        (np.abs(x[:, 1] - ymax) <= tol, np.array([0.0, 1.0])),
-    ]
-    edges = []
-    for block in m.blocks:
-        conn = block.connectivity
-        n_en = conn.shape[1]
-        for e in range(conn.shape[0]):
-            for a in range(n_en):
-                na, nb = int(conn[e, a]), int(conn[e, (a + 1) % n_en])
-                for mask, normal in sides:
-                    if mask[na] and mask[nb]:
-                        length = float(np.linalg.norm(x[nb] - x[na]))
-                        edges.append((na, nb, normal, length))
-                        break
-    return edges
 
 
 # columns of RveBatch.counts
@@ -261,7 +229,6 @@ class RveBatch:
         self.last_step_linear = np.ones(b, dtype=bool)
         self.u_hat, self.u_hat_n, self.u_hat_nm1 = np.zeros((3, b, n))
         self.H, self.H_n = np.zeros((2, b, 4))
-        self.n_commits = 0
         self.ref_force = np.zeros(b)
         self.r_hat = np.zeros((b, n))
         self.kvals = np.zeros((b, len(geom.plan.flat)))
@@ -407,12 +374,21 @@ def average_gradient(rves: RveBatch) -> np.ndarray:
 
 
 def boundary_average_gradient(rves: RveBatch) -> np.ndarray:
-    """Surface form (1/V0) * integral of u (x) n over the outer boundary, (b, 4)."""
+    """Surface form (1/V0) * integral of u (x) n over the outer boundary, (b, 4).
+
+    One pass over the element edges: an edge with both nodes on one box side
+    is a boundary edge, on which the trapezoidal rule is exact.
+    """
     geom = rves.geom
+    edges = np.concatenate([np.stack([blk.connectivity, np.roll(blk.connectivity, -1, axis=1)],
+                                     axis=2).reshape(-1, 2) for blk in geom.mesh.blocks])
+    on = geom.pmap.sides[:, edges[:, 0]] & geom.pmap.sides[:, edges[:, 1]]  # (4, n_edges)
+    keep = on.any(axis=0)
+    na, nb = edges[keep].T
+    half_length = 0.5 * np.linalg.norm(geom.mesh.nodes[nb] - geom.mesh.nodes[na], axis=1)
     u_full = full_displacement(rves).reshape(rves.b, -1, 2)
-    out = np.zeros((rves.b, 2, 2))
-    for na, nb, normal, length in _collect_boundary_edges(geom.mesh, geom.pmap.box, geom.tol_geom):
-        out += 0.5 * length * (u_full[:, na] + u_full[:, nb])[:, :, None] * normal
+    out = np.einsum("e,rei,ej->rij", half_length, u_full[:, na] + u_full[:, nb],
+                    _NORMALS[on[:, keep].argmax(axis=0)])
     return out.reshape(rves.b, 4) / geom.volume
 
 
@@ -545,7 +521,6 @@ def commit(rves: RveBatch):
     rves.u_hat_nm1 = rves.u_hat_n
     rves.u_hat_n = rves.u_hat.copy()
     rves.H_n = rves.H.copy()
-    rves.n_commits += 1
 
 
 def rollback(rves: RveBatch):
@@ -558,10 +533,11 @@ def rollback(rves: RveBatch):
 def begin_increment(rves: RveBatch, extrapolate_ratio=None):
     """Reset the running reference force; with a ratio, extrapolate u_hat.
 
-    The linear displacement predictor uses the last two committed states.
+    The linear displacement predictor uses the last two committed states;
+    the caller passes a ratio only once there are two.
     """
     rves.ref_force[:] = 0.0
-    if extrapolate_ratio is not None and rves.n_commits >= 2:
+    if extrapolate_ratio is not None:
         rves.u_hat = rves.u_hat_n + extrapolate_ratio * (rves.u_hat_n - rves.u_hat_nm1)
 
 

@@ -307,6 +307,8 @@ class TestCustomMeshRun:
                      id="spec8"),
         pytest.param({"E": 100.0, "nu": 0.3, "sigma0": float("inf")},
                      "materials[0]: initial yield stress must be positive and finite", id="spec9"),
+        pytest.param({"E": 10**400, "nu": 0.3}, "materials[0]: int too large to convert to float",
+                     id="spec10"),
     ])
     def test_malformed_material_is_a_config_error(self, tmp_path, capsys, spec, message):
         assert main(["run", str(write_bar_config(tmp_path, materials=[spec]))]) == 2
@@ -351,12 +353,20 @@ class TestFieldTypes:
         ({"solver": {"tol_micro": 0.0}}, "solver: tol_micro must be > 0"),
         ({"solver": {"t_end": -1.0}}, "solver: t_end must be > 0"),
         ({"solver": {"dt_min": 0.0}}, "solver: dt_min must be > 0"),
+        # Python's json reads NaN and Infinity
+        ({"overrides": {"u_end": float("nan")}}, "overrides.u_end: expected a finite number, got nan"),
+        ({"overrides": {"u_end": float("inf")}}, "overrides.u_end: expected a finite number, got inf"),
+        ({"solver": {"tol_macro": float("inf")}},
+         "solver.tol_macro: expected a finite number, got inf"),
+        ({"dirichlet": [[0, float("nan")]]}, "dirichlet: expected a finite number, got nan"),
+        ({"point_loads": [[0, -float("inf")]]}, "point_loads: expected a finite number, got -inf"),
+        ({"solver": {"tol_micro": 10**400}}, "solver.tol_micro: expected a finite number, got 1000"),
     ])
     def test_out_of_range_is_a_config_error(self, tmp_path, capsys, extra, message):
         path = write_tiny_config(tmp_path, output_dir="ranged", **extra)
         assert main(["run", str(path)]) == 2
         assert message in capsys.readouterr().err
-        assert not list(tmp_path.glob("ranged/*_curve.csv"))
+        assert not (tmp_path / "ranged").exists()
 
     def test_custom_model_takes_only_the_rve_resolution(self, tmp_path, capsys):
         assert main(["run", str(write_bar_config(tmp_path, overrides={"n_macro": 3}))]) == 2
@@ -402,6 +412,8 @@ class TestModelErrorsBeforeAnyFile:
                      id="micro"),
         pytest.param("macro.mesh", 7, "0 quad4 0 2 3 1", "element 0: non-positive Jacobian",
                      id="inverted"),
+        pytest.param("micro.mesh", 7, "0 quad4 0 2 3 1", "rve: element 0: non-positive Jacobian",
+                     id="inverted-micro"),
     ])
     def test_bad_mesh_is_a_config_error(self, tmp_path, capsys, mesh, line, text, message):
         path = write_bar_config(tmp_path)

@@ -15,7 +15,7 @@ from fescale.benchmarks import (
     rve_porous_tri,
     rve_single_element,
 )
-from fescale import linalg, macro
+from fescale import linalg, macro, rve as rvemod
 from fescale.errors import (
     MeshQualityError,
     SingularMatrixError,
@@ -265,6 +265,27 @@ class TestDeterminism:
             return [dict(vars(r), wall_ms=None) for r in rep.records]
 
         assert fields(second) == fields(first)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_run_builds_no_micro_geometry(self, workers, tmp_path, monkeypatch):
+        # the model builds its micro geometry once, and every shard of every
+        # run uses it; each build appends a line to a file, so that builds
+        # in forked workers are counted too
+        settings = SolverSettings(dt_initial=0.25, dt_max=0.25, parallel_workers=workers, **TIGHT)
+        model = build_benchmark("notched-shear", "monolithic-stored", n_macro=3, n_micro=3)
+        builds = tmp_path / "builds"
+        builds.touch()
+        init = rvemod.MicroGeometry.__init__
+
+        def counted_init(self, *args, **kwargs):
+            with open(builds, "a") as fh:
+                fh.write("built\n")
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(rvemod.MicroGeometry, "__init__", counted_init)
+        for _ in range(2):
+            assert run(model, settings).converged
+        assert builds.read_text().count("built") == 0
 
     def test_worker_pool_matches_serial(self):
         settings1 = SolverSettings(dt_initial=0.25, dt_max=0.25, parallel_workers=1, **TIGHT)

@@ -66,7 +66,6 @@ class IntegrationPoint:
     local_index: int
     weight: float
     b_operator: np.ndarray
-    coordinates: np.ndarray
     dofs: np.ndarray = field(repr=False, default=None)
 
 
@@ -80,7 +79,7 @@ def build_integration_points(mesh):
     points = []
     first = 0
     for block in mesh.blocks:
-        w, b, coords = block_operators(mesh, block, first)
+        w, b = block_operators(mesh, block, first)
         dofs = element_dofs(block.connectivity)
         for e in range(block.n_elements):
             for q in range(block.n_quad):
@@ -89,7 +88,6 @@ def build_integration_points(mesh):
                     local_index=q,
                     weight=float(w[e, q]),
                     b_operator=b[e, q],
-                    coordinates=coords[e, q],
                     dofs=dofs[e],
                 ))
         first += block.n_elements
@@ -101,7 +99,7 @@ def total_area(mesh):
     area = 0.0
     first = 0
     for block in mesh.blocks:
-        w, _, _ = block_operators(mesh, block, first)
+        w, _ = block_operators(mesh, block, first)
         area += float(w.sum())
         first += block.n_elements
     return area
