@@ -10,6 +10,10 @@ to the four displacement-gradient components (H11, H12, H21, H22). One
 forces and the tangent stiffness for the macro system and every RVE; a
 stiffness is kept as its packed values on the plan's index ``flat`` and
 scattered into a dense matrix when it is factorized.
+
+The element kernels are stacked matrix products (``np.matmul``, one BLAS
+call per element and batch row) on operators laid out at plan build, and
+every sum over elements is one :func:`scatter_add` pass.
 """
 
 from __future__ import annotations
@@ -122,6 +126,21 @@ def block_operators(mesh: Mesh, block: ElementBlock, first_element: int):
     return w, b
 
 
+def scatter_add(index, parts, size):
+    """Sums into (..., size) arrays of the values ``parts`` at positions ``index`` (m,).
+
+    ``parts`` are (..., m_i) arrays whose concatenation along the last axis
+    matches ``index``; a single part is used in place. One ``np.bincount``
+    covers every row, each row's indices offset by row * size. It adds in
+    index order from zero, the order of the unbuffered ``ufunc.at`` form of
+    ``np.add`` into zeros, so the sums equal that form's bit for bit.
+    """
+    values = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    rows = np.arange(np.prod(values.shape[:-1], dtype=np.int64))[:, None]
+    out = np.bincount((rows * size + index).ravel(), values.ravel(), rows.size * size)
+    return out.astype(np.float64, copy=False).reshape(values.shape[:-1] + (size,))
+
+
 def element_dofs(conn):
     """Interleaved node-major DOF indices per element: (n_el, 2*n_en)."""
     n_el, n_en = conn.shape
@@ -135,18 +154,18 @@ def element_dofs(conn):
 class PlanBlock:
     """One element block of an :class:`AssemblyPlan`.
 
-    ``red`` holds the reduced equation of every element DOF (-1 =
-    eliminated); ``slots`` are the packed-value positions (in the plan's
-    ``flat``) of the entries of the element stiffness selected by ``kept``;
-    ``ips`` is the block's slice of the global integration-point order.
+    ``w`` (n_el, n_q) holds the integration weights; ``Bq`` (n_el, n_q*4,
+    2*n_en) is B with the points stacked, and ``wBt`` (n_el, 2*n_en, n_q*4)
+    the transpose of w*B, both contiguous. ``red`` holds the reduced
+    equation of every element DOF (-1 = eliminated); ``ips`` is the block's
+    slice of the global integration-point order.
     """
 
     w: np.ndarray
-    B: np.ndarray
+    Bq: np.ndarray
+    wBt: np.ndarray
     edofs: np.ndarray
     red: np.ndarray
-    kept: np.ndarray
-    slots: np.ndarray
     ips: slice
 
 
@@ -159,6 +178,11 @@ class AssemblyPlan:
     element, which is structurally symmetric by construction. Integration
     points are numbered block by block, element-major then quadrature-local;
     per-point arrays follow that order.
+
+    Leading axes of the kernels' arguments are a batch (one row per RVE at
+    the micro scale). Each row's operands keep the layout of a single row,
+    so every row is computed by the same BLAS calls and comes out bit for
+    bit as it would alone.
     """
 
     def __init__(self, mesh: Mesh, dof_map: np.ndarray):
@@ -167,22 +191,29 @@ class AssemblyPlan:
         reds = [dof_map[element_dofs(block.connectivity)] for block in mesh.blocks]
         keys = [red[:, :, None] * n + red[:, None, :] for red in reds]
         kept = [(red[:, :, None] >= 0) & (red[:, None, :] >= 0) for red in reds]
-        self.flat = np.unique(np.concatenate([np.zeros(0, dtype=np.int64)]
-                                             + [k[m] for k, m in zip(keys, kept)]))
+        empty = np.zeros(0, dtype=np.int64)
+        self.flat = np.unique(np.concatenate([empty] + [k[m] for k, m in zip(keys, kept)]))
         self.blocks = []
-        ip_element = [np.zeros(0, dtype=np.int64)]
+        ip_element, slots = [empty], [empty]
         first_el = first_ip = 0
         for block, red, key, keep in zip(mesh.blocks, reds, keys, kept):
             w, b = block_operators(mesh, block, first_el)
-            self.blocks.append(PlanBlock(w, b, element_dofs(block.connectivity), red, keep,
-                                         np.searchsorted(self.flat, key[keep]),
+            bq = b.reshape(w.shape[0], -1, b.shape[-1])
+            wbt = np.ascontiguousarray(np.swapaxes((w[..., None, None] * b).reshape(bq.shape), 1, 2))
+            self.blocks.append(PlanBlock(w, bq, wbt, element_dofs(block.connectivity), red,
                                          slice(first_ip, first_ip + w.size)))
+            slots.append(np.where(keep, np.searchsorted(self.flat, key), len(self.flat)).ravel())
             ip_element.append(np.repeat(first_el + np.arange(block.n_elements), block.n_quad))
             first_el += block.n_elements
             first_ip += w.size
         self.n_ip = first_ip
         self.ip_element = np.concatenate(ip_element)
         self.weights = np.concatenate([np.zeros(0)] + [blk.w.ravel() for blk in self.blocks])
+        # scatter indices of every block, in block order: the DOF of each
+        # element force entry, and the packed-value slot of each element
+        # stiffness entry, len(flat) (a spare slot) off the reduced rows and columns
+        self.dof_index = np.concatenate([empty] + [blk.edofs.ravel() for blk in self.blocks])
+        self.slot_index = np.concatenate(slots)
 
     def dense(self, values):
         """Dense matrices (..., n, n) of packed stiffness values (..., len(flat))."""
@@ -191,28 +222,20 @@ class AssemblyPlan:
         return out.reshape(values.shape[:-1] + (self.n, self.n))
 
     def gradients(self, u):
-        """Displacement gradients (..., n_ip, 4) of nodal displacements ``u`` (..., n_dofs).
-
-        Leading axes are a batch (one row per RVE at the micro scale); each
-        row comes out as it would alone.
-        """
+        """Displacement gradients (..., n_ip, 4) of nodal displacements ``u`` (..., n_dofs)."""
         out = np.empty(u.shape[:-1] + (self.n_ip, 4))
         for blk in self.blocks:
-            # take() keeps each row's element DOFs contiguous, as einsum's
-            # summation order (and so the bits) depends on the layout
-            g = np.einsum("eqab,...eb->...eqa", blk.B, np.take(u, blk.edofs, axis=-1))
+            # take() lays each row's element DOFs out contiguously, as for one row
+            g = blk.Bq @ np.take(u, blk.edofs, axis=-1)[..., None]
             out[..., blk.ips, :] = g.reshape(u.shape[:-1] + (-1, 4))
         return out
 
     def internal_force(self, sigma):
         """Nodal forces (..., n_dofs), sum of B^T w sigma, of per-point stresses (..., n_ip, 4)."""
         lead = sigma.shape[:-2]
-        f = np.zeros(lead + (self.n_dofs,))
-        for blk in self.blocks:
-            sig = sigma[..., blk.ips, :].reshape(lead + blk.w.shape + (4,))
-            fe = np.einsum("eqab,...eqa->...eb", blk.B, blk.w[..., None] * sig)
-            np.add.at(f, (..., blk.edofs.ravel()), fe.reshape(lead + (-1,)))
-        return f
+        fe = [(blk.wBt @ sigma[..., blk.ips, :].reshape(lead + (len(blk.w), -1, 1)))
+              .reshape(lead + (-1,)) for blk in self.blocks]
+        return scatter_add(self.dof_index, fe, self.n_dofs)
 
     def stiffness(self, d):
         """Packed values (..., len(flat)) of sum B^T w D B, and each block's element stiffness.
@@ -222,17 +245,14 @@ class AssemblyPlan:
         entries on reduced rows and columns enter the packed values.
         """
         lead = d.shape[:-3]
-        kvals = np.zeros(lead + (len(self.flat),))
         kes = []
         for blk in self.blocks:
-            dw = blk.w[..., None, None] * d[..., blk.ips, :, :].reshape(lead + blk.w.shape + (4, 4))
-            tmp = np.einsum("eqab,...eqac->...eqbc", blk.B, dw)
-            del dw  # a batch's temporaries are large: each is freed once used
-            ke = np.einsum("...eqbc,eqcd->...ebd", tmp, blk.B)
-            del tmp
-            np.add.at(kvals, (..., blk.slots), ke[..., blk.kept])
-            kes.append(ke)
-        return kvals, kes
+            n_el, n_q = blk.w.shape
+            db = d[..., blk.ips, :, :].reshape(lead + (n_el, n_q, 4, 4)) @ blk.Bq.reshape(n_el, n_q, 4, -1)
+            kes.append(blk.wBt @ db.reshape(lead + blk.Bq.shape))
+            del db  # a batch's temporaries are large: each is freed once used
+        kvals = scatter_add(self.slot_index, [ke.reshape(lead + (-1,)) for ke in kes], len(self.flat) + 1)
+        return kvals[..., :-1], kes
 
 
 def count_pieces(mesh: Mesh):

@@ -13,8 +13,11 @@ A single assembly pass over a batch produces the reduced residual, the
 reduced tangent stiffness values, the residual sensitivity to the applied
 macroscopic gradient, the boundary-sum homogenized stress, and the stress
 sensitivities needed for the condensed macroscopic tangent and the
-algorithmic stress. Every row is computed as it would be alone, so an RVE's
-results do not depend on its neighbours in the batch.
+algorithmic stress. The sensitivities are stacked matrix products of the
+plan's element stiffnesses with the affine and first-moment maps, and the
+residual and sensitivities are each summed by one :func:`mesh.scatter_add`
+pass. Every row is computed as it would be alone, so an RVE's results do
+not depend on its neighbours in the batch.
 """
 
 from __future__ import annotations
@@ -197,7 +200,14 @@ class MicroGeometry:
         amap = amap.reshape(-1, 4)
         bmap = amap * np.repeat(on_box, 2)[:, None]
         self.aff = [amap[blk.edofs] for blk in self.plan.blocks]
-        self.xmom = [np.ascontiguousarray(np.swapaxes(bmap[blk.edofs], 1, 2)) for blk in self.plan.blocks]
+        self.xmom = [bmap[blk.edofs] for blk in self.plan.blocks]
+        # scatter indices, an eliminated DOF sending its value to a spare
+        # equation n: each DOF's equation (residual), and (equation, column)
+        # of the 8 sensitivity columns (dr_dH, dsig_du) of every element DOF
+        n = self.n_reduced
+        self.eq_index = np.where(self.pmap.dof_map >= 0, self.pmap.dof_map, n)
+        self.sens_index = np.concatenate([8 * np.where(blk.red >= 0, blk.red, n)[..., None] + np.arange(8)
+                                          for blk in self.plan.blocks], axis=None)
 
 
 # columns of RveBatch.counts
@@ -233,8 +243,8 @@ class RveBatch:
         self.r_hat = np.zeros((b, n))
         self.kvals = np.zeros((b, len(geom.plan.flat)))
         self.dr_dH = np.zeros((b, n, 4))
-        # each RVE's (4, n) block is column-major, as the transpose it is
-        # computed as, which fixes the BLAS kernel of its products
+        # each RVE's (4, n) block is column-major, the transpose of the
+        # (n, 4) sums assemble() scatters, which fixes the BLAS kernel of its products
         self.dsig_du = np.zeros((b, n, 4)).transpose(0, 2, 1)
         self.dsig_dh, self.c_tangent = np.zeros((2, b, 4, 4))
         self.sigma_bar = np.zeros((b, 4))
@@ -296,26 +306,23 @@ def assemble(rves: RveBatch, mask=None):
     flagged = rves.last_step_linear[sel] & linear_now & rves.linear_now[sel]
 
     f_full = geom.plan.internal_force(sigma)
-    red = geom.pmap.dof_map
-    r_hat = np.zeros((k, geom.n_reduced))
-    np.add.at(r_hat, (slice(None), red[red >= 0]), f_full[:, red >= 0])
+    r_hat = fmesh.scatter_add(geom.eq_index, [f_full], geom.n_reduced + 1)[:, :-1]
 
     fresh = sel[~flagged]
     if len(fresh):
         kvals, kes = geom.plan.stiffness(d[~flagged] if flagged.any() else d)
-        dr_dh = np.zeros((len(fresh), geom.n_reduced, 4))
-        dsig_dut = np.zeros((len(fresh), geom.n_reduced, 4))
-        dsig_dh = np.zeros((len(fresh), 4, 4))
-        for blk, ke, aff, xmom in zip(geom.plan.blocks, kes, geom.aff, geom.xmom):
-            rkeep = blk.red >= 0
-            ge = np.einsum("rebd,edc->rebc", ke, aff)
-            np.add.at(dr_dh, (slice(None), blk.red[rkeep]), ge[:, rkeep])
-            me = np.einsum("ecb,rebd->redc", xmom, ke)  # (r, e, 2n, 4)
-            np.add.at(dsig_dut, (slice(None), blk.red[rkeep]), me[:, rkeep])
-            dsig_dh += np.einsum("redc,eda->rca", me, aff)
+        del d  # a batch's temporaries are large: each is freed once used
+        r, n = len(fresh), geom.n_reduced
+        sens, dsig_dh = [], np.zeros((r, 4, 4))
+        for ke, aff, xmom in zip(kes, geom.aff, geom.xmom):
+            me = np.swapaxes(ke, 2, 3) @ xmom  # (r, e, 2n_en, 4)
+            dsig_dh += np.swapaxes(me.reshape(r, -1, 4), 1, 2) @ aff.reshape(-1, 4)
+            sens.append(np.concatenate([ke @ aff, me], axis=3).reshape(r, -1))  # dr_dH | dsig_du
+        del kes, me
+        sens = fmesh.scatter_add(geom.sens_index, sens, 8 * (n + 1)).reshape(r, n + 1, 8)
         rves.kvals[fresh] = kvals
-        rves.dr_dH[fresh] = dr_dh
-        rves.dsig_du[fresh] = np.swapaxes(dsig_dut, 1, 2) / geom.volume
+        rves.dr_dH[fresh] = sens[:, :n, :4]
+        rves.dsig_du[fresh] = np.swapaxes(sens[:, :n, 4:], 1, 2) / geom.volume
         rves.dsig_dh[fresh] = dsig_dh / geom.volume
         rves.factor_valid[fresh] = rves.tangent_valid[fresh] = False
 

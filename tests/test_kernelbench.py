@@ -2,8 +2,9 @@
 
 The micro kernels run at the shipped RVE (``n_micro`` 8, n = 116) and at
 ``n_micro`` 16 (n = 436), where a dense factor costs most against a banded
-one. Marked ``kernelbench`` and deselected by default (see pyproject.toml);
-run them with ``pytest -m kernelbench tests/test_kernelbench.py``.
+one; the assembly kernels also run on a 16-RVE shard, the plate-hole
+shard size. Marked ``kernelbench`` and deselected by default (see
+pyproject.toml); run them with ``pytest -m kernelbench tests/test_kernelbench.py``.
 """
 
 import numpy as np
@@ -27,14 +28,28 @@ def plate_hole_rve(request):
     return geom, geom.plan.dense(p.kvals[0])
 
 
-def test_rve_assemble_plastic(benchmark):
+@pytest.fixture(scope="module")
+def shipped_geom():
+    return R.MicroGeometry(rve_porous_quad(default_materials("plate-hole-tension"), n=8))
+
+
+@pytest.mark.parametrize("count", [1, 16])
+def test_rve_assemble_plastic(benchmark, shipped_geom, count):
     # plastic trial state: every call evaluates the material and assembles
-    # the stiffness and sensitivities (nothing is carried over)
-    p = R.RveBatch(R.MicroGeometry(rve_porous_quad(default_materials("plate-hole-tension"), n=8)))
-    p.H[0] = [0.0, 0.01, 0.01, 0.004]
+    # the stiffness and sensitivities (nothing is carried over); 16 RVEs
+    # are a plate-hole shard
+    p = R.RveBatch(shipped_geom, count)
+    p.H[:] = [0.0, 0.01, 0.01, 0.004]
     R.assemble(p)
-    assert p.plastic_flow[0]
+    assert p.plastic_flow.all()
     benchmark(R.assemble, p)
+
+
+def test_plan_stiffness_shard(benchmark, shipped_geom):
+    # the element stiffnesses and packed values of a 16-RVE shard
+    plan = shipped_geom.plan
+    d = np.random.default_rng(0).standard_normal((16, plan.n_ip, 4, 4))
+    benchmark(plan.stiffness, d)
 
 
 def test_material_evaluate_batch_plastic(benchmark, plate_hole_rve):

@@ -1,5 +1,6 @@
 """Tests for the two-scale drivers: schemes, stepping, extrapolation, pools."""
 
+import functools
 import hashlib
 import pathlib
 import pickle
@@ -326,8 +327,9 @@ class TestQuadraticConvergence:
 
 
 # Runs of notched-shear (n_macro=3, n_micro=4, dt 0.125, TIGHT). The curves
-# and alpha digests are those of the retained dense inverses (they moved in
-# the last bits, at most 3.4e-15 relative, from the banded LU's); the
+# and alpha digests are those of the retained dense inverses and of the
+# element kernels as batched matrix products with bincount scatters (both
+# moved them in the last bits); the
 # counters are those of the one-RVE-at-a-time sweep before stacked solves
 # (monolithic) and of staggered's own macro Newton loop before the schemes
 # shared one loop. Per scheme: the curve (float.hex), a SHA-256 of
@@ -335,30 +337,30 @@ class TestQuadraticConvergence:
 # micro_iters_total, micro_iters_max, macro_factorizations).
 MONOLITHIC_CURVE = [
     ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-    ("0x1.0000000000000p-3", "0x1.eb851eb851eb8p-9", "0x1.5f5df80e7fa04p-5"),
-    ("0x1.0000000000000p-2", "0x1.eb851eb851eb8p-8", "0x1.5f5df80e7fa24p-4"),
-    ("0x1.8000000000000p-2", "0x1.70a3d70a3d70ap-7", "0x1.07867a0adfba5p-3"),
-    ("0x1.0000000000000p-1", "0x1.eb851eb851eb8p-7", "0x1.561d661b0d836p-3"),
-    ("0x1.4000000000000p-1", "0x1.3333333333333p-6", "0x1.800619846b92dp-3"),
-    ("0x1.8000000000000p-1", "0x1.70a3d70a3d70ap-6", "0x1.8a4f78deae736p-3"),
-    ("0x1.c000000000000p-1", "0x1.ae147ae147ae1p-6", "0x1.918b40bcc2d3bp-3"),
-    ("0x1.0000000000000p+0", "0x1.eb851eb851eb8p-6", "0x1.97a1c262d6646p-3"),
+    ("0x1.0000000000000p-3", "0x1.eb851eb851eb8p-9", "0x1.5f5df80e7fa16p-5"),
+    ("0x1.0000000000000p-2", "0x1.eb851eb851eb8p-8", "0x1.5f5df80e7fa3dp-4"),
+    ("0x1.8000000000000p-2", "0x1.70a3d70a3d70ap-7", "0x1.07867a0adfba7p-3"),
+    ("0x1.0000000000000p-1", "0x1.eb851eb851eb8p-7", "0x1.561d661b0d82dp-3"),
+    ("0x1.4000000000000p-1", "0x1.3333333333333p-6", "0x1.800619846b920p-3"),
+    ("0x1.8000000000000p-1", "0x1.70a3d70a3d70ap-6", "0x1.8a4f78deae742p-3"),
+    ("0x1.c000000000000p-1", "0x1.ae147ae147ae1p-6", "0x1.918b40bcc2d4ap-3"),
+    ("0x1.0000000000000p+0", "0x1.eb851eb851eb8p-6", "0x1.97a1c262d663ep-3"),
 ]
-MONOLITHIC_ALPHA_SHA256 = "b758a7e6b87311e6e4deba2f77edede146feef469a1f5fa7b2ae64ae6f18ae1c"
+MONOLITHIC_ALPHA_SHA256 = "f5d645e34267b14d8c8b555dbd944d2b3f7301e8981e6425930f082e6af26547"
 SWEEP = {
     "staggered": (
         [
             ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-            ("0x1.0000000000000p-3", "0x1.eb851eb851eb8p-9", "0x1.5f5df80e7fa05p-5"),
-            ("0x1.0000000000000p-2", "0x1.eb851eb851eb8p-8", "0x1.5f5df80e7fa1cp-4"),
-            ("0x1.8000000000000p-2", "0x1.70a3d70a3d70ap-7", "0x1.07867a0adfb9bp-3"),
-            ("0x1.0000000000000p-1", "0x1.eb851eb851eb8p-7", "0x1.561d661aae650p-3"),
+            ("0x1.0000000000000p-3", "0x1.eb851eb851eb8p-9", "0x1.5f5df80e7fa03p-5"),
+            ("0x1.0000000000000p-2", "0x1.eb851eb851eb8p-8", "0x1.5f5df80e7fa1fp-4"),
+            ("0x1.8000000000000p-2", "0x1.70a3d70a3d70ap-7", "0x1.07867a0adfba2p-3"),
+            ("0x1.0000000000000p-1", "0x1.eb851eb851eb8p-7", "0x1.561d661aae651p-3"),
             ("0x1.4000000000000p-1", "0x1.3333333333333p-6", "0x1.800619846b599p-3"),
-            ("0x1.8000000000000p-1", "0x1.70a3d70a3d70ap-6", "0x1.8a4f78deaec10p-3"),
-            ("0x1.c000000000000p-1", "0x1.ae147ae147ae1p-6", "0x1.918b40bd03831p-3"),
-            ("0x1.0000000000000p+0", "0x1.eb851eb851eb8p-6", "0x1.97a1c262cb7dep-3"),
+            ("0x1.8000000000000p-1", "0x1.70a3d70a3d70ap-6", "0x1.8a4f78deaec04p-3"),
+            ("0x1.c000000000000p-1", "0x1.ae147ae147ae1p-6", "0x1.918b40bd03834p-3"),
+            ("0x1.0000000000000p+0", "0x1.eb851eb851eb8p-6", "0x1.97a1c262cb7e2p-3"),
         ],
-        "5fc56f2c27d5f67b0930fd42332a6bdb4ea1ee5458e709b44338e8195858c58b",
+        "36fcf63f27bee9455f9290114150d4f759bb566ffcb72b87aee320c104b4f7ee",
         [
             (0, 16, 22, 1, 1), (0, 0, 22, 1, 1), (0, 0, 0, 1, 0), (36, 12, 61, 3, 3),
             (78, 24, 84, 4, 3), (81, 26, 85, 3, 3), (54, 18, 56, 3, 2), (49, 18, 51, 3, 2),
@@ -394,7 +396,28 @@ class TestStackedSweep:
                  r.macro_factorizations) for r in rep.records] == counters
 
 
-BANDED_LU_CURVES = pathlib.Path(__file__).parent / "data" / "banded_lu_curves"
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+@functools.lru_cache(maxsize=None)
+def shipped_curve(name, scheme):
+    """Curve of a shipped benchmark at its `fescale bench` sizes, run once per session."""
+    rep = run(build_benchmark(name, scheme, **BENCH_SIZE_DEFAULTS[name]),
+              SolverSettings(**BENCH_SOLVER_DEFAULTS[name]))
+    assert rep.converged
+    curve = np.array(rep.curve)
+    curve.flags.writeable = False  # one array serves every caller
+    return curve
+
+
+def assert_curve_near(name, scheme, directory, rtol):
+    """The curve within rtol of each column's largest magnitude in the CSV kept in ``directory``."""
+    got = shipped_curve(name, scheme)
+    want = np.loadtxt(DATA / directory / f"{name}_{scheme}_curve.csv", delimiter=",", skiprows=1)
+    assert got.shape == want.shape
+    assert_array_equal(got[:, 0], want[:, 0])
+    scale = np.abs(want[:, 1:]).max(axis=0)
+    assert np.all(np.abs(got[:, 1:] - want[:, 1:]) <= rtol * scale)
 
 
 class TestAgainstBandedLuCurves:
@@ -404,16 +427,20 @@ class TestAgainstBandedLuCurves:
     @pytest.mark.parametrize("scheme", ["staggered", "monolithic-stored"])
     @pytest.mark.parametrize("name", sorted(BENCH_SIZE_DEFAULTS))
     def test_shipped_curves_within_1e_8(self, name, scheme):
-        rep = run(build_benchmark(name, scheme, **BENCH_SIZE_DEFAULTS[name]),
-                  SolverSettings(**BENCH_SOLVER_DEFAULTS[name]))
-        assert rep.converged
-        got = np.array(rep.curve)
-        want = np.loadtxt(BANDED_LU_CURVES / f"{name}_{scheme}_curve.csv", delimiter=",",
-                          skiprows=1)
-        assert got.shape == want.shape
-        assert_array_equal(got[:, 0], want[:, 0])
-        scale = np.abs(want[:, 1:]).max(axis=0)
-        assert np.all(np.abs(got[:, 1:] - want[:, 1:]) <= 1e-8 * scale)
+        assert_curve_near(name, scheme, "banded_lu_curves", 1e-8)
+
+
+EINSUM_KERNEL_CURVES = sorted((DATA / "einsum_kernel_curves").glob("*_curve.csv"))
+
+
+class TestAgainstEinsumKernelCurves:
+    # The shipped suite as the element kernels computed it as einsum
+    # contractions with np.add.at scatters, before batched matrix products
+    # and bincount scatters replaced them
+    @pytest.mark.parametrize("path", EINSUM_KERNEL_CURVES, ids=lambda p: p.stem)
+    def test_shipped_curves_within_1e_12(self, path):
+        name, scheme, _ = path.stem.rsplit("_", 2)
+        assert_curve_near(name, scheme, "einsum_kernel_curves", 1e-12)
 
 
 class TestWorkerFailures:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from fescale.benchmarks import rve_porous_quad, rve_porous_tri
 from fescale.errors import MeshQualityError
 from fescale.mesh import (
     QUAD4,
@@ -14,8 +15,10 @@ from fescale.mesh import (
     ElementBlock,
     Mesh,
     count_pieces,
+    scatter_add,
 )
-from tests_support import build_integration_points, total_area
+from fescale.rve import MicroGeometry
+from tests_support import PLASTIC, build_integration_points, total_area
 
 
 def unit_triangle():
@@ -239,3 +242,58 @@ class TestAssemblyPlan:
         assert len(per_element) == n_el
         for got, want in zip(per_element, ke):
             assert_allclose(got, want, rtol=1e-12)
+
+
+PLANS = {
+    "tri3-rve": lambda: MicroGeometry(rve_porous_tri(PLASTIC, n=4)).plan,
+    "quad4-rve": lambda: MicroGeometry(rve_porous_quad(PLASTIC, n=4)).plan,
+    "mixed": lambda: AssemblyPlan(mixed_mesh(), mixed_dof_map()),
+}
+
+
+def kernel_inputs(plan, rows, seed=11):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((rows, plan.n_dofs)), rng.standard_normal((rows, plan.n_ip, 4)),
+            rng.standard_normal((rows, plan.n_ip, 4, 4)))
+
+
+def kernel_outputs(plan, u, sigma, d):
+    kvals, kes = plan.stiffness(d)
+    return [plan.gradients(u), plan.internal_force(sigma), kvals] + kes
+
+
+class TestBatchedKernels:
+    """Each batch row comes out of the plan's kernels as it does alone, bit for bit."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 16, "masked", "strided"])
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_rows_equal_single_row_calls_bitwise(self, name, rows):
+        plan = PLANS[name]()
+        if rows == "masked":  # a boolean selection of scattered rows (a copy)
+            pick = np.arange(20) % 3 != 1
+            inputs = [x[pick] for x in kernel_inputs(plan, 20)]
+        elif rows == "strided":  # every third row, a non-contiguous view
+            inputs = [x[::3] for x in kernel_inputs(plan, 20)]
+        else:
+            inputs = kernel_inputs(plan, rows)
+        batch = kernel_outputs(plan, *inputs)
+        for i in range(len(inputs[0])):
+            alone = kernel_outputs(plan, *(x[i:i + 1] for x in inputs))
+            unbatched = kernel_outputs(plan, *(x[i] for x in inputs))  # as the macro system calls
+            for got, want, plain in zip(batch, alone, unbatched):
+                assert_array_equal(got[i], want[0])
+                assert_array_equal(got[i], plain)
+
+    def test_scatter_equals_add_at_where_blocks_share_slots(self):
+        plan = PLANS["mixed"]()
+        d = kernel_inputs(plan, 3)[2]
+        kvals, kes = plan.stiffness(d)
+        tri, quad = np.split(plan.slot_index, [kes[0][0].size])
+        assert np.intersect1d(tri[tri < len(plan.flat)], quad).size
+        want = np.zeros((3, len(plan.flat) + 1))  # the last slot takes the eliminated entries
+        np.add.at(want, (..., plan.slot_index), np.concatenate([ke.reshape(3, -1) for ke in kes], axis=1))
+        assert_array_equal(kvals, want[:, :-1])
+        values = np.random.default_rng(2).standard_normal((3, len(plan.dof_index)))
+        want = np.zeros((3, plan.n_dofs))
+        np.add.at(want, (..., plan.dof_index), values)
+        assert_array_equal(scatter_add(plan.dof_index, [values], plan.n_dofs), want)
