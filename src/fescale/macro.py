@@ -164,21 +164,15 @@ class MacroSystem:
 class _Shard:
     """The RVE problems of one worker, a contiguous-by-stride subset, as one batch.
 
-    Every RVE factorizes into its slot of the batch's factor stack, so each
-    solve of either sweep is one stacked call over the shard, and both
-    sweeps end in one condensation call that returns the shard's stresses
-    and tangents. The pool calls the public methods by name.
+    The batch's set-up pass (see :class:`rve.RveBatch`) solves the virgin
+    stiffness once, so the first condensation update consumes retained
+    columns. Both sweeps end in one condensation call that returns the
+    shard's stresses and tangents. The pool calls the public methods by
+    name.
     """
 
     def __init__(self, geom, indices, store_factorization):
         self.rves = rvemod.RveBatch(geom, len(indices), store_factorization)
-        # setup pass: every RVE starts at the same virgin elastic stiffness;
-        # it is inverted once and copied into every slot, so the first
-        # condensation update consumes a retained factorization
-        rvemod.assemble(self.rves)
-        linalg.factorize(geom.plan.dense(self.rves.kvals[0]), out=self.rves.stack[0])
-        self.rves.stack[1:] = self.rves.stack[0]
-        self.rves.factor_valid[:] = True
 
     def begin_increment(self, extrapolate_ratio):
         rvemod.begin_increment(self.rves, extrapolate_ratio)
@@ -487,13 +481,13 @@ def newton_increment(model, pool, settings, lam, u_start, u_n, record):
             record.macro_iterations += k
             return (u, f_int) if converged else None
         try:
-            factor = linalg.factorize(k_t)
+            step = linalg.factorize(k_t, r_free).columns
         except SingularMatrixError:
             record.macro_iterations += k
             return None
         record.macro_factorizations += 1
         du = np.zeros_like(u)
-        du[sysm.free] = -linalg.solve(factor, r_free)
+        du[sysm.free] = -step
         u += du
     return None
 

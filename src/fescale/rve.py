@@ -221,18 +221,26 @@ class RveBatch:
     material over count x points, RVE-major), ``u_hat_n``, ``u_hat_nm1``,
     ``H_n``, ``active_committed`` and ``last_step_linear``. The current
     iterate is ``u_hat`` (b, n) and ``H`` (b, 4). Each RVE's last assembly
-    is kept in the arrays :func:`assemble` fills; its stiffness is inverted
-    into the RVE's slot of ``stack`` and stays valid while ``factor_valid``
-    holds, and ``c_tangent`` while ``tangent_valid`` holds. ``failed``
-    marks the RVEs whose current sweep met a numerical failure or a budget
-    overrun. ``counts`` holds per RVE the update solves, auxiliary solves
-    and factorizations since the macro run loop last reset them.
+    is kept in the arrays :func:`assemble` fills. Its condensation columns,
+    the tangent columns ``x_h`` = K^-1 dr/dH (b, n, 4) and the residual
+    column ``x_r`` = K^-1 r (b, n), belong to that assembly while
+    ``solved`` holds, and ``c_tangent`` while ``tangent_valid`` holds.
+    ``failed`` marks the RVEs whose current sweep met a numerical failure
+    or a budget overrun. ``counts`` holds per RVE the update solves,
+    auxiliary solves and factorizations since the macro run loop last reset
+    them.
+
+    A batch starts with a set-up pass at the virgin state: every RVE is
+    assembled there, at the same elastic stiffness K0. One LU solve gives
+    its tangent columns, which every RVE starts with as solved, and
+    ``virgin_inverse`` = K0^-1, the one retained factor of the batch: a
+    linear-flagged RVE's stiffness is K0 bit for bit, so its columns are
+    the virgin ones (see :func:`assemble`).
     """
 
     def __init__(self, geom: MicroGeometry, count: int = 1, store_factorization: bool = True):
         b, n, n_ip = count, geom.n_reduced, geom.n_ip
         self.geom, self.b, self.store_factorization = geom, b, store_factorization
-        self.stack = linalg.empty_stack(b, n)
         self.states = [material.StateBatch.virgin(b * len(g)) for g in geom.mat_groups]
         self.trial = [s.copy() for s in self.states]
         self.active_committed = np.zeros((b, n_ip), dtype=bool)
@@ -252,9 +260,18 @@ class RveBatch:
         self.sigma_ips = np.zeros((b, n_ip, 4))
         self.active = np.zeros((b, n_ip), dtype=bool)
         self.residual_norm = np.zeros(b)
-        (self.plastic_flow, self.linear_now, self.flagged, self.factor_valid,
+        self.x_h = np.zeros((b, n, 4))
+        self.x_r = np.zeros((b, n))
+        (self.plastic_flow, self.linear_now, self.flagged, self.solved,
          self.tangent_valid, self.failed) = np.zeros((6, b), dtype=bool)
         self.counts = np.zeros((b, 3), dtype=np.int64)
+        # set-up pass; the virgin residual is zero, and so is x_r
+        assemble(self)
+        virgin = linalg.factorize(geom.plan.dense(self.kvals[0]),
+                                  np.concatenate([self.dr_dH[0], np.eye(n)], axis=1)).columns
+        self.virgin_x_h, self.virgin_inverse = virgin[:, :4], virgin[:, 4:]
+        self.x_h[:] = self.virgin_x_h
+        self.solved[:] = True
 
 
 def full_displacement(rves: RveBatch, u_hat=None, h=None):
@@ -276,9 +293,12 @@ def assemble(rves: RveBatch, mask=None):
     evaluated from the last committed values; the trial states go to
     ``rves.trial`` for a possible commit. An RVE whose step is linear (no
     plastic flow now or in the last committed step, no activity change)
-    keeps the state-independent matrices of its previous assembly, and with
-    them its retained factor and condensed tangent (``flagged``). A
-    non-finite residual marks the RVE ``failed``.
+    keeps the state-independent matrices of its previous assembly and its
+    condensed tangent (``flagged``). Those matrices were assembled with the
+    elastic tangent everywhere, so they are the virgin ones, and the RVE's
+    columns come from the batch's virgin factor: ``x_h`` the virgin tangent
+    columns and ``x_r`` = K0^-1 r. A non-finite residual marks the RVE
+    ``failed``.
     """
     geom, b = rves.geom, rves.b
     sel = np.arange(b) if mask is None else np.flatnonzero(mask)
@@ -324,7 +344,11 @@ def assemble(rves: RveBatch, mask=None):
         rves.dr_dH[fresh] = sens[:, :n, :4]
         rves.dsig_du[fresh] = np.swapaxes(sens[:, :n, 4:], 1, 2) / geom.volume
         rves.dsig_dh[fresh] = dsig_dh / geom.volume
-        rves.factor_valid[fresh] = rves.tangent_valid[fresh] = False
+        rves.solved[fresh] = rves.tangent_valid[fresh] = False
+    virgin = flagged & rves.solved[sel]
+    if virgin.any():
+        rves.x_h[sel[virgin]] = rves.virgin_x_h
+        rves.x_r[sel[virgin]] = _matvec(rves.virgin_inverse, r_hat[virgin])
 
     f2 = np.take(f_full.reshape(k, -1, 2), geom.boundary_nodes, axis=1)
     bx = geom.mesh.nodes[geom.boundary_nodes]
@@ -340,27 +364,40 @@ def residual_reference(rves: RveBatch):
     return np.maximum(rves.ref_force, rves.geom.force_floor)
 
 
-def _ensure_factorization(rves: RveBatch, need):
-    """Invert the stiffness of every RVE in ``need`` that has no valid factor.
+def _solve_columns(rves: RveBatch, need, tangent=True):
+    """LU-solve the stiffness of every RVE in ``need`` whose columns are not solved.
 
-    One :func:`linalg.factorize` call per such RVE, into its slot of the
-    stack. A singular stiffness marks the RVE ``failed`` instead of raising.
+    One :func:`linalg.factorize` call per such RVE, its counted
+    factorization, on a fixed layout: the 4 tangent columns and the
+    residual column, or with ``tangent=False`` (a staggered Newton step)
+    the residual column alone, whose step is assembled before any tangent
+    column is read. A singular stiffness marks the RVE ``failed`` instead
+    of raising.
     """
     geom = rves.geom
-    for i in np.flatnonzero(need & ~rves.factor_valid & ~rves.failed):
+    for i in np.flatnonzero(need & ~rves.solved & ~rves.failed):
+        rhs = rves.r_hat[i, :, None]
+        if tangent:
+            rhs = np.concatenate([rves.dr_dH[i], rhs], axis=1)
         try:
-            linalg.factorize(geom.plan.dense(rves.kvals[i]), out=rves.stack[i])
+            x = linalg.factorize(geom.plan.dense(rves.kvals[i]), rhs).columns
         except SingularMatrixError:
             rves.failed[i] = True
             continue
-        rves.factor_valid[i] = True
+        rves.x_r[i] = x[:, -1]
+        if tangent:
+            rves.x_h[i] = x[:, :4]
+        rves.solved[i] = True
         rves.counts[i, FACTORIZATIONS] += 1
 
 
-def _drop_unstored_factors(rves: RveBatch):
-    """Plain monolithic mode: a used factor is not kept past its assembly."""
+def _drop_unstored_columns(rves: RveBatch):
+    """Plain monolithic mode: solved columns are not kept past their use.
+
+    A linear-flagged RVE keeps the virgin columns its assembly gave it.
+    """
     if not rves.store_factorization:
-        rves.factor_valid &= rves.flagged | rves.failed
+        rves.solved &= rves.flagged
 
 
 def _matvec(a, v):
@@ -402,38 +439,33 @@ def boundary_average_gradient(rves: RveBatch) -> np.ndarray:
 def homogenized_tangent_and_alg_stress(rves: RveBatch, alg_stress=True):
     """Condensed stress (b, 4) and macroscopic tangent (b, 4, 4) of every RVE.
 
-    One stacked 5-column solve against the retained factors (the inverses
-    of the micro stiffnesses) gives the tangent sensitivity (4 columns) and
-    the residual correction (1 column); a column an RVE does not need is
-    zero and its result unused. An RVE with a valid condensed tangent (a
-    linear-flagged one) reuses it, and a flagged RVE skips the residual
-    correction (its residual is zero to machine precision). With
-    ``alg_stress=False`` (converged micro problems) the residual column is
-    left out and the stress is sigma_bar. A ``failed`` RVE gets no solve
-    and zero rows.
+    Static condensation on the RVE's columns: the tangent is
+    dsig/dH - dsig/du x_h and the algorithmic stress sigma_bar - dsig/du x_r.
+    An RVE whose columns are not solved for its assembly gets one LU solve
+    of its stiffness for all five, and keeps them: a monolithic-stored
+    update consumes them (:func:`micro_update_monolithic`). An RVE with a
+    valid condensed tangent (a linear-flagged one) reuses it, and a flagged
+    RVE skips the residual correction (its residual is zero to machine
+    precision). With ``alg_stress=False`` (converged micro problems) the
+    stress is sigma_bar. A ``failed`` RVE gets no solve and zero rows.
     """
     n = rves.geom.n_reduced
+    tangent = ~rves.tangent_valid
+    correct = ~rves.flagged & bool(alg_stress and n)
     if n:
-        _ensure_factorization(rves, ~rves.tangent_valid | (alg_stress & ~rves.flagged))
+        _solve_columns(rves, tangent | correct)
     ok = ~rves.failed
-    tangent = ok & ~rves.tangent_valid
-    correct = ok & ~rves.flagged & bool(alg_stress and n)
-    rhs = np.zeros((n, rves.b, 5 if alg_stress else 4))
-    rhs[:, tangent, :4] = rves.dr_dH[tangent].transpose(1, 0, 2)
-    if alg_stress:
-        rhs[:, correct, 4] = rves.r_hat[correct].T
-    x = rhs
-    if n and (tangent | correct).any():
-        x = linalg.solve(linalg.factors(rves.stack), rhs)
+    tangent &= ok
+    correct &= ok
+    if n:
         rves.counts[:, AUX_SOLVES] += tangent.astype(np.int64) + correct
     if tangent.any():
-        sens = np.ascontiguousarray(x[:, tangent, :4].transpose(1, 0, 2))
-        rves.c_tangent[tangent] = rves.dsig_dh[tangent] - rves.dsig_du[tangent] @ sens
+        rves.c_tangent[tangent] = rves.dsig_dh[tangent] - rves.dsig_du[tangent] @ rves.x_h[tangent]
         rves.tangent_valid[tangent] = True
     sigma = np.where(ok[:, None], rves.sigma_bar, 0.0)
     if correct.any():
-        sigma[correct] -= _matvec(rves.dsig_du[correct], x[:, correct, 4].T)
-    _drop_unstored_factors(rves)
+        sigma[correct] -= _matvec(rves.dsig_du[correct], rves.x_r[correct])
+    _drop_unstored_columns(rves)
     return sigma, np.where(ok[:, None, None], rves.c_tangent, 0.0)
 
 
@@ -477,12 +509,10 @@ def solve_micro_staggered(rves: RveBatch, h_target, tol_micro, max_iter) -> np.n
         live &= ~(check & (rves.residual_norm <= tol_micro * residual_reference(rves)))
         rves.failed |= check & live & (solves >= max_iter)
         go = check & live & ~rves.failed
-        _ensure_factorization(rves, go)
+        _solve_columns(rves, go, tangent=False)
         go &= ~rves.failed
         if go.any():
-            rhs = np.zeros((rves.geom.n_reduced, b, 1))
-            rhs[:, go, 0] = rves.r_hat[go].T
-            du[go] = linalg.solve(linalg.factors(rves.stack), rhs)[:, go, 0].T
+            du[go] = rves.x_r[go]
             rves.counts[go, UPDATE_SOLVES] += 1
             solves[go] += 1
             r_prev[go] = _norm2(rves.r_hat[go])
@@ -495,27 +525,26 @@ def solve_micro_staggered(rves: RveBatch, h_target, tol_micro, max_iter) -> np.n
 
 
 def micro_update_monolithic(rves: RveBatch, delta_h) -> np.ndarray:
-    """Condensation displacement update: du = -k^-1 (r + dr/dH * dH).
+    """Condensation displacement update: du = -k^-1 (r + dr/dH * dH) = -(x_r + x_h dH).
 
-    ``delta_h`` is shaped (b, 4) and ``du`` (b, n) is returned. Exactly one
-    linear solve per RVE, all in one stacked call; no inner iteration. Uses
-    the retained factor when valid, otherwise refactorizes the cached
-    stiffness (plain monolithic mode). This starts a sweep: ``failed`` is
-    cleared, and an RVE whose stiffness is singular is marked failed and
-    not updated.
+    ``delta_h`` is shaped (b, 4) and ``du`` (b, n) is returned. No solve
+    and no inner iteration when the RVE's columns are solved for its
+    assembly (monolithic-stored); otherwise one LU solve of the cached
+    stiffness gives them (plain monolithic). This starts a sweep:
+    ``failed`` is cleared, and an RVE whose stiffness is singular is marked
+    failed and not updated.
     """
     geom, b = rves.geom, rves.b
     delta_h = np.asarray(delta_h, dtype=np.float64).reshape(b, 4)
     rves.failed[:] = False
     du = np.zeros((b, geom.n_reduced))
     if geom.n_reduced:
-        _ensure_factorization(rves, np.ones(b, dtype=bool))
-        rhs = (rves.r_hat + _matvec(rves.dr_dH, delta_h)).T[:, :, None]
-        du = -linalg.solve(linalg.factors(rves.stack), rhs)[:, :, 0].T
+        _solve_columns(rves, np.ones(b, dtype=bool))
+        du = -(rves.x_r + _matvec(rves.x_h, delta_h))
         du[rves.failed] = 0.0
         rves.counts[~rves.failed, UPDATE_SOLVES] += 1
         rves.u_hat += du
-        _drop_unstored_factors(rves)
+        _drop_unstored_columns(rves)
     rves.H = rves.H + delta_h
     return du
 

@@ -1,4 +1,4 @@
-"""Tests for the linear algebra substrate: ordering, retained factors, multi-RHS solves."""
+"""Tests for the linear algebra substrate: ordering, LU solves, multi-RHS solves."""
 
 import importlib.util
 import sys
@@ -15,7 +15,7 @@ from fescale import benchmarks, cli, linalg, macro, material
 from fescale import rve as R
 from fescale.benchmarks import build_benchmark, default_materials, rve_porous_quad, rve_porous_tri
 from fescale.errors import SingularMatrixError, StructuralError
-from fescale.linalg import PIVOT_RTOL, compute_ordering, empty_stack, factorize, factors, solve
+from fescale.linalg import PIVOT_RTOL, compute_ordering, factorize, solve
 
 
 def bandwidth_of(pattern, forward):
@@ -166,13 +166,13 @@ class TestFactorizationReuse:
 
     def test_repeat_solve_identical_and_no_mutation(self):
         f = factorize(random_spd(12, seed=5))
-        factor_before = f.inverse.copy()
+        factor_before = f.matrix.copy()
         b = np.random.default_rng(6).standard_normal(12)
         x1 = solve(f, b)
         x2 = solve(f, b)
         assert_array_equal(x1, x2)
-        assert_array_equal(f.inverse, factor_before)
-        assert not f.inverse.flags.writeable
+        assert_array_equal(f.matrix, factor_before)
+        assert not f.matrix.flags.writeable
 
     def test_permutation_identity_roundtrip(self):
         # the ordering is a bijection on [0, n): its inverse undoes it both ways
@@ -195,23 +195,10 @@ def band_matrix(n, half, seed, pattern=None):
     return a
 
 
-def inverse_apply(a, rhs):
-    """Oracle: numpy's inverse of the matrix times one right-hand side column.
-
-    LAPACK's inverse of the same matrix is the same array, and a
-    matrix-vector product takes the path of a one-column solve, so the
-    results agree bit for bit.
-    """
-    return np.linalg.inv(a) @ rhs
-
-
-def stacked(matrices, slots=None):
-    """Factor stack with ``matrices[i]`` factorized into slot ``slots[i]``."""
-    slots = range(len(matrices)) if slots is None else slots
-    stack = empty_stack(max(slots) + 1, len(matrices[0]))
-    for a, slot in zip(matrices, slots):
-        factorize(a, out=stack[slot])
-    return stack
+def with_probe(rhs):
+    """``rhs`` (n, m) with the kernel's probe column appended: the layout of one LU solve."""
+    n = len(rhs)
+    return np.concatenate([rhs, np.cos(np.arange(n))[:, None]], axis=1)
 
 
 class TestStackedSolve:
@@ -222,77 +209,63 @@ class TestStackedSolve:
     @pytest.mark.parametrize("n,half", SIZES)
     @pytest.mark.parametrize("cols", [1, 4, 5])
     def test_stack_equals_per_matrix_solves_bitwise(self, n, half, cols):
+        # one LU solve per matrix equals LAPACK's batched solve of the stack
+        # on the same layout, and every column equals its solve alone
         perm = np.random.default_rng(n).permutation(n)
         matrices = [band_matrix(n, half, seed)[np.ix_(perm, perm)] for seed in range(4)]
-        stack = stacked(matrices)
-        assert stack.shape == (4, n, n)
-        rhs = np.random.default_rng(cols).standard_normal((n, 4, cols))
-        x = solve(factors(stack), rhs)
-        assert x.shape == rhs.shape
+        rhs = np.random.default_rng(cols).standard_normal((4, n, cols))
+        batched = np.linalg.solve(np.stack(matrices), np.stack([with_probe(b) for b in rhs]))
         for i, a in enumerate(matrices):
-            single = factorize(a)
-            assert_array_equal(stack[i], single.inverse)
-            assert_array_equal(x[:, i], solve(single, rhs[:, i]))
+            x = factorize(a, rhs[i]).columns
+            assert x.shape == (n, cols)
+            assert_array_equal(x, batched[i, :, :cols])
+            assert_array_equal(x, solve(factorize(a), rhs[i]))
             for j in range(cols):
-                assert_array_equal(x[:, i, j], solve(single, rhs[:, i, j]))
-                assert_array_equal(x[:, i, j], inverse_apply(a, rhs[:, i, j]))
+                assert_array_equal(x[:, j], solve(factorize(a), rhs[i, :, j]))
+                assert_array_equal(x[:, j], factorize(a, rhs[i, :, j]).columns)
 
     def test_five_columns_equal_four_plus_one(self):
-        f = factors(stacked([band_matrix(20, 6, seed) for seed in range(3)]))
-        rhs = np.random.default_rng(9).standard_normal((20, 3, 5))
-        x = solve(f, rhs)
-        assert_array_equal(x[..., :4], solve(f, rhs[..., :4]))
-        assert_array_equal(x[..., 4:], solve(f, rhs[..., 4:]))
+        # the condensation layout: the tangent columns and the residual
+        # column get the same bits solved together as apart
+        for seed in range(3):
+            a = band_matrix(20, 6, seed)
+            rhs = np.random.default_rng(9 + seed).standard_normal((20, 5))
+            x = factorize(a, rhs).columns
+            assert_array_equal(x[:, :4], factorize(a, rhs[:, :4]).columns)
+            assert_array_equal(x[:, 4], factorize(a, rhs[:, 4]).columns)
 
-    def test_unfactorized_slots_return_rhs(self):
-        matrices = [band_matrix(12, 4, 0), band_matrix(12, 4, 1)]
-        stack = stacked(matrices, slots=[1, 3])
-        rhs = np.random.default_rng(2).standard_normal((12, 4, 5))
-        with np.errstate(all="raise"):
-            x = solve(factors(stack), rhs)
-        assert_array_equal(x[:, 0], rhs[:, 0])
-        assert_array_equal(x[:, 2], rhs[:, 2])
-        for j in range(5):
-            assert_array_equal(x[:, 1, j], inverse_apply(matrices[0], rhs[:, 1, j]))
-            assert_array_equal(x[:, 3, j], inverse_apply(matrices[1], rhs[:, 3, j]))
-
-    def test_refactorized_slot_keeps_no_stale_entries(self):
-        # a slot factorized again holds the second matrix's inverse alone,
-        # and the returned factorization is a read-only view of the slot
-        pattern = five_point_grid_pattern(5, 4)
-        first, second = band_matrix(20, 0, 3, pattern), band_matrix(20, 0, 4, pattern)
-        stack = stacked([first])
-        f = factorize(second, out=stack[0])
-        fresh = factorize(second)
-        assert_array_equal(stack[0], fresh.inverse)
-        assert_array_equal(f.inverse, fresh.inverse)
-        assert not f.inverse.flags.writeable
-        rhs = np.random.default_rng(5).standard_normal((20, 1, 5))
-        assert_array_equal(solve(factors(stack), rhs)[:, 0, 2],
-                           inverse_apply(second, rhs[:, 0, 2]))
+    def test_column_bits_do_not_depend_on_the_other_columns(self):
+        # a column's bits depend only on the matrix and its own values: the
+        # other columns of the layout may hold anything, zeros included
+        a = band_matrix(30, 7, 4)
+        rng = np.random.default_rng(3)
+        rhs = rng.standard_normal((30, 5))
+        want = factorize(a, rhs).columns
+        for others in (np.zeros((30, 4)), rng.standard_normal((30, 4)), 1e12 * rhs[:, :4]):
+            assert_array_equal(factorize(a, np.concatenate([others, rhs[:, 4:]], axis=1)).columns[:, 4],
+                               want[:, 4])
+            assert_array_equal(factorize(a, np.concatenate([rhs[:, :4], others[:, :1]], axis=1))
+                               .columns[:, :4], want[:, :4])
 
     def test_singular_pivot_inside_sweep_names_original_row(self):
-        # zero row and column 6 of a matrix otherwise far from singular; the
-        # failed slot keeps what it held
+        # zero row and column 6 of a matrix otherwise far from singular
         a = band_matrix(10, 3, 7)
         a[6, :] = 0.0
         a[:, 6] = 0.0
-        stack = empty_stack(2, 10)
         with pytest.raises(SingularMatrixError) as exc:
-            factorize(a, out=stack[1])
+            factorize(a, np.ones((10, 5)))
         assert exc.value.pivot_index == 6
-        assert_array_equal(stack, empty_stack(2, 10))
 
     def test_shape_mismatches_rejected(self):
-        stack = empty_stack(2, 6)
-        with pytest.raises(StructuralError):
-            factorize(band_matrix(6, 2, 0), out=np.zeros((6, 5)))
+        f = factorize(band_matrix(6, 2, 0))
         with pytest.raises(StructuralError):
             factorize(band_matrix(7, 2, 0)[:6])
         with pytest.raises(StructuralError):
-            solve(factors(stack), np.zeros((6, 3, 1)))
+            factorize(band_matrix(6, 2, 0), np.zeros((5, 2)))
         with pytest.raises(StructuralError):
-            solve(factors(stack), np.zeros((6, 1)))
+            solve(f, np.zeros((6, 3, 1)))
+        with pytest.raises(StructuralError):
+            solve(f, np.zeros((5, 1)))
 
 
 def plastic_micro_stiffness(micro):
@@ -321,14 +294,15 @@ class TestDenseKernel:
             "notched-bending-2d", nx=10, ny=3, n_micro=6), id="notched-bending-macro"),
     ])
     def test_inverse_residual_within_rounding(self, matrix):
-        # ||A X - I|| within a few n eps ||A|| ||X||, the bound of a
-        # backward-stable inversion
+        # the backward error of the LU solve: ||A x - b|| within a few
+        # n eps ||A|| ||x|| for every column of a condensation layout
         a = matrix()
         n = len(a)
-        x = factorize(a).inverse
-        residual = np.abs(a @ x - np.eye(n)).sum(axis=1).max()
-        scale = np.abs(a).sum(axis=1).max() * np.abs(x).sum(axis=1).max()
-        assert residual <= 4 * n * np.finfo(np.float64).eps * scale
+        b = np.random.default_rng(n).standard_normal((n, 5))
+        x = factorize(a, b).columns
+        residual = np.abs(a @ x - b).max(axis=0)
+        scale = np.abs(a).sum(axis=1).max() * np.abs(x).max(axis=0)
+        assert np.all(residual <= 4 * n * np.finfo(np.float64).eps * scale)
 
     def test_near_singular_matrix_names_the_dependent_row(self):
         # row 5 is a combination of rows 1 and 3 up to a relative 1e-15:
@@ -343,7 +317,7 @@ class TestDenseKernel:
 
     def test_ill_conditioned_matrix_below_the_limit_is_inverted(self):
         dense = np.diag([1.0, 1.0, 0.1 / PIVOT_RTOL])
-        assert_array_equal(factorize(dense).inverse, np.linalg.inv(dense))
+        assert_array_equal(solve(factorize(dense), np.eye(3)), np.linalg.inv(dense))
 
     def test_non_finite_entry_raises(self):
         dense = np.eye(4)

@@ -436,7 +436,7 @@ class TestStackedSweep:
 
 
 def one_rve_in_a_shard(geom, count, slot):
-    """Factors, update, stress and tangent of one plastic RVE at ``slot`` of a shard.
+    """Columns, update, stress and tangent of one plastic RVE at ``slot`` of a shard.
 
     The other RVEs of the shard sit at states of their own.
     """
@@ -446,16 +446,17 @@ def one_rve_in_a_shard(geom, count, slot):
         rves.u_hat[k] = 1e-3 * np.cos(np.arange(geom.n_reduced) + (0 if k == slot else k + 1))
     R.assemble(rves)
     du = R.micro_update_monolithic(rves, np.tile([1e-3, -2e-3, 5e-4, 1e-3], (count, 1)))
-    first_factor = rves.stack[slot].copy()
+    first_columns = rves.x_h[slot].copy(), rves.x_r[slot].copy()
     R.assemble(rves)
     sigma, c = R.homogenized_tangent_and_alg_stress(rves)
-    return first_factor, rves.stack[slot].copy(), du[slot], sigma[slot], c[slot]
+    return (*first_columns, rves.x_h[slot].copy(), rves.x_r[slot].copy(), du[slot], sigma[slot],
+            c[slot])
 
 
 class TestShardPlacement:
     def test_same_rve_gets_the_same_bits_in_any_shard_and_slot(self):
-        # each RVE's factor is its own LAPACK call and each solve column one
-        # matrix-vector product per RVE, so the neighbours cannot leak in
+        # each RVE's columns are its own LAPACK call and each product with
+        # them one matrix-vector product per RVE, so the neighbours cannot leak in
         geom = porous_geom()
         alone = one_rve_in_a_shard(geom, 1, 0)
         for count in (1, 3, 16):
