@@ -450,11 +450,13 @@ def run_suite(config: RunConfig):
     """Run every selected scheme and write curves, stats, and the summary.
 
     Returns (exit_status, reports): 0 when every scheme converged, 1
-    otherwise; artifacts are written either way. Every scheme's model is
-    built before the output directory is created, so a configuration error
-    leaves no file behind.
+    otherwise; artifacts are written either way. The model is built once,
+    before the output directory is created, so a configuration error leaves
+    no file behind; the schemes' models share its micro geometry and macro
+    system.
     """
-    models = {scheme: config.build_model(scheme) for scheme in config.schemes}
+    model = config.build_model(config.schemes[0])
+    models = {scheme: model.with_scheme(scheme) for scheme in config.schemes}
     os.makedirs(config.output_dir, exist_ok=True)
     _echo_config(config)
     reports = {}

@@ -15,6 +15,10 @@ integration-point order, so results do not depend on the worker count.
 
 from __future__ import annotations
 
+import copy
+import ctypes
+import glob
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -216,13 +220,34 @@ class _Shard:
         return rvemod.committed_alpha_bar(self.rves)
 
 
+def _blas_thread_setter():
+    """The thread-count setter of the OpenBLAS bundled with numpy, or None.
+
+    numpy has no call for it; the library in ``numpy.libs`` exports the
+    setter that threadpoolctl calls. A numpy built on another BLAS has no
+    such library or symbol.
+    """
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*")
+    for path in sorted(glob.glob(pattern)):
+        try:
+            return ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            pass
+    return None
+
+
 def _worker_main(conn, geom, indices, store_factorization):
     """Serve ``(method name, args)`` requests on one shard until ``(None, None)``.
 
-    ``geom`` is the model's micro geometry, inherited through fork. Every
-    reply is ``(True, result)`` or ``(False, exception)``; a failure to
-    build the shard is replied to every request.
+    ``geom`` is the model's micro geometry, inherited through fork. The
+    worker runs one BLAS thread, so that workers do not fight over the
+    cores with each other's BLAS threads. Every reply is ``(True, result)``
+    or ``(False, exception)``; a failure to build the shard is replied to
+    every request.
     """
+    set_threads = _blas_thread_setter()
+    if set_threads is not None:
+        set_threads(1)
     try:
         shard = _Shard(geom, indices, store_factorization)
     except Exception as exc:  # surfaced in the parent process
@@ -410,6 +435,12 @@ class TwoScaleModel:
     @property
     def n_rves(self):
         return self.system.plan.n_ip
+
+    def with_scheme(self, scheme):
+        """This model under ``scheme``: a copy sharing the micro geometry and macro system."""
+        other = copy.copy(self)
+        other.scheme = canonical_scheme(scheme)
+        return other
 
 
 def extrapolate_initial_guess(u_n, u_nm1, dt_ratio, n_commits):

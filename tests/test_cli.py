@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fescale import benchmarks, macro
 from fescale.benchmarks import grid_quads
 from fescale.cli import (
     load_config,
@@ -194,6 +195,23 @@ class TestRunSuite:
             a = (out / f"notched-shear_{scheme}_curve.csv").read_bytes()
             b = (tmp_path / "rerun" / f"notched-shear_{scheme}_curve.csv").read_bytes()
             assert a == b
+
+
+    def test_schemes_share_one_model_build(self, tmp_path, monkeypatch):
+        # the model is built once; each scheme runs a copy of it that shares
+        # its micro geometry and macro system
+        built, models, run = [], [], macro.run
+        build = benchmarks.build_benchmark
+        monkeypatch.setattr(benchmarks, "build_benchmark",
+                            lambda *a, **k: built.append(a) or build(*a, **k))
+        monkeypatch.setattr(macro, "run", lambda model, settings: models.append(model) or run(model, settings))
+        raw = dict(TINY, output_dir="one", schemes=["staggered", "monolithic", "monolithic-stored"])
+        status, _ = run_suite(parse_config(raw, base_dir=str(tmp_path)))
+        assert status == 0
+        assert len(built) == 1
+        assert [m.scheme for m in models] == raw["schemes"]
+        assert all(m.micro_geometry is models[0].micro_geometry for m in models)
+        assert all(m.system is models[0].system for m in models)
 
 
 class TestElasticSuite:

@@ -1,10 +1,10 @@
 """Kernel microbenchmarks at the plate-hole sizes.
 
 The micro kernels run at the shipped RVE (``n_micro`` 8, n = 116) and at
-``n_micro`` 16 (n = 436), where a dense factor costs most against a banded
-one; the assembly kernels also run on a 16-RVE shard, the plate-hole
-shard size. Marked ``kernelbench`` and deselected by default (see
-pyproject.toml); run them with ``pytest -m kernelbench tests/test_kernelbench.py``.
+``n_micro`` 16 (n = 436), where a dense LU solve costs most; the assembly
+kernels also run on a 16-RVE shard, the plate-hole shard size. Marked
+``kernelbench`` and deselected by default (see pyproject.toml); run them
+with ``pytest -m kernelbench tests/test_kernelbench.py``.
 """
 
 import numpy as np
@@ -73,16 +73,16 @@ def test_macro_assemble(benchmark):
 
 
 def test_factorize(benchmark, plate_hole_rve):
+    # one RVE's condensation layout: 4 tangent columns and the residual
+    # column in one LU solve (the kernel adds its probe column)
     geom, k_t = plate_hole_rve
-    slot = linalg.empty_stack(1, geom.n_reduced)[0]
-    benchmark(linalg.factorize, k_t, out=slot)
+    rhs = np.random.default_rng(0).standard_normal((geom.n_reduced, 5))
+    benchmark(linalg.factorize, k_t, rhs)
 
 
 @pytest.mark.parametrize("count", [1, 16])
-def test_stacked_solve_five_columns(benchmark, plate_hole_rve, count):
+def test_shard_five_column_solves(benchmark, plate_hole_rve, count):
+    # a shard's condensation solves: one five-column LU solve per RVE
     geom, k_t = plate_hole_rve
-    stack = linalg.empty_stack(count, geom.n_reduced)
-    for slot in range(count):
-        linalg.factorize(k_t, out=stack[slot])
-    rhs = np.random.default_rng(0).standard_normal((geom.n_reduced, count, 5))
-    benchmark(linalg.solve, linalg.factors(stack), rhs)
+    rhs = np.random.default_rng(0).standard_normal((count, geom.n_reduced, 5))
+    benchmark(lambda: [linalg.factorize(k_t, b) for b in rhs])

@@ -1,7 +1,10 @@
 """Tests for the two-scale drivers: schemes, stepping, extrapolation, pools."""
 
+import ctypes
 import functools
+import glob
 import hashlib
+import os
 import pathlib
 import pickle
 
@@ -522,3 +525,28 @@ class TestWorkerFailures:
             assert type(back) is type(exc)
             assert str(back) == str(exc)
             assert vars(back) == vars(exc)
+
+
+def test_workers_run_one_blas_thread(monkeypatch):
+    # a forked worker sets numpy's bundled OpenBLAS to one thread; the
+    # serial path keeps the thread count it has
+    libs = sorted(glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                         "libscipy_openblas*")))
+    if not libs:
+        pytest.skip("numpy is not built on its bundled OpenBLAS")
+    lib = ctypes.CDLL(libs[0])
+    get, set_threads = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    before = get()
+    monkeypatch.setattr(macro._Shard, "plastic_any", lambda shard: get())
+    geom = rvemod.MicroGeometry(rve_single_element(ELASTIC))
+    set_threads(2)
+    try:
+        assert get() == 2
+        pool = macro.RvePool(geom, 2, True, workers=2)
+        try:
+            assert pool._call("plastic_any") == [1, 1]
+        finally:
+            pool.close()
+        assert get() == 2
+    finally:
+        set_threads(before)

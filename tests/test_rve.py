@@ -622,3 +622,50 @@ class TestStateDiscipline:
         R.begin_increment(p)
         converge(p, 2 * H_MIXED)
         assert p.counts[0, R.FACTORIZATIONS] == f_before  # elastic stiffness never refactorized
+
+
+class TestRetainedColumns:
+    @pytest.mark.parametrize("scheme", ["staggered", "monolithic-stored"])
+    def test_flagged_rve_has_the_virgin_matrices_bitwise(self, scheme, monkeypatch):
+        # a linear-flagged RVE takes its columns from the batch's virgin
+        # factor: that holds because the matrices it kept are the virgin
+        # ones bit for bit, here checked after every assembly of a run
+        # through elastic, yielding and plastic increments
+        model = build_benchmark("notched-shear", scheme, n_macro=3, n_micro=4)
+        virgin = R.RveBatch(model.micro_geometry)
+        assemble, seen = R.assemble, []
+
+        def checked(rves, mask=None):
+            assemble(rves, mask)
+            rows = np.flatnonzero(rves.flagged & (True if mask is None else mask))
+            seen.append(len(rows))
+            for name in ("kvals", "dr_dH", "dsig_du", "dsig_dh"):
+                assert_array_equal(getattr(rves, name)[rows],
+                                   np.broadcast_to(getattr(virgin, name)[0], (len(rows),) + getattr(virgin, name).shape[1:]))
+            solved = rows[rves.solved[rows]]
+            assert_array_equal(rves.x_h[solved], np.broadcast_to(virgin.virgin_x_h, rves.x_h[solved].shape))
+
+        monkeypatch.setattr(R, "assemble", checked)
+        settings = SolverSettings(dt_initial=0.125, dt_max=0.125, tol_macro=1e-9, tol_micro=1e-9)
+        rep = run(model, settings)
+        assert rep.converged and any(r.plastic_flow for r in rep.records)
+        assert sum(seen) > 0
+
+    def test_batch_keeps_no_matrix_per_rve(self):
+        # per RVE the batch keeps its condensation columns, 5n numbers; the
+        # one n x n array is the batch's virgin factor
+        geom = porous_geom()
+        n, b = geom.n_reduced, 3
+        rves = R.RveBatch(geom, b)
+        arrays = [v for v in vars(rves).values() if isinstance(v, np.ndarray)]
+        assert not [a for a in arrays if a.ndim >= 3 and a.shape[-2:] == (n, n)]
+        assert [a.shape for a in arrays if a.shape[-2:] == (n, n)] == [(n, n)]
+        assert rves.x_h.shape == (b, n, 4) and rves.x_r.shape == (b, n)
+
+    def test_virgin_factor_is_the_inverse_of_the_virgin_stiffness(self):
+        geom = porous_geom()
+        rves = R.RveBatch(geom)
+        k0 = stiffness(rves)
+        n = geom.n_reduced
+        assert_allclose(k0 @ rves.virgin_inverse, np.eye(n), atol=1e-10)
+        assert_allclose(k0 @ rves.virgin_x_h, rves.dr_dH[0], atol=1e-10 * np.abs(rves.dr_dH).max())
