@@ -51,7 +51,7 @@ class Factorization:
 
     n: int
     matrix: np.ndarray
-    columns: np.ndarray = None
+    columns: np.ndarray
 
     @property
     def half_bandwidth(self):
@@ -175,7 +175,8 @@ def factorize(a: np.ndarray, rhs: np.ndarray | None = None) -> Factorization:
         raise StructuralError(f"matrix shape {a.shape} is not square")
     view = a.view()
     view.setflags(write=False)
-    return Factorization(len(a), view, _lu_solve(view, np.zeros((len(a), 0)) if rhs is None else rhs))
+    columns = _lu_solve(view, np.zeros((len(a), 0)) if rhs is None else rhs)
+    return Factorization(len(a), view, columns)
 
 
 def solve(f: Factorization, rhs: np.ndarray) -> np.ndarray:
@@ -191,6 +192,7 @@ def solve(f: Factorization, rhs: np.ndarray) -> np.ndarray:
 
 
 def _lu_solve(a, rhs):
+    """One LAPACK solve of ``a`` for ``rhs`` and the probe column; see :func:`solve`."""
     rhs = np.asarray(rhs, dtype=np.float64)
     n = len(a)
     if rhs.ndim not in (1, 2) or rhs.shape[0] != n:

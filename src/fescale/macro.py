@@ -4,9 +4,10 @@ All schemes share one macro Newton loop and differ only in the micro sweep
 it asks for. The staggered sweep converges every micro problem and returns
 its homogenized stress; the monolithic sweep performs a single condensation
 update per micro problem and returns the algorithmic stress, so both scales
-converge in the one loop. A third mode retains the micro factorizations
-between iterations ("monolithic-stored"); it produces bit-identical numbers
-to plain monolithic while factorizing once per iteration.
+converge in the one loop. A third mode retains what each micro
+factorization solved, the condensation columns, between iterations
+("monolithic-stored"); it produces bit-identical numbers to plain
+monolithic while factorizing once per iteration.
 
 Per-RVE work is dispatched through a pool that runs in-process or on a set
 of worker processes; reduction into the macro system always happens in
@@ -227,8 +228,8 @@ def _blas_thread_setter():
     setter that threadpoolctl calls. A numpy built on another BLAS has no
     such library or symbol.
     """
-    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*")
-    for path in sorted(glob.glob(pattern)):
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
         try:
             return ctypes.CDLL(path).scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):

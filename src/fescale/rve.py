@@ -345,10 +345,10 @@ def assemble(rves: RveBatch, mask=None):
         rves.dsig_du[fresh] = np.swapaxes(sens[:, :n, 4:], 1, 2) / geom.volume
         rves.dsig_dh[fresh] = dsig_dh / geom.volume
         rves.solved[fresh] = rves.tangent_valid[fresh] = False
-    virgin = flagged & rves.solved[sel]
-    if virgin.any():
-        rves.x_h[sel[virgin]] = rves.virgin_x_h
-        rves.x_r[sel[virgin]] = _matvec(rves.virgin_inverse, r_hat[virgin])
+    reuse = flagged & rves.solved[sel]
+    if reuse.any():
+        rves.x_h[sel[reuse]] = rves.virgin_x_h
+        rves.x_r[sel[reuse]] = _matvec(rves.virgin_inverse, r_hat[reuse])
 
     f2 = np.take(f_full.reshape(k, -1, 2), geom.boundary_nodes, axis=1)
     bx = geom.mesh.nodes[geom.boundary_nodes]
@@ -370,9 +370,9 @@ def _solve_columns(rves: RveBatch, need, tangent=True):
     One :func:`linalg.factorize` call per such RVE, its counted
     factorization, on a fixed layout: the 4 tangent columns and the
     residual column, or with ``tangent=False`` (a staggered Newton step)
-    the residual column alone, whose step is assembled before any tangent
-    column is read. A singular stiffness marks the RVE ``failed`` instead
-    of raising.
+    the residual column alone; the step's RVE is assembled again before a
+    tangent column is read. A singular stiffness marks the RVE ``failed``
+    instead of raising.
     """
     geom = rves.geom
     for i in np.flatnonzero(need & ~rves.solved & ~rves.failed):
