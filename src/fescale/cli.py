@@ -529,7 +529,7 @@ def _check_homogenized_tangent():
 CHECKS = [
     ("element patch test", _check_patch_test),
     ("radial-return consistent tangent", _check_material_consistency),
-    ("retained factor residual bound", _check_linear_solver),
+    ("LU solve residual bound", _check_linear_solver),
     ("periodic averaging identity", _check_periodic_averaging),
     ("homogenized elastic tangent identity", _check_homogenized_tangent),
 ]
