@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import copy
 import ctypes
+import functools
 import glob
 import os
 import time
@@ -237,18 +238,48 @@ def _blas_thread_setter():
     return None
 
 
+# mallopt(3) parameters and the thresholds pinned: glibc's dynamic mmap
+# threshold stops at 32 MiB (DEFAULT_MMAP_THRESHOLD_MAX on 64-bit), where
+# its rule sets the trim threshold to twice that
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+
+
+@functools.cache
+def _pin_heap():
+    """Fix glibc's malloc thresholds in this process, once; a no-op without ``mallopt``.
+
+    By default glibc raises its mmap threshold to the size of each freed
+    mapped block and trims free heap beyond twice that, so the arrays a
+    micro sweep frees are unmapped or trimmed and the kernel zero-fills
+    their pages again on the next sweep. Setting both thresholds turns the
+    dynamic rule off and keeps up to 64 MiB of free heap. Called in the
+    process that runs the sweeps; a forked process inherits the setting
+    and the cache.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
 def _worker_main(conn, geom, indices, store_factorization):
     """Serve ``(method name, args)`` requests on one shard until ``(None, None)``.
 
     ``geom`` is the model's micro geometry, inherited through fork. The
     worker runs one BLAS thread, so that workers do not fight over the
-    cores with each other's BLAS threads. Every reply is ``(True, result)``
-    or ``(False, exception)``; a failure to build the shard is replied to
+    cores with each other's BLAS threads, and pins its heap
+    (:func:`_pin_heap`). Every reply is ``(True, result)`` or
+    ``(False, exception)``; a failure to build the shard is replied to
     every request.
     """
     set_threads = _blas_thread_setter()
     if set_threads is not None:
         set_threads(1)
+    _pin_heap()
     try:
         shard = _Shard(geom, indices, store_factorization)
     except Exception as exc:  # surfaced in the parent process
@@ -273,7 +304,10 @@ class RvePool:
     Every gather reassembles per-RVE arrays in integration-point order, so
     numerical results are independent of the worker count. The shards
     share the model's micro geometry ``geom``: the serial shard uses it
-    directly and forked workers inherit it.
+    directly and forked workers inherit it. The process that runs the
+    sweeps pins its heap (:func:`_pin_heap`): a serial pool its own, a
+    multi-worker pool each worker's but not the parent's, whose heap the
+    workers share copy-on-write.
     """
 
     def __init__(self, geom, n_rves, store_factorization, workers=1):
@@ -281,6 +315,7 @@ class RvePool:
         self.workers = max(1, min(workers, n_rves)) if n_rves else 1
         self._shard_indices = [list(range(w, n_rves, self.workers)) for w in range(self.workers)]
         if self.workers == 1:
+            _pin_heap()
             self._local = _Shard(geom, range(n_rves), store_factorization)
             self._pipes = None
         else:

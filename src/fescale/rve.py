@@ -373,22 +373,36 @@ def _solve_columns(rves: RveBatch, need, tangent=True):
     the residual column alone; the step's RVE is assembled again before a
     tangent column is read. A singular stiffness marks the RVE ``failed``
     instead of raising.
+
+    The RVEs share one dense matrix and one column block per call: each
+    writes its packed values over the pattern, off which the matrix stays
+    zero, and its factorization is dropped before the next RVE writes.
     """
-    geom = rves.geom
-    for i in np.flatnonzero(need & ~rves.solved & ~rves.failed):
-        rhs = rves.r_hat[i, :, None]
+    todo = np.flatnonzero(need & ~rves.solved & ~rves.failed)
+    if not len(todo):
+        return
+    n, flat = rves.geom.n_reduced, rves.geom.plan.flat
+    k = np.zeros((n, n))
+    k_flat = k.reshape(-1)
+    block = np.empty((n, 5))
+    rhs = block if tangent else block[:, 4:]
+    ok = np.ones(len(todo), dtype=bool)
+    for j, i in enumerate(todo):
+        k_flat[flat] = rves.kvals[i]
+        block[:, 4] = rves.r_hat[i]
         if tangent:
-            rhs = np.concatenate([rves.dr_dH[i], rhs], axis=1)
+            block[:, :4] = rves.dr_dH[i]
         try:
-            x = linalg.factorize(geom.plan.dense(rves.kvals[i]), rhs).columns
+            x = linalg.factorize(k, rhs).columns
         except SingularMatrixError:
-            rves.failed[i] = True
+            ok[j] = False
             continue
         rves.x_r[i] = x[:, -1]
         if tangent:
             rves.x_h[i] = x[:, :4]
-        rves.solved[i] = True
-        rves.counts[i, FACTORIZATIONS] += 1
+    rves.failed[todo[~ok]] = True
+    rves.solved[todo[ok]] = True
+    rves.counts[todo[ok], FACTORIZATIONS] += 1
 
 
 def _drop_unstored_columns(rves: RveBatch):

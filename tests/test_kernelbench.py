@@ -2,7 +2,8 @@
 
 The micro kernels run at the shipped RVE (``n_micro`` 8, n = 116) and at
 ``n_micro`` 16 (n = 436), where a dense LU solve costs most; the assembly
-kernels also run on a 16-RVE shard, the plate-hole shard size. Marked
+kernels also run on a 16-RVE shard, the plate-hole shard size, and a
+shard's LU solves also at the notched-shear RVE (n = 44). Marked
 ``kernelbench`` and deselected by default (see pyproject.toml); run them
 with ``pytest -m kernelbench tests/test_kernelbench.py``.
 """
@@ -12,7 +13,7 @@ import pytest
 
 from fescale import linalg, material
 from fescale import rve as R
-from fescale.benchmarks import build_benchmark, default_materials, rve_porous_quad
+from fescale.benchmarks import build_benchmark, default_materials, rve_porous_quad, rve_porous_tri
 
 pytestmark = pytest.mark.kernelbench
 
@@ -86,3 +87,23 @@ def test_shard_five_column_solves(benchmark, plate_hole_rve, count):
     geom, k_t = plate_hole_rve
     rhs = np.random.default_rng(0).standard_normal((count, geom.n_reduced, 5))
     benchmark(lambda: [linalg.factorize(k_t, b) for b in rhs])
+
+
+@pytest.mark.parametrize("name", ["n116", "n44"])
+def test_solve_columns_shard(benchmark, shipped_geom, name):
+    # a 16-RVE shard's counted factorizations, each RVE at a plastic state
+    # of its own: one five-column LU solve per RVE through rve._solve_columns
+    geom = shipped_geom if name == "n116" else R.MicroGeometry(
+        rve_porous_tri(default_materials("notched-shear"), n=5))
+    assert geom.n_reduced == int(name[1:])
+    p = R.RveBatch(geom, 16)
+    p.H[:] = np.outer(np.linspace(1.0, 2.0, 16), [0.0, 0.01, 0.01, 0.004])
+    R.assemble(p)
+    assert p.plastic_flow.all()
+    need = np.ones(16, dtype=bool)
+
+    def solve_shard():
+        p.solved[:] = False
+        R._solve_columns(p, need)
+
+    benchmark(solve_shard)

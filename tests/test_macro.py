@@ -7,11 +7,15 @@ import hashlib
 import os
 import pathlib
 import pickle
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import fescale
 from fescale.benchmarks import (
     BENCH_SIZE_DEFAULTS,
     BENCH_SOLVER_DEFAULTS,
@@ -550,3 +554,65 @@ def test_workers_run_one_blas_thread(monkeypatch):
         assert get() == 2
     finally:
         set_threads(before)
+
+
+@pytest.mark.parametrize("scheme", macro.SCHEMES)
+def test_pool_factorizes_once_per_counted_factorization(scheme, monkeypatch):
+    # the micro sweeps call linalg.factorize exactly once per factorization
+    # the records count (the set-up pass and macro steps excluded), the
+    # identity perfbench's traced check relies on
+    factorize, call = linalg.factorize, macro.RvePool._call
+    inside, calls = [False], [0]
+
+    def counted(a, rhs=None):
+        calls[0] += inside[0]
+        return factorize(a, rhs)
+
+    def in_pool(pool, *args):
+        inside[0] = True
+        try:
+            return call(pool, *args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(linalg, "factorize", counted)
+    monkeypatch.setattr(macro.RvePool, "_call", in_pool)
+    rep = run(build_benchmark("notched-shear", scheme, n_macro=3, n_micro=4),
+              SolverSettings(dt_initial=0.125, dt_max=0.125, **TIGHT))
+    assert rep.converged and any(r.plastic_flow for r in rep.records)
+    assert calls[0] == sum(r.factorizations for r in rep.records) > 0
+
+
+# Runs the plate-hole benchmark workload (n_macro 3, n_micro 8, the first
+# 40 % of the load path at the shipped increment size) serially, each scheme
+# once, then prints each scheme's minor page faults in a second run.
+_FAULT_SCRIPT = """
+import resource
+from fescale import macro
+from fescale.benchmarks import build_benchmark
+settings = macro.SolverSettings(tol_macro=1e-8, tol_micro=1e-8, dt_initial=0.05,
+                                dt_max=0.05, dt_min=1e-3, t_end=0.4)
+models = [build_benchmark("plate-hole-tension", scheme, n_macro=3, n_micro=8, u_end=0.006)
+          for scheme in macro.SCHEMES]
+for model in models:
+    macro.run(model, settings)
+for model in models:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    macro.run(model, settings)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap pin is glibc's mallopt")
+def test_serial_sweeps_stop_faulting_the_heap():
+    # with glibc's malloc thresholds pinned, a repeated serial run reuses
+    # the heap its first run left instead of having the kernel zero-fill
+    # freed pages again (4k-13k minor faults per run unpinned); a fresh
+    # process, so that no earlier test's allocations shape the heap
+    src = os.path.dirname(os.path.dirname(fescale.__file__))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", _FAULT_SCRIPT], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True, timeout=300).stdout
+    faults = [int(line) for line in out.split()]
+    assert len(faults) == len(macro.SCHEMES)
+    assert max(faults) < 500, dict(zip(macro.SCHEMES, faults))

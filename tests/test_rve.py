@@ -669,3 +669,32 @@ class TestRetainedColumns:
         n = geom.n_reduced
         assert_allclose(k0 @ rves.virgin_inverse, np.eye(n), atol=1e-10)
         assert_allclose(k0 @ rves.virgin_x_h, rves.dr_dH[0], atol=1e-10 * np.abs(rves.dr_dH).max())
+
+    @pytest.mark.parametrize("tangent", [True, False], ids=["five-column", "residual-only"])
+    @pytest.mark.parametrize("singular", [False, True], ids=["regular", "singular-middle"])
+    def test_reused_matrix_does_not_leak_between_rves(self, tangent, singular):
+        # the RVEs of a call share one matrix and one column block: each
+        # RVE's columns are bitwise those of its own stiffness solved alone,
+        # and a singular RVE in the middle fails alone, uncounted
+        geom = porous_geom()
+        rves = shard_of(geom, 3)
+        if singular:
+            rows, cols = np.divmod(geom.plan.flat, geom.n_reduced)
+            rves.kvals[1, (rows == 0) | (cols == 0)] = 0.0
+        x_h, x_r, counts = rves.x_h.copy(), rves.x_r.copy(), rves.counts.copy()
+        R._solve_columns(rves, np.ones(3, dtype=bool), tangent)
+        for i in range(3):
+            if singular and i == 1:
+                assert rves.failed[i] and not rves.solved[i]
+                assert_array_equal(rves.counts[i], counts[i])
+                assert_array_equal(rves.x_h[i], x_h[i])
+                assert_array_equal(rves.x_r[i], x_r[i])
+                continue
+            rhs = rves.r_hat[i, :, None]
+            if tangent:
+                rhs = np.concatenate([rves.dr_dH[i], rhs], axis=1)
+            alone = linalg.factorize(geom.plan.dense(rves.kvals[i]), rhs).columns
+            assert rves.solved[i] and not rves.failed[i]
+            assert rves.counts[i, R.FACTORIZATIONS] == counts[i, R.FACTORIZATIONS] + 1
+            assert_array_equal(rves.x_r[i], alone[:, -1])
+            assert_array_equal(rves.x_h[i], alone[:, :4] if tangent else x_h[i])
