@@ -217,14 +217,7 @@ def _lu_solve(a, rhs):
         x = np.linalg.solve(a, block)
     except np.linalg.LinAlgError:
         x = None
-    if x is not None and np.isfinite(x).all():
-        z_norm = np.abs(x[:, -1]).max()
-        # sqrt(n) ||A||_F bounds ||A||_inf from above: one BLAS dot clears a
-        # well-conditioned matrix without the n x n temporary of the exact
-        # norm, which decides every other case
-        flat = a.reshape(-1)
-        sq = np.dot(flat, flat)
-        if (sq > 1e-250 and 2.0 * np.sqrt(n * sq) * z_norm < 1.0 / PIVOT_RTOL
-                or _inf_norm(a) * z_norm < 1.0 / PIVOT_RTOL):
-            return x[:, :-1].reshape(rhs.shape)
-    raise SingularMatrixError(*_dependent_row(a))
+    if (x is None or not np.isfinite(x).all()
+            or _inf_norm(a) * np.abs(x[:, -1]).max() >= 1.0 / PIVOT_RTOL):
+        raise SingularMatrixError(*_dependent_row(a))
+    return x[:, :-1].reshape(rhs.shape)

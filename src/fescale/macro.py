@@ -174,10 +174,12 @@ class _Shard:
     stiffness once, so the first condensation update consumes retained
     columns. Both sweeps end in one condensation call that returns the
     shard's stresses and tangents. The pool calls the public methods by
-    name.
+    name. The process that builds a shard runs its sweeps, and pins its
+    heap (:func:`_pin_heap`) first.
     """
 
     def __init__(self, geom, indices, store_factorization):
+        _pin_heap()
         self.rves = rvemod.RveBatch(geom, len(indices), store_factorization)
 
     def begin_increment(self, extrapolate_ratio):
@@ -253,9 +255,10 @@ def _pin_heap():
     mapped block and trims free heap beyond twice that, so the arrays a
     micro sweep frees are unmapped or trimmed and the kernel zero-fills
     their pages again on the next sweep. Setting both thresholds turns the
-    dynamic rule off and keeps up to 64 MiB of free heap. Called in the
-    process that runs the sweeps; a forked process inherits the setting
-    and the cache.
+    dynamic rule off and keeps up to 64 MiB of free heap, for the rest of
+    the process's life: glibc has no call that restores the rule. Called
+    where a shard is built; a forked process inherits the setting and the
+    cache.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -271,15 +274,13 @@ def _worker_main(conn, geom, indices, store_factorization):
 
     ``geom`` is the model's micro geometry, inherited through fork. The
     worker runs one BLAS thread, so that workers do not fight over the
-    cores with each other's BLAS threads, and pins its heap
-    (:func:`_pin_heap`). Every reply is ``(True, result)`` or
-    ``(False, exception)``; a failure to build the shard is replied to
+    cores with each other's BLAS threads. Every reply is ``(True, result)``
+    or ``(False, exception)``; a failure to build the shard is replied to
     every request.
     """
     set_threads = _blas_thread_setter()
     if set_threads is not None:
         set_threads(1)
-    _pin_heap()
     try:
         shard = _Shard(geom, indices, store_factorization)
     except Exception as exc:  # surfaced in the parent process
@@ -304,10 +305,10 @@ class RvePool:
     Every gather reassembles per-RVE arrays in integration-point order, so
     numerical results are independent of the worker count. The shards
     share the model's micro geometry ``geom``: the serial shard uses it
-    directly and forked workers inherit it. The process that runs the
-    sweeps pins its heap (:func:`_pin_heap`): a serial pool its own, a
-    multi-worker pool each worker's but not the parent's, whose heap the
-    workers share copy-on-write.
+    directly and forked workers inherit it. Each shard pins the malloc
+    thresholds of the process it is built in (:func:`_pin_heap`): building
+    a serial pool changes the calling process's thresholds for the rest of
+    its life, and a multi-worker pool each worker's.
     """
 
     def __init__(self, geom, n_rves, store_factorization, workers=1):
@@ -315,7 +316,6 @@ class RvePool:
         self.workers = max(1, min(workers, n_rves)) if n_rves else 1
         self._shard_indices = [list(range(w, n_rves, self.workers)) for w in range(self.workers)]
         if self.workers == 1:
-            _pin_heap()
             self._local = _Shard(geom, range(n_rves), store_factorization)
             self._pipes = None
         else:
@@ -564,7 +564,9 @@ def run(model: TwoScaleModel, settings: SolverSettings) -> SolveReport:
 
     Returns a full report; a dt underflow after repeated cuts ends the march
     early with ``converged=False`` and the partial curve retained. The model
-    is not changed, so it can be run again.
+    is not changed, so it can be run again. A serial run pins glibc's
+    malloc thresholds of the calling process for the rest of its life (see
+    :class:`RvePool`).
     """
     pool = RvePool(model.micro_geometry, model.n_rves, model.scheme != "monolithic",
                    settings.parallel_workers)

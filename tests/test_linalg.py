@@ -319,21 +319,6 @@ class TestDenseKernel:
         dense = np.diag([1.0, 1.0, 0.1 / PIVOT_RTOL])
         assert_array_equal(solve(factorize(dense), np.eye(3)), np.linalg.inv(dense))
 
-    @pytest.mark.parametrize("dense, singular", [
-        (np.diag([1.0, 0.5 / PIVOT_RTOL, 0.5 / PIVOT_RTOL, 0.5 / PIVOT_RTOL]), False),
-        (np.diag([1.0, 1.0 / PIVOT_RTOL, 1.0 / PIVOT_RTOL, 1.0 / PIVOT_RTOL]), True),
-        (1e-200 * np.diag([1.0, 1e-15]), True),
-    ], ids=["below", "at", "squares-underflow"])
-    def test_exact_norm_decides_where_the_cheap_bound_cannot(self, dense, singular):
-        # the probe estimate is 0.5 and 1 times the limit, or 5.4 times it
-        # at a scale where sqrt(n) ||A||_F underflows to 0; in each case the
-        # bound clears nothing and the exact infinity norm decides
-        if singular:
-            with pytest.raises(SingularMatrixError):
-                factorize(dense)
-        else:
-            assert_array_equal(solve(factorize(dense), np.eye(4)), np.linalg.inv(dense))
-
     def test_non_finite_entry_raises(self):
         dense = np.eye(4)
         dense[2, 1] = np.nan
