@@ -14,7 +14,7 @@ import numpy as np
 
 from fescale.errors import ConfigError, StructuralError
 from fescale.macro import TwoScaleModel
-from fescale.material import ElasticParams, PlasticParams
+from fescale.material import ElasticParams, PlasticParams, elastic_of
 from fescale.mesh import QUAD4, TRI3, ElementBlock, Mesh
 from fescale.rve import MicroModel
 
@@ -202,10 +202,7 @@ def _fix_nodes(dirichlet, nodes, ux=None, uy=None):
 
 
 def _elastic_variant(model):
-    mats = tuple(
-        m.elastic if isinstance(m, PlasticParams) else m for m in model.materials
-    )
-    return MicroModel(model.mesh, mats, model.mat_ids)
+    return MicroModel(model.mesh, tuple(map(elastic_of, model.materials)), model.mat_ids)
 
 
 def model_notched_shear(scheme, n_macro=6, n_micro=6, u_end=0.03, elastic_only=False):
@@ -222,7 +219,6 @@ def model_notched_shear(scheme, n_macro=6, n_micro=6, u_end=0.03, elastic_only=F
         micro_model=micro, scheme=scheme,
         control_dof=2 * int(sets["top"][0]),
         reaction_dofs=np.array([2 * int(n) for n in sets["top"]]),
-        name="notched-shear",
     )
 
 
@@ -241,7 +237,6 @@ def model_notched_bending(scheme, nx=10, ny=3, n_micro=6, f_end=-0.25, elastic_o
         macro_mesh=mesh, dirichlet=dirichlet, point_loads=[(load_dof, f_end)],
         micro_model=micro, scheme=scheme,
         control_dof=load_dof, reaction_dofs=np.array([load_dof]),
-        name="notched-bending-2d",
     )
 
 
@@ -261,7 +256,6 @@ def model_plate_hole(scheme, n_macro=6, n_micro=6, u_end=0.015, elastic_only=Fal
         micro_model=micro, scheme=scheme,
         control_dof=2 * int(sets["top"][0]) + 1,
         reaction_dofs=np.array([2 * int(n) + 1 for n in sets["top"]]),
-        name="plate-hole-tension",
     )
 
 

@@ -13,6 +13,7 @@ import argparse
 import inspect
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -23,6 +24,18 @@ from fescale.errors import ConfigError, FescaleError, StructuralError
 from fescale.mesh import QUAD4, TRI3, AssemblyPlan, ElementBlock, Mesh
 
 _KINDS = {TRI3: 3, QUAD4: 4}
+# plain ASCII decimal numbers, as the mesh format and FESCALE_WORKERS take
+# them: Python's int() and float() also read "1_0" and non-ASCII digits
+_DECIMAL = {int: re.compile(r"[+-]?[0-9]+"),
+            float: re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")}
+
+
+def _decimal(text, kind=int):
+    """``text`` read as ``kind`` (int or float) if it is a plain ASCII decimal number, else None."""
+    try:
+        return kind(text) if _DECIMAL[kind].fullmatch(text) else None
+    except ValueError:  # an integer beyond Python's digit limit
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -61,10 +74,7 @@ def read_mesh(path) -> Mesh:
         return lines[lineno].split()
 
     def number(lineno, token, kind=int):
-        try:
-            value = kind(token)
-        except ValueError:
-            value = None
+        value = _decimal(token, kind)
         if value is None or (kind is float and not np.isfinite(value)):
             fail(lineno, f"expected {'an integer' if kind is int else 'a finite number'}, got {token!r}")
         return value
@@ -157,7 +167,6 @@ class RunConfig:
                 point_loads=[tuple(p) for p in self.point_loads], micro_model=micro,
                 scheme=scheme, control_dof=self.control_dof,
                 reaction_dofs=np.asarray(self.reaction_dofs or [self.control_dof], dtype=np.int64),
-                name=self.name,
             )
         except FescaleError as exc:
             raise ConfigError(str(exc)) from exc
@@ -254,11 +263,8 @@ def _materials(value):
 def _env_workers():
     """Worker count from ``FESCALE_WORKERS``: 1 when unset, else an integer >= 1."""
     text = os.environ.get("FESCALE_WORKERS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
+    workers = _decimal(text)
+    if workers is None or workers < 1:
         raise ConfigError(f"FESCALE_WORKERS: expected an integer >= 1, got {text!r}")
     return workers
 
@@ -494,7 +500,7 @@ def _check_patch_test():
 def _check_material_consistency():
     params = material.PlasticParams(material.ElasticParams(100.0, 0.3), 1.0, 2.0)
     err = material.tangent_check(params, np.array([0.0, 0.03, 0.03, 0.0]),
-                                 material.MaterialState.virgin())
+                                 material.StateBatch.virgin(1))
     return err <= 1e-5
 
 
@@ -503,7 +509,7 @@ def _check_linear_solver():
     m = rng.standard_normal((25, 25))
     a = m @ m.T + 25 * np.eye(25)
     b = rng.standard_normal(25)
-    x = linalg.solve(linalg.factorize(a), b)
+    x = linalg.factorize(a, b).columns
     res = np.abs(a @ x - b).max()
     return res <= 1e-10 * (np.abs(a).max() * np.abs(x).max() + np.abs(b).max())
 

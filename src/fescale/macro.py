@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fescale import linalg, material, mesh as fmesh, rve as rvemod
+from fescale import linalg, mesh as fmesh, rve as rvemod
 from fescale.errors import FescaleError, SingularMatrixError, StructuralError
 
 SCHEMES = ("staggered", "monolithic", "monolithic-stored")
@@ -147,7 +147,6 @@ class MacroSystem:
         self.free = np.flatnonzero(~prescribed)
         dof_map = np.full(n_dofs, -1, dtype=np.int64)
         dof_map[self.free] = np.arange(len(self.free))
-        self.dof_map = dof_map
         self.n_free = len(self.free)
         self.floor_force = floor_force
 
@@ -178,9 +177,9 @@ class _Shard:
     heap (:func:`_pin_heap`) first.
     """
 
-    def __init__(self, geom, indices, store_factorization):
+    def __init__(self, geom, count, store_factorization):
         _pin_heap()
-        self.rves = rvemod.RveBatch(geom, len(indices), store_factorization)
+        self.rves = rvemod.RveBatch(geom, count, store_factorization)
 
     def begin_increment(self, extrapolate_ratio):
         rvemod.begin_increment(self.rves, extrapolate_ratio)
@@ -269,7 +268,7 @@ def _pin_heap():
     mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
 
 
-def _worker_main(conn, geom, indices, store_factorization):
+def _worker_main(conn, geom, count, store_factorization):
     """Serve ``(method name, args)`` requests on one shard until ``(None, None)``.
 
     ``geom`` is the model's micro geometry, inherited through fork. The
@@ -282,7 +281,7 @@ def _worker_main(conn, geom, indices, store_factorization):
     if set_threads is not None:
         set_threads(1)
     try:
-        shard = _Shard(geom, indices, store_factorization)
+        shard = _Shard(geom, count, store_factorization)
     except Exception as exc:  # surfaced in the parent process
         shard, setup_error = None, exc
     while True:
@@ -302,8 +301,10 @@ def _worker_main(conn, geom, indices, store_factorization):
 class RvePool:
     """Serial or multi-process pool over all RVE problems.
 
-    Every gather reassembles per-RVE arrays in integration-point order, so
-    numerical results are independent of the worker count. The shards
+    Shard w holds the RVEs w, w + workers, w + 2 workers, ... (the slice
+    ``slice(w, None, workers)`` of every per-RVE array). Every gather
+    reassembles per-RVE arrays in integration-point order, so numerical
+    results are independent of the worker count. The shards
     share the model's micro geometry ``geom``: the serial shard uses it
     directly and forked workers inherit it. Each shard pins the malloc
     thresholds of the process it is built in (:func:`_pin_heap`): building
@@ -314,10 +315,9 @@ class RvePool:
     def __init__(self, geom, n_rves, store_factorization, workers=1):
         self.n_rves = n_rves
         self.workers = max(1, min(workers, n_rves)) if n_rves else 1
-        self._shard_indices = [list(range(w, n_rves, self.workers)) for w in range(self.workers)]
+        self._shards = [slice(w, None, self.workers) for w in range(self.workers)]
         if self.workers == 1:
-            self._local = _Shard(geom, range(n_rves), store_factorization)
-            self._pipes = None
+            self._local = _Shard(geom, n_rves, store_factorization)
         else:
             import multiprocessing as mp
 
@@ -329,7 +329,7 @@ class RvePool:
                 parent, child = ctx.Pipe()
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(child, geom, self._shard_indices[w], store_factorization),
+                    args=(child, geom, len(range(w, n_rves, self.workers)), store_factorization),
                     daemon=True,
                 )
                 proc.start()
@@ -357,13 +357,13 @@ class RvePool:
         return [value for _, value in replies]
 
     def _scatter(self, full):
-        return [full[idx] for idx in self._shard_indices]
+        return [full[shard] for shard in self._shards]
 
     def _gather(self, parts):
         """One array in RVE order from per-shard arrays (first axis: the shard's RVEs)."""
         buf = np.empty((self.n_rves,) + parts[0].shape[1:], dtype=parts[0].dtype)
-        for idx, part in zip(self._shard_indices, parts):
-            buf[idx] = part
+        for shard, part in zip(self._shards, parts):
+            buf[shard] = part
         return buf
 
     def _sweep(self, name, payloads):
@@ -429,7 +429,6 @@ class TwoScaleModel:
     scheme: str = "monolithic-stored"
     control_dof: int = 0
     reaction_dofs: np.ndarray = None
-    name: str = "model"
 
     def __post_init__(self):
         try:
@@ -447,8 +446,7 @@ class TwoScaleModel:
             raise StructuralError(f"the macro mesh falls apart into {pieces} pieces "
                                   "that share no element edge" if pieces else
                                   "the macro mesh has no element")
-        stiffest = max((material.elastic_of(m) for m in self.micro_model.materials),
-                       key=lambda p: p.E)
+        stiffest = self.micro_geometry.stiffest
         span = self.macro_mesh.nodes.max(axis=0) - self.macro_mesh.nodes.min(axis=0)
         self.system = MacroSystem(
             self.macro_mesh, self.dirichlet, self.point_loads,

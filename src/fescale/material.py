@@ -76,31 +76,11 @@ class PlasticParams:
             raise StructuralError("hardening modulus must be nonnegative and finite")
 
 
-@dataclass
-class MaterialState:
-    """Internal variables: plastic strain tensor and accumulated plastic strain."""
-
-    eps_p: np.ndarray
-    alpha_bar: float
-
-    @classmethod
-    def virgin(cls):
-        return cls(np.zeros(4), 0.0)
-
-    def copy(self):
-        return MaterialState(self.eps_p.copy(), self.alpha_bar)
-
-
-@dataclass
-class StressResult:
-    sigma: np.ndarray
-    tangent: np.ndarray
-    new_state: MaterialState
-    plastic_active: bool
-
-
 class StateBatch:
-    """Columnar material state for all integration points of one material."""
+    """Internal variables of a batch of points: ``eps_p`` (n, 4) and ``alpha_bar`` (n,).
+
+    The law's only state type; one point is a one-row batch.
+    """
 
     __slots__ = ("eps_p", "alpha_bar")
 
@@ -201,35 +181,23 @@ def evaluate_batch(params, h_batch, states: StateBatch):
     return sigma, tangent, new_states, active
 
 
-def evaluate(params, h_micro, state: MaterialState) -> StressResult:
-    """Stress, consistent tangent, and trial state for one point.
-
-    Pure function: the input state is left untouched, and identical inputs
-    produce bit-identical outputs. ``h_micro`` is a 2x2 displacement
-    gradient or a flat 4-vector in (H11, H12, H21, H22) order.
-    """
-    h = np.asarray(h_micro, dtype=np.float64).reshape(1, 4)
-    batch = StateBatch(state.eps_p.reshape(1, 4), np.array([state.alpha_bar]))
-    sigma, tangent, new_states, active = evaluate_batch(params, h, batch)
-    new_state = MaterialState(new_states.eps_p[0], float(new_states.alpha_bar[0]))
-    return StressResult(sigma[0], tangent[0], new_state, bool(active[0]))
-
-
-def tangent_check(params, h_micro, state: MaterialState) -> float:
+def tangent_check(params, h_micro, state: StateBatch) -> float:
     """Max relative error of the returned tangent vs central differences.
 
-    Step 1e-7 * max(1, ||h||); error is measured against the largest tangent
-    entry. Near the yield onset the response is non-smooth and the reported
-    error may legitimately exceed usual tolerances.
+    ``state`` is a one-row :class:`StateBatch`. The gradient and its 8
+    perturbations go through one :func:`evaluate_batch` call, in which each
+    row computes as it would alone. Step 1e-7 * max(1, ||h||); error is
+    measured against the largest tangent entry. Near the yield onset the
+    response is non-smooth and the reported error may legitimately exceed
+    usual tolerances.
     """
-    h = np.asarray(h_micro, dtype=np.float64).reshape(4).copy()
-    base = evaluate(params, h, state)
+    h = np.asarray(h_micro, dtype=np.float64).reshape(4)
     step = 1e-7 * max(1.0, float(np.linalg.norm(h)))
-    fd = np.empty((4, 4))
-    for c in range(4):
-        hp, hm = h.copy(), h.copy()
-        hp[c] += step
-        hm[c] -= step
-        fd[:, c] = (evaluate(params, hp, state).sigma - evaluate(params, hm, state).sigma) / (2 * step)
-    scale = max(np.abs(base.tangent).max(), 1.0)
-    return float(np.abs(fd - base.tangent).max() / scale)
+    rows = np.tile(h, (9, 1))
+    rows[1:5][np.diag_indices(4)] += step
+    rows[5:][np.diag_indices(4)] -= step
+    states = StateBatch(np.repeat(state.eps_p, 9, axis=0), np.repeat(state.alpha_bar, 9))
+    sigma, tangent, _, _ = evaluate_batch(params, rows, states)
+    fd = (sigma[1:5] - sigma[5:]).T / (2 * step)
+    scale = max(np.abs(tangent[0]).max(), 1.0)
+    return float(np.abs(fd - tangent[0]).max() / scale)

@@ -183,16 +183,17 @@ class MicroGeometry:
 
         xmin, ymin, xmax, ymax = self.pmap.box
         self.volume = (xmax - xmin) * (ymax - ymin)
-        self.e_max = max(material.elastic_of(p).E for p in model.materials)
-        self.force_floor = FLOOR_SCALE * self.e_max * max(xmax - xmin, ymax - ymin)
+        # elastic parameters of the material with the largest Young's modulus
+        self.stiffest = max(map(material.elastic_of, model.materials), key=lambda p: p.E)
+        self.force_floor = FLOOR_SCALE * self.stiffest.E * max(xmax - xmin, ymax - ymin)
         on_box = self.pmap.sides.any(axis=0)
         self.boundary_nodes = np.flatnonzero(on_box)
 
         self.plan = fmesh.AssemblyPlan(m, self.pmap.dof_map)
         self.n_ip = self.plan.n_ip
         self.weights_flat = self.plan.weights
-        self.ip_mat = model.mat_ids[self.plan.ip_element]
-        self.mat_groups = [np.flatnonzero(self.ip_mat == i) for i in range(len(model.materials))]
+        ip_mat = model.mat_ids[self.plan.ip_element]
+        self.mat_groups = [np.flatnonzero(ip_mat == i) for i in range(len(model.materials))]
         # affine map X -> H*X per DOF (rows: ux, uy; columns: H11..H22) and
         # its boundary-node part, the first moment of the boundary forces
         amap = np.zeros((m.n_nodes, 2, 4))

@@ -128,6 +128,9 @@ class TestMeshFile:
     ] + [
         (1, 1, "1.5"), (2, 0, "1.5"), (5, 1, "1.5"), (6, 0, "1.5"), (6, 3, "1.5"),
         (2, 1, "1e400"), (3, 2, "nan"),
+        # int() and float() read these; the mesh format's plain ASCII decimals do not
+        (2, 1, "1_0.0"), (3, 2, "1_0"), (1, 1, "1_0"), (6, 4, "\u0662"), (2, 0, "\u0660"),
+        (4, 1, "\u0661.0"),
     ])
     def test_non_numeric_token_reports_line(self, tmp_path, line, column, token):
         rows = [row.split() for row in SMALL_MESH]
@@ -519,6 +522,14 @@ class TestMainEntry:
         assert main(["run", str(path)]) == 2
         assert f"FESCALE_WORKERS: expected an integer >= 1, got {env!r}" in capsys.readouterr().err
         assert not (tmp_path / "wk_bad").exists()
+
+    @pytest.mark.parametrize("env", ["1_0", "\u0662", "+\u0662", " 2"])
+    def test_worker_variable_takes_plain_ascii_digits(self, monkeypatch, env):
+        # parsed only: a run that took the value would start its workers
+        monkeypatch.setenv("FESCALE_WORKERS", env)
+        with pytest.raises(ConfigError) as info:
+            parse_config(TINY)
+        assert str(info.value) == f"FESCALE_WORKERS: expected an integer >= 1, got {env!r}"
 
 
 # Fuzzing through the command line: a malformed config or mesh file ends

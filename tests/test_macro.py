@@ -56,7 +56,7 @@ def bar_model(scheme, micro=None, force=0.2):
     return TwoScaleModel(
         macro_mesh=mesh, dirichlet=dirichlet, point_loads=loads,
         micro_model=micro, scheme=scheme, control_dof=5,
-        reaction_dofs=np.array([5, 7]), name="bar",
+        reaction_dofs=np.array([5, 7]),
     )
 
 
@@ -68,7 +68,7 @@ def stretch_model(scheme, micro, u_end=0.02):
     return TwoScaleModel(
         macro_mesh=mesh, dirichlet=dirichlet, point_loads=[],
         micro_model=micro, scheme=scheme, control_dof=2,
-        reaction_dofs=np.array([2, 4]), name="stretch",
+        reaction_dofs=np.array([2, 4]),
     )
 
 

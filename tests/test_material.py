@@ -1,5 +1,7 @@
 """Tests for the plane-strain J2 return map and its consistent tangent."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from fescale.material import (
     ElasticParams,
-    MaterialState,
     PlasticParams,
-    evaluate,
+    StateBatch,
+    evaluate_batch,
     tangent_check,
 )
 from tests_support import stress_out_of_plane, von_mises_full
@@ -40,22 +42,35 @@ def shear_gradient(g):
     return np.array([0.0, g, g, 0.0])
 
 
+def virgin():
+    return StateBatch.virgin(1)
+
+
+Point = namedtuple("Point", "sigma tangent new_state plastic_active")
+
+
+def evaluate(params, h, state):
+    """One point through ``evaluate_batch``: its row's results, and its one-row new state."""
+    sigma, tangent, new_state, active = evaluate_batch(params, np.reshape(h, (1, 4)), state)
+    return Point(sigma[0], tangent[0], new_state, bool(active[0]))
+
+
 class TestElasticBranch:
     def test_zero_strain(self):
-        res = evaluate(PLASTIC, np.zeros(4), MaterialState.virgin())
+        res = evaluate(PLASTIC, np.zeros(4), virgin())
         assert_array_equal(res.sigma, np.zeros(4))
         assert_allclose(res.tangent, ELASTIC.stiffness(), rtol=0, atol=0)
         assert not res.plastic_active
 
     def test_uniaxial_below_yield(self):
         e11 = 0.002  # trial von Mises stays under sigma0
-        res = evaluate(PLASTIC, np.array([e11, 0.0, 0.0, 0.0]), MaterialState.virgin())
+        res = evaluate(PLASTIC, np.array([e11, 0.0, 0.0, 0.0]), virgin())
         expected = ELASTIC.E * (1 - ELASTIC.nu) / ((1 + ELASTIC.nu) * (1 - 2 * ELASTIC.nu)) * e11
         assert not res.plastic_active
         assert_allclose(res.sigma[0], expected, rtol=1e-14)
 
     def test_elastic_params_never_plastic(self):
-        res = evaluate(ELASTIC, shear_gradient(0.5), MaterialState.virgin())
+        res = evaluate(ELASTIC, shear_gradient(0.5), virgin())
         assert not res.plastic_active
         assert_allclose(res.tangent, ELASTIC.stiffness())
 
@@ -71,7 +86,7 @@ class TestElasticBranch:
 class TestRadialReturn:
     def test_shear_beyond_yield_matches_bisection_oracle(self):
         g = 0.03
-        state = MaterialState.virgin()
+        state = virgin()
         res = evaluate(PLASTIC, shear_gradient(g), state)
         assert res.plastic_active
         # oracle: trial stress is pure shear, q_trial = sqrt(3) * 2*mu*g
@@ -85,7 +100,7 @@ class TestRadialReturn:
     def test_monotonic_shear_path_hardening_line(self):
         # commit increasing shear steps; the equivalent stress must track
         # sigma0 + h*alpha_bar after every committed plastic update
-        state = MaterialState.virgin()
+        state = virgin()
         for g in (0.02, 0.04, 0.06):
             res = evaluate(PLASTIC, shear_gradient(g), state)
             s33 = stress_out_of_plane(PLASTIC, shear_gradient(g), state)
@@ -101,7 +116,7 @@ class TestRadialReturn:
     @settings(max_examples=60, deadline=None)
     def test_yield_consistency_property(self, h_tuple, alpha0):
         h = np.array(h_tuple)
-        state = MaterialState(np.zeros(4), alpha0)
+        state = StateBatch(np.zeros((1, 4)), [alpha0])
         res = evaluate(PLASTIC, h, state)
         if res.plastic_active:
             s33 = stress_out_of_plane(PLASTIC, h, state)
@@ -110,10 +125,10 @@ class TestRadialReturn:
             assert abs(f) <= 1e-10 * PLASTIC.sigma0
         # invariants regardless of branch
         assert res.new_state.alpha_bar >= state.alpha_bar
-        assert abs(res.new_state.eps_p[:3].sum()) <= 1e-12
+        assert abs(res.new_state.eps_p[0, :3].sum()) <= 1e-12
 
     def test_elastic_unloading_restores_elastic_tangent(self):
-        loaded = evaluate(PLASTIC, shear_gradient(0.05), MaterialState.virgin())
+        loaded = evaluate(PLASTIC, shear_gradient(0.05), virgin())
         assert loaded.plastic_active
         unloaded = evaluate(PLASTIC, shear_gradient(0.045), loaded.new_state)
         assert not unloaded.plastic_active
@@ -121,17 +136,17 @@ class TestRadialReturn:
 
     def test_isotropy_quarter_turn(self):
         h = np.array([0.02, 0.015, -0.01, -0.03])
-        res = evaluate(PLASTIC, h, MaterialState.virgin())
+        res = evaluate(PLASTIC, h, virgin())
         q = np.array([[0.0, -1.0], [1.0, 0.0]])
         h_rot = (q @ h.reshape(2, 2) @ q.T).ravel()
-        res_rot = evaluate(PLASTIC, h_rot, MaterialState.virgin())
+        res_rot = evaluate(PLASTIC, h_rot, virgin())
         sig_rot = (q @ res.sigma.reshape(2, 2) @ q.T).ravel()
         assert_allclose(res_rot.sigma, sig_rot, atol=1e-12)
         assert res_rot.new_state.alpha_bar == pytest.approx(res.new_state.alpha_bar, rel=1e-12)
 
     def test_determinism_bitwise(self):
         h = np.array([0.03, 0.01, 0.02, -0.02])
-        state = MaterialState(np.array([1e-3, -2e-3, 1e-3, 5e-4]), 0.01)
+        state = StateBatch([[1e-3, -2e-3, 1e-3, 5e-4]], [0.01])
         r1 = evaluate(PLASTIC, h, state)
         r2 = evaluate(PLASTIC, h, state)
         assert_array_equal(r1.sigma, r2.sigma)
@@ -139,26 +154,37 @@ class TestRadialReturn:
         assert_array_equal(r1.new_state.eps_p, r2.new_state.eps_p)
 
     def test_input_state_not_mutated(self):
-        state = MaterialState(np.array([1e-3, -1e-3, 0.0, 2e-3]), 0.02)
+        state = StateBatch([[1e-3, -1e-3, 0.0, 2e-3]], [0.02])
         snapshot = state.copy()
         evaluate(PLASTIC, shear_gradient(0.05), state)
         assert_array_equal(state.eps_p, snapshot.eps_p)
-        assert state.alpha_bar == snapshot.alpha_bar
+        assert_array_equal(state.alpha_bar, snapshot.alpha_bar)
 
 
 class TestTangentCheck:
+    # the errors are pinned bit for bit (float.hex): the one batched
+    # evaluation of the 9 gradients gives each row the bits it has alone
     def test_elastic_point(self):
-        err = tangent_check(PLASTIC, np.array([0.001, 0.0005, 0.0, -0.0004]), MaterialState.virgin())
+        err = tangent_check(PLASTIC, np.array([0.001, 0.0005, 0.0, -0.0004]), virgin())
         assert err <= 1e-8
+        assert err.hex() == "0x1.773b645a1cac1p-41"
 
     def test_plastic_point_well_inside(self):
-        err = tangent_check(PLASTIC, shear_gradient(0.05), MaterialState.virgin())
+        err = tangent_check(PLASTIC, shear_gradient(0.05), virgin())
         assert err <= 1e-5
+        assert err.hex() == "0x1.d4542f2c5956dp-36"
+
+    def test_check_command_point(self):
+        # the point and law of `fescale check`'s radial-return check
+        err = tangent_check(PLASTIC, shear_gradient(0.03), virgin())
+        assert err <= 1e-5
+        assert err.hex() == "0x1.e464956f61df9p-37"
 
     def test_yield_onset_flagged_not_failed(self):
         # strain placed exactly at the trial yield surface: non-smooth point;
         # record the error without asserting a tolerance
         mu = ELASTIC.mu
         g_onset = PLASTIC.sigma0 / (np.sqrt(3.0) * 2.0 * mu)
-        err = tangent_check(PLASTIC, shear_gradient(g_onset), MaterialState.virgin())
+        err = tangent_check(PLASTIC, shear_gradient(g_onset), virgin())
         assert np.isfinite(err)
+        assert err.hex() == "0x1.1f962b0ac515bp-3"

@@ -6,7 +6,7 @@ import numpy as np
 
 from fescale.benchmarks import rve_porous_tri
 from fescale.macro import TwoScaleModel
-from fescale.material import ElasticParams, PlasticParams, elastic_of, evaluate
+from fescale.material import ElasticParams, PlasticParams, elastic_of, evaluate_batch
 from fescale.mesh import QUAD4, ElementBlock, Mesh, block_operators, element_dofs
 
 ELASTIC = ElasticParams(E=100.0, nu=0.3)
@@ -23,7 +23,7 @@ def bar_with_porous_rve(scheme, force=0.55, n_micro=4):
     return TwoScaleModel(
         macro_mesh=mesh, dirichlet=dirichlet, point_loads=loads,
         micro_model=micro, scheme=scheme, control_dof=5,
-        reaction_dofs=np.array([5, 7]), name="bar-porous",
+        reaction_dofs=np.array([5, 7]),
     )
 
 
@@ -38,7 +38,7 @@ def single_ip_porous_model(scheme, u_end=0.02, n_micro=4):
     return TwoScaleModel(
         macro_mesh=mesh, dirichlet=dirichlet, point_loads=[],
         micro_model=micro, scheme=scheme, control_dof=2,
-        reaction_dofs=np.array([2, 4]), name="single-ip",
+        reaction_dofs=np.array([2, 4]),
     )
 
 
@@ -112,9 +112,9 @@ def von_mises_full(s11, s22, s33, s12):
 
 
 def stress_out_of_plane(params, h_micro, state):
-    """sigma33 companion of ``material.evaluate`` (plane strain keeps e33 = 0)."""
+    """sigma33 companion of ``material.evaluate_batch`` at one point (plane strain keeps e33 = 0)."""
     el = elastic_of(params)
     h = np.asarray(h_micro, dtype=np.float64).reshape(4)
-    ep_new = evaluate(params, h, state).new_state.eps_p
+    ep_new = evaluate_batch(params, h.reshape(1, 4), state)[2].eps_p[0]
     tr = h[0] + h[3] - (ep_new[0] + ep_new[1] + ep_new[2])
     return el.lam * tr + 2.0 * el.mu * (-ep_new[2])
