@@ -387,11 +387,13 @@ def write_curve_csv(path, curve):
 
 def write_stats_csv(path, records):
     with open(path, "w") as fh:
-        fh.write("increment,dt,macro_iters,micro_iters_total,factorizations,wall_ms,cut_events\n")
+        fh.write("increment,dt,macro_iters,micro_iters_total,factorizations,wall_ms,cut_events,"
+                 "aux_solves,macro_factorizations,micro_iters_max,plastic_flow\n")
         for r in records:
             fh.write(
                 f"{r.index},{_fmt(r.dt)},{r.macro_iterations},{r.micro_iters_total},"
-                f"{r.factorizations},{_fmt(r.wall_ms)},{r.cut_events}\n"
+                f"{r.factorizations},{_fmt(r.wall_ms)},{r.cut_events},{r.aux_solves},"
+                f"{r.macro_factorizations},{r.micro_iters_max},{int(r.plastic_flow)}\n"
             )
 
 

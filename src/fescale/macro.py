@@ -169,12 +169,13 @@ class MacroSystem:
 class _Shard:
     """The RVE problems of one worker, a contiguous-by-stride subset, as one batch.
 
-    The batch's set-up pass (see :class:`rve.RveBatch`) solves the virgin
-    stiffness once, so the first condensation update consumes retained
-    columns. Both sweeps end in one condensation call that returns the
-    shard's stresses and tangents. The pool calls the public methods by
-    name. The process that builds a shard runs its sweeps, and pins its
-    heap (:func:`_pin_heap`) first.
+    The batch's set-up pass (see :class:`rve.RveBatch`) assembles one
+    RVE at the virgin state, copies its row into the others and solves the
+    virgin stiffness once, so the first condensation update consumes
+    retained columns. Both sweeps end in one condensation call that
+    returns the shard's stresses and tangents. The pool calls the public
+    methods by name. The process that builds a shard runs its sweeps, and
+    pins its heap (:func:`_pin_heap`) first.
     """
 
     def __init__(self, geom, count, store_factorization):
@@ -223,12 +224,14 @@ class _Shard:
         return rvemod.committed_alpha_bar(self.rves)
 
 
+@functools.cache
 def _blas_thread_setter():
     """The thread-count setter of the OpenBLAS bundled with numpy, or None.
 
     numpy has no call for it; the library in ``numpy.libs`` exports the
     setter that threadpoolctl calls. A numpy built on another BLAS has no
-    such library or symbol.
+    such library or symbol. Looked up once per process: a multi-worker
+    pool looks it up before it forks, and its workers inherit the cache.
     """
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
@@ -271,11 +274,11 @@ def _pin_heap():
 def _worker_main(conn, geom, count, store_factorization):
     """Serve ``(method name, args)`` requests on one shard until ``(None, None)``.
 
-    ``geom`` is the model's micro geometry, inherited through fork. The
-    worker runs one BLAS thread, so that workers do not fight over the
-    cores with each other's BLAS threads. Every reply is ``(True, result)``
-    or ``(False, exception)``; a failure to build the shard is replied to
-    every request.
+    ``geom`` is the model's micro geometry, inherited through fork, as is
+    the BLAS thread setter the pool looked up. The worker runs one BLAS
+    thread, so that workers do not fight over the cores with each other's
+    BLAS threads. Every reply is ``(True, result)`` or ``(False,
+    exception)``; a failure to build the shard is replied to every request.
     """
     set_threads = _blas_thread_setter()
     if set_threads is not None:
@@ -322,6 +325,7 @@ class RvePool:
             import multiprocessing as mp
 
             ctx = mp.get_context("fork")
+            _blas_thread_setter()  # found once, here; the workers inherit it
             self._local = None
             self._pipes = []
             self._procs = []

@@ -231,12 +231,15 @@ class RveBatch:
     auxiliary solves and factorizations since the macro run loop last reset
     them.
 
-    A batch starts with a set-up pass at the virgin state: every RVE is
-    assembled there, at the same elastic stiffness K0. One LU solve gives
-    its tangent columns, which every RVE starts with as solved, and
-    ``virgin_inverse`` = K0^-1, the one retained factor of the batch: a
-    linear-flagged RVE's stiffness is K0 bit for bit, so its columns are
-    the virgin ones (see :func:`assemble`).
+    A batch starts with a set-up pass at the virgin state, where every RVE
+    has the same state and the same elastic stiffness K0. Since each row
+    computes as it would alone, the first RVE alone is assembled and its
+    row of every array :func:`assemble` writes, trial states included, is
+    copied into the others. One LU solve gives its tangent columns, which
+    every RVE starts with as solved, and ``virgin_inverse`` = K0^-1, the
+    one retained factor of the batch: a linear-flagged RVE's stiffness is
+    K0 bit for bit, so its columns are the virgin ones (see
+    :func:`assemble`).
     """
 
     def __init__(self, geom: MicroGeometry, count: int = 1, store_factorization: bool = True):
@@ -266,8 +269,16 @@ class RveBatch:
         (self.plastic_flow, self.linear_now, self.flagged, self.solved,
          self.tangent_valid, self.failed) = np.zeros((6, b), dtype=bool)
         self.counts = np.zeros((b, 3), dtype=np.int64)
-        # set-up pass; the virgin residual is zero, and so is x_r
-        assemble(self)
+        # set-up pass: the first RVE alone is assembled and its row copied;
+        # the virgin residual is zero, and so is x_r
+        assemble(self, np.arange(b) == 0)
+        for a in (self.r_hat, self.kvals, self.dr_dH, self.dsig_du, self.dsig_dh, self.sigma_bar,
+                  self.f_full, self.sigma_ips, self.active, self.residual_norm, self.ref_force,
+                  self.plastic_flow, self.linear_now, self.flagged, self.solved,
+                  self.tangent_valid, self.failed,
+                  *(s.eps_p.reshape(b, len(g), 4) for s, g in zip(self.trial, geom.mat_groups)),
+                  *(s.alpha_bar.reshape(b, len(g)) for s, g in zip(self.trial, geom.mat_groups))):
+            a[1:] = a[0]
         virgin = linalg.factorize(geom.plan.dense(self.kvals[0]),
                                   np.concatenate([self.dr_dH[0], np.eye(n)], axis=1)).columns
         self.virgin_x_h, self.virgin_inverse = virgin[:, :4], virgin[:, 4:]

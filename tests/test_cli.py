@@ -190,6 +190,20 @@ class TestRunSuite:
         summary_row = next(r for r in rows if r["scheme"] == "monolithic-stored")
         assert float(summary_row["factorization_ratio_vs_staggered"]) == mono_f / base_f
 
+    def test_stats_csv_reads_back_every_counter(self, suite_out):
+        out, _, reports = suite_out
+        for scheme, report in reports.items():
+            rows = read_stats_csv(out / f"notched-shear_{scheme}_stats.csv")
+            assert len(rows) == len(report.records)
+            for row, r in zip(rows, report.records):
+                assert {k: int(v) for k, v in row.items() if k not in ("dt", "wall_ms")} == {
+                    "increment": r.index, "macro_iters": r.macro_iterations,
+                    "micro_iters_total": r.micro_iters_total, "factorizations": r.factorizations,
+                    "cut_events": r.cut_events, "aux_solves": r.aux_solves,
+                    "macro_factorizations": r.macro_factorizations,
+                    "micro_iters_max": r.micro_iters_max, "plastic_flow": int(r.plastic_flow)}
+                assert (float(row["dt"]), float(row["wall_ms"])) == (r.dt, r.wall_ms)
+
     def test_curve_bytes_reproducible(self, suite_out, tmp_path):
         out, _, _ = suite_out
         cfg = parse_config(dict(TINY, output_dir="rerun"), base_dir=str(tmp_path))

@@ -2,10 +2,11 @@
 
 The micro kernels run at the shipped RVE (``n_micro`` 8, n = 116) and at
 ``n_micro`` 16 (n = 436), where a dense LU solve costs most; the assembly
-kernels also run on a 16-RVE shard, the plate-hole shard size, and a
-shard's LU solves also at the notched-shear RVE (n = 44). Marked
-``kernelbench`` and deselected by default (see pyproject.toml); run them
-with ``pytest -m kernelbench tests/test_kernelbench.py``.
+kernels and a shard's construction also run on a 16-RVE shard, the
+plate-hole shard size, and a shard's LU solves also at the notched-shear
+RVE (n = 44). Marked ``kernelbench`` and deselected by default (see
+pyproject.toml); run them with ``pytest -m kernelbench
+tests/test_kernelbench.py``.
 """
 
 import numpy as np
@@ -44,6 +45,14 @@ def test_rve_assemble_plastic(benchmark, shipped_geom, count):
     R.assemble(p)
     assert p.plastic_flow.all()
     benchmark(R.assemble, p)
+
+
+@pytest.mark.parametrize("count", [1, 16])
+def test_rve_batch_setup(benchmark, shipped_geom, count):
+    # a plate-hole shard's construction: the virgin set-up pass and the
+    # virgin LU solve; 16 RVEs are a plate-hole shard
+    rves = benchmark(R.RveBatch, shipped_geom, count)
+    assert rves.solved.all()
 
 
 def test_plan_stiffness_shard(benchmark, shipped_geom):

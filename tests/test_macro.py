@@ -556,6 +556,20 @@ def test_workers_run_one_blas_thread(monkeypatch):
         set_threads(before)
 
 
+def test_workers_inherit_the_blas_setter_lookup(monkeypatch):
+    # a multi-worker pool looks the setter up once, before it forks; each
+    # worker's call is a hit on the cache it inherited
+    monkeypatch.setattr(macro._Shard, "plastic_any", lambda shard: tuple(macro._blas_thread_setter.cache_info()))
+    macro._blas_thread_setter.cache_clear()
+    pool = macro.RvePool(rvemod.MicroGeometry(rve_single_element(ELASTIC)), 2, True, workers=2)
+    try:
+        assert macro._blas_thread_setter.cache_info().misses == 1
+        # (hits, misses, maxsize, currsize) in each worker
+        assert pool._call("plastic_any") == [(1, 1, None, 1)] * 2
+    finally:
+        pool.close()
+
+
 @pytest.mark.parametrize("scheme", macro.SCHEMES)
 def test_pool_factorizes_once_per_counted_factorization(scheme, monkeypatch):
     # the micro sweeps call linalg.factorize exactly once per factorization

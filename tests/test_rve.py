@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fescale import linalg
+from fescale import linalg, material
 from fescale import rve as R
 from fescale.benchmarks import (
     build_benchmark,
+    default_materials,
     grid_quads,
     rve_laminate,
+    rve_porous_quad,
     rve_porous_tri,
     rve_single_element,
 )
@@ -622,6 +624,50 @@ class TestStateDiscipline:
         R.begin_increment(p)
         converge(p, 2 * H_MIXED)
         assert p.counts[0, R.FACTORIZATIONS] == f_before  # elastic stiffness never refactorized
+
+
+@pytest.fixture(scope="module", params=["quad", "tri"])
+def shipped_rve(request):
+    """The plate-hole quad RVE (n = 116) or the notched-shear tri RVE (n = 44)."""
+    if request.param == "quad":
+        geom = R.MicroGeometry(rve_porous_quad(default_materials("plate-hole-tension"), n=8))
+    else:
+        geom = R.MicroGeometry(rve_porous_tri(default_materials("notched-shear"), n=5))
+    assert geom.n_reduced == {"quad": 116, "tri": 44}[request.param]
+    return geom
+
+
+def per_rve_arrays(rves):
+    """Every per-RVE array of a batch by name, the material states' arrays as (b, points, ...)."""
+    out = {name: v for name, v in vars(rves).items() if isinstance(v, np.ndarray) and v.shape[:1] == (rves.b,)}
+    for kind in ("states", "trial"):
+        for i, s in enumerate(getattr(rves, kind)):
+            out[f"{kind}[{i}].eps_p"] = s.eps_p.reshape(rves.b, -1, 4)
+            out[f"{kind}[{i}].alpha_bar"] = s.alpha_bar.reshape(rves.b, -1)
+    return out
+
+
+class TestSetUpPass:
+    @pytest.mark.parametrize("count", [1, 3, 16])
+    def test_every_rve_starts_as_one_rve_alone_bitwise(self, shipped_rve, count):
+        alone, batch = R.RveBatch(shipped_rve, 1), R.RveBatch(shipped_rve, count)
+        want, got = per_rve_arrays(alone), per_rve_arrays(batch)
+        assert got.keys() == want.keys()
+        for name, a in want.items():
+            repeated = np.repeat(a, count, axis=0)
+            assert (got[name].dtype, got[name].shape) == (repeated.dtype, repeated.shape), name
+            assert got[name].tobytes() == repeated.tobytes(), name
+        for name in ("virgin_x_h", "virgin_inverse"):
+            assert getattr(batch, name).tobytes() == getattr(alone, name).tobytes()
+        assert batch.solved.all() and not batch.failed.any()
+
+    @pytest.mark.parametrize("count", [1, 3, 16])
+    def test_set_up_evaluates_one_rve(self, shipped_rve, count, monkeypatch):
+        rows, evaluate = [], material.evaluate_batch
+        monkeypatch.setattr(material, "evaluate_batch",
+                            lambda mat, h, states: rows.append(len(h)) or evaluate(mat, h, states))
+        R.RveBatch(shipped_rve, count)
+        assert sum(rows) == shipped_rve.n_ip
 
 
 class TestRetainedColumns:
