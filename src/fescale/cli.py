@@ -234,7 +234,8 @@ def _materials(value):
     """Material parameters from a JSON list of {E, nu[, sigma0[, h]]} objects.
 
     Every entry takes numbers only and no other key; a spec with ``sigma0``
-    is J2-plastic (``h`` defaults to 0). Errors name ``materials[i]``.
+    is J2-plastic (``h`` defaults to 0), and ``h`` without ``sigma0`` is an
+    error. Errors name ``materials[i]``.
     """
     if not isinstance(value, list):
         raise ConfigError(f"materials: expected a list, got {value!r}")
@@ -251,6 +252,8 @@ def _materials(value):
                 raise ConfigError(f"{name}.{key}: missing")
         for key, number in spec.items():  # the material model checks the range
             _typed(f"{name}.{key}", number, float, finite=False)
+        if "h" in spec and "sigma0" not in spec:
+            raise ConfigError(f"{name}.h: a hardening modulus needs sigma0 (without it the material is elastic)")
         try:
             elastic = material.ElasticParams(E=float(spec["E"]), nu=float(spec["nu"]))
             mats.append(elastic if "sigma0" not in spec else material.PlasticParams(

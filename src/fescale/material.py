@@ -9,6 +9,12 @@ returned stress and 4x4 tangent use the same gradient-conjugate layout.
 Plastic strain is tracked as a 3D deviatoric tensor stored as
 (ep11, ep22, ep33, ep12); plane strain fixes the out-of-plane total strain
 to zero while the out-of-plane plastic component evolves.
+
+A micro model's points, of one material or several, share one
+:class:`Law` of per-point constants, so one :func:`evaluate_batch` call
+covers them all: the trial stress and the yield check run on every point,
+the radial return only where a point yields. Each point's results are bit
+for bit those of its material's scalar law.
 """
 
 from __future__ import annotations
@@ -29,6 +35,11 @@ _ISYM = np.array([
     [0.0, 0.5, 0.5, 0.0],
     [0.0, 0.0, 0.0, 1.0],
 ])
+_OUTER = np.outer(_I4, _I4)
+# rows of a (11, 22, 33, 12) component array in the 4-component layout (11, 12, 21, 22)
+_SIGMA = np.array([0, 3, 3, 1])
+# the deviatoric projector
+_DEV = _ISYM - _OUTER / 3.0
 
 
 @dataclass(frozen=True)
@@ -58,7 +69,7 @@ class ElasticParams:
 
     def stiffness(self):
         """Plane-strain elastic tangent in the 4-component gradient layout."""
-        return self.bulk * np.outer(_I4, _I4) + 2.0 * self.mu * (_ISYM - np.outer(_I4, _I4) / 3.0)
+        return self.bulk * _OUTER + 2.0 * self.mu * _DEV
 
 
 @dataclass(frozen=True)
@@ -103,81 +114,130 @@ def elastic_of(params):
     return params.elastic if isinstance(params, PlasticParams) else params
 
 
-def evaluate_batch(params, h_batch, states: StateBatch):
+class Law:
+    """The material law at every point of a micro model, as per-point arrays.
+
+    Built once per model from its materials and each point's material id
+    (``ids``, by default one point). Each constant of the radial return is
+    computed once per material, by the scalar expression a single material
+    evaluates, and gathered per point: ``lam``, ``two_mu`` = 2 mu,
+    ``three_mu`` = 3 mu, ``three_mu_h`` = 3 mu + h, ``inv`` = 1 / (3 mu + h),
+    ``c6`` = -6 mu^2, ``sigma0``, ``h``, the bulk modulus ``bulk`` and the
+    elastic ``stiffness``; ``elastic`` marks the points of an elastic
+    material, a law that never yields (sigma0 = inf, h = 0). Points that
+    all have one material hold one point's values, which broadcast over
+    every batch, so a single-material RVE reads no per-point parameter.
+    :func:`evaluate_batch` takes the rows of its gradients as consecutive
+    groups of ``points`` (RVE-major).
+    """
+
+    __slots__ = ("lam", "two_mu", "three_mu", "three_mu_h", "inv", "c6", "sigma0", "h",
+                 "bulk", "stiffness", "elastic")
+
+    def __init__(self, materials, ids=0):
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        ids = ids[:1] if (ids == ids[0]).all() else ids
+        rows = [_constants(m) for m in materials]
+        for k, name in enumerate(self.__slots__):
+            setattr(self, name, np.array([row[k] for row in rows])[ids])
+
+    @property
+    def points(self):
+        return len(self.lam)
+
+
+def _constants(params):
+    """One material's constants, in the order of :attr:`Law.__slots__`."""
+    el = elastic_of(params)
+    plastic = isinstance(params, PlasticParams)
+    sigma0, h = (params.sigma0, params.h) if plastic else (np.inf, 0.0)
+    mu = el.mu
+    return (el.lam, 2.0 * mu, 3.0 * mu, 3.0 * mu + h, 1.0 / (3.0 * mu + h), -6.0 * mu**2,
+            sigma0, h, el.bulk, el.stiffness(), not plastic)
+
+
+def evaluate_batch(law, h_batch, states: StateBatch):
     """Radial-return update for a batch of displacement gradients.
 
     Parameters
     ----------
-    params : ElasticParams or PlasticParams
+    law : Law, or one material's ElasticParams or PlasticParams
     h_batch : (n, 4) array
         Displacement gradients (H11, H12, H21, H22); only sym(h) enters.
+        Its rows are consecutive groups of the law's points, RVE-major, so
+        n is a multiple of ``law.points``.
     states : StateBatch
-        Last-committed internal variables; never mutated.
+        Last-committed internal variables of the n points; never mutated.
 
     Returns
     -------
-    sigma : (n, 4) array, tangent : (n, 4, 4) array, new_states : StateBatch,
-    active : (n,) bool array
+    sigma : (n, 4) array, tangent : (n, 4, 4) array, new_states :
+    StateBatch shaped as ``states``, active : (n,) bool array
+
+    The trial stress and the yield check run over every point on component
+    arrays; the return mapping, the state update and the consistent tangent
+    only where a point yields. Every point computes as it would alone.
     """
-    h_batch = np.asarray(h_batch, dtype=np.float64)
-    n = h_batch.shape[0]
-    el = elastic_of(params)
-    mu, lam = el.mu, el.lam
+    law = law if isinstance(law, Law) else Law([law])
+    h = np.asarray(h_batch, dtype=np.float64)
+    n = len(h)
+    grid = (n // law.points, law.points)  # the rows as groups of the law's points
+    ep = states.eps_p.reshape(n, 4).T
+    alpha = states.alpha_bar.reshape(grid)
 
-    # total strain (plane strain: e33 = 0), elastic trial from committed state
-    e11 = h_batch[:, 0]
-    e22 = h_batch[:, 3]
-    e12 = 0.5 * (h_batch[:, 1] + h_batch[:, 2])
-    ep = states.eps_p
-    tr = e11 + e22 - (ep[:, 0] + ep[:, 1] + ep[:, 2])
-    s11 = lam * tr + 2.0 * mu * (e11 - ep[:, 0])
-    s22 = lam * tr + 2.0 * mu * (e22 - ep[:, 1])
-    s33 = lam * tr + 2.0 * mu * (-ep[:, 2])
-    s12 = 2.0 * mu * (e12 - ep[:, 3])
+    # total strain components (e11, e22, e33, e12), plane strain e33 = 0
+    # (-0.0 - ep33 is -ep33 bit for bit); the elastic trial from committed state
+    s = np.empty((4, n))
+    s[0], s[1], s[2] = h[:, 0], h[:, 3], -0.0
+    s[3] = 0.5 * (h[:, 1] + h[:, 2])
+    tr = s[0] + s[1] - (ep[0] + ep[1] + ep[2])
+    s -= ep
+    s_grid = s.reshape((4,) + grid)
+    s_grid *= law.two_mu
+    s_grid[:3] += law.lam * tr.reshape(grid)  # s11, s22, s33, s12
 
-    d_el = el.stiffness()
-    tangent = np.broadcast_to(d_el, (n, 4, 4)).copy()
-
-    if not isinstance(params, PlasticParams):
-        sigma = np.stack([s11, s12, s12, s22], axis=1)
-        return sigma, tangent, states.copy(), np.zeros(n, dtype=bool)
-
-    p = (s11 + s22 + s33) / 3.0
-    d11, d22, d33, d12 = s11 - p, s22 - p, s33 - p, s12
-    s_norm = np.sqrt(d11 * d11 + d22 * d22 + d33 * d33 + 2.0 * d12 * d12)
+    dev = s.copy()
+    dev[:3] -= (s[0] + s[1] + s[2]) / 3.0
+    sq = dev[:3] * dev[:3]
+    s_norm = np.sqrt(sq[0] + sq[1] + sq[2] + 2.0 * dev[3] * dev[3])
     q_tr = _SQ32 * s_norm
-    f_tr = q_tr - (params.sigma0 + params.h * states.alpha_bar)
+    f_tr = (q_tr.reshape(grid) - (law.sigma0 + law.h * alpha)).reshape(n)
     active = f_tr > 0.0
+    idx = np.flatnonzero(active)
+    s_active = s.take(idx, axis=1)  # the trial stress of the yielding points
 
-    dgamma = np.where(active, f_tr / (3.0 * mu + params.h), 0.0)
-    safe = np.where(s_norm > 0.0, s_norm, 1.0)
-    n11, n22, n33, n12 = d11 / safe, d22 / safe, d33 / safe, d12 / safe
+    # a J2 point at rest takes the return with dgamma = 0, s - 0 * n and
+    # ep + 0 * n, which carry the signs of zeros and non-finite values; s
+    # becomes the returned stress
+    rest = 0.0 * dev
+    rest.reshape((4,) + grid)[..., law.elastic] = 0.0
+    s -= rest
+    new_ep = np.empty((n, 4))
+    np.add(ep, rest, out=new_ep.T)
+    new_ep.reshape(grid + (4,))[:, law.elastic] = states.eps_p.reshape(grid + (4,))[:, law.elastic]
+    new_alpha = states.alpha_bar.reshape(n).copy()
+    tangent = np.empty((n, 4, 4))
+    tangent.reshape(grid + (4, 4))[:] = law.stiffness
 
-    scale = 2.0 * mu * dgamma * _SQ32
-    s11 = s11 - scale * n11
-    s22 = s22 - scale * n22
-    s12 = s12 - scale * n12
-    sigma = np.stack([s11, s12, s12, s22], axis=1)
-
-    dep = dgamma * _SQ32
-    new_ep = ep.copy()
-    new_ep[:, 0] += dep * n11
-    new_ep[:, 1] += dep * n22
-    new_ep[:, 2] += dep * n33
-    new_ep[:, 3] += dep * n12
-    new_states = StateBatch(new_ep, states.alpha_bar + dgamma)
-
-    if np.any(active):
-        idx = np.flatnonzero(active)
-        theta = 1.0 - 3.0 * mu * dgamma[idx] / q_tr[idx]
-        coeff = -6.0 * mu**2 * (1.0 / (3.0 * mu + params.h) - dgamma[idx] / q_tr[idx])
-        n4 = np.stack([n11[idx], n12[idx], n12[idx], n22[idx]], axis=1)
-        dev = _ISYM - np.outer(_I4, _I4) / 3.0
-        tangent[idx] = (
-            el.bulk * np.outer(_I4, _I4)
-            + 2.0 * mu * theta[:, None, None] * dev
-            + coeff[:, None, None] * n4[:, :, None] * n4[:, None, :]
-        )
+    if len(idx):
+        pt = idx % law.points
+        q_a = q_tr[idx]
+        dgamma = f_tr[idx] / law.three_mu_h[pt]
+        n_a = dev.take(idx, axis=1) / s_norm[idx]  # n11, n22, n33, n12
+        two_mu = law.two_mu[pt]
+        s[:, idx] = s_active - two_mu * dgamma * _SQ32 * n_a
+        new_ep[idx] = (ep.take(idx, axis=1) + dgamma * _SQ32 * n_a).T
+        new_alpha[idx] += dgamma
+        theta = 1.0 - law.three_mu[pt] * dgamma / q_a
+        coeff = law.c6[pt] * (law.inv[pt] - dgamma / q_a)
+        # K I (x) I + 2 mu theta P_dev + coeff n (x) n, with the points last
+        n4 = n_a.take(_SIGMA, axis=0)
+        t = law.bulk[pt] * _OUTER[:, :, None]
+        t += (two_mu * theta) * _DEV[:, :, None]
+        t += coeff * n4[:, None] * n4[None, :]
+        tangent[idx] = t.transpose(2, 0, 1)
+    sigma = s.take(_SIGMA, axis=0).T.copy()
+    new_states = StateBatch(new_ep.reshape(states.eps_p.shape), new_alpha.reshape(states.alpha_bar.shape))
     return sigma, tangent, new_states, active
 
 

@@ -13,10 +13,12 @@ A single assembly pass over a batch produces the reduced residual, the
 reduced tangent stiffness values, the residual sensitivity to the applied
 macroscopic gradient, the boundary-sum homogenized stress, and the stress
 sensitivities needed for the condensed macroscopic tangent and the
-algorithmic stress. The sensitivities are stacked matrix products of the
-plan's element stiffnesses with the affine and first-moment maps, and the
-residual and sensitivities are each summed by one :func:`mesh.scatter_add`
-pass. Every row is computed as it would be alone, so an RVE's results do
+algorithmic stress. The material law is evaluated once per pass, over every
+point of the selected RVEs, through the geometry's per-point
+:class:`material.Law`. The sensitivities are stacked matrix products of the
+plan's element stiffnesses with the affine and first-moment maps, written
+into one buffer per block, and the residual and sensitivities are each
+summed by one :func:`mesh.scatter_add` pass. Every row is computed as it would be alone, so an RVE's results do
 not depend on its neighbours in the batch.
 """
 
@@ -169,8 +171,9 @@ class MicroGeometry:
     """Immutable precomputed data shared by every RVE of one micro model.
 
     Built once per model, at model build: the periodic map, the assembly
-    plan of the reduced system (which checks every element's Jacobian) and
-    the affine and first-moment maps. A bad mesh raises
+    plan of the reduced system (which checks every element's Jacobian), the
+    material law of its integration points (``law``) and the affine and
+    first-moment maps. A bad mesh raises
     :class:`GeometryError` or :class:`MeshQualityError` here.
     """
 
@@ -192,8 +195,7 @@ class MicroGeometry:
         self.plan = fmesh.AssemblyPlan(m, self.pmap.dof_map)
         self.n_ip = self.plan.n_ip
         self.weights_flat = self.plan.weights
-        ip_mat = model.mat_ids[self.plan.ip_element]
-        self.mat_groups = [np.flatnonzero(ip_mat == i) for i in range(len(model.materials))]
+        self.law = material.Law(model.materials, model.mat_ids[self.plan.ip_element])
         # affine map X -> H*X per DOF (rows: ux, uy; columns: H11..H22) and
         # its boundary-node part, the first moment of the boundary forces
         amap = np.zeros((m.n_nodes, 2, 4))
@@ -218,8 +220,8 @@ UPDATE_SOLVES, AUX_SOLVES, FACTORIZATIONS = range(3)
 class RveBatch:
     """The micro problems of one shard as stacked arrays, one row per RVE.
 
-    Committed state: ``states`` (one :class:`material.StateBatch` per
-    material over count x points, RVE-major), ``u_hat_n``, ``u_hat_nm1``,
+    Committed state: ``states`` (one :class:`material.StateBatch` of
+    count x points rows, RVE-major), ``u_hat_n``, ``u_hat_nm1``,
     ``H_n``, ``active_committed`` and ``last_step_linear``. The current
     iterate is ``u_hat`` (b, n) and ``H`` (b, 4). Each RVE's last assembly
     is kept in the arrays :func:`assemble` fills. Its condensation columns,
@@ -245,8 +247,8 @@ class RveBatch:
     def __init__(self, geom: MicroGeometry, count: int = 1, store_factorization: bool = True):
         b, n, n_ip = count, geom.n_reduced, geom.n_ip
         self.geom, self.b, self.store_factorization = geom, b, store_factorization
-        self.states = [material.StateBatch.virgin(b * len(g)) for g in geom.mat_groups]
-        self.trial = [s.copy() for s in self.states]
+        self.states = material.StateBatch.virgin(b * n_ip)
+        self.trial = self.states.copy()
         self.active_committed = np.zeros((b, n_ip), dtype=bool)
         self.last_step_linear = np.ones(b, dtype=bool)
         self.u_hat, self.u_hat_n, self.u_hat_nm1 = np.zeros((3, b, n))
@@ -276,8 +278,7 @@ class RveBatch:
                   self.f_full, self.sigma_ips, self.active, self.residual_norm, self.ref_force,
                   self.plastic_flow, self.linear_now, self.flagged, self.solved,
                   self.tangent_valid, self.failed,
-                  *(s.eps_p.reshape(b, len(g), 4) for s, g in zip(self.trial, geom.mat_groups)),
-                  *(s.alpha_bar.reshape(b, len(g)) for s, g in zip(self.trial, geom.mat_groups))):
+                  self.trial.eps_p.reshape(b, n_ip, 4), self.trial.alpha_bar.reshape(b, n_ip)):
             a[1:] = a[0]
         virgin = linalg.factorize(geom.plan.dense(self.kvals[0]),
                                   np.concatenate([self.dr_dH[0], np.eye(n)], axis=1)).columns
@@ -301,7 +302,7 @@ def assemble(rves: RveBatch, mask=None):
     """Residual, tangent, sensitivities and homogenized stress at (u_hat, H).
 
     Assembles the RVEs in the boolean ``mask`` (default: all) in one pass
-    with one material evaluation per material. Material states are
+    with one material evaluation over all their points. Material states are
     evaluated from the last committed values; the trial states go to
     ``rves.trial`` for a possible commit. An RVE whose step is linear (no
     plastic flow now or in the last committed step, no activity change)
@@ -312,24 +313,17 @@ def assemble(rves: RveBatch, mask=None):
     columns and ``x_r`` = K0^-1 r. A non-finite residual marks the RVE
     ``failed``.
     """
-    geom, b = rves.geom, rves.b
-    sel = np.arange(b) if mask is None else np.flatnonzero(mask)
-    k = len(sel)
+    geom, b, n_ip = rves.geom, rves.b, rves.geom.n_ip
+    sel = slice(None) if mask is None else np.flatnonzero(mask)
+    ids = np.arange(b)[sel]
+    k = len(ids)
     h = geom.plan.gradients(full_displacement(rves, rves.u_hat[sel], rves.H[sel]))
-    sigma = np.empty((k, geom.n_ip, 4))
-    d = np.empty((k, geom.n_ip, 4, 4))
-    active = np.empty((k, geom.n_ip), dtype=bool)
-    for mat, idx, states, trial in zip(geom.model.materials, geom.mat_groups, rves.states, rves.trial):
-        m = len(idx)
-        rows = states if mask is None else material.StateBatch(
-            states.eps_p.reshape(b, m, 4)[sel].reshape(-1, 4), states.alpha_bar.reshape(b, m)[sel].ravel())
-        sig, tan, new, act = material.evaluate_batch(mat, h[:, idx].reshape(-1, 4), rows)
-        sigma[:, idx] = sig.reshape(k, m, 4)
-        d[:, idx] = tan.reshape(k, m, 4, 4)
-        active[:, idx] = act.reshape(k, m)
-        trial.eps_p.reshape(b, m, 4)[sel] = new.eps_p.reshape(k, m, 4)
-        trial.alpha_bar.reshape(b, m)[sel] = new.alpha_bar.reshape(k, m)
-        del sig, tan, new, act  # the batch's arrays are large: free them before the stiffness
+    states = material.StateBatch(rves.states.eps_p.reshape(b, n_ip, 4)[sel].reshape(-1, 4),
+                                 rves.states.alpha_bar.reshape(b, n_ip)[sel].ravel())
+    sigma, d, new, active = material.evaluate_batch(geom.law, h.reshape(-1, 4), states)
+    sigma, d, active = sigma.reshape(k, n_ip, 4), d.reshape(k, n_ip, 4, 4), active.reshape(k, n_ip)
+    rves.trial.eps_p.reshape(b, n_ip, 4)[sel] = new.eps_p.reshape(k, n_ip, 4)
+    rves.trial.alpha_bar.reshape(b, n_ip)[sel] = new.alpha_bar.reshape(k, n_ip)
 
     plastic_flow = active.any(axis=1)
     linear_now = ~plastic_flow & ~rves.active_committed[sel].any(axis=1)
@@ -340,17 +334,19 @@ def assemble(rves: RveBatch, mask=None):
     f_full = geom.plan.internal_force(sigma)
     r_hat = fmesh.scatter_add(geom.eq_index, [f_full], geom.n_reduced + 1)[:, :-1]
 
-    fresh = sel[~flagged]
+    fresh = ids[~flagged]
     if len(fresh):
         kvals, kes = geom.plan.stiffness(d[~flagged] if flagged.any() else d)
         del d  # a batch's temporaries are large: each is freed once used
         r, n = len(fresh), geom.n_reduced
         sens, dsig_dh = [], np.zeros((r, 4, 4))
         for ke, aff, xmom in zip(kes, geom.aff, geom.xmom):
-            me = np.swapaxes(ke, 2, 3) @ xmom  # (r, e, 2n_en, 4)
+            buf = np.empty(ke.shape[:3] + (8,))  # (r, e, 2n_en, 8): dr_dH | dsig_du
+            np.matmul(ke, aff, out=buf[..., :4])
+            me = np.matmul(np.swapaxes(ke, 2, 3), xmom, out=buf[..., 4:])
             dsig_dh += np.swapaxes(me.reshape(r, -1, 4), 1, 2) @ aff.reshape(-1, 4)
-            sens.append(np.concatenate([ke @ aff, me], axis=3).reshape(r, -1))  # dr_dH | dsig_du
-        del kes, me
+            sens.append(buf.reshape(r, -1))
+        del kes, me, buf
         sens = fmesh.scatter_add(geom.sens_index, sens, 8 * (n + 1)).reshape(r, n + 1, 8)
         rves.kvals[fresh] = kvals
         rves.dr_dH[fresh] = sens[:, :n, :4]
@@ -359,8 +355,8 @@ def assemble(rves: RveBatch, mask=None):
         rves.solved[fresh] = rves.tangent_valid[fresh] = False
     reuse = flagged & rves.solved[sel]
     if reuse.any():
-        rves.x_h[sel[reuse]] = rves.virgin_x_h
-        rves.x_r[sel[reuse]] = _matvec(rves.virgin_inverse, r_hat[reuse])
+        rves.x_h[ids[reuse]] = rves.virgin_x_h
+        rves.x_r[ids[reuse]] = _matvec(rves.virgin_inverse, r_hat[reuse])
 
     f2 = np.take(f_full.reshape(k, -1, 2), geom.boundary_nodes, axis=1)
     bx = geom.mesh.nodes[geom.boundary_nodes]
@@ -577,7 +573,7 @@ def micro_update_monolithic(rves: RveBatch, delta_h) -> np.ndarray:
 
 def commit(rves: RveBatch):
     """Accept the trial states of the current assembly as converged."""
-    rves.states = [s.copy() for s in rves.trial]
+    rves.states = rves.trial.copy()
     rves.active_committed = rves.active.copy()
     rves.last_step_linear = rves.linear_now.copy()
     rves.u_hat_nm1 = rves.u_hat_n
@@ -605,7 +601,4 @@ def begin_increment(rves: RveBatch, extrapolate_ratio=None):
 
 def committed_alpha_bar(rves: RveBatch) -> np.ndarray:
     """Accumulated plastic strain per RVE and integration point, (b, n_ip)."""
-    out = np.zeros((rves.b, rves.geom.n_ip))
-    for idx, states in zip(rves.geom.mat_groups, rves.states):
-        out[:, idx] = states.alpha_bar.reshape(rves.b, len(idx))
-    return out
+    return rves.states.alpha_bar.reshape(rves.b, rves.geom.n_ip)

@@ -344,6 +344,8 @@ class TestCustomMeshRun:
                      "materials[0]: initial yield stress must be positive and finite", id="spec9"),
         pytest.param({"E": 10**400, "nu": 0.3}, "materials[0]: int too large to convert to float",
                      id="spec10"),
+        pytest.param({"E": 100.0, "nu": 0.3, "h": 2.0}, "materials[0].h: a hardening modulus needs sigma0",
+                     id="spec11"),
     ])
     def test_malformed_material_is_a_config_error(self, tmp_path, capsys, spec, message):
         assert main(["run", str(write_bar_config(tmp_path, materials=[spec]))]) == 2

@@ -1,5 +1,6 @@
 """Tests for the plane-strain J2 return map and its consistent tangent."""
 
+import hashlib
 from collections import namedtuple
 
 import numpy as np
@@ -8,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from fescale import rve as R
+from fescale.benchmarks import default_materials, rve_composite
 from fescale.material import (
     ElasticParams,
+    Law,
     PlasticParams,
     StateBatch,
     evaluate_batch,
@@ -188,3 +192,81 @@ class TestTangentCheck:
         err = tangent_check(PLASTIC, shear_gradient(g_onset), virgin())
         assert np.isfinite(err)
         assert err.hex() == "0x1.1f962b0ac515bp-3"
+
+
+def outputs(result):
+    sigma, tangent, new_state, active = result
+    return sigma, tangent, new_state.eps_p, new_state.alpha_bar, active
+
+
+class TestLaw:
+    """One evaluation over the points of several materials, through a per-point law."""
+
+    @pytest.fixture(scope="class")
+    def composite(self):
+        """Three RVEs of the notched-bending composite RVE: J2 matrix (id 0), elastic inclusion (id 1).
+
+        Gradients with a periodic fluctuation, and committed states from
+        another gradient field, so the matrix points load and unload.
+        """
+        geom = R.MicroGeometry(rve_composite(default_materials("notched-bending-2d"),
+                                             ElasticParams(E=1000.0, nu=0.3), n=6))
+        rves = R.RveBatch(geom, 3)
+        rves.H[:] = np.outer([0.6, 0.8, 1.0], [0.004, 0.008, 0.008, -0.002])
+        rves.u_hat[:] = 2e-3 * np.sin(np.arange(geom.n_reduced) + np.arange(3)[:, None])
+        h = geom.plan.gradients(R.full_displacement(rves)).reshape(-1, 4)
+        committed = evaluate_batch(geom.law, np.roll(h, 7, axis=0), StateBatch.virgin(len(h)))[2]
+        ids = np.tile(geom.model.mat_ids[geom.plan.ip_element], 3)
+        return geom, h, committed, ids
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_one_pass_equals_each_material_alone_bitwise(self, composite, scale):
+        geom, h, committed, ids = composite
+        together = outputs(evaluate_batch(geom.law, scale * h, committed))
+        matrix = ids == 0
+        assert together[4][matrix].any() and (scale > 1.0 or not together[4][matrix].all())
+        for i, params in enumerate(geom.model.materials):
+            pts = ids == i
+            alone = outputs(evaluate_batch(params, scale * h[pts],
+                                           StateBatch(committed.eps_p[pts], committed.alpha_bar[pts])))
+            for got, want in zip(together, alone):
+                assert got[pts].dtype == want.dtype
+                assert got[pts].tobytes() == want.tobytes()
+
+    def test_elastic_points_never_yield_and_keep_their_state(self, composite):
+        geom, h, committed, ids = composite
+        inclusion = ids == 1
+        state = StateBatch(committed.eps_p.copy(), committed.alpha_bar.copy())
+        state.eps_p[inclusion] = 1e-3 * np.arange(4)
+        state.alpha_bar[inclusion] = 0.5
+        sigma, tangent, new, active = evaluate_batch(geom.law, 1e3 * h, state)
+        assert not active[inclusion].any() and active[~inclusion].all()
+        assert new.eps_p[inclusion].tobytes() == state.eps_p[inclusion].tobytes()
+        assert new.alpha_bar[inclusion].tobytes() == state.alpha_bar[inclusion].tobytes()
+        assert_array_equal(tangent[inclusion], np.broadcast_to(geom.model.materials[1].stiffness(),
+                                                               (inclusion.sum(), 4, 4)))
+
+    def test_one_material_holds_one_point(self, composite):
+        geom, *_ = composite
+        assert geom.law.points == geom.n_ip
+        for law in (Law([PLASTIC]), Law(geom.model.materials, np.zeros(geom.n_ip, dtype=np.int64))):
+            assert law.points == 1
+        assert Law(geom.model.materials, np.ones(5, dtype=np.int64)).sigma0.tolist() == [np.inf]
+
+    def test_plastic_batch_digest(self):
+        # one fixed input: random gradients about the yield strain, plastic
+        # committed states, and four virgin points at zero gradients of
+        # either sign, where the return's signed zeros show; the digest is
+        # that of the per-material evaluation the law replaced
+        rng = np.random.default_rng(16)
+        h = rng.uniform(-0.015, 0.015, (64, 4))
+        h[:4] = [[0.0] * 4, [-0.0] * 4, [-0.0, 0.0, 0.0, -0.0], [0.002, -0.0, -0.0, 0.001]]
+        eps_p = rng.uniform(-2e-3, 2e-3, (64, 4))
+        eps_p[:, 2] = -(eps_p[:, 0] + eps_p[:, 1])
+        eps_p[:4] = 0.0
+        alpha = rng.uniform(0.0, 0.02, 64)
+        alpha[:4] = 0.0
+        result = outputs(evaluate_batch(PLASTIC, h, StateBatch(eps_p, alpha)))
+        assert 0 < result[4].sum() < 60
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in result)).hexdigest()
+        assert digest == "f836fd968cab5482482523f84d1ef7530fcd3e8b1ee7feed87c4f38c8929afeb"

@@ -12,6 +12,7 @@ from fescale.benchmarks import (
     grid_quads,
     rve_laminate,
     rve_porous_quad,
+    rve_composite,
     rve_porous_tri,
     rve_single_element,
 )
@@ -574,10 +575,10 @@ class TestStateDiscipline:
         p = R.RveBatch(porous_geom())
         R.begin_increment(p)
         R.solve_micro_staggered(p, H_SHEAR * 0.45, 1e-9, 30)
-        assert all(s.alpha_bar.max() == 0.0 for s in p.states)  # not yet committed
+        assert p.states.alpha_bar.max() == 0.0  # not yet committed
         assert p.plastic_flow[0]
         R.commit(p)
-        assert max(s.alpha_bar.max() for s in p.states) > 0.0
+        assert p.states.alpha_bar.max() > 0.0
         assert not p.last_step_linear[0]
 
     def test_alpha_nondecreasing_across_commits(self):
@@ -608,7 +609,7 @@ class TestStateDiscipline:
         # (the converged residual was evaluated from the states before the
         # commit, so it need not match it bit for bit)
         q = R.RveBatch(geom)
-        q.states = [s.copy() for s in p.states]
+        q.states = p.states.copy()
         q.active_committed = p.active_committed.copy()
         q.u_hat, q.H = u_saved.copy(), h_saved.copy()
         R.assemble(q)
@@ -641,9 +642,9 @@ def per_rve_arrays(rves):
     """Every per-RVE array of a batch by name, the material states' arrays as (b, points, ...)."""
     out = {name: v for name, v in vars(rves).items() if isinstance(v, np.ndarray) and v.shape[:1] == (rves.b,)}
     for kind in ("states", "trial"):
-        for i, s in enumerate(getattr(rves, kind)):
-            out[f"{kind}[{i}].eps_p"] = s.eps_p.reshape(rves.b, -1, 4)
-            out[f"{kind}[{i}].alpha_bar"] = s.alpha_bar.reshape(rves.b, -1)
+        s = getattr(rves, kind)
+        out[f"{kind}.eps_p"] = s.eps_p.reshape(rves.b, -1, 4)
+        out[f"{kind}.alpha_bar"] = s.alpha_bar.reshape(rves.b, -1)
     return out
 
 
@@ -668,6 +669,36 @@ class TestSetUpPass:
                             lambda mat, h, states: rows.append(len(h)) or evaluate(mat, h, states))
         R.RveBatch(shipped_rve, count)
         assert sum(rows) == shipped_rve.n_ip
+
+
+class TestCompositeShard:
+    def test_one_pass_equals_one_rve_passes_bitwise(self):
+        # the notched-bending composite RVE (J2 matrix, elastic inclusion):
+        # a 3-RVE shard is assembled, committed and assembled again in one
+        # pass each, with one material evaluation over all its points; every
+        # per-RVE array equals that of the RVE's own one-RVE batch
+        geom = R.MicroGeometry(rve_composite(default_materials("notched-bending-2d"), STIFF, n=6))
+        h1 = np.outer([0.6, 0.8, 1.0], [0.004, 0.008, 0.008, -0.002])
+        h2 = np.outer([1.0, 0.5, 1.3], [-0.002, 0.009, 0.007, 0.003])
+        u = 2e-3 * np.sin(np.arange(geom.n_reduced) + np.arange(3)[:, None])
+
+        def two_passes(rves, rows):
+            rves.H[:], rves.u_hat[:] = h1[rows], u[rows]
+            R.assemble(rves)
+            R.commit(rves)
+            rves.H[:] = h2[rows]
+            R.assemble(rves)
+            return rves
+
+        shard = two_passes(R.RveBatch(geom, 3), slice(None))
+        assert 0 < shard.states.alpha_bar.max() and shard.active.any() and not shard.active.all()
+        assert (shard.active.sum(axis=1) != shard.active[0].sum()).any()
+        got = per_rve_arrays(shard)
+        for i in range(3):
+            want = per_rve_arrays(two_passes(R.RveBatch(geom, 1), slice(i, i + 1)))
+            assert got.keys() == want.keys()
+            for name, a in want.items():
+                assert got[name][i:i + 1].tobytes() == a.tobytes(), (i, name)
 
 
 class TestRetainedColumns:
