@@ -537,12 +537,32 @@ def _check_homogenized_tangent():
     return np.allclose(c[0], el.stiffness(), atol=1e-9 * el.E)
 
 
+def _check_elastic_certificate():
+    params = material.PlasticParams(material.ElasticParams(100.0, 0.3), 1.0, 2.0)
+    p = rvemod.RveBatch(rvemod.MicroGeometry(benchmarks.rve_porous_tri(params, n=4)))
+    shear = np.array([[0.0, 1.0, 1.0, 0.0]]) / np.sqrt(2.0)
+
+    def certified(delta_h):  # one monolithic pass, as a shard makes it
+        rvemod.micro_update_monolithic(p, delta_h)
+        rest = rvemod.certified_update(p, delta_h)
+        if rest.any():
+            rvemod.assemble(p, rest)
+        return not rest[0]
+
+    at_rest = certified(0.0 * shear)  # a full pass at rest records the radius
+    rho = p.radius[0]
+    below = certified(0.5 * rho * shear) and not p.plastic_flow[0]
+    past = not certified(50.0 * rho * shear) and p.plastic_flow[0]
+    return not at_rest and 0.0 < rho < np.inf and below and past
+
+
 CHECKS = [
     ("element patch test", _check_patch_test),
     ("radial-return consistent tangent", _check_material_consistency),
     ("LU solve residual bound", _check_linear_solver),
     ("periodic averaging identity", _check_periodic_averaging),
     ("homogenized elastic tangent identity", _check_homogenized_tangent),
+    ("certified elastic radius", _check_elastic_certificate),
 ]
 
 

@@ -191,7 +191,9 @@ class _Shard:
 
     def monolithic(self, dh_sub):
         rvemod.micro_update_monolithic(self.rves, dh_sub)
-        rvemod.assemble(self.rves)
+        rest = rvemod.certified_update(self.rves, dh_sub)
+        if rest.any():
+            rvemod.assemble(self.rves, None if rest.all() else rest)
         return self._results(np.zeros(self.rves.b, dtype=np.int64))
 
     def _results(self, iters, alg_stress=True):

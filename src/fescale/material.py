@@ -172,7 +172,9 @@ def evaluate_batch(law, h_batch, states: StateBatch):
     Returns
     -------
     sigma : (n, 4) array, tangent : (n, 4, 4) array, new_states :
-    StateBatch shaped as ``states``, active : (n,) bool array
+    StateBatch shaped as ``states``, active : (n,) bool array, f_tr : (n,)
+    array of the trial yield-function values q_tr - (sigma0 + h alpha),
+    -inf at the points of an elastic material
 
     The trial stress and the yield check run over every point on component
     arrays; the return mapping, the state update and the consistent tangent
@@ -238,7 +240,7 @@ def evaluate_batch(law, h_batch, states: StateBatch):
         tangent[idx] = t.transpose(2, 0, 1)
     sigma = s.take(_SIGMA, axis=0).T.copy()
     new_states = StateBatch(new_ep.reshape(states.eps_p.shape), new_alpha.reshape(states.alpha_bar.shape))
-    return sigma, tangent, new_states, active
+    return sigma, tangent, new_states, active, f_tr
 
 
 def tangent_check(params, h_micro, state: StateBatch) -> float:
@@ -257,7 +259,7 @@ def tangent_check(params, h_micro, state: StateBatch) -> float:
     rows[1:5][np.diag_indices(4)] += step
     rows[5:][np.diag_indices(4)] -= step
     states = StateBatch(np.repeat(state.eps_p, 9, axis=0), np.repeat(state.alpha_bar, 9))
-    sigma, tangent, _, _ = evaluate_batch(params, rows, states)
+    sigma, tangent = evaluate_batch(params, rows, states)[:2]
     fd = (sigma[1:5] - sigma[5:]).T / (2 * step)
     scale = max(np.abs(tangent[0]).max(), 1.0)
     return float(np.abs(fd - tangent[0]).max() / scale)

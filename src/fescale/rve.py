@@ -213,6 +213,8 @@ class MicroGeometry:
                                           for blk in self.plan.blocks], axis=None)
 
 
+# relative margin of the certified elastic radius below the nearest yield
+CERTIFY_MARGIN = 1e-6
 # columns of RveBatch.counts
 UPDATE_SOLVES, AUX_SOLVES, FACTORIZATIONS = range(3)
 
@@ -242,6 +244,11 @@ class RveBatch:
     one retained factor of the batch: a linear-flagged RVE's stiffness is
     K0 bit for bit, so its columns are the virgin ones (see
     :func:`assemble`).
+
+    A monolithic sweep builds the batch's linear maps on first use
+    (``response`` and ``yield_bound``, see :func:`certified_update`); from
+    then on each assembly of a linear-flagged RVE records its certified
+    elastic radius ``radius`` about ``H_ref``, the H it was assembled at.
     """
 
     def __init__(self, geom: MicroGeometry, count: int = 1, store_factorization: bool = True):
@@ -252,7 +259,9 @@ class RveBatch:
         self.active_committed = np.zeros((b, n_ip), dtype=bool)
         self.last_step_linear = np.ones(b, dtype=bool)
         self.u_hat, self.u_hat_n, self.u_hat_nm1 = np.zeros((3, b, n))
-        self.H, self.H_n = np.zeros((2, b, 4))
+        self.H, self.H_n, self.H_ref = np.zeros((3, b, 4))
+        self.radius = np.zeros(b)
+        self.response = self.yield_bound = None
         self.ref_force = np.zeros(b)
         self.r_hat = np.zeros((b, n))
         self.kvals = np.zeros((b, len(geom.plan.flat)))
@@ -311,7 +320,9 @@ def assemble(rves: RveBatch, mask=None):
     elastic tangent everywhere, so they are the virgin ones, and the RVE's
     columns come from the batch's virgin factor: ``x_h`` the virgin tangent
     columns and ``x_r`` = K0^-1 r. A non-finite residual marks the RVE
-    ``failed``.
+    ``failed``. Once the batch has its linear maps, each assembled RVE
+    records ``H_ref`` = H and its certified radius: (1 - CERTIFY_MARGIN)
+    times the least -f_tr / L over its points if it is flagged, else 0.
     """
     geom, b, n_ip = rves.geom, rves.b, rves.geom.n_ip
     sel = slice(None) if mask is None else np.flatnonzero(mask)
@@ -320,7 +331,7 @@ def assemble(rves: RveBatch, mask=None):
     h = geom.plan.gradients(full_displacement(rves, rves.u_hat[sel], rves.H[sel]))
     states = material.StateBatch(rves.states.eps_p.reshape(b, n_ip, 4)[sel].reshape(-1, 4),
                                  rves.states.alpha_bar.reshape(b, n_ip)[sel].ravel())
-    sigma, d, new, active = material.evaluate_batch(geom.law, h.reshape(-1, 4), states)
+    sigma, d, new, active, f_tr = material.evaluate_batch(geom.law, h.reshape(-1, 4), states)
     sigma, d, active = sigma.reshape(k, n_ip, 4), d.reshape(k, n_ip, 4, 4), active.reshape(k, n_ip)
     rves.trial.eps_p.reshape(b, n_ip, 4)[sel] = new.eps_p.reshape(k, n_ip, 4)
     rves.trial.alpha_bar.reshape(b, n_ip)[sel] = new.alpha_bar.reshape(k, n_ip)
@@ -330,6 +341,10 @@ def assemble(rves: RveBatch, mask=None):
     # matrices may only be carried over from an assembly that was itself
     # evaluated in the linear regime (elastic tangent everywhere)
     flagged = rves.last_step_linear[sel] & linear_now & rves.linear_now[sel]
+    if rves.yield_bound is not None:
+        room = (-f_tr.reshape(k, n_ip) / rves.yield_bound).min(axis=1)
+        rves.radius[sel] = np.where(flagged, (1.0 - CERTIFY_MARGIN) * room, 0.0)
+        rves.H_ref[sel] = rves.H[sel]
 
     f_full = geom.plan.internal_force(sigma)
     r_hat = fmesh.scatter_add(geom.eq_index, [f_full], geom.n_reduced + 1)[:, :-1]
@@ -571,6 +586,60 @@ def micro_update_monolithic(rves: RveBatch, delta_h) -> np.ndarray:
     return du
 
 
+def _build_linear_maps(rves: RveBatch):
+    """The condensed linear response of the batch's RVEs to a change of H.
+
+    Along the linear micro solution u_hat = -x_h0 H (``virgin_x_h``) the
+    point gradients are A H, A (n_ip, 4, 4), and the elastic stresses
+    S H, S = D_el sym(A). ``response`` (4, n_dofs + 4 n_ip) holds per
+    column of H the nodal force map F, the internal force of S, and S.
+    ``yield_bound`` (n_ip,) is L = sqrt(3/2) 2 mu ||dev sym A||_F, so that
+    a point's trial q moves by at most L ||dH||_2.
+    """
+    geom = rves.geom
+    a = geom.plan.gradients(full_displacement(rves, -rves.virgin_x_h.T, np.eye(4)))  # (4, n_ip, 4): A's columns
+    s = np.matmul(geom.law.stiffness, a[..., None])[..., 0]
+    rves.response = np.concatenate([geom.plan.internal_force(s), s.reshape(4, -1)], axis=1)
+    e12 = 0.5 * (a[..., 1] + a[..., 2])
+    mean = (a[..., 0] + a[..., 3]) / 3.0
+    dev2 = (a[..., 0] - mean) ** 2 + (a[..., 3] - mean) ** 2 + mean**2 + 2.0 * e12**2
+    rves.yield_bound = np.sqrt(1.5) * geom.law.two_mu * np.sqrt(dev2.sum(axis=0))
+
+
+def certified_update(rves: RveBatch, delta_h) -> np.ndarray:
+    """Advance every certified-elastic RVE by its condensed linear response to ``delta_h``.
+
+    Called after :func:`micro_update_monolithic` with the same ``delta_h``
+    (b, 4); builds the batch's linear maps on first use. An RVE is
+    certified when it is linear-flagged and ||H - H_ref||_2 < ``radius``:
+    no point can reach the yield surface, so the RVE follows its linear
+    response. Its reference assembly came after an exact linear step, so
+    its residual is one of rounding. The RVE gives back the update's
+    residual correction -x_r, so u_hat moves by -x_h0 dH, along which the
+    residual does not change: its residual, residual column, flags and
+    trial state stay. It takes sigma_bar += C0 dH with its kept condensed
+    tangent C0, f_full += F dH, sigma_ips += S dH and its reference force
+    from the new f_full, which is what an assembly at the new (u_hat, H)
+    finds. Its trial state is its committed one: its reference assembly
+    evaluated the committed state, which stays elastic, and a commit since
+    copied it. Returns the mask of the RVEs that still need an assembly.
+    """
+    if rves.response is None:
+        _build_linear_maps(rves)
+    cert = rves.flagged & (_norm2(rves.H - rves.H_ref) < rves.radius)
+    if cert.any():
+        sel = slice(None) if cert.all() else np.flatnonzero(cert)
+        n_ip, n_dofs = rves.geom.n_ip, rves.geom.mesh.n_dofs
+        dh = np.asarray(delta_h, dtype=np.float64).reshape(rves.b, 4)[sel]
+        rves.sigma_bar[sel] += _matvec(rves.c_tangent[sel], dh)
+        resp = np.matmul(dh[:, None, :], rves.response)[:, 0]  # F dH | S dH, a product per row
+        rves.f_full[sel] += resp[:, :n_dofs]
+        rves.sigma_ips[sel] += resp[:, n_dofs:].reshape(-1, n_ip, 4)
+        rves.u_hat[sel] += rves.x_r[sel]
+        rves.ref_force[sel] = np.maximum(rves.ref_force[sel], np.abs(rves.f_full[sel]).max(axis=1))
+    return ~cert
+
+
 def commit(rves: RveBatch):
     """Accept the trial states of the current assembly as converged."""
     rves.states = rves.trial.copy()
@@ -582,10 +651,15 @@ def commit(rves: RveBatch):
 
 
 def rollback(rves: RveBatch):
-    """Restore the last committed displacements and reassemble there."""
+    """Restore the last committed displacements and reassemble there.
+
+    No update led to this state, so its residual is the committed one and
+    not that of an exact linear step: no RVE is certified from it.
+    """
     rves.u_hat = rves.u_hat_n.copy()
     rves.H = rves.H_n.copy()
     assemble(rves)
+    rves.radius[:] = 0.0
 
 
 def begin_increment(rves: RveBatch, extrapolate_ratio=None):

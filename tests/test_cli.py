@@ -486,7 +486,7 @@ class TestMainEntry:
     def test_check_command(self, capsys):
         assert main(["check"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 5
+        assert out.count("PASS") == 6
 
     def test_run_command(self, tmp_path):
         path = write_tiny_config(tmp_path, output_dir="cli_out",

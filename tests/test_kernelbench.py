@@ -2,9 +2,9 @@
 
 The micro kernels run at the shipped RVE (``n_micro`` 8, n = 116) and at
 ``n_micro`` 16 (n = 436), where a dense LU solve costs most; the assembly
-kernels, the material pass and a shard's construction also run on a
-16-RVE shard, the plate-hole shard size, and a shard's LU solves also at
-the notched-shear RVE (n = 44). Marked ``kernelbench`` and deselected by
+kernels, the material pass, a shard's construction and a shard's
+monolithic sweep also run on a 16-RVE shard, the plate-hole shard size,
+and a shard's LU solves also at the notched-shear RVE (n = 44). Marked ``kernelbench`` and deselected by
 default (see pyproject.toml); run them with ``pytest -m kernelbench
 tests/test_kernelbench.py``.
 
@@ -82,6 +82,26 @@ def test_material_evaluate_batch_plastic(benchmark, shipped_geom, count):
     assert len(h) == 208 * count
     assert material.evaluate_batch(shipped_geom.law, h, p.states)[3].any()
     benchmark(material.evaluate_batch, shipped_geom.law, h, p.states)
+
+
+def test_monolithic_sweep_shard(benchmark, shipped_geom):
+    # a 16-RVE plate-hole shard's monolithic sweep at a mostly elastic
+    # state, as the solver's sweeps mostly are: 12 linear-flagged RVEs well
+    # below yield and 4 in plastic flow, each call moving H back or forth
+    # by a small step
+    shard = macro._Shard(shipped_geom, 16, True)
+    scale = np.where(np.arange(16) < 12, 0.1, 1.0)
+    shard.monolithic(np.outer(scale, [0.0, 0.01, 0.01, 0.004]))
+    dh = np.outer(scale, [1e-6, 2e-6, -1e-6, 1e-6])
+    sign = [1.0]
+
+    def sweep():
+        sign[0] = -sign[0]
+        return shard.monolithic(sign[0] * dh)
+
+    sweep()
+    assert shard.rves.plastic_flow.sum() == 4 and shard.rves.flagged.sum() == 12
+    benchmark(sweep)
 
 
 def test_macro_assemble(benchmark):

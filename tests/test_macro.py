@@ -335,9 +335,10 @@ class TestQuadraticConvergence:
 
 # Runs of notched-shear (n_macro=3, n_micro=4, dt 0.125, TIGHT). The curves
 # and alpha digests are those of the element kernels as batched matrix
-# products with bincount scatters and of the micro and macro LU solves of
-# the condensation columns (each moved them in the last bits); the
-# counters are those of the one-RVE-at-a-time sweep before stacked solves
+# products with bincount scatters, of the micro and macro LU solves of the
+# condensation columns and, for monolithic, of certified-elastic RVEs that
+# follow their condensed linear response (each moved them in the last
+# bits); the counters are those of the one-RVE-at-a-time sweep before stacked solves
 # (monolithic) and of staggered's own macro Newton loop before the schemes
 # shared one loop. Per scheme: the curve (float.hex), a SHA-256 of
 # final_alpha's bytes, and per increment (factorizations, aux_solves,
@@ -345,15 +346,15 @@ class TestQuadraticConvergence:
 MONOLITHIC_CURVE = [
     ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
     ("0x1.0000000000000p-3", "0x1.eb851eb851eb8p-9", "0x1.5f5df80e7fa2cp-5"),
-    ("0x1.0000000000000p-2", "0x1.eb851eb851eb8p-8", "0x1.5f5df80e7fa39p-4"),
-    ("0x1.8000000000000p-2", "0x1.70a3d70a3d70ap-7", "0x1.07867a0adfba3p-3"),
-    ("0x1.0000000000000p-1", "0x1.eb851eb851eb8p-7", "0x1.561d661b0d82ep-3"),
+    ("0x1.0000000000000p-2", "0x1.eb851eb851eb8p-8", "0x1.5f5df80e7fa32p-4"),
+    ("0x1.8000000000000p-2", "0x1.70a3d70a3d70ap-7", "0x1.07867a0adfba1p-3"),
+    ("0x1.0000000000000p-1", "0x1.eb851eb851eb8p-7", "0x1.561d661b0d833p-3"),
     ("0x1.4000000000000p-1", "0x1.3333333333333p-6", "0x1.800619846b928p-3"),
-    ("0x1.8000000000000p-1", "0x1.70a3d70a3d70ap-6", "0x1.8a4f78deae743p-3"),
+    ("0x1.8000000000000p-1", "0x1.70a3d70a3d70ap-6", "0x1.8a4f78deae742p-3"),
     ("0x1.c000000000000p-1", "0x1.ae147ae147ae1p-6", "0x1.918b40bcc2d48p-3"),
-    ("0x1.0000000000000p+0", "0x1.eb851eb851eb8p-6", "0x1.97a1c262d6645p-3"),
+    ("0x1.0000000000000p+0", "0x1.eb851eb851eb8p-6", "0x1.97a1c262d6642p-3"),
 ]
-MONOLITHIC_ALPHA_SHA256 = "79d10347a138accfecab63907e52990405b7988e7a850996132a9190522faa5a"
+MONOLITHIC_ALPHA_SHA256 = "6ce45a4167ebb2a78f11a0bcea79c55f0c7c69e5ef1488ddff397de256ba8b6c"
 SWEEP = {
     "staggered": (
         [
@@ -461,6 +462,19 @@ class TestAgainstInverseKernelCurves:
     def test_shipped_curves_within_1e_12(self, path):
         name, scheme, _ = path.stem.rsplit("_", 2)
         assert_curve_near(name, scheme, "inverse_kernel_curves", 1e-12)
+
+
+FULL_PASS_CURVES = sorted((DATA / "full_pass_curves").glob("*_monolithic*_curve.csv"))
+
+
+class TestAgainstFullPassCurves:
+    # The shipped suite as `fescale bench all` computed it when every RVE of
+    # a monolithic sweep was assembled, before certified-elastic RVEs took
+    # their condensed linear response instead
+    @pytest.mark.parametrize("path", FULL_PASS_CURVES, ids=lambda p: p.stem)
+    def test_shipped_curves_within_1e_12(self, path):
+        name, scheme, _ = path.stem.rsplit("_", 2)
+        assert_curve_near(name, scheme, "full_pass_curves", 1e-12)
 
 
 class TestWorkerFailures:

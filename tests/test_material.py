@@ -55,7 +55,7 @@ Point = namedtuple("Point", "sigma tangent new_state plastic_active")
 
 def evaluate(params, h, state):
     """One point through ``evaluate_batch``: its row's results, and its one-row new state."""
-    sigma, tangent, new_state, active = evaluate_batch(params, np.reshape(h, (1, 4)), state)
+    sigma, tangent, new_state, active, _ = evaluate_batch(params, np.reshape(h, (1, 4)), state)
     return Point(sigma[0], tangent[0], new_state, bool(active[0]))
 
 
@@ -195,7 +195,7 @@ class TestTangentCheck:
 
 
 def outputs(result):
-    sigma, tangent, new_state, active = result
+    sigma, tangent, new_state, active, _ = result
     return sigma, tangent, new_state.eps_p, new_state.alpha_bar, active
 
 
@@ -239,7 +239,7 @@ class TestLaw:
         state = StateBatch(committed.eps_p.copy(), committed.alpha_bar.copy())
         state.eps_p[inclusion] = 1e-3 * np.arange(4)
         state.alpha_bar[inclusion] = 0.5
-        sigma, tangent, new, active = evaluate_batch(geom.law, 1e3 * h, state)
+        sigma, tangent, new, active, _ = evaluate_batch(geom.law, 1e3 * h, state)
         assert not active[inclusion].any() and active[~inclusion].all()
         assert new.eps_p[inclusion].tobytes() == state.eps_p[inclusion].tobytes()
         assert new.alpha_bar[inclusion].tobytes() == state.alpha_bar[inclusion].tobytes()
@@ -252,6 +252,23 @@ class TestLaw:
         for law in (Law([PLASTIC]), Law(geom.model.materials, np.zeros(geom.n_ip, dtype=np.int64))):
             assert law.points == 1
         assert Law(geom.model.materials, np.ones(5, dtype=np.int64)).sigma0.tolist() == [np.inf]
+
+    def test_yield_values_are_the_trial_von_mises_less_the_yield_stress(self, composite):
+        # f_tr = q_tr - (sigma0 + h alpha) from the elastic trial stress of
+        # the committed plastic strain, at a fixed input; the elastic
+        # inclusion's points are -inf
+        geom, h, committed, ids = composite
+        f_tr = evaluate_batch(geom.law, 3.0 * h, committed)[4]
+        el, mat = geom.model.materials[0].elastic, geom.model.materials[0]
+        ep = committed.eps_p.T
+        e = np.array([3.0 * h[:, 0], 3.0 * h[:, 3], np.zeros(len(h)), 1.5 * (h[:, 1] + h[:, 2])]) - ep
+        tr = e[0] + e[1] + e[2]
+        s = 2.0 * el.mu * e + el.lam * tr * np.array([1.0, 1.0, 1.0, 0.0])[:, None]
+        want = von_mises_full(*s) - (mat.sigma0 + mat.h * committed.alpha_bar)
+        matrix = ids == 0
+        assert (f_tr[matrix] > 0).any() and (f_tr[matrix] < 0).any()
+        assert_allclose(f_tr[matrix], want[matrix], rtol=1e-12, atol=1e-12 * mat.sigma0)
+        assert (f_tr[~matrix] == -np.inf).all()
 
     def test_plastic_batch_digest(self):
         # one fixed input: random gradients about the yield strain, plastic

@@ -1,12 +1,15 @@
 """Tests for the periodic micro problem: constraints, homogenization, schemes."""
 
+import copy
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fescale import linalg, material
+from fescale import linalg, macro, material
 from fescale import rve as R
 from fescale.benchmarks import (
+    BENCH_SOLVER_DEFAULTS,
     build_benchmark,
     default_materials,
     grid_quads,
@@ -775,3 +778,120 @@ class TestRetainedColumns:
             assert rves.counts[i, R.FACTORIZATIONS] == counts[i, R.FACTORIZATIONS] + 1
             assert_array_equal(rves.x_r[i], alone[:, -1])
             assert_array_equal(rves.x_h[i], alone[:, :4] if tangent else x_h[i])
+
+
+# sizes at which each shipped benchmark has both plastic and certified passes
+CERTIFIED_SIZES = {
+    "notched-shear": {"n_macro": 3, "n_micro": 4},
+    "plate-hole-tension": {"n_macro": 3, "n_micro": 4},
+    "notched-bending-2d": {"nx": 6, "ny": 2, "n_micro": 4},
+}
+
+
+def assert_near(got, want, rtol, what):
+    """|got - want| within rtol of want's largest magnitude."""
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max(), what
+
+
+class TestCertifiedElastic:
+    """Certified-elastic RVEs of a monolithic sweep take their condensed linear response."""
+
+    @pytest.mark.parametrize("name", sorted(CERTIFIED_SIZES))
+    def test_certified_pass_is_what_an_assembly_finds(self, name, monkeypatch):
+        # after every certified pass of a run, the certified RVEs assembled
+        # in full at the same (u_hat, H) yield at no point, and give the
+        # superposed stresses, forces and trial state
+        update, certified = R.certified_update, []
+
+        def checked(rves, delta_h):
+            rest = update(rves, delta_h)
+            cert = ~rest
+            if cert.any():
+                full = copy.deepcopy(rves, memo={id(rves.geom): rves.geom})
+                R.assemble(full, cert)
+                assert not full.active[cert].any() and full.flagged[cert].all()
+                for field, rtol in (("sigma_bar", 1e-12), ("sigma_ips", 1e-12), ("f_full", 1e-10)):
+                    assert_near(getattr(rves, field)[cert], getattr(full, field)[cert], rtol, field)
+                for kind in ("eps_p", "alpha_bar"):
+                    trial, want, committed = (getattr(s, kind).reshape(rves.b, -1)[cert]
+                                              for s in (rves.trial, full.trial, rves.states))
+                    assert_array_equal(trial, committed)
+                    assert np.abs(trial - want).max() <= 1e-12 * np.abs(want).max(), kind
+                certified.append(cert.sum())
+            return rest
+
+        monkeypatch.setattr(R, "certified_update", checked)
+        rep = run(build_benchmark(name, "monolithic-stored", **CERTIFIED_SIZES[name]),
+                  SolverSettings(**BENCH_SOLVER_DEFAULTS[name]))
+        assert rep.converged and any(r.plastic_flow for r in rep.records)
+        assert sum(certified) > 0
+
+    @staticmethod
+    def drive(geom, steps, monkeypatch=None):
+        """One-RVE monolithic sweeps from rest by ``steps``; per pass (certified, sigma_bar, active)."""
+        shard = macro._Shard(geom, 1, True)
+        assemble, assembled = R.assemble, []
+
+        def counted(rves, mask=None):
+            assembled.append(True)
+            assemble(rves, mask)
+
+        patch = pytest.MonkeyPatch() if monkeypatch is None else monkeypatch
+        with patch.context() as mp:
+            mp.setattr(R, "assemble", counted)
+            passes = []
+            for dh in steps:
+                assembled.clear()
+                shard.monolithic(np.reshape(dh, (1, 4)))
+                passes.append((not assembled, shard.rves.sigma_bar[0].copy(), shard.rves.active[0].copy()))
+        return shard.rves, passes
+
+    def test_fixed_step_is_certified_below_the_radius_and_yields_as_without_it(self):
+        # a first pass at rest records the radius; a fixed step along one
+        # direction stays certified below it, the first pass past it is a
+        # full one, and the walk yields at the same pass and points, with
+        # the same stresses, as with every radius 0
+        geom = porous_geom()
+        rves, _ = self.drive(geom, [np.zeros(4)])
+        rho = rves.radius[0]
+        assert 0.0 < rho < np.inf
+        step = rho / 3.5 * H_SHEAR / np.linalg.norm(H_SHEAR)
+        steps = [np.zeros(4)] + [step] * 60
+        _, passes = self.drive(geom, steps)
+        certified = [c for c, _, _ in passes]
+        assert certified[:5] == [False, True, True, True, False]
+        first_yield = next(k for k, (_, _, active) in enumerate(passes) if active.any())
+        assert not certified[first_yield]
+
+        def radius_zero(rves, mask=None):
+            assemble(rves, mask)
+            rves.radius[:] = 0.0
+
+        assemble = R.assemble
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(R, "assemble", radius_zero)
+            _, uncertified = self.drive(geom, steps)
+        assert not any(c for c, _, _ in uncertified)
+        for k, ((_, sigma, active), (_, want, active0)) in enumerate(zip(passes, uncertified)):
+            assert_array_equal(active, active0)
+            assert_near(sigma, want, 1e-12, k)
+
+    def test_rollback_after_certified_passes_restores_the_committed_state(self):
+        geom = porous_geom()
+        step = 1e-4 * H_SHEAR
+        rves, passes = self.drive(geom, [step])
+        shard = macro._Shard.__new__(macro._Shard)
+        shard.rves = rves
+        shard.commit()
+        at_commit = {name: getattr(rves, name).copy() for name in
+                     ("sigma_bar", "f_full", "sigma_ips", "r_hat", "residual_norm", "u_hat", "H")}
+        for _ in range(3):
+            shard.monolithic(step[None])
+        assert rves.flagged[0] and rves.radius[0] > 0.0
+        assert not np.array_equal(rves.H, at_commit["H"])
+        shard.rollback()
+        for name, want in at_commit.items():
+            assert_array_equal(getattr(rves, name), want, name)
+        assert_array_equal(rves.trial.eps_p, rves.states.eps_p)
+        assert_array_equal(rves.trial.alpha_bar, rves.states.alpha_bar)
+        assert rves.radius[0] == 0.0
