@@ -542,14 +542,12 @@ def _check_elastic_certificate():
     p = rvemod.RveBatch(rvemod.MicroGeometry(benchmarks.rve_porous_tri(params, n=4)))
     shear = np.array([[0.0, 1.0, 1.0, 0.0]]) / np.sqrt(2.0)
 
-    def certified(delta_h):  # one monolithic pass, as a shard makes it
-        rvemod.micro_update_monolithic(p, delta_h)
-        rest = rvemod.certified_update(p, delta_h)
-        if rest.any():
-            rvemod.assemble(p, rest)
-        return not rest[0]
+    def certified(delta_h):  # one pass of a monolithic sweep, as a shard makes it
+        cert = rvemod.monolithic_pass(p, delta_h)[0]
+        rvemod.homogenized_tangent_and_alg_stress(p)
+        return cert
 
-    at_rest = certified(0.0 * shear)  # a full pass at rest records the radius
+    at_rest = certified(0.0 * shear)  # an assembly at rest records the radius
     rho = p.radius[0]
     below = certified(0.5 * rho * shear) and not p.plastic_flow[0]
     past = not certified(50.0 * rho * shear) and p.plastic_flow[0]

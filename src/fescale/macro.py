@@ -190,10 +190,7 @@ class _Shard:
         return self._results(iters, alg_stress=False)
 
     def monolithic(self, dh_sub):
-        rvemod.micro_update_monolithic(self.rves, dh_sub)
-        rest = rvemod.certified_update(self.rves, dh_sub)
-        if rest.any():
-            rvemod.assemble(self.rves, None if rest.all() else rest)
+        rvemod.monolithic_pass(self.rves, dh_sub)
         return self._results(np.zeros(self.rves.b, dtype=np.int64))
 
     def _results(self, iters, alg_stress=True):

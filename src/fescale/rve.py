@@ -597,7 +597,8 @@ def _build_linear_maps(rves: RveBatch):
     a point's trial q moves by at most L ||dH||_2.
     """
     geom = rves.geom
-    a = geom.plan.gradients(full_displacement(rves, -rves.virgin_x_h.T, np.eye(4)))  # (4, n_ip, 4): A's columns
+    # (4, n_ip, 4): per column of H, the point gradients of u_hat = -x_h0 e_j, H = e_j
+    a = geom.plan.gradients(full_displacement(rves, -rves.virgin_x_h.T, np.eye(4)))
     s = np.matmul(geom.law.stiffness, a[..., None])[..., 0]
     rves.response = np.concatenate([geom.plan.internal_force(s), s.reshape(4, -1)], axis=1)
     e12 = 0.5 * (a[..., 1] + a[..., 2])
@@ -611,7 +612,8 @@ def certified_update(rves: RveBatch, delta_h) -> np.ndarray:
 
     Called after :func:`micro_update_monolithic` with the same ``delta_h``
     (b, 4); builds the batch's linear maps on first use. An RVE is
-    certified when it is linear-flagged and ||H - H_ref||_2 < ``radius``:
+    certified when it is linear-flagged, its condensed tangent is valid
+    (a sweep's condensation call made it) and ||H - H_ref||_2 < ``radius``:
     no point can reach the yield surface, so the RVE follows its linear
     response. Its reference assembly came after an exact linear step, so
     its residual is one of rounding. The RVE gives back the update's
@@ -626,7 +628,7 @@ def certified_update(rves: RveBatch, delta_h) -> np.ndarray:
     """
     if rves.response is None:
         _build_linear_maps(rves)
-    cert = rves.flagged & (_norm2(rves.H - rves.H_ref) < rves.radius)
+    cert = rves.flagged & rves.tangent_valid & (_norm2(rves.H - rves.H_ref) < rves.radius)
     if cert.any():
         sel = slice(None) if cert.all() else np.flatnonzero(cert)
         n_ip, n_dofs = rves.geom.n_ip, rves.geom.mesh.n_dofs
@@ -638,6 +640,20 @@ def certified_update(rves: RveBatch, delta_h) -> np.ndarray:
         rves.u_hat[sel] += rves.x_r[sel]
         rves.ref_force[sel] = np.maximum(rves.ref_force[sel], np.abs(rves.f_full[sel]).max(axis=1))
     return ~cert
+
+
+def monolithic_pass(rves: RveBatch, delta_h) -> np.ndarray:
+    """The RVE pass of a monolithic sweep; returns the mask of the certified RVEs.
+
+    The condensation update of every RVE, the linear response of the
+    certified ones (:func:`certified_update`) and one assembly of the rest,
+    none when nothing is left.
+    """
+    micro_update_monolithic(rves, delta_h)
+    rest = certified_update(rves, delta_h)
+    if rest.any():
+        assemble(rves, None if rest.all() else rest)
+    return ~rest
 
 
 def commit(rves: RveBatch):

@@ -827,26 +827,21 @@ class TestCertifiedElastic:
         assert sum(certified) > 0
 
     @staticmethod
-    def drive(geom, steps, monkeypatch=None):
-        """One-RVE monolithic sweeps from rest by ``steps``; per pass (certified, sigma_bar, active)."""
-        shard = macro._Shard(geom, 1, True)
-        assemble, assembled = R.assemble, []
+    def drive(geom, steps, rves=None):
+        """One-RVE monolithic sweeps by ``steps``; per pass (certified, sigma_bar, active).
 
-        def counted(rves, mask=None):
-            assembled.append(True)
-            assemble(rves, mask)
+        Each sweep is a shard's: the pass, then the condensation call. The
+        walk starts from rest unless a batch ``rves`` is given.
+        """
+        rves = R.RveBatch(geom) if rves is None else rves
+        passes = []
+        for dh in steps:
+            certified = R.monolithic_pass(rves, np.reshape(dh, (1, 4)))[0]
+            R.homogenized_tangent_and_alg_stress(rves)  # the sweep's condensation call
+            passes.append((certified, rves.sigma_bar[0].copy(), rves.active[0].copy()))
+        return rves, passes
 
-        patch = pytest.MonkeyPatch() if monkeypatch is None else monkeypatch
-        with patch.context() as mp:
-            mp.setattr(R, "assemble", counted)
-            passes = []
-            for dh in steps:
-                assembled.clear()
-                shard.monolithic(np.reshape(dh, (1, 4)))
-                passes.append((not assembled, shard.rves.sigma_bar[0].copy(), shard.rves.active[0].copy()))
-        return shard.rves, passes
-
-    def test_fixed_step_is_certified_below_the_radius_and_yields_as_without_it(self):
+    def test_fixed_step_is_certified_below_the_radius_and_yields_as_without_it(self, monkeypatch):
         # a first pass at rest records the radius; a fixed step along one
         # direction stays certified below it, the first pass past it is a
         # full one, and the walk yields at the same pass and points, with
@@ -868,9 +863,8 @@ class TestCertifiedElastic:
             rves.radius[:] = 0.0
 
         assemble = R.assemble
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(R, "assemble", radius_zero)
-            _, uncertified = self.drive(geom, steps)
+        monkeypatch.setattr(R, "assemble", radius_zero)
+        _, uncertified = self.drive(geom, steps)
         assert not any(c for c, _, _ in uncertified)
         for k, ((_, sigma, active), (_, want, active0)) in enumerate(zip(passes, uncertified)):
             assert_array_equal(active, active0)
@@ -879,17 +873,13 @@ class TestCertifiedElastic:
     def test_rollback_after_certified_passes_restores_the_committed_state(self):
         geom = porous_geom()
         step = 1e-4 * H_SHEAR
-        rves, passes = self.drive(geom, [step])
-        shard = macro._Shard.__new__(macro._Shard)
-        shard.rves = rves
-        shard.commit()
+        rves, _ = self.drive(geom, [step])
+        R.commit(rves)
         at_commit = {name: getattr(rves, name).copy() for name in
                      ("sigma_bar", "f_full", "sigma_ips", "r_hat", "residual_norm", "u_hat", "H")}
-        for _ in range(3):
-            shard.monolithic(step[None])
-        assert rves.flagged[0] and rves.radius[0] > 0.0
-        assert not np.array_equal(rves.H, at_commit["H"])
-        shard.rollback()
+        _, passes = self.drive(geom, [step] * 3, rves)
+        assert all(c for c, _, _ in passes)
+        R.rollback(rves)
         for name, want in at_commit.items():
             assert_array_equal(getattr(rves, name), want, name)
         assert_array_equal(rves.trial.eps_p, rves.states.eps_p)
