@@ -612,17 +612,15 @@ def certified_update(rves: RveBatch, delta_h) -> np.ndarray:
 
     Called after :func:`micro_update_monolithic` with the same ``delta_h``
     (b, 4); builds the batch's linear maps on first use. An RVE is
-    certified when it is linear-flagged, its condensed tangent is valid
-    (a sweep's condensation call made it) and ||H - H_ref||_2 < ``radius``:
-    no point can reach the yield surface, so the RVE follows its linear
-    response. Its reference assembly came after an exact linear step, so
-    its residual is one of rounding. The RVE gives back the update's
-    residual correction -x_r, so u_hat moves by -x_h0 dH, along which the
-    residual does not change: its residual, residual column, flags and
-    trial state stay. It takes sigma_bar += C0 dH with its kept condensed
-    tangent C0, f_full += F dH, sigma_ips += S dH and its reference force
-    from the new f_full, which is what an assembly at the new (u_hat, H)
-    finds. Its trial state is its committed one: its reference assembly
+    certified when it is linear-flagged, has a valid condensed tangent C0
+    and ||H - H_ref||_2 < ``radius``: no point can reach the yield surface.
+    Its reference assembly followed an exact linear step, so its residual
+    is one of rounding, and moving u_hat by -x_h0 dH leaves it unchanged.
+    The RVE gives back the update's residual correction -x_r and
+    takes sigma_bar += C0 dH, f_full += F dH, sigma_ips += S dH and its
+    reference force from the new f_full, which is what an assembly at the
+    new (u_hat, H) finds; it keeps its residual, columns, flags and trial
+    state. That trial state is its committed one: the reference assembly
     evaluated the committed state, which stays elastic, and a commit since
     copied it. Returns the mask of the RVEs that still need an assembly.
     """
