@@ -247,8 +247,9 @@ class RveBatch:
 
     A monolithic sweep builds the batch's linear maps on first use
     (``response`` and ``yield_bound``, see :func:`certified_update`); from
-    then on each assembly of a linear-flagged RVE records its certified
-    elastic radius ``radius`` about ``H_ref``, the H it was assembled at.
+    then on an assembly records each assembled RVE's certified elastic
+    ``radius`` (0 unless it is linear-flagged) about ``H_ref``, the H it
+    was assembled at.
     """
 
     def __init__(self, geom: MicroGeometry, count: int = 1, store_factorization: bool = True):

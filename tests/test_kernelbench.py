@@ -4,9 +4,9 @@ The micro kernels run at the shipped RVE (``n_micro`` 8, n = 116) and at
 ``n_micro`` 16 (n = 436), where a dense LU solve costs most; the assembly
 kernels, the material pass, a shard's construction and a shard's
 monolithic sweep also run on a 16-RVE shard, the plate-hole shard size,
-and a shard's LU solves also at the notched-shear RVE (n = 44). Marked ``kernelbench`` and deselected by
-default (see pyproject.toml); run them with ``pytest -m kernelbench
-tests/test_kernelbench.py``.
+and a shard's LU solves also at the notched-shear RVE (n = 44). Marked
+``kernelbench`` and deselected by default (see pyproject.toml); run them
+with ``pytest -m kernelbench tests/test_kernelbench.py``.
 
 The module pins glibc's malloc thresholds (``macro._pin_heap``) before its
 first kernel, as the process that runs the micro sweeps does, so the
