@@ -92,8 +92,8 @@ def read_mesh(path) -> Mesh:
         if number(lineno, token) != k:
             fail(lineno, f"{what} ids must be consecutive, got {token}")
 
-    if not lines or not lines[0].startswith("fescale-mesh"):
-        fail(0, "missing 'fescale-mesh' header")
+    if not lines or lines[0].split() != ["fescale-mesh", "2"]:
+        fail(0, "expected the header 'fescale-mesh 2'")
     n_nodes = count(1, "nodes")
     nodes = []  # grown line by line: a count beyond the file's end fails there
     for k in range(n_nodes):
@@ -119,6 +119,9 @@ def read_mesh(path) -> Mesh:
         if not all(0 <= n < n_nodes for n in conn):
             fail(i, f"node index outside [0, {n_nodes})")
         rows[kind].append(conn)
+    for k in range(i + 1, len(lines)):
+        if lines[k].strip():
+            fail(k, f"unexpected line after the {n_el} declared elements")
     blocks = [ElementBlock(kind, np.array(rows[kind], dtype=np.int64))
               for kind in (TRI3, QUAD4) if rows[kind]]
     return Mesh(np.reshape(nodes, (n_nodes, 2)), blocks)
@@ -352,6 +355,8 @@ def parse_config(raw, base_dir=".") -> RunConfig:
         _typed(f"overrides.{key}", value, type(defaults[key]))
         if type(defaults[key]) is int and value < 1:  # every integer override is a mesh size
             raise ConfigError(f"overrides.{key}: must be >= 1, got {value}")
+    if rve_mesh is not None and "n" in overrides:  # only a custom model takes n
+        raise ConfigError("overrides.n: sizes a built-in 'rve' only, and 'rve_mesh' is given")
 
     name = raw.get("name") or benchmark or "custom"
     return RunConfig(

@@ -106,9 +106,6 @@ class StateBatch:
     def copy(self):
         return StateBatch(self.eps_p.copy(), self.alpha_bar.copy())
 
-    def __len__(self):
-        return len(self.alpha_bar)
-
 
 def elastic_of(params):
     return params.elastic if isinstance(params, PlasticParams) else params

@@ -222,11 +222,16 @@ UPDATE_SOLVES, AUX_SOLVES, FACTORIZATIONS = range(3)
 class RveBatch:
     """The micro problems of one shard as stacked arrays, one row per RVE.
 
-    Committed state: ``states`` (one :class:`material.StateBatch` of
-    count x points rows, RVE-major), ``u_hat_n``, ``u_hat_nm1``,
-    ``H_n``, ``active_committed`` and ``last_step_linear``. The current
-    iterate is ``u_hat`` (b, n) and ``H`` (b, 4). Each RVE's last assembly
-    is kept in the arrays :func:`assemble` fills. Its condensation columns,
+    Per point a batch keeps only the material states, the committed
+    ``states`` and the last assembly's ``trial`` (one
+    :class:`material.StateBatch` each, of count x points rows, RVE-major);
+    every other array is per RVE, a row each, or the batch's virgin factor
+    and linear maps. A per-point result, such as the point stresses, is
+    evaluated on demand (:func:`evaluate_points`). Committed state: ``states``, ``u_hat_n``,
+    ``u_hat_nm1``, ``H_n``, ``plastic_committed`` and
+    ``last_step_linear``. The current iterate is ``u_hat`` (b, n) and
+    ``H`` (b, 4). Each RVE's last assembly is kept in the arrays
+    :func:`assemble` fills. Its condensation columns,
     the tangent columns ``x_h`` = K^-1 dr/dH (b, n, 4) and the residual
     column ``x_r`` = K^-1 r (b, n), belong to that assembly while
     ``solved`` holds, and ``c_tangent`` while ``tangent_valid`` holds.
@@ -238,12 +243,12 @@ class RveBatch:
     A batch starts with a set-up pass at the virgin state, where every RVE
     has the same state and the same elastic stiffness K0. Since each row
     computes as it would alone, the first RVE alone is assembled and its
-    row of every array :func:`assemble` writes, trial states included, is
-    copied into the others. One LU solve gives its tangent columns, which
-    every RVE starts with as solved, and ``virgin_inverse`` = K0^-1, the
-    one retained factor of the batch: a linear-flagged RVE's stiffness is
-    K0 bit for bit, so its columns are the virgin ones (see
-    :func:`assemble`).
+    row of every per-RVE array (every array whose first axis is b), trial
+    states included, is copied into the others. One LU solve gives its
+    tangent columns, which every RVE starts with as solved, and
+    ``virgin_inverse`` = K0^-1, the one retained factor of the batch: a
+    linear-flagged RVE's stiffness is K0 bit for bit, so its columns are
+    the virgin ones (see :func:`assemble`).
 
     A monolithic sweep builds the batch's linear maps on first use
     (``response`` and ``yield_bound``, see :func:`certified_update`); from
@@ -257,8 +262,8 @@ class RveBatch:
         self.geom, self.b, self.store_factorization = geom, b, store_factorization
         self.states = material.StateBatch.virgin(b * n_ip)
         self.trial = self.states.copy()
-        self.active_committed = np.zeros((b, n_ip), dtype=bool)
         self.last_step_linear = np.ones(b, dtype=bool)
+        self.plastic_committed = np.zeros(b, dtype=bool)
         self.u_hat, self.u_hat_n, self.u_hat_nm1 = np.zeros((3, b, n))
         self.H, self.H_n, self.H_ref = np.zeros((3, b, 4))
         self.radius = np.zeros(b)
@@ -273,22 +278,18 @@ class RveBatch:
         self.dsig_dh, self.c_tangent = np.zeros((2, b, 4, 4))
         self.sigma_bar = np.zeros((b, 4))
         self.f_full = np.zeros((b, geom.mesh.n_dofs))
-        self.sigma_ips = np.zeros((b, n_ip, 4))
-        self.active = np.zeros((b, n_ip), dtype=bool)
         self.residual_norm = np.zeros(b)
         self.x_h = np.zeros((b, n, 4))
         self.x_r = np.zeros((b, n))
         (self.plastic_flow, self.linear_now, self.flagged, self.solved,
          self.tangent_valid, self.failed) = np.zeros((6, b), dtype=bool)
         self.counts = np.zeros((b, 3), dtype=np.int64)
-        # set-up pass: the first RVE alone is assembled and its row copied;
-        # the virgin residual is zero, and so is x_r
+        # set-up pass: the first RVE alone is assembled and its row copied
+        # into every per-RVE array and trial state; the virgin residual is
+        # zero, and so is x_r
         assemble(self, np.arange(b) == 0)
-        for a in (self.r_hat, self.kvals, self.dr_dH, self.dsig_du, self.dsig_dh, self.sigma_bar,
-                  self.f_full, self.sigma_ips, self.active, self.residual_norm, self.ref_force,
-                  self.plastic_flow, self.linear_now, self.flagged, self.solved,
-                  self.tangent_valid, self.failed,
-                  self.trial.eps_p.reshape(b, n_ip, 4), self.trial.alpha_bar.reshape(b, n_ip)):
+        rows = [a for a in vars(self).values() if isinstance(a, np.ndarray) and a.shape[:1] == (b,)]
+        for a in rows + [self.trial.eps_p.reshape(b, n_ip, 4), self.trial.alpha_bar.reshape(b, n_ip)]:
             a[1:] = a[0]
         virgin = linalg.factorize(geom.plan.dense(self.kvals[0]),
                                   np.concatenate([self.dr_dH[0], np.eye(n)], axis=1)).columns
@@ -333,12 +334,12 @@ def assemble(rves: RveBatch, mask=None):
     states = material.StateBatch(rves.states.eps_p.reshape(b, n_ip, 4)[sel].reshape(-1, 4),
                                  rves.states.alpha_bar.reshape(b, n_ip)[sel].ravel())
     sigma, d, new, active, f_tr = material.evaluate_batch(geom.law, h.reshape(-1, 4), states)
-    sigma, d, active = sigma.reshape(k, n_ip, 4), d.reshape(k, n_ip, 4, 4), active.reshape(k, n_ip)
+    sigma, d = sigma.reshape(k, n_ip, 4), d.reshape(k, n_ip, 4, 4)
     rves.trial.eps_p.reshape(b, n_ip, 4)[sel] = new.eps_p.reshape(k, n_ip, 4)
     rves.trial.alpha_bar.reshape(b, n_ip)[sel] = new.alpha_bar.reshape(k, n_ip)
 
-    plastic_flow = active.any(axis=1)
-    linear_now = ~plastic_flow & ~rves.active_committed[sel].any(axis=1)
+    plastic_flow = active.reshape(k, n_ip).any(axis=1)
+    linear_now = ~plastic_flow & ~rves.plastic_committed[sel]
     # matrices may only be carried over from an assembly that was itself
     # evaluated in the linear regime (elastic tangent everywhere)
     flagged = rves.last_step_linear[sel] & linear_now & rves.linear_now[sel]
@@ -377,7 +378,7 @@ def assemble(rves: RveBatch, mask=None):
     f2 = np.take(f_full.reshape(k, -1, 2), geom.boundary_nodes, axis=1)
     bx = geom.mesh.nodes[geom.boundary_nodes]
     rves.sigma_bar[sel] = (np.swapaxes(f2, 1, 2) @ bx).reshape(k, 4) / geom.volume
-    rves.r_hat[sel], rves.f_full[sel], rves.sigma_ips[sel], rves.active[sel] = r_hat, f_full, sigma, active
+    rves.r_hat[sel], rves.f_full[sel] = r_hat, f_full
     rves.plastic_flow[sel], rves.linear_now[sel], rves.flagged[sel] = plastic_flow, linear_now, flagged
     rves.residual_norm[sel] = np.abs(r_hat).max(axis=1, initial=0.0)
     rves.ref_force[sel] = np.maximum(rves.ref_force[sel], np.abs(f_full).max(axis=1, initial=0.0))
@@ -443,10 +444,23 @@ def _matvec(a, v):
     return np.matmul(a, np.ascontiguousarray(v)[..., None])[..., 0]
 
 
+def evaluate_points(rves: RveBatch):
+    """Point stresses (b, n_ip, 4) and yielding flags (b, n_ip) at the batch's (u_hat, H).
+
+    The verification route to per-point results, which a batch does not
+    keep: one material evaluation from the committed states, the one an
+    assembly at (u_hat, H) makes.
+    """
+    geom, b, n_ip = rves.geom, rves.b, rves.geom.n_ip
+    h = geom.plan.gradients(full_displacement(rves))
+    sigma, _, _, active, _ = material.evaluate_batch(geom.law, h.reshape(-1, 4), rves.states)
+    return sigma.reshape(b, n_ip, 4), active.reshape(b, n_ip)
+
+
 def volume_average_stress(rves: RveBatch) -> np.ndarray:
     """Volume-average form of the homogenized stress (verification route), (b, 4)."""
     geom = rves.geom
-    return (geom.weights_flat[:, None] * rves.sigma_ips).sum(axis=1) / geom.volume
+    return (geom.weights_flat[:, None] * evaluate_points(rves)[0]).sum(axis=1) / geom.volume
 
 
 def average_gradient(rves: RveBatch) -> np.ndarray:
@@ -592,16 +606,15 @@ def _build_linear_maps(rves: RveBatch):
 
     Along the linear micro solution u_hat = -x_h0 H (``virgin_x_h``) the
     point gradients are A H, A (n_ip, 4, 4), and the elastic stresses
-    S H, S = D_el sym(A). ``response`` (4, n_dofs + 4 n_ip) holds per
-    column of H the nodal force map F, the internal force of S, and S.
-    ``yield_bound`` (n_ip,) is L = sqrt(3/2) 2 mu ||dev sym A||_F, so that
-    a point's trial q moves by at most L ||dH||_2.
+    S H, S = D_el sym(A). ``response`` (4, n_dofs) is the nodal force map
+    F, per column of H the internal force of S. ``yield_bound`` (n_ip,) is
+    L = sqrt(3/2) 2 mu ||dev sym A||_F, so that a point's trial q moves by
+    at most L ||dH||_2.
     """
     geom = rves.geom
     # (4, n_ip, 4): per column of H, the point gradients of u_hat = -x_h0 e_j, H = e_j
     a = geom.plan.gradients(full_displacement(rves, -rves.virgin_x_h.T, np.eye(4)))
-    s = np.matmul(geom.law.stiffness, a[..., None])[..., 0]
-    rves.response = np.concatenate([geom.plan.internal_force(s), s.reshape(4, -1)], axis=1)
+    rves.response = geom.plan.internal_force(np.matmul(geom.law.stiffness, a[..., None])[..., 0])
     e12 = 0.5 * (a[..., 1] + a[..., 2])
     mean = (a[..., 0] + a[..., 3]) / 3.0
     dev2 = (a[..., 0] - mean) ** 2 + (a[..., 3] - mean) ** 2 + mean**2 + 2.0 * e12**2
@@ -617,25 +630,22 @@ def certified_update(rves: RveBatch, delta_h) -> np.ndarray:
     and ||H - H_ref||_2 < ``radius``: no point can reach the yield surface.
     Its reference assembly followed an exact linear step, so its residual
     is one of rounding, and moving u_hat by -x_h0 dH leaves it unchanged.
-    The RVE gives back the update's residual correction -x_r and
-    takes sigma_bar += C0 dH, f_full += F dH, sigma_ips += S dH and its
-    reference force from the new f_full, which is what an assembly at the
-    new (u_hat, H) finds; it keeps its residual, columns, flags and trial
-    state. That trial state is its committed one: the reference assembly
-    evaluated the committed state, which stays elastic, and a commit since
-    copied it. Returns the mask of the RVEs that still need an assembly.
+    The RVE gives back the update's residual correction -x_r and takes
+    sigma_bar += C0 dH, f_full += F dH and its reference force from the
+    new f_full, which is what an assembly at the new (u_hat, H) finds; it
+    keeps its residual, columns, flags and trial state. That trial state
+    is its committed one: the reference assembly evaluated the committed
+    state, which stays elastic, and a commit since copied it. Returns the
+    mask of the RVEs that still need an assembly.
     """
     if rves.response is None:
         _build_linear_maps(rves)
     cert = rves.flagged & rves.tangent_valid & (_norm2(rves.H - rves.H_ref) < rves.radius)
     if cert.any():
         sel = slice(None) if cert.all() else np.flatnonzero(cert)
-        n_ip, n_dofs = rves.geom.n_ip, rves.geom.mesh.n_dofs
         dh = np.asarray(delta_h, dtype=np.float64).reshape(rves.b, 4)[sel]
         rves.sigma_bar[sel] += _matvec(rves.c_tangent[sel], dh)
-        resp = np.matmul(dh[:, None, :], rves.response)[:, 0]  # F dH | S dH, a product per row
-        rves.f_full[sel] += resp[:, :n_dofs]
-        rves.sigma_ips[sel] += resp[:, n_dofs:].reshape(-1, n_ip, 4)
+        rves.f_full[sel] += np.matmul(dh[:, None, :], rves.response)[:, 0]  # F dH, a product per row
         rves.u_hat[sel] += rves.x_r[sel]
         rves.ref_force[sel] = np.maximum(rves.ref_force[sel], np.abs(rves.f_full[sel]).max(axis=1))
     return ~cert
@@ -658,7 +668,7 @@ def monolithic_pass(rves: RveBatch, delta_h) -> np.ndarray:
 def commit(rves: RveBatch):
     """Accept the trial states of the current assembly as converged."""
     rves.states = rves.trial.copy()
-    rves.active_committed = rves.active.copy()
+    rves.plastic_committed = rves.plastic_flow.copy()
     rves.last_step_linear = rves.linear_now.copy()
     rves.u_hat_nm1 = rves.u_hat_n
     rves.u_hat_n = rves.u_hat.copy()

@@ -152,6 +152,26 @@ class TestMeshFile:
         with pytest.raises(ConfigError, match="header"):
             read_mesh(path)
 
+    @pytest.mark.parametrize("header", ["fescale-mesh 7", "fescale-mesh", "fescale-mesh 2 3",
+                                        "fescale-meshes 2"])
+    def test_header_names_the_one_version(self, tmp_path, header):
+        path = tmp_path / "bad.mesh"
+        path.write_text("".join(line + "\n" for line in [header] + SMALL_MESH[1:]))
+        with pytest.raises(ConfigError, match="bad.mesh:1: expected the header 'fescale-mesh 2'"):
+            read_mesh(path)
+
+    @pytest.mark.parametrize("extra", ["1 tri3 0 1 2", "  x", "\t1"])
+    def test_line_after_the_declared_elements_reports_line(self, tmp_path, extra):
+        path = tmp_path / "bad.mesh"
+        path.write_text("".join(line + "\n" for line in SMALL_MESH + ["", extra]))
+        with pytest.raises(ConfigError, match="bad.mesh:9: unexpected line after the 1 declared elements"):
+            read_mesh(path)
+
+    def test_trailing_blank_lines_are_allowed(self, tmp_path):
+        path = tmp_path / "m.mesh"
+        path.write_text("".join(line + "\n" for line in SMALL_MESH + ["", "  ", "\t"]))
+        assert read_mesh(path).n_elements == 1
+
 
 @pytest.fixture(scope="module")
 def suite_out(tmp_path_factory):
@@ -409,6 +429,12 @@ class TestFieldTypes:
         assert main(["run", str(write_bar_config(tmp_path, overrides={"n_macro": 3}))]) == 2
         assert "overrides: unknown field 'n_macro'; options: ['n']" in capsys.readouterr().err
 
+    def test_rve_resolution_with_an_rve_mesh_is_a_config_error(self, tmp_path, capsys):
+        # the mesh file fixes the micro mesh, so a resolution would be ignored
+        assert main(["run", str(write_bar_config(tmp_path, overrides={"n": 3}))]) == 2
+        assert "overrides.n: sizes a built-in 'rve' only" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestModelErrorsBeforeAnyFile:
     @pytest.mark.parametrize("workers", [1, 2])
@@ -455,7 +481,7 @@ class TestModelErrorsBeforeAnyFile:
     def test_bad_mesh_is_a_config_error(self, tmp_path, capsys, mesh, line, text, message):
         path = write_bar_config(tmp_path)
         lines = (tmp_path / mesh).read_text().splitlines()
-        lines[line] = text
+        lines[line:] = [text]  # the rows after it go: a mesh file lists no undeclared row
         (tmp_path / mesh).write_text("\n".join(lines) + "\n")
         assert main(["run", str(path)]) == 2
         assert message in capsys.readouterr().err

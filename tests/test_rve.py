@@ -206,7 +206,7 @@ class TestHomogenization:
             u_var = rng.standard_normal(geom.n_reduced)
             u_full = R.full_displacement(p, u_hat=u_var, h=h_var)
             hv = geom.plan.gradients(u_full)
-            lhs = np.einsum("q,qa,qa->", geom.weights_flat, p.sigma_ips[0], hv) / geom.volume
+            lhs = np.einsum("q,qa,qa->", geom.weights_flat, R.evaluate_points(p)[0][0], hv) / geom.volume
             rhs = sigma @ h_var
             assert_allclose(lhs, rhs, rtol=1e-9)
 
@@ -547,7 +547,8 @@ class TestTangentAndAlgStress:
 
         p = R.RveBatch(geom)
         _, c_star = converge(p, h_star, tol=1e-12, max_iter=60)
-        assert p.active[0].any() and not p.active[0].all()
+        active = R.evaluate_points(p)[1][0]
+        assert active.any() and not active.all()
         step = 1e-6
         fd = np.empty((4, 4))
         for c in range(4):
@@ -613,7 +614,7 @@ class TestStateDiscipline:
         # commit, so it need not match it bit for bit)
         q = R.RveBatch(geom)
         q.states = p.states.copy()
-        q.active_committed = p.active_committed.copy()
+        q.plastic_committed = p.plastic_committed.copy()
         q.u_hat, q.H = u_saved.copy(), h_saved.copy()
         R.assemble(q)
         assert_array_equal(p.r_hat, q.r_hat)
@@ -674,34 +675,55 @@ class TestSetUpPass:
         assert sum(rows) == shipped_rve.n_ip
 
 
+@pytest.fixture(scope="module")
+def two_passes():
+    """Batches of the notched-bending composite RVE (J2 matrix, elastic inclusion).
+
+    ``two_passes(rows)`` is a batch of the given rows of three RVEs,
+    assembled, committed and assembled again, without a second commit.
+    """
+    geom = R.MicroGeometry(rve_composite(default_materials("notched-bending-2d"), STIFF, n=6))
+    h1 = np.outer([0.6, 0.8, 1.0], [0.004, 0.008, 0.008, -0.002])
+    h2 = np.outer([1.0, 0.5, 1.3], [-0.002, 0.009, 0.007, 0.003])
+    u = 2e-3 * np.sin(np.arange(geom.n_reduced) + np.arange(3)[:, None])
+
+    def passes(rows):
+        rves = R.RveBatch(geom, len(h1[rows]))
+        rves.H[:], rves.u_hat[:] = h1[rows], u[rows]
+        R.assemble(rves)
+        R.commit(rves)
+        rves.H[:] = h2[rows]
+        R.assemble(rves)
+        return rves
+
+    return passes
+
+
 class TestCompositeShard:
-    def test_one_pass_equals_one_rve_passes_bitwise(self):
-        # the notched-bending composite RVE (J2 matrix, elastic inclusion):
+    def test_one_pass_equals_one_rve_passes_bitwise(self, two_passes):
         # a 3-RVE shard is assembled, committed and assembled again in one
         # pass each, with one material evaluation over all its points; every
         # per-RVE array equals that of the RVE's own one-RVE batch
-        geom = R.MicroGeometry(rve_composite(default_materials("notched-bending-2d"), STIFF, n=6))
-        h1 = np.outer([0.6, 0.8, 1.0], [0.004, 0.008, 0.008, -0.002])
-        h2 = np.outer([1.0, 0.5, 1.3], [-0.002, 0.009, 0.007, 0.003])
-        u = 2e-3 * np.sin(np.arange(geom.n_reduced) + np.arange(3)[:, None])
-
-        def two_passes(rves, rows):
-            rves.H[:], rves.u_hat[:] = h1[rows], u[rows]
-            R.assemble(rves)
-            R.commit(rves)
-            rves.H[:] = h2[rows]
-            R.assemble(rves)
-            return rves
-
-        shard = two_passes(R.RveBatch(geom, 3), slice(None))
-        assert 0 < shard.states.alpha_bar.max() and shard.active.any() and not shard.active.all()
-        assert (shard.active.sum(axis=1) != shard.active[0].sum()).any()
+        shard = two_passes(slice(None))
+        active = R.evaluate_points(shard)[1]
+        assert 0 < shard.states.alpha_bar.max() and active.any() and not active.all()
+        assert (active.sum(axis=1) != active[0].sum()).any()
         got = per_rve_arrays(shard)
         for i in range(3):
-            want = per_rve_arrays(two_passes(R.RveBatch(geom, 1), slice(i, i + 1)))
+            want = per_rve_arrays(two_passes(slice(i, i + 1)))
             assert got.keys() == want.keys()
             for name, a in want.items():
                 assert got[name][i:i + 1].tobytes() == a.tobytes(), (i, name)
+
+    def test_points_on_demand_are_those_the_assembly_evaluated(self, two_passes):
+        # after a plastic pass and before its commit, the point stresses
+        # give the assembly's internal forces bit for bit, and the yielding
+        # flags its per-RVE plastic flow
+        shard = two_passes(slice(None))
+        sigma, active = R.evaluate_points(shard)
+        assert shard.plastic_flow.any()
+        assert shard.geom.plan.internal_force(sigma).tobytes() == shard.f_full.tobytes()
+        assert_array_equal(active.any(axis=1), shard.plastic_flow)
 
 
 class TestRetainedColumns:
@@ -741,6 +763,17 @@ class TestRetainedColumns:
         assert not [a for a in arrays if a.ndim >= 3 and a.shape[-2:] == (n, n)]
         assert [a.shape for a in arrays if a.shape[-2:] == (n, n)] == [(n, n)]
         assert rves.x_h.shape == (b, n, 4) and rves.x_r.shape == (b, n)
+
+    def test_batch_keeps_no_point_array_but_the_material_states(self, shipped_rve):
+        # per point the batch keeps only the committed and trial material
+        # states; the linear maps keep the nodal force map alone
+        geom, b = shipped_rve, 3
+        assert geom.n_ip not in (geom.n_reduced, geom.mesh.n_dofs, b)
+        rves = R.RveBatch(geom, b)
+        R.monolithic_pass(rves, np.zeros((b, 4)))  # builds the linear maps
+        per_point = [name for name, a in per_rve_arrays(rves).items() if a.shape[1:2] == (geom.n_ip,)]
+        assert sorted(per_point) == ["states.alpha_bar", "states.eps_p", "trial.alpha_bar", "trial.eps_p"]
+        assert rves.response.shape == (4, geom.mesh.n_dofs)
 
     def test_virgin_factor_is_the_inverse_of_the_virgin_stiffness(self):
         geom = porous_geom()
@@ -809,8 +842,8 @@ class TestCertifiedElastic:
             if cert.any():
                 full = copy.deepcopy(rves, memo={id(rves.geom): rves.geom})
                 R.assemble(full, cert)
-                assert not full.active[cert].any() and full.flagged[cert].all()
-                for field, rtol in (("sigma_bar", 1e-12), ("sigma_ips", 1e-12), ("f_full", 1e-10)):
+                assert not full.plastic_flow[cert].any() and full.flagged[cert].all()
+                for field, rtol in (("sigma_bar", 1e-12), ("f_full", 1e-10)):
                     assert_near(getattr(rves, field)[cert], getattr(full, field)[cert], rtol, field)
                 for kind in ("eps_p", "alpha_bar"):
                     trial, want, committed = (getattr(s, kind).reshape(rves.b, -1)[cert]
@@ -838,7 +871,7 @@ class TestCertifiedElastic:
         for dh in steps:
             certified = R.monolithic_pass(rves, np.reshape(dh, (1, 4)))[0]
             R.homogenized_tangent_and_alg_stress(rves)  # the sweep's condensation call
-            passes.append((certified, rves.sigma_bar[0].copy(), rves.active[0].copy()))
+            passes.append((certified, rves.sigma_bar[0].copy(), R.evaluate_points(rves)[1][0]))
         return rves, passes
 
     def test_fixed_step_is_certified_below_the_radius_and_yields_as_without_it(self, monkeypatch):
@@ -876,7 +909,7 @@ class TestCertifiedElastic:
         rves, _ = self.drive(geom, [step])
         R.commit(rves)
         at_commit = {name: getattr(rves, name).copy() for name in
-                     ("sigma_bar", "f_full", "sigma_ips", "r_hat", "residual_norm", "u_hat", "H")}
+                     ("sigma_bar", "f_full", "r_hat", "residual_norm", "u_hat", "H")}
         _, passes = self.drive(geom, [step] * 3, rves)
         assert all(c for c, _, _ in passes)
         R.rollback(rves)
