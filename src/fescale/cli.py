@@ -562,7 +562,7 @@ def _check_elastic_certificate():
 CHECKS = [
     ("element patch test", _check_patch_test),
     ("radial-return consistent tangent", _check_material_consistency),
-    ("LU solve residual bound", _check_linear_solver),
+    ("Cholesky solve residual bound", _check_linear_solver),
     ("periodic averaging identity", _check_periodic_averaging),
     ("homogenized elastic tangent identity", _check_homogenized_tangent),
     ("certified elastic radius", _check_elastic_certificate),

@@ -1,22 +1,35 @@
-"""Linear algebra substrate: dense LU solves from numpy's LAPACK.
+"""Linear algebra substrate: dense Cholesky solves from numpy's bundled LAPACK.
 
-A factorization is one LU solve. :func:`factorize` solves a dense square
-matrix, in one LAPACK call, for the right-hand sides known at that point
-and returns them solved (``Factorization.columns``); the solve is also what
-finds a singular matrix. numpy keeps no LU factor between calls, so each
-later :func:`solve` of a factorization factorizes its matrix again: a caller
-that needs several columns of one matrix passes them to :func:`factorize`
-together. No inverse is formed: an LU solve takes about (2/3) n^3 flops
-against (8/3) n^3 for an inverse, and is the more accurate of the two
-(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002,
-ch. 14).
+A factorization is one Cholesky solve. :func:`factorize` solves a dense
+symmetric positive definite (SPD) matrix, in one LAPACK ``dposv`` call, for
+the right-hand sides known at that point and returns them solved
+(``Factorization.columns``); the solve is also what finds a singular
+matrix. No factor is kept between calls, so each later :func:`solve` of a
+factorization factorizes its matrix again: a caller that needs several
+columns of one matrix passes them to :func:`factorize` together. No
+inverse is formed: a Cholesky solve takes about (1/3) n^3 flops, half an
+LU solve's (2/3) n^3, against (8/3) n^3 for an LU inverse (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 10
+and 14).
+
+The contract is that every matrix is SPD: the micro stiffness (J2 with
+hardening h >= 0, rigid modes removed by the periodic map and the anchor)
+and the macro tangent (the symmetric condensed tangent, rigid modes
+removed by the Dirichlet data). LAPACK reads one triangle, the upper one
+of the C-order matrix, which is its own Fortran transpose. A matrix that
+is not positive definite (an indefinite or singular one) raises
+:class:`SingularMatrixError`. ``dposv`` is looked up once in the OpenBLAS
+library that numpy's wheels ship (:func:`openblas_function`); with a numpy
+built without it, each solve falls back to ``np.linalg.solve``, an LU solve
+that accepts any nonsingular matrix.
 
 Every solve appends a fixed probe column z, z_i = cos(i), so ||z||_inf = 1.
 Its solution gives ||A||_inf ||A^-1 z||_inf, a lower bound on the condition
-number (Dixon 1983, SIAM J. Numer. Anal. 20(4)), for 2n^2 flops. It also
-keeps every solve at two or more columns, where LAPACK gives a column the
-same bits whatever the other columns hold (a one-column solve takes another
-path).
+number (Dixon 1983, SIAM J. Numer. Anal. 20(4)), for 2n^2 flops; a matrix
+whose ||A||_inf is not finite, a NaN in the triangle LAPACK does not read
+included, fails the same test. It also keeps every solve at two or more
+columns, where LAPACK gives a column the same bits whatever the other
+columns hold (a one-column solve takes another path).
 
 Dense storage bounds the size: a system of more than ``MAX_DENSE_N``
 unknowns is refused when a two-scale model is built. Reverse Cuthill-McKee
@@ -26,24 +39,28 @@ ordering of a matrix's nonzero pattern stays available
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from fescale.errors import SingularMatrixError, StructuralError
 
 # A matrix whose probe estimate ||A||_inf * ||A^-1 z||_inf / ||z||_inf of the
-# condition number reaches 1 / PIVOT_RTOL raises SingularMatrixError.
+# condition number is not below 1 / PIVOT_RTOL raises SingularMatrixError.
 PIVOT_RTOL = 1e-14
-# Largest dense system: an LU solve grows as n^3 and holds the n^2 * 8 byte
-# matrix (2.9 MB at n = 600) while it runs; nothing of that size is kept.
+# Largest dense system: a solve grows as n^3 and holds the matrix and its
+# factor, n^2 * 8 bytes each (2.9 MB at n = 600), while it runs; nothing of
+# that size is kept.
 MAX_DENSE_N = 600
 
 
 @dataclass(frozen=True)
 class Factorization:
-    """A dense square matrix that passed an LU solve, and the columns it solved.
+    """A dense SPD matrix that passed a Cholesky solve, and the columns it solved.
 
     ``matrix`` is a read-only view of the factorized matrix, which
     :func:`solve` solves again; ``columns`` holds the right-hand sides given
@@ -143,7 +160,7 @@ def compute_ordering(a: np.ndarray) -> np.ndarray:
     return forward
 
 
-@lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8)
 def _probe(n):
     """The probe column z_i = cos(i) of an n-unknown solve, built once per size."""
     z = np.cos(np.arange(n))
@@ -171,36 +188,37 @@ def _dependent_row(dense):
 
 
 def factorize(a: np.ndarray, rhs: np.ndarray | None = None) -> Factorization:
-    """LU-solve a dense square matrix for ``rhs``, shaped (n,) or (n, m), in one call.
+    """Cholesky-solve a dense SPD matrix for ``rhs``, shaped (n,) or (n, m), in one call.
 
     The solution, shaped as ``rhs`` ((n, 0) without it), is the returned
     factorization's ``columns``. The factorization keeps a read-only view
     of ``a``, which must not change while the factorization is solved
-    again. A singular matrix raises :class:`SingularMatrixError` (see
-    :func:`solve`).
+    again. A matrix that is singular or not positive definite raises
+    :class:`SingularMatrixError` (see :func:`solve`).
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise StructuralError(f"matrix shape {a.shape} is not square")
     view = a.view()
     view.setflags(write=False)
-    columns = _lu_solve(view, np.zeros((len(a), 0)) if rhs is None else rhs)
+    columns = _checked_solve(view, np.zeros((len(a), 0)) if rhs is None else rhs)
     return Factorization(len(a), view, columns)
 
 
 def solve(f: Factorization, rhs: np.ndarray) -> np.ndarray:
-    """LU-solve the factorized matrix again for ``rhs``, shaped (n,) or (n, m); the result matches.
+    """Cholesky-solve the factorized matrix again for ``rhs``, shaped (n,) or (n, m); the result matches.
 
     One LAPACK call on the right-hand sides with the probe column appended.
-    A matrix that LAPACK finds singular, a result that is not finite, or a
-    probe estimate ||A||_inf * ||A^-1 z||_inf of the condition number that
-    reaches 1 / PIVOT_RTOL raises :class:`SingularMatrixError` naming the
-    first row that is numerically dependent on the rows before it.
+    A matrix that LAPACK finds singular or not positive definite, a result
+    that is not finite, or a probe estimate ||A||_inf * ||A^-1 z||_inf of
+    the condition number that is not below 1 / PIVOT_RTOL raises
+    :class:`SingularMatrixError` naming the first row that is numerically
+    dependent on the rows before it.
     """
-    return _lu_solve(f.matrix, rhs)
+    return _checked_solve(f.matrix, rhs)
 
 
-def _lu_solve(a, rhs):
+def _checked_solve(a, rhs):
     """One LAPACK solve of ``a`` for ``rhs`` and the probe column; see :func:`solve`."""
     rhs = np.asarray(rhs, dtype=np.float64)
     n = len(a)
@@ -210,14 +228,69 @@ def _lu_solve(a, rhs):
         )
     if n == 0:
         return rhs.copy()
-    block = np.empty((n, rhs.size // n + 1))
-    block[:, :-1] = rhs.reshape(n, -1)
-    block[:, -1] = _probe(n)
-    try:
-        x = np.linalg.solve(a, block)
-    except np.linalg.LinAlgError:
-        x = None
+    m = rhs.size // n
+    # row j of the C-order block is right-hand side j: LAPACK's column-major (n, m + 1)
+    block = np.empty((m + 1, n))
+    block[:m] = rhs.reshape(n, m).T
+    block[m] = _probe(n)
+    x = _cholesky_solve(a, block)
     if (x is None or not np.isfinite(x).all()
-            or _inf_norm(a) * np.abs(x[:, -1]).max() >= 1.0 / PIVOT_RTOL):
+            or not _inf_norm(a) * np.abs(x[m]).max() < 1.0 / PIVOT_RTOL):
         raise SingularMatrixError(*_dependent_row(a))
-    return x[:, :-1].reshape(rhs.shape)
+    return x[:m].T.reshape(rhs.shape)
+
+
+@functools.cache
+def bundled_openblas():
+    """The OpenBLAS library bundled with numpy, as a ``ctypes.CDLL``, or None.
+
+    numpy's wheels ship ``libscipy_openblas64_`` in ``numpy.libs``: its
+    ILP64 LAPACK and its thread-count calls, which numpy itself does not
+    expose. A numpy built on another BLAS has no such library. Loaded once
+    per process; a forked process inherits the cache.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            return ctypes.CDLL(path)
+        except OSError:
+            pass
+    return None
+
+
+def openblas_function(name, argtypes, restype=None):
+    """Function ``name`` of :func:`bundled_openblas` with its ctypes signature, or None."""
+    func = getattr(bundled_openblas(), name, None)
+    if func is not None:
+        func.argtypes, func.restype = argtypes, restype
+    return func
+
+
+_INT64 = ctypes.POINTER(ctypes.c_int64)
+
+
+@functools.cache
+def _dposv():
+    """LAPACK's dposv (ILP64, with the trailing length of its character argument), or None."""
+    return openblas_function("scipy_dposv_64_", (ctypes.c_char_p, _INT64, _INT64, ctypes.c_void_p,
+                                                 _INT64, ctypes.c_void_p, _INT64, _INT64, ctypes.c_size_t))
+
+
+def _cholesky_solve(a, block):
+    """Solve ``a`` x = b for the rows b of ``block`` (m, n), in place; None if LAPACK fails.
+
+    ``dposv`` factorizes a C-order copy of ``a`` and reads its upper
+    triangle (the lower one of the Fortran matrix, ``uplo`` "L"). Without
+    it, ``np.linalg.solve`` (LU) solves into a new array instead. This is
+    the kernel's one entry point to LAPACK.
+    """
+    dposv = _dposv()
+    if dposv is None:
+        try:
+            return np.linalg.solve(a, block.T).T
+        except np.linalg.LinAlgError:
+            return None
+    n, info = ctypes.c_int64(len(a)), ctypes.c_int64()
+    factor = np.array(a, dtype=np.float64, order="C")
+    dposv(b"L", n, ctypes.c_int64(len(block)), factor.ctypes.data, n, block.ctypes.data, n, info, 1)
+    return block if info.value == 0 else None

@@ -16,11 +16,10 @@ integration-point order, so results do not depend on the worker count.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import ctypes
 import functools
-import glob
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -227,18 +226,39 @@ class _Shard:
 def _blas_thread_setter():
     """The thread-count setter of the OpenBLAS bundled with numpy, or None.
 
-    numpy has no call for it; the library in ``numpy.libs`` exports the
-    setter that threadpoolctl calls. A numpy built on another BLAS has no
-    such library or symbol. Looked up once per process: a multi-worker
-    pool looks it up before it forks, and its workers inherit the cache.
+    numpy has no call for it; the bundled library
+    (:func:`linalg.bundled_openblas`) exports the setter that threadpoolctl
+    calls. Looked up once per process: a multi-worker pool looks it up
+    before it forks, and its workers inherit the cache.
     """
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
-        try:
-            return ctypes.CDLL(path).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            pass
-    return None
+    return linalg.openblas_function("scipy_openblas_set_num_threads64_", (ctypes.c_int,))
+
+
+@functools.cache
+def _blas_thread_getter():
+    """The thread-count getter of the OpenBLAS bundled with numpy, or None."""
+    return linalg.openblas_function("scipy_openblas_get_num_threads64_", (), ctypes.c_int)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body at one thread of numpy's bundled OpenBLAS, then restore the caller's count.
+
+    A forked worker runs one thread, and the bits of a LAPACK solve can
+    depend on the thread count, so a serial shard runs its sweeps at one
+    thread too: results are then the same at every worker count whatever
+    the caller's setting. A no-op without the bundled library.
+    """
+    set_threads, get_threads = _blas_thread_setter(), _blas_thread_getter()
+    if set_threads is None or get_threads is None:
+        yield
+        return
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 # mallopt(3) parameters and the thresholds pinned: glibc's dynamic mmap
@@ -305,8 +325,10 @@ class RvePool:
 
     Shard w holds the RVEs w, w + workers, w + 2 workers, ... (the slice
     ``slice(w, None, workers)`` of every per-RVE array). Every gather
-    reassembles per-RVE arrays in integration-point order, so numerical
-    results are independent of the worker count. The shards
+    reassembles per-RVE arrays in integration-point order, and every shard
+    runs at one BLAS thread (a forked worker for its life, the serial shard
+    inside each call, :func:`_one_blas_thread`), so numerical results are
+    independent of the worker count. The shards
     share the model's micro geometry ``geom``: the serial shard uses it
     directly and forked workers inherit it. Each shard pins the malloc
     thresholds of the process it is built in (:func:`_pin_heap`): building
@@ -319,7 +341,8 @@ class RvePool:
         self.workers = max(1, min(workers, n_rves)) if n_rves else 1
         self._shards = [slice(w, None, self.workers) for w in range(self.workers)]
         if self.workers == 1:
-            self._local = _Shard(geom, n_rves, store_factorization)
+            with _one_blas_thread():
+                self._local = _Shard(geom, n_rves, store_factorization)
         else:
             import multiprocessing as mp
 
@@ -350,7 +373,8 @@ class RvePool:
         if args is None:
             args = [()] * self.workers
         if self._local is not None:
-            return [getattr(self._local, name)(*args[0])]
+            with _one_blas_thread():
+                return [getattr(self._local, name)(*args[0])]
         for pipe, a in zip(self._pipes, args):
             pipe.send((name, a))
         replies = [pipe.recv() for pipe in self._pipes]

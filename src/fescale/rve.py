@@ -244,7 +244,7 @@ class RveBatch:
     has the same state and the same elastic stiffness K0. Since each row
     computes as it would alone, the first RVE alone is assembled and its
     row of every per-RVE array (every array whose first axis is b), trial
-    states included, is copied into the others. One LU solve gives its
+    states included, is copied into the others. One Cholesky solve gives its
     tangent columns, which every RVE starts with as solved, and
     ``virgin_inverse`` = K0^-1, the one retained factor of the batch: a
     linear-flagged RVE's stiffness is K0 bit for bit, so its columns are
@@ -370,10 +370,13 @@ def assemble(rves: RveBatch, mask=None):
         rves.dsig_du[fresh] = np.swapaxes(sens[:, :n, 4:], 1, 2) / geom.volume
         rves.dsig_dh[fresh] = dsig_dh / geom.volume
         rves.solved[fresh] = rves.tangent_valid[fresh] = False
-    reuse = flagged & rves.solved[sel]
+    # plain monolithic dropped the columns of an RVE's earlier assembly, so
+    # it takes the virgin ones here as stored does
+    reuse = flagged & (rves.solved[sel] | (not rves.store_factorization))
     if reuse.any():
         rves.x_h[ids[reuse]] = rves.virgin_x_h
         rves.x_r[ids[reuse]] = _matvec(rves.virgin_inverse, r_hat[reuse])
+        rves.solved[ids[reuse]] = True
 
     f2 = np.take(f_full.reshape(k, -1, 2), geom.boundary_nodes, axis=1)
     bx = geom.mesh.nodes[geom.boundary_nodes]
@@ -390,7 +393,7 @@ def residual_reference(rves: RveBatch):
 
 
 def _solve_columns(rves: RveBatch, need, tangent=True):
-    """LU-solve the stiffness of every RVE in ``need`` whose columns are not solved.
+    """Cholesky-solve the stiffness of every RVE in ``need`` whose columns are not solved.
 
     One :func:`linalg.factorize` call per such RVE, its counted
     factorization, on a fixed layout: the 4 tangent columns and the
@@ -493,8 +496,8 @@ def homogenized_tangent_and_alg_stress(rves: RveBatch, alg_stress=True):
 
     Static condensation on the RVE's columns: the tangent is
     dsig/dH - dsig/du x_h and the algorithmic stress sigma_bar - dsig/du x_r.
-    An RVE whose columns are not solved for its assembly gets one LU solve
-    of its stiffness for all five, and keeps them: a monolithic-stored
+    An RVE whose columns are not solved for its assembly gets one Cholesky
+    solve of its stiffness for all five, and keeps them: a monolithic-stored
     update consumes them (:func:`micro_update_monolithic`). An RVE with a
     valid condensed tangent (a linear-flagged one) reuses it, and a flagged
     RVE skips the residual correction (its residual is zero to machine
@@ -581,7 +584,7 @@ def micro_update_monolithic(rves: RveBatch, delta_h) -> np.ndarray:
 
     ``delta_h`` is shaped (b, 4) and ``du`` (b, n) is returned. No solve
     and no inner iteration when the RVE's columns are solved for its
-    assembly (monolithic-stored); otherwise one LU solve of the cached
+    assembly (monolithic-stored); otherwise one Cholesky solve of the cached
     stiffness gives them (plain monolithic). This starts a sweep:
     ``failed`` is cleared, and an RVE whose stiffness is singular is marked
     failed and not updated.

@@ -1,10 +1,10 @@
 """Kernel microbenchmarks at the plate-hole sizes.
 
 The micro kernels run at the shipped RVE (``n_micro`` 8, n = 116) and at
-``n_micro`` 16 (n = 436), where a dense LU solve costs most; the assembly
+``n_micro`` 16 (n = 436), where a dense Cholesky solve costs most; the assembly
 kernels, the material pass, a shard's construction and a shard's
 monolithic sweep also run on a 16-RVE shard, the plate-hole shard size,
-and a shard's LU solves also at the notched-shear RVE (n = 44). Marked
+and a shard's Cholesky solves also at the notched-shear RVE (n = 44). Marked
 ``kernelbench`` and deselected by default (see pyproject.toml); run them
 with ``pytest -m kernelbench tests/test_kernelbench.py``.
 
@@ -60,7 +60,7 @@ def test_rve_assemble_plastic(benchmark, shipped_geom, count):
 @pytest.mark.parametrize("count", [1, 16])
 def test_rve_batch_setup(benchmark, shipped_geom, count):
     # a plate-hole shard's construction: the virgin set-up pass and the
-    # virgin LU solve; 16 RVEs are a plate-hole shard
+    # virgin Cholesky solve; 16 RVEs are a plate-hole shard
     rves = benchmark(R.RveBatch, shipped_geom, count)
     assert rves.solved.all()
 
@@ -115,7 +115,7 @@ def test_macro_assemble(benchmark):
 
 def test_factorize(benchmark, plate_hole_rve):
     # one RVE's condensation layout: 4 tangent columns and the residual
-    # column in one LU solve (the kernel adds its probe column)
+    # column in one Cholesky solve (the kernel adds its probe column)
     geom, k_t = plate_hole_rve
     rhs = np.random.default_rng(0).standard_normal((geom.n_reduced, 5))
     benchmark(linalg.factorize, k_t, rhs)
@@ -123,7 +123,7 @@ def test_factorize(benchmark, plate_hole_rve):
 
 @pytest.mark.parametrize("count", [1, 16])
 def test_shard_five_column_solves(benchmark, plate_hole_rve, count):
-    # a shard's condensation solves: one five-column LU solve per RVE
+    # a shard's condensation solves: one five-column Cholesky solve per RVE
     geom, k_t = plate_hole_rve
     rhs = np.random.default_rng(0).standard_normal((count, geom.n_reduced, 5))
     benchmark(lambda: [linalg.factorize(k_t, b) for b in rhs])
@@ -132,7 +132,7 @@ def test_shard_five_column_solves(benchmark, plate_hole_rve, count):
 @pytest.mark.parametrize("name", ["n116", "n44"])
 def test_solve_columns_shard(benchmark, shipped_geom, name):
     # a 16-RVE shard's counted factorizations, each RVE at a plastic state
-    # of its own: one five-column LU solve per RVE through rve._solve_columns
+    # of its own: one five-column Cholesky solve per RVE through rve._solve_columns
     geom = shipped_geom if name == "n116" else R.MicroGeometry(
         rve_porous_tri(default_materials("notched-shear"), n=5))
     assert geom.n_reduced == int(name[1:])

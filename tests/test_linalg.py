@@ -1,4 +1,4 @@
-"""Tests for the linear algebra substrate: ordering, LU solves, multi-RHS solves."""
+"""Tests for the linear algebra substrate: ordering, Cholesky solves, multi-RHS solves."""
 
 import importlib.util
 import sys
@@ -104,8 +104,14 @@ class TestFactorize:
         assert exc.value.pivot_index == 1
 
     def test_diagonal_multi_rhs(self):
-        f = factorize(np.diag([2.0, 4.0]))
-        assert_array_equal(solve(f, np.array([2.0, 8.0])), [1.0, 2.0])
+        # power-of-4 pivots: the Cholesky factor diag(2, 4) is exact
+        f = factorize(np.diag([4.0, 16.0]))
+        assert_array_equal(solve(f, np.array([4.0, 32.0])), [1.0, 2.0])
+
+    def test_symmetric_indefinite_matrix_raises(self):
+        # nonsingular (eigenvalues 3 and -1) but not positive definite
+        with pytest.raises(SingularMatrixError):
+            factorize(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
 
     def test_unit_vector_identity(self):
         f = factorize(np.eye(6))
@@ -184,21 +190,23 @@ class TestFactorizationReuse:
 
 
 def band_matrix(n, half, seed, pattern=None):
-    """Random nonsymmetric values, diagonally dominant, on a symmetric pattern.
+    """Random symmetric values on a symmetric pattern, the diagonal raised by 4n (SPD here).
 
     The default pattern is the full band of half-bandwidth ``half``.
     """
     pattern = band_pattern(n, half) if pattern is None else pattern
     a = np.zeros((n, n))
     a[pattern] = np.random.default_rng(seed).standard_normal(np.count_nonzero(pattern))
-    a[np.diag_indices(n)] += 2.0 * n
+    a = a + a.T
+    a[np.diag_indices(n)] += 4.0 * n
     return a
 
 
-def with_probe(rhs):
-    """``rhs`` (n, m) with the kernel's probe column appended: the layout of one LU solve."""
-    n = len(rhs)
-    return np.concatenate([rhs, np.cos(np.arange(n))[:, None]], axis=1)
+def zero_row_and_column():
+    """Row and column 6 of an SPD matrix set to zero."""
+    a = band_matrix(10, 3, 7)
+    a[6, :] = a[:, 6] = 0.0
+    return a
 
 
 class TestStackedSolve:
@@ -209,16 +217,18 @@ class TestStackedSolve:
     @pytest.mark.parametrize("n,half", SIZES)
     @pytest.mark.parametrize("cols", [1, 4, 5])
     def test_stack_equals_per_matrix_solves_bitwise(self, n, half, cols):
-        # one LU solve per matrix equals LAPACK's batched solve of the stack
-        # on the same layout, and every column equals its solve alone
+        # one solve per matrix of a stack, in any order, equals the solves
+        # of each of its columns alone: no state passes between calls and
+        # a column's bits do not depend on how many others it is solved with
         perm = np.random.default_rng(n).permutation(n)
         matrices = [band_matrix(n, half, seed)[np.ix_(perm, perm)] for seed in range(4)]
         rhs = np.random.default_rng(cols).standard_normal((4, n, cols))
-        batched = np.linalg.solve(np.stack(matrices), np.stack([with_probe(b) for b in rhs]))
-        for i, a in enumerate(matrices):
+        stack = [factorize(a, b).columns for a, b in zip(matrices, rhs)]
+        for i in reversed(range(4)):
+            a = matrices[i]
             x = factorize(a, rhs[i]).columns
             assert x.shape == (n, cols)
-            assert_array_equal(x, batched[i, :, :cols])
+            assert_array_equal(x, stack[i])
             assert_array_equal(x, solve(factorize(a), rhs[i]))
             for j in range(cols):
                 assert_array_equal(x[:, j], solve(factorize(a), rhs[i, :, j]))
@@ -248,12 +258,8 @@ class TestStackedSolve:
                                .columns[:, :4], want[:, :4])
 
     def test_singular_pivot_inside_sweep_names_original_row(self):
-        # zero row and column 6 of a matrix otherwise far from singular
-        a = band_matrix(10, 3, 7)
-        a[6, :] = 0.0
-        a[:, 6] = 0.0
         with pytest.raises(SingularMatrixError) as exc:
-            factorize(a, np.ones((10, 5)))
+            factorize(zero_row_and_column(), np.ones((10, 5)))
         assert exc.value.pivot_index == 6
 
     def test_shape_mismatches_rejected(self):
@@ -284,6 +290,19 @@ def elastic_macro_stiffness(name, **sizes):
     return system.assemble(np.zeros((system.plan.n_ip, 4)), c)[1]
 
 
+def near_singular_gram():
+    """M^T M with column 5 of M a combination of columns 1 and 3 up to a relative 1e-15.
+
+    Row 5 is the same combination of rows 1 and 3: not exactly singular,
+    but beyond the condition limit.
+    """
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((8, 8)) + 8 * np.eye(8)
+    m[:, 5] = m[:, 1] - 2.0 * m[:, 3]
+    m[0, 5] *= 1.0 + 1e-15
+    return m.T @ m
+
+
 class TestDenseKernel:
     @pytest.mark.parametrize("matrix", [
         pytest.param(lambda: plastic_micro_stiffness(
@@ -294,7 +313,7 @@ class TestDenseKernel:
             "notched-bending-2d", nx=10, ny=3, n_micro=6), id="notched-bending-macro"),
     ])
     def test_inverse_residual_within_rounding(self, matrix):
-        # the backward error of the LU solve: ||A x - b|| within a few
+        # the backward error of the Cholesky solve: ||A x - b|| within a few
         # n eps ||A|| ||x|| for every column of a condensation layout
         a = matrix()
         n = len(a)
@@ -305,18 +324,14 @@ class TestDenseKernel:
         assert np.all(residual <= 4 * n * np.finfo(np.float64).eps * scale)
 
     def test_near_singular_matrix_names_the_dependent_row(self):
-        # row 5 is a combination of rows 1 and 3 up to a relative 1e-15:
-        # not exactly singular, but beyond the condition limit
-        rng = np.random.default_rng(12)
-        dense = rng.standard_normal((8, 8)) + 8 * np.eye(8)
-        dense[5] = dense[1] - 2.0 * dense[3]
-        dense[5, 0] *= 1.0 + 1e-15
         with pytest.raises(SingularMatrixError) as exc:
-            factorize(dense)
+            factorize(near_singular_gram())
         assert exc.value.pivot_index == 5
 
     def test_ill_conditioned_matrix_below_the_limit_is_inverted(self):
-        dense = np.diag([1.0, 1.0, 0.1 / PIVOT_RTOL])
+        # a power-of-4 pivot, whose Cholesky factor 2^21 is exact, below 0.1 / PIVOT_RTOL
+        assert 4.0**21 <= 0.1 / PIVOT_RTOL < 4.0**22
+        dense = np.diag([1.0, 1.0, 4.0**21])
         assert_array_equal(solve(factorize(dense), np.eye(3)), np.linalg.inv(dense))
 
     def test_non_finite_entry_raises(self):
@@ -324,6 +339,48 @@ class TestDenseKernel:
         dense[2, 1] = np.nan
         with pytest.raises(SingularMatrixError):
             factorize(dense)
+
+
+def non_finite_entry():
+    dense = np.eye(4)
+    dense[2, 1] = np.nan
+    return dense
+
+
+class TestLuFallback:
+    # a numpy without the bundled dposv: every solve is np.linalg.solve's LU
+
+    def test_bundled_dposv_is_found(self):
+        if linalg.bundled_openblas() is None:
+            pytest.skip("numpy is not built on its bundled OpenBLAS")
+        assert linalg._dposv() is not None
+
+    @pytest.mark.parametrize("n", [1, 6, 30])
+    def test_solves_within_rounding(self, n, monkeypatch):
+        a = random_spd(n, seed=n)
+        rhs = np.random.default_rng(n).standard_normal((n, 5))
+        want = factorize(a, rhs).columns
+        monkeypatch.setattr(linalg, "_dposv", lambda: None)
+        got = factorize(a, rhs).columns
+        block = np.concatenate([rhs, np.cos(np.arange(n))[:, None]], axis=1)
+        assert_array_equal(got, np.linalg.solve(a, block)[:, :5])
+        assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("matrix", [
+        pytest.param(lambda: np.ones((2, 2)), id="singular"),
+        pytest.param(near_singular_gram, id="near-singular"),
+        pytest.param(zero_row_and_column, id="zero-row"),
+        pytest.param(non_finite_entry, id="non-finite"),
+    ])
+    def test_raises_as_dposv_does(self, matrix, monkeypatch):
+        a = matrix()
+        rhs = np.ones((len(a), 5))
+        with pytest.raises(SingularMatrixError) as want:
+            factorize(a, rhs)
+        monkeypatch.setattr(linalg, "_dposv", lambda: None)
+        with pytest.raises(SingularMatrixError) as got:
+            factorize(a, rhs)
+        assert got.value.pivot_index == want.value.pivot_index
 
 
 def load_perfbench_tracer(monkeypatch):

@@ -335,40 +335,41 @@ class TestQuadraticConvergence:
 
 # Runs of notched-shear (n_macro=3, n_micro=4, dt 0.125, TIGHT). The curves
 # and alpha digests are those of the element kernels as batched matrix
-# products with bincount scatters, of the micro and macro LU solves of the
-# condensation columns and, for monolithic, of certified-elastic RVEs that
-# follow their condensed linear response (each moved them in the last
+# products with bincount scatters, of the micro and macro Cholesky solves of
+# the condensation columns and, for monolithic, of certified-elastic RVEs
+# that follow their condensed linear response (each moved them in the last
 # bits); the counters are those of the one-RVE-at-a-time sweep before stacked solves
 # (monolithic) and of staggered's own macro Newton loop before the schemes
-# shared one loop. Per scheme: the curve (float.hex), a SHA-256 of
+# shared one loop, except plain monolithic's factorizations, which fell where
+# an RVE flagged linear takes the virgin columns instead of a solve. Per scheme: the curve (float.hex), a SHA-256 of
 # final_alpha's bytes, and per increment (factorizations, aux_solves,
 # micro_iters_total, micro_iters_max, macro_factorizations).
 MONOLITHIC_CURVE = [
     ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-    ("0x1.0000000000000p-3", "0x1.eb851eb851eb8p-9", "0x1.5f5df80e7fa2cp-5"),
-    ("0x1.0000000000000p-2", "0x1.eb851eb851eb8p-8", "0x1.5f5df80e7fa32p-4"),
-    ("0x1.8000000000000p-2", "0x1.70a3d70a3d70ap-7", "0x1.07867a0adfba1p-3"),
-    ("0x1.0000000000000p-1", "0x1.eb851eb851eb8p-7", "0x1.561d661b0d833p-3"),
-    ("0x1.4000000000000p-1", "0x1.3333333333333p-6", "0x1.800619846b928p-3"),
+    ("0x1.0000000000000p-3", "0x1.eb851eb851eb8p-9", "0x1.5f5df80e7fa4ap-5"),
+    ("0x1.0000000000000p-2", "0x1.eb851eb851eb8p-8", "0x1.5f5df80e7fa40p-4"),
+    ("0x1.8000000000000p-2", "0x1.70a3d70a3d70ap-7", "0x1.07867a0adfba4p-3"),
+    ("0x1.0000000000000p-1", "0x1.eb851eb851eb8p-7", "0x1.561d661b0d832p-3"),
+    ("0x1.4000000000000p-1", "0x1.3333333333333p-6", "0x1.800619846b924p-3"),
     ("0x1.8000000000000p-1", "0x1.70a3d70a3d70ap-6", "0x1.8a4f78deae742p-3"),
     ("0x1.c000000000000p-1", "0x1.ae147ae147ae1p-6", "0x1.918b40bcc2d48p-3"),
     ("0x1.0000000000000p+0", "0x1.eb851eb851eb8p-6", "0x1.97a1c262d6642p-3"),
 ]
-MONOLITHIC_ALPHA_SHA256 = "6ce45a4167ebb2a78f11a0bcea79c55f0c7c69e5ef1488ddff397de256ba8b6c"
+MONOLITHIC_ALPHA_SHA256 = "dd400c804827594c3edd67f1a020af7a5d34f0b6a7bd4e96cadcfad90e0012fc"
 SWEEP = {
     "staggered": (
         [
             ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
-            ("0x1.0000000000000p-3", "0x1.eb851eb851eb8p-9", "0x1.5f5df80e7f9e5p-5"),
-            ("0x1.0000000000000p-2", "0x1.eb851eb851eb8p-8", "0x1.5f5df80e7fa26p-4"),
-            ("0x1.8000000000000p-2", "0x1.70a3d70a3d70ap-7", "0x1.07867a0adfba8p-3"),
-            ("0x1.0000000000000p-1", "0x1.eb851eb851eb8p-7", "0x1.561d661aae64bp-3"),
-            ("0x1.4000000000000p-1", "0x1.3333333333333p-6", "0x1.800619846b590p-3"),
-            ("0x1.8000000000000p-1", "0x1.70a3d70a3d70ap-6", "0x1.8a4f78deaebffp-3"),
-            ("0x1.c000000000000p-1", "0x1.ae147ae147ae1p-6", "0x1.918b40bd03838p-3"),
-            ("0x1.0000000000000p+0", "0x1.eb851eb851eb8p-6", "0x1.97a1c262cb7edp-3"),
+            ("0x1.0000000000000p-3", "0x1.eb851eb851eb8p-9", "0x1.5f5df80e7fa25p-5"),
+            ("0x1.0000000000000p-2", "0x1.eb851eb851eb8p-8", "0x1.5f5df80e7fa20p-4"),
+            ("0x1.8000000000000p-2", "0x1.70a3d70a3d70ap-7", "0x1.07867a0adfb9ep-3"),
+            ("0x1.0000000000000p-1", "0x1.eb851eb851eb8p-7", "0x1.561d661aae64dp-3"),
+            ("0x1.4000000000000p-1", "0x1.3333333333333p-6", "0x1.800619846b594p-3"),
+            ("0x1.8000000000000p-1", "0x1.70a3d70a3d70ap-6", "0x1.8a4f78deaec0bp-3"),
+            ("0x1.c000000000000p-1", "0x1.ae147ae147ae1p-6", "0x1.918b40bd03837p-3"),
+            ("0x1.0000000000000p+0", "0x1.eb851eb851eb8p-6", "0x1.97a1c262cb7e0p-3"),
         ],
-        "7091b77ef0560cc7a7d16c2049e44a2767801f794e25aaf922d37a7c2d81be6f",
+        "8bf52ad64d3af2c71bb307a2a22c0bc1e56dcb3a8cc7fba5e608aa56445f44de",
         [
             (0, 16, 22, 1, 1), (0, 0, 22, 1, 1), (0, 0, 0, 1, 0), (36, 12, 61, 3, 3),
             (78, 24, 84, 4, 3), (81, 26, 85, 3, 3), (54, 18, 56, 3, 2), (49, 18, 51, 3, 2),
@@ -377,8 +378,8 @@ SWEEP = {
     "monolithic": (
         MONOLITHIC_CURVE, MONOLITHIC_ALPHA_SHA256,
         [
-            (16, 16, 32, 0, 1), (0, 0, 32, 0, 1), (0, 0, 16, 0, 0), (21, 24, 64, 0, 3),
-            (57, 60, 80, 0, 4), (65, 64, 80, 0, 4), (48, 48, 64, 0, 3), (36, 36, 48, 0, 2),
+            (0, 16, 32, 0, 1), (0, 0, 32, 0, 1), (0, 0, 16, 0, 0), (21, 24, 64, 0, 3),
+            (57, 60, 80, 0, 4), (64, 64, 80, 0, 4), (48, 48, 64, 0, 3), (36, 36, 48, 0, 2),
         ],
     ),
     "monolithic-stored": (
@@ -477,20 +478,34 @@ class TestAgainstFullPassCurves:
         assert_curve_near(name, scheme, "full_pass_curves", 1e-12)
 
 
+LU_KERNEL_CURVES = sorted((DATA / "lu_kernel_curves").glob("*_curve.csv"))
+
+
+class TestAgainstLuKernelCurves:
+    # The shipped suite as `fescale bench all` computed it when every micro
+    # and macro solve was an LU solve (np.linalg.solve), before Cholesky
+    # solves (LAPACK's dposv) replaced them
+    @pytest.mark.parametrize("path", LU_KERNEL_CURVES, ids=lambda p: p.stem)
+    def test_shipped_curves_within_1e_12(self, path):
+        name, scheme, _ = path.stem.rsplit("_", 2)
+        assert_curve_near(name, scheme, "lu_kernel_curves", 1e-12)
+
+
 class TestWorkerFailures:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kernel", ["factorize", "solve"])
     def test_worker_error_keeps_its_type(self, workers, kernel, monkeypatch):
         # A numerical failure inside a micro sweep (every micro factorize
-        # fails, or every LAPACK solve under it returns NaN) cuts the load
-        # until the run gives up, at any worker count. A factorization that
-        # fails while a worker builds its shard raises with its type; forked
-        # workers inherit the patches.
+        # fails, or every LAPACK solve under it, the kernel's entry point
+        # linalg._cholesky_solve, returns NaN) cuts the load until the run
+        # gives up, at any worker count. A factorization that fails while a
+        # worker builds its shard raises with its type; forked workers
+        # inherit the patches.
         def singular(*args, **kwargs):
             raise SingularMatrixError(3, 0.0)
 
-        def not_finite(a, rhs):
-            return np.full(np.shape(rhs), np.nan)
+        def not_finite(a, block):
+            return np.full(np.shape(block), np.nan)
 
         sweep = macro._Shard.monolithic
 
@@ -499,7 +514,7 @@ class TestWorkerFailures:
                 if kernel == "factorize":
                     m.setattr(linalg, kernel, singular)
                 else:
-                    m.setattr(np.linalg, kernel, not_finite)
+                    m.setattr(linalg, "_cholesky_solve", not_finite)
                 return sweep(shard, *args)
 
         settings = SolverSettings(dt_initial=0.25, dt_max=0.25, dt_min=0.01,
@@ -546,8 +561,8 @@ class TestWorkerFailures:
 
 
 def test_workers_run_one_blas_thread(monkeypatch):
-    # a forked worker sets numpy's bundled OpenBLAS to one thread; the
-    # serial path keeps the thread count it has
+    # a forked worker sets numpy's bundled OpenBLAS to one thread, and a
+    # serial shard runs each call at one thread; the caller keeps its count
     libs = sorted(glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                                          "libscipy_openblas*")))
     if not libs:
@@ -560,14 +575,61 @@ def test_workers_run_one_blas_thread(monkeypatch):
     set_threads(2)
     try:
         assert get() == 2
-        pool = macro.RvePool(geom, 2, True, workers=2)
-        try:
-            assert pool._call("plastic_any") == [1, 1]
-        finally:
-            pool.close()
-        assert get() == 2
+        for workers in (1, 2):
+            pool = macro.RvePool(geom, 2, True, workers=workers)
+            try:
+                assert pool._call("plastic_any") == [1] * workers
+            finally:
+                pool.close()
+            assert get() == 2
     finally:
         set_threads(before)
+
+
+# Runs, with the caller's OpenBLAS at two threads, at 1 and 2 workers:
+# the criterion-7 case (plate-hole-tension at its `fescale bench` sizes,
+# monolithic-stored), then the first 40 % of its load path at n_micro 16
+# (n = 436), where a Cholesky solve's bits depend on the thread count.
+# Prints per run whether it converged and the SHA-256 of the curve and of
+# final_alpha, then the caller's thread count.
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from fescale import macro
+from fescale.benchmarks import BENCH_SIZE_DEFAULTS, BENCH_SOLVER_DEFAULTS, build_benchmark
+name = "plate-hole-tension"
+cases = [(BENCH_SIZE_DEFAULTS[name], BENCH_SOLVER_DEFAULTS[name]),
+         (dict(n_macro=3, n_micro=16, u_end=0.006),
+          dict(BENCH_SOLVER_DEFAULTS[name], dt_initial=0.05, dt_max=0.05, t_end=0.4))]
+macro._blas_thread_setter()(2)
+for sizes, solver in cases:
+    for workers in (1, 2):
+        rep = macro.run(build_benchmark(name, "monolithic-stored", **sizes),
+                        macro.SolverSettings(**dict(solver, parallel_workers=workers)))
+        print(rep.converged, hashlib.sha256(np.array(rep.curve).tobytes()).hexdigest(),
+              hashlib.sha256(rep.final_alpha.tobytes()).hexdigest())
+print(macro._blas_thread_getter()())
+"""
+
+
+def test_worker_count_determinism_outside_the_test_session():
+    # criterion 7 without the session's one-thread setting (conftest.py): a
+    # fresh process with no BLAS thread variable, its OpenBLAS at two
+    # threads even on a one-core machine, gives the same bytes at 1 and 2
+    # workers, at the shipped RVE size and at n = 436, and keeps its two
+    # threads
+    if macro._blas_thread_setter() is None:
+        pytest.skip("numpy is not built on its bundled OpenBLAS")
+    src = os.path.dirname(os.path.dirname(fescale.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], capture_output=True, text=True,
+                         env=env, check=True, timeout=300).stdout.split("\n")
+    runs = [line.split() for line in out[:4]]
+    assert all(run[0] == "True" for run in runs)
+    assert runs[0] == runs[1] and runs[2] == runs[3]
+    assert out[4] == "2"
 
 
 def test_workers_inherit_the_blas_setter_lookup(monkeypatch):
