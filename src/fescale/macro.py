@@ -612,7 +612,6 @@ def _run_loop(model, pool, settings):
     dt_prev = None
     cuts_pending = 0
     wall_pending = 0.0  # time spent on cut attempts, charged to the next record
-    pool.counters()
     while t < settings.t_end - 1e-12 * settings.t_end:
         dt = min(dt, settings.dt_max, settings.t_end - t)
         lam = (t + dt) / settings.t_end

@@ -228,10 +228,10 @@ class RveBatch:
     every other array is per RVE, a row each, or the batch's virgin factor
     and linear maps. A per-point result, such as the point stresses, is
     evaluated on demand (:func:`evaluate_points`). Committed state: ``states``, ``u_hat_n``,
-    ``u_hat_nm1``, ``H_n``, ``plastic_committed`` and
-    ``last_step_linear``. The current iterate is ``u_hat`` (b, n) and
+    ``u_hat_nm1`` and ``H_n``. The current iterate is ``u_hat`` (b, n) and
     ``H`` (b, 4). Each RVE's last assembly is kept in the arrays
-    :func:`assemble` fills. Its condensation columns,
+    :func:`assemble` fills, its ``plastic_flow`` among them (True before
+    the first assembly). Its condensation columns,
     the tangent columns ``x_h`` = K^-1 dr/dH (b, n, 4) and the residual
     column ``x_r`` = K^-1 r (b, n), belong to that assembly while
     ``solved`` holds, and ``c_tangent`` while ``tangent_valid`` holds.
@@ -262,8 +262,6 @@ class RveBatch:
         self.geom, self.b, self.store_factorization = geom, b, store_factorization
         self.states = material.StateBatch.virgin(b * n_ip)
         self.trial = self.states.copy()
-        self.last_step_linear = np.ones(b, dtype=bool)
-        self.plastic_committed = np.zeros(b, dtype=bool)
         self.u_hat, self.u_hat_n, self.u_hat_nm1 = np.zeros((3, b, n))
         self.H, self.H_n, self.H_ref = np.zeros((3, b, 4))
         self.radius = np.zeros(b)
@@ -281,8 +279,9 @@ class RveBatch:
         self.residual_norm = np.zeros(b)
         self.x_h = np.zeros((b, n, 4))
         self.x_r = np.zeros((b, n))
-        (self.plastic_flow, self.linear_now, self.flagged, self.solved,
-         self.tangent_valid, self.failed) = np.zeros((6, b), dtype=bool)
+        self.flagged, self.solved, self.tangent_valid, self.failed = np.zeros((4, b), dtype=bool)
+        # an RVE not assembled yet counts as plastic: the set-up pass is fresh
+        self.plastic_flow = np.ones(b, dtype=bool)
         self.counts = np.zeros((b, 3), dtype=np.int64)
         # set-up pass: the first RVE alone is assembled and its row copied
         # into every per-RVE array and trial state; the virgin residual is
@@ -315,13 +314,13 @@ def assemble(rves: RveBatch, mask=None):
     Assembles the RVEs in the boolean ``mask`` (default: all) in one pass
     with one material evaluation over all their points. Material states are
     evaluated from the last committed values; the trial states go to
-    ``rves.trial`` for a possible commit. An RVE whose step is linear (no
-    plastic flow now or in the last committed step, no activity change)
-    keeps the state-independent matrices of its previous assembly and its
-    condensed tangent (``flagged``). Those matrices were assembled with the
-    elastic tangent everywhere, so they are the virgin ones, and the RVE's
-    columns come from the batch's virgin factor: ``x_h`` the virgin tangent
-    columns and ``x_r`` = K0^-1 r. A non-finite residual marks the RVE
+    ``rves.trial`` for a possible commit. An RVE at which no point yields,
+    now or at its previous assembly, keeps the matrices of that assembly
+    and its condensed tangent (``flagged``). An elastic point's tangent is
+    the elastic stiffness bit for bit, whatever its plastic history, so
+    those matrices are the virgin ones, and the RVE's columns come from the
+    batch's virgin factor: ``x_h`` the virgin tangent columns and ``x_r`` =
+    K0^-1 r. A non-finite residual marks the RVE
     ``failed``. Once the batch has its linear maps, each assembled RVE
     records ``H_ref`` = H and its certified radius: (1 - CERTIFY_MARGIN)
     times the least -f_tr / L over its points if it is flagged, else 0.
@@ -339,10 +338,9 @@ def assemble(rves: RveBatch, mask=None):
     rves.trial.alpha_bar.reshape(b, n_ip)[sel] = new.alpha_bar.reshape(k, n_ip)
 
     plastic_flow = active.reshape(k, n_ip).any(axis=1)
-    linear_now = ~plastic_flow & ~rves.plastic_committed[sel]
     # matrices may only be carried over from an assembly that was itself
-    # evaluated in the linear regime (elastic tangent everywhere)
-    flagged = rves.last_step_linear[sel] & linear_now & rves.linear_now[sel]
+    # evaluated with the elastic tangent everywhere
+    flagged = ~plastic_flow & ~rves.plastic_flow[sel]
     if rves.yield_bound is not None:
         room = (-f_tr.reshape(k, n_ip) / rves.yield_bound).min(axis=1)
         rves.radius[sel] = np.where(flagged, (1.0 - CERTIFY_MARGIN) * room, 0.0)
@@ -382,7 +380,7 @@ def assemble(rves: RveBatch, mask=None):
     bx = geom.mesh.nodes[geom.boundary_nodes]
     rves.sigma_bar[sel] = (np.swapaxes(f2, 1, 2) @ bx).reshape(k, 4) / geom.volume
     rves.r_hat[sel], rves.f_full[sel] = r_hat, f_full
-    rves.plastic_flow[sel], rves.linear_now[sel], rves.flagged[sel] = plastic_flow, linear_now, flagged
+    rves.plastic_flow[sel], rves.flagged[sel] = plastic_flow, flagged
     rves.residual_norm[sel] = np.abs(r_hat).max(axis=1, initial=0.0)
     rves.ref_force[sel] = np.maximum(rves.ref_force[sel], np.abs(f_full).max(axis=1, initial=0.0))
     rves.failed[sel] |= ~np.isfinite(rves.residual_norm[sel])
@@ -631,8 +629,10 @@ def certified_update(rves: RveBatch, delta_h) -> np.ndarray:
     (b, 4); builds the batch's linear maps on first use. An RVE is
     certified when it is linear-flagged, has a valid condensed tangent C0
     and ||H - H_ref||_2 < ``radius``: no point can reach the yield surface.
-    Its reference assembly followed an exact linear step, so its residual
-    is one of rounding, and moving u_hat by -x_h0 dH leaves it unchanged.
+    Its reference assembly is flagged, so no point yielded there or at the
+    assembly whose columns gave the step to it: that step was an exact
+    linear one, its residual is one of rounding, and moving u_hat by
+    -x_h0 dH leaves it unchanged.
     The RVE gives back the update's residual correction -x_r and takes
     sigma_bar += C0 dH, f_full += F dH and its reference force from the
     new f_full, which is what an assembly at the new (u_hat, H) finds; it
@@ -671,8 +671,6 @@ def monolithic_pass(rves: RveBatch, delta_h) -> np.ndarray:
 def commit(rves: RveBatch):
     """Accept the trial states of the current assembly as converged."""
     rves.states = rves.trial.copy()
-    rves.plastic_committed = rves.plastic_flow.copy()
-    rves.last_step_linear = rves.linear_now.copy()
     rves.u_hat_nm1 = rves.u_hat_n
     rves.u_hat_n = rves.u_hat.copy()
     rves.H_n = rves.H.copy()

@@ -583,7 +583,9 @@ class TestStateDiscipline:
         assert p.plastic_flow[0]
         R.commit(p)
         assert p.states.alpha_bar.max() > 0.0
-        assert not p.last_step_linear[0]
+        # matrices assembled with a plastic tangent are not carried over
+        R.assemble(p)
+        assert not p.flagged[0]
 
     def test_alpha_nondecreasing_across_commits(self):
         p = R.RveBatch(porous_geom())
@@ -614,7 +616,6 @@ class TestStateDiscipline:
         # commit, so it need not match it bit for bit)
         q = R.RveBatch(geom)
         q.states = p.states.copy()
-        q.plastic_committed = p.plastic_committed.copy()
         q.u_hat, q.H = u_saved.copy(), h_saved.copy()
         R.assemble(q)
         assert_array_equal(p.r_hat, q.r_hat)
@@ -811,6 +812,61 @@ class TestRetainedColumns:
             assert rves.counts[i, R.FACTORIZATIONS] == counts[i, R.FACTORIZATIONS] + 1
             assert_array_equal(rves.x_r[i], alone[:, -1])
             assert_array_equal(rves.x_h[i], alone[:, :4] if tangent else x_h[i])
+
+
+# applied gradients of a load-unload path, in units of H_SHEAR: plastic flow
+# up to 0.8, then elastic unloading to 0.4 and reloading to 0.6
+LOAD_UNLOAD = [0.2, 0.5, 0.8, 0.7, 0.6, 0.5, 0.4, 0.5, 0.6]
+
+
+class TestLoadUnload:
+    """An RVE unloading elastically from plastic flow is flagged at its second elastic assembly."""
+
+    @staticmethod
+    def staggered(rves, h):
+        R.solve_micro_staggered(rves, h[None], 1e-10, 40)
+        R.homogenized_tangent_and_alg_stress(rves, alg_stress=False)
+
+    @staticmethod
+    def monolithic(rves, h):
+        """Monolithic sweeps, each a pass and the condensation call, to micro equilibrium at ``h``."""
+        dh = h - rves.H[0]
+        for _ in range(40):
+            R.monolithic_pass(rves, dh[None])
+            R.homogenized_tangent_and_alg_stress(rves)
+            if rves.residual_norm[0] <= 1e-10 * R.residual_reference(rves)[0]:
+                return
+            dh = np.zeros(4)
+        raise AssertionError("no micro equilibrium")
+
+    @pytest.mark.parametrize("sweep, store", [("staggered", True), ("monolithic", True),
+                                              ("monolithic", False)],
+                             ids=["staggered", "monolithic-stored", "monolithic"])
+    def test_unloading_rve_reuses_the_virgin_matrices(self, sweep, store):
+        geom = porous_geom()
+        rves = R.RveBatch(geom, 1, store)
+        factorizations, plastic = [], []
+        for k in LOAD_UNLOAD:
+            R.begin_increment(rves)
+            before = rves.counts[0, R.FACTORIZATIONS]
+            getattr(self, sweep)(rves, k * H_SHEAR)
+            factorizations.append(rves.counts[0, R.FACTORIZATIONS] - before)
+            plastic.append(rves.plastic_flow[0])
+            R.commit(rves)
+        assert plastic == [False, True, True] + [False] * 6
+        # the first unloading assembly follows a plastic one and is fresh;
+        # from the second on the RVE is flagged and factorizes nothing
+        assert factorizations[3] > 0 and not any(factorizations[4:])
+        assert rves.flagged[0] and rves.states.alpha_bar.max() > 0.0
+        fresh = R.RveBatch(geom, 1, store)
+        fresh.states = rves.states.copy()
+        fresh.u_hat, fresh.H = rves.u_hat.copy(), rves.H.copy()
+        fresh.plastic_flow[:] = True  # as if never assembled: the assembly is fresh
+        R.assemble(fresh)
+        assert not fresh.flagged[0]
+        for name in ("kvals", "dr_dH", "dsig_du", "dsig_dh"):
+            assert_array_equal(getattr(rves, name), getattr(fresh, name), name)
+        assert_array_equal(rves.x_h[0], rves.virgin_x_h)
 
 
 # sizes at which each shipped benchmark has both plastic and certified passes

@@ -54,3 +54,42 @@ def test_code_lines_totals_a_directory(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in out] == ["8", "1", "9"]
     assert out[-1].split()[1] == "total"
+
+
+CURVE = "load_factor,control_value,reaction\n0,0,0\n0.5,0.0015,0.018031598736147073\n"
+STATS = ("increment,dt,macro_iters,micro_iters_total,factorizations,wall_ms\n"
+         "1,0.5,2,56,0,3.9705359959043562\n2,0.5,3,60,12,3.6224209907231852\n")
+
+
+def results_dir(path, curve=CURVE, stats=STATS):
+    path.mkdir()
+    (path / "bench_staggered_curve.csv").write_text(curve)
+    (path / "bench_staggered_stats.csv").write_text(stats)
+    (path / "bench_summary.csv").write_text("benchmark,wall_ms_total\nbench,7.59\n")
+    return path
+
+
+def test_same_results_passes_identical_directories(tmp_path, capsys):
+    same_results = load("same_results")
+    a, b = results_dir(tmp_path / "a"), results_dir(tmp_path / "b")
+    assert same_results.main([str(a), str(b)]) == 0
+    assert "same results" in capsys.readouterr().out
+
+
+def test_same_results_fails_on_a_changed_reaction_digit(tmp_path, capsys):
+    same_results = load("same_results")
+    a = results_dir(tmp_path / "a")
+    b = results_dir(tmp_path / "b", curve=CURVE.replace("0.018031598736147073", "0.018031598736147074"))
+    assert same_results.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "bench_staggered_curve.csv: row 2, column reaction" in out
+
+
+def test_same_results_ignores_a_wall_time_change(tmp_path):
+    same_results = load("same_results")
+    a = results_dir(tmp_path / "a")
+    b = results_dir(tmp_path / "b", stats=STATS.replace("3.9705359959043562", "4.1"))
+    c = results_dir(tmp_path / "c", stats=STATS.replace(",12,", ",13,"))
+    (b / "bench_summary.csv").write_text("benchmark,wall_ms_total\nbench,8.01\n")
+    assert same_results.main([str(a), str(b)]) == 0
+    assert same_results.difference(a, c) == "bench_staggered_stats.csv: row 2, column factorizations: 12 != 13"
