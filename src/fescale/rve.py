@@ -234,7 +234,7 @@ class RveBatch:
     the first assembly). Its condensation columns,
     the tangent columns ``x_h`` = K^-1 dr/dH (b, n, 4) and the residual
     column ``x_r`` = K^-1 r (b, n), belong to that assembly while
-    ``solved`` holds, and ``c_tangent`` while ``tangent_valid`` holds.
+    ``solved`` holds, as it always does after a linear-flagged one.
     ``failed`` marks the RVEs whose current sweep met a numerical failure
     or a budget overrun. ``counts`` holds per RVE the update solves,
     auxiliary solves and factorizations since the macro run loop last reset
@@ -246,9 +246,10 @@ class RveBatch:
     row of every per-RVE array (every array whose first axis is b), trial
     states included, is copied into the others. One Cholesky solve gives its
     tangent columns, which every RVE starts with as solved, and
-    ``virgin_inverse`` = K0^-1, the one retained factor of the batch: a
-    linear-flagged RVE's stiffness is K0 bit for bit, so its columns are
-    the virgin ones (see :func:`assemble`).
+    ``virgin_inverse`` = K0^-1, the one retained factor of the batch; their
+    condensation is the virgin tangent ``virgin_c`` = C0. A linear-flagged
+    RVE's stiffness is K0 bit for bit, so its columns are the virgin ones
+    (see :func:`assemble`) and its condensed tangent is C0.
 
     A monolithic sweep builds the batch's linear maps on first use
     (``response`` and ``yield_bound``, see :func:`certified_update`); from
@@ -273,13 +274,13 @@ class RveBatch:
         # each RVE's (4, n) block is column-major, the transpose of the
         # (n, 4) sums assemble() scatters, which fixes the BLAS kernel of its products
         self.dsig_du = np.zeros((b, n, 4)).transpose(0, 2, 1)
-        self.dsig_dh, self.c_tangent = np.zeros((2, b, 4, 4))
+        self.dsig_dh = np.zeros((b, 4, 4))
         self.sigma_bar = np.zeros((b, 4))
         self.f_full = np.zeros((b, geom.mesh.n_dofs))
         self.residual_norm = np.zeros(b)
         self.x_h = np.zeros((b, n, 4))
         self.x_r = np.zeros((b, n))
-        self.flagged, self.solved, self.tangent_valid, self.failed = np.zeros((4, b), dtype=bool)
+        self.flagged, self.solved, self.failed = np.zeros((3, b), dtype=bool)
         # an RVE not assembled yet counts as plastic: the set-up pass is fresh
         self.plastic_flow = np.ones(b, dtype=bool)
         self.counts = np.zeros((b, 3), dtype=np.int64)
@@ -295,6 +296,7 @@ class RveBatch:
         self.virgin_x_h, self.virgin_inverse = virgin[:, :4], virgin[:, 4:]
         self.x_h[:] = self.virgin_x_h
         self.solved[:] = True
+        self.virgin_c = (self.dsig_dh[:1] - self.dsig_du[:1] @ self.x_h[:1])[0]
 
 
 def full_displacement(rves: RveBatch, u_hat=None, h=None):
@@ -316,11 +318,12 @@ def assemble(rves: RveBatch, mask=None):
     evaluated from the last committed values; the trial states go to
     ``rves.trial`` for a possible commit. An RVE at which no point yields,
     now or at its previous assembly, keeps the matrices of that assembly
-    and its condensed tangent (``flagged``). An elastic point's tangent is
-    the elastic stiffness bit for bit, whatever its plastic history, so
-    those matrices are the virgin ones, and the RVE's columns come from the
-    batch's virgin factor: ``x_h`` the virgin tangent columns and ``x_r`` =
-    K0^-1 r. A non-finite residual marks the RVE
+    (``flagged``). An elastic point's tangent is the elastic stiffness bit
+    for bit, whatever its plastic history, so those matrices are the virgin
+    ones, and the RVE is solved from the batch's virgin factor: ``x_h`` the
+    virgin tangent columns and ``x_r`` = K0^-1 r, whatever columns it held
+    before (after a rollback, say). Any other RVE is left unsolved, for a
+    solve on demand. A non-finite residual marks the RVE
     ``failed``. Once the batch has its linear maps, each assembled RVE
     records ``H_ref`` = H and its certified radius: (1 - CERTIFY_MARGIN)
     times the least -f_tr / L over its points if it is flagged, else 0.
@@ -367,14 +370,11 @@ def assemble(rves: RveBatch, mask=None):
         rves.dr_dH[fresh] = sens[:, :n, :4]
         rves.dsig_du[fresh] = np.swapaxes(sens[:, :n, 4:], 1, 2) / geom.volume
         rves.dsig_dh[fresh] = dsig_dh / geom.volume
-        rves.solved[fresh] = rves.tangent_valid[fresh] = False
-    # plain monolithic dropped the columns of an RVE's earlier assembly, so
-    # it takes the virgin ones here as stored does
-    reuse = flagged & (rves.solved[sel] | (not rves.store_factorization))
-    if reuse.any():
-        rves.x_h[ids[reuse]] = rves.virgin_x_h
-        rves.x_r[ids[reuse]] = _matvec(rves.virgin_inverse, r_hat[reuse])
-        rves.solved[ids[reuse]] = True
+        rves.solved[fresh] = False
+    if flagged.any():
+        rves.x_h[ids[flagged]] = rves.virgin_x_h
+        rves.x_r[ids[flagged]] = _matvec(rves.virgin_inverse, r_hat[flagged])
+        rves.solved[ids[flagged]] = True
 
     f2 = np.take(f_full.reshape(k, -1, 2), geom.boundary_nodes, axis=1)
     bx = geom.mesh.nodes[geom.boundary_nodes]
@@ -492,34 +492,34 @@ def boundary_average_gradient(rves: RveBatch) -> np.ndarray:
 def homogenized_tangent_and_alg_stress(rves: RveBatch, alg_stress=True):
     """Condensed stress (b, 4) and macroscopic tangent (b, 4, 4) of every RVE.
 
-    Static condensation on the RVE's columns: the tangent is
-    dsig/dH - dsig/du x_h and the algorithmic stress sigma_bar - dsig/du x_r.
-    An RVE whose columns are not solved for its assembly gets one Cholesky
-    solve of its stiffness for all five, and keeps them: a monolithic-stored
-    update consumes them (:func:`micro_update_monolithic`). An RVE with a
-    valid condensed tangent (a linear-flagged one) reuses it, and a flagged
-    RVE skips the residual correction (its residual is zero to machine
-    precision). With ``alg_stress=False`` (converged micro problems) the
-    stress is sigma_bar. A ``failed`` RVE gets no solve and zero rows.
+    Static condensation of every freshly assembled RVE on its columns: the
+    tangent is dsig/dH - dsig/du x_h and the algorithmic stress
+    sigma_bar - dsig/du x_r. An RVE whose columns are not solved for its
+    assembly gets one Cholesky solve of its stiffness for all five, and
+    keeps them: a monolithic-stored update consumes them
+    (:func:`micro_update_monolithic`). A linear-flagged RVE takes the
+    virgin tangent C0 (``virgin_c``) with no solve and skips the residual
+    correction (its residual is zero to machine precision). With
+    ``alg_stress=False`` (converged micro problems) the stress is
+    sigma_bar. A ``failed`` RVE gets no solve and zero rows.
     """
     n = rves.geom.n_reduced
-    tangent = ~rves.tangent_valid
-    correct = ~rves.flagged & bool(alg_stress and n)
+    fresh = ~rves.flagged
     if n:
-        _solve_columns(rves, tangent | correct)
+        _solve_columns(rves, fresh)
     ok = ~rves.failed
-    tangent &= ok
-    correct &= ok
+    fresh &= ok
+    correct = fresh & bool(alg_stress and n)
     if n:
-        rves.counts[:, AUX_SOLVES] += tangent.astype(np.int64) + correct
-    if tangent.any():
-        rves.c_tangent[tangent] = rves.dsig_dh[tangent] - rves.dsig_du[tangent] @ rves.x_h[tangent]
-        rves.tangent_valid[tangent] = True
+        rves.counts[:, AUX_SOLVES] += fresh.astype(np.int64) + correct
+    c = np.where(ok[:, None, None], rves.virgin_c, 0.0)
+    if fresh.any():
+        c[fresh] = rves.dsig_dh[fresh] - rves.dsig_du[fresh] @ rves.x_h[fresh]
     sigma = np.where(ok[:, None], rves.sigma_bar, 0.0)
     if correct.any():
         sigma[correct] -= _matvec(rves.dsig_du[correct], rves.x_r[correct])
     _drop_unstored_columns(rves)
-    return sigma, np.where(ok[:, None, None], rves.c_tangent, 0.0)
+    return sigma, c
 
 
 def _norm2(r):
@@ -627,8 +627,8 @@ def certified_update(rves: RveBatch, delta_h) -> np.ndarray:
 
     Called after :func:`micro_update_monolithic` with the same ``delta_h``
     (b, 4); builds the batch's linear maps on first use. An RVE is
-    certified when it is linear-flagged, has a valid condensed tangent C0
-    and ||H - H_ref||_2 < ``radius``: no point can reach the yield surface.
+    certified when it is linear-flagged and ||H - H_ref||_2 < ``radius``:
+    no point can reach the yield surface.
     Its reference assembly is flagged, so no point yielded there or at the
     assembly whose columns gave the step to it: that step was an exact
     linear one, its residual is one of rounding, and moving u_hat by
@@ -643,11 +643,11 @@ def certified_update(rves: RveBatch, delta_h) -> np.ndarray:
     """
     if rves.response is None:
         _build_linear_maps(rves)
-    cert = rves.flagged & rves.tangent_valid & (_norm2(rves.H - rves.H_ref) < rves.radius)
+    cert = rves.flagged & (_norm2(rves.H - rves.H_ref) < rves.radius)
     if cert.any():
         sel = slice(None) if cert.all() else np.flatnonzero(cert)
         dh = np.asarray(delta_h, dtype=np.float64).reshape(rves.b, 4)[sel]
-        rves.sigma_bar[sel] += _matvec(rves.c_tangent[sel], dh)
+        rves.sigma_bar[sel] += _matvec(np.broadcast_to(rves.virgin_c, dh.shape + (4,)), dh)
         rves.f_full[sel] += np.matmul(dh[:, None, :], rves.response)[:, 0]  # F dH, a product per row
         rves.u_hat[sel] += rves.x_r[sel]
         rves.ref_force[sel] = np.maximum(rves.ref_force[sel], np.abs(rves.f_full[sel]).max(axis=1))

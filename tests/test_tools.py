@@ -93,3 +93,17 @@ def test_same_results_ignores_a_wall_time_change(tmp_path):
     (b / "bench_summary.csv").write_text("benchmark,wall_ms_total\nbench,8.01\n")
     assert same_results.main([str(a), str(b)]) == 0
     assert same_results.difference(a, c) == "bench_staggered_stats.csv: row 2, column factorizations: 12 != 13"
+
+
+def test_same_results_lists_every_differing_stats_column(tmp_path, capsys):
+    same_results = load("same_results")
+    a = results_dir(tmp_path / "a")
+    b = results_dir(tmp_path / "b", stats=STATS.replace(",12,", ",13,").replace(",56,", ",50,")
+                    .replace(",60,", ",61,").replace("3.9705359959043562", "4.1"))
+    assert same_results.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "differ: bench_staggered_stats.csv: row 1, column micro_iters_total: 56 != 50",
+        "bench_staggered_stats.csv: column micro_iters_total: total 116 in A, 111 in B; differs in 2 of 2 rows",
+        "bench_staggered_stats.csv: column factorizations: total 12 in A, 13 in B; differs in 1 of 2 rows",
+    ]

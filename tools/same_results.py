@@ -6,8 +6,9 @@ Both directories must hold the same file names. Every ``*_curve.csv`` must
 be byte-identical, and every ``*_stats.csv`` equal in every column but
 ``wall_ms``, the one column that measures time rather than the solve.
 Other files are only checked for presence. Exits 0 when the results are
-the same; otherwise prints the first difference (file, row, column) and
-exits 1.
+the same; otherwise prints the first difference (file, row, column), then
+one line per differing column of every stats file, with the column's total
+in A and in B and the number of rows that differ, and exits 1.
 """
 
 from __future__ import annotations
@@ -34,6 +35,40 @@ def field_difference(a: Path, b: Path, skip=()):
             if va != vb and name not in skip:
                 return f"{b.name}: row {k}, column {name}: {va} != {vb}"
     return None
+
+
+def _number(text):
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def column_changes(a: Path, b: Path, skip=()):
+    """One line per column of two CSVs that differs outside ``skip``: totals in A and B, rows differing.
+
+    Columns are named by ``a``'s header; a blank or missing field counts 0.
+    """
+    with open(a, newline="") as fa, open(b, newline="") as fb:
+        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    header = rows_a[0] if rows_a else []
+    for j, name in enumerate(header):
+        if name in skip:
+            continue
+        col_a, col_b = ([r[j] if j < len(r) else "" for r in rows[1:]] for rows in (rows_a, rows_b))
+        rows = sum(va != vb for va, vb in zip_longest(col_a, col_b, fillvalue=""))
+        if rows:
+            total_a, total_b = (sum(_number(v) for v in col if v) for col in (col_a, col_b))
+            yield (f"{b.name}: column {name}: total {total_a} in A, {total_b} in B; "
+                   f"differs in {rows} of {max(len(col_a), len(col_b))} rows")
+
+
+def stats_changes(dir_a, dir_b):
+    """:func:`column_changes` of every stats file the two directories share."""
+    dir_a, dir_b = Path(dir_a), Path(dir_b)
+    for a in sorted(dir_a.glob("*_stats.csv")):
+        if (dir_b / a.name).is_file():
+            yield from column_changes(a, dir_b / a.name, TIME_COLUMNS)
 
 
 def difference(dir_a, dir_b):
@@ -63,6 +98,8 @@ def main(argv=None):
     found = difference(*args)
     if found:
         print(f"differ: {found}")
+        for line in stats_changes(*args):
+            print(line)
         return 1
     print(f"same results: {args[0]} and {args[1]}")
     return 0
