@@ -319,6 +319,9 @@ def parse_config(raw, base_dir=".") -> RunConfig:
         raise ConfigError(f"solver: unknown fields {sorted(bad)}")
     for key, value in solver_raw.items():
         _typed(f"solver.{key}", value, type(getattr(macro.SolverSettings, key)))
+    if solver_raw.get("predictor", macro.PREDICTORS[0]) not in macro.PREDICTORS:
+        raise ConfigError(f"solver.predictor: unknown value {solver_raw['predictor']!r}; "
+                          f"options: {list(macro.PREDICTORS)}")
     if "parallel_workers" not in solver_raw:
         solver_raw = dict(solver_raw, parallel_workers=_env_workers())
     try:

@@ -29,6 +29,7 @@ from fescale import linalg, mesh as fmesh, rve as rvemod
 from fescale.errors import FescaleError, SingularMatrixError, StructuralError
 
 SCHEMES = ("staggered", "monolithic", "monolithic-stored")
+PREDICTORS = ("tangent", "extrapolate", "none")
 _SCHEME_ALIASES = {"monolithic-stored-factorization": "monolithic-stored"}
 
 
@@ -41,7 +42,14 @@ def canonical_scheme(name):
 
 @dataclass
 class SolverSettings:
-    """Tolerances, iteration budgets, and load-stepping controls."""
+    """Tolerances, iteration budgets, load-stepping controls and the load predictor.
+
+    ``predictor`` picks where an increment attempt starts (see
+    :func:`tangent_predictor` and :func:`extrapolate_initial_guess`):
+    ``"tangent"`` solves for the increment on the last converged tangent,
+    ``"extrapolate"`` extends the last two committed increments linearly,
+    ``"none"`` starts from the last committed state.
+    """
 
     tol_macro: float = 5e-3
     tol_micro: float = 5e-3
@@ -53,7 +61,7 @@ class SolverSettings:
     dt_max: float = 0.1
     cut_factor: float = 0.5
     growth_factor: float = 1.5
-    extrapolate: bool = True
+    predictor: str = "tangent"
     parallel_workers: int = 1
 
     def __post_init__(self):
@@ -67,6 +75,8 @@ class SolverSettings:
         for name in ("max_macro_iter", "n_max", "parallel_workers"):
             if getattr(self, name) < 1:
                 raise StructuralError(f"{name} must be >= 1")
+        if self.predictor not in PREDICTORS:
+            raise StructuralError(f"predictor must be one of {PREDICTORS}, got {self.predictor!r}")
 
 
 @dataclass
@@ -183,6 +193,7 @@ class _Shard:
 
     def begin_increment(self, extrapolate_ratio):
         rvemod.begin_increment(self.rves, extrapolate_ratio)
+        return self.rves.virgin_c
 
     def staggered(self, h_sub, tol_micro, n_max):
         iters = rvemod.solve_micro_staggered(self.rves, h_sub, tol_micro, n_max)
@@ -398,7 +409,8 @@ class RvePool:
         return {key: self._gather([res[key] for res in results]) for key in results[0]}
 
     def begin_increment(self, extrapolate_ratio=None):
-        self._call("begin_increment", [(extrapolate_ratio,)] * self.workers)
+        """Start an increment in every shard; returns the virgin tangent C0 the shards share."""
+        return self._call("begin_increment", [(extrapolate_ratio,)] * self.workers)[0]
 
     def staggered(self, h_all, tol_micro, n_max):
         return self._sweep("staggered", [(sub, tol_micro, n_max) for sub in self._scatter(h_all)])
@@ -515,6 +527,25 @@ def extrapolate_initial_guess(u_n, u_nm1, dt_ratio, n_commits):
     return u_n + dt_ratio * (u_n - u_nm1)
 
 
+def tangent_predictor(sysm, c_all, k_t, u_n, u_prescribed, dlam):
+    """Forward-Euler load predictor: u_n + du with K_ff du_f = dlam p_f - K_fp dg.
+
+    ``c_all`` (n_ip, 4, 4) are the tangents K_t = ``k_t`` (the free-free
+    block) was assembled from; ``u_prescribed`` holds the prescribed DOFs'
+    values at the new load, so dg is their change from ``u_n``. K_fp dg is
+    formed without the matrix, as the free rows of the internal force of
+    the stresses c·grad(dg). One macro factorization; a singular K_ff
+    raises :class:`SingularMatrixError`.
+    """
+    dg = np.zeros_like(u_n)
+    dg[sysm.prescribed] = u_prescribed - u_n[sysm.prescribed]
+    k_dg = sysm.plan.internal_force((c_all @ sysm.gradients(dg)[..., None])[..., 0])
+    u = u_n + dg
+    if sysm.n_free:
+        u[sysm.free] += linalg.factorize(k_t, (dlam * sysm.p_end - k_dg)[sysm.free]).columns
+    return u
+
+
 def adapt_step(record: IncrementRecord, settings: SolverSettings):
     """Next time increment and retry decision from one increment record.
 
@@ -536,7 +567,7 @@ def adapt_step(record: IncrementRecord, settings: SolverSettings):
 
 
 def newton_increment(model, pool, settings, lam, u_start, u_n, record):
-    """One increment attempt; returns ``(U, f_int)`` on success, else None.
+    """One increment attempt; returns ``(U, f_int, c, K_t)`` on success, else None.
 
     The schemes differ only in the micro sweep: staggered converges every
     micro problem at the gradient of U, monolithic makes one condensation
@@ -547,7 +578,9 @@ def newton_increment(model, pool, settings, lam, u_start, u_n, record):
     converged staggered micro problems by construction. The attempt fails,
     to be cut by the caller, when a micro problem fails (budget overrun,
     singular stiffness, non-finite residual), the macro residual is not
-    finite or the macro tangent is singular.
+    finite or the macro tangent is singular. ``c`` are the per-point
+    tangents of the converged iteration and ``K_t`` the free-free macro
+    tangent assembled from them, which the tangent predictor reuses.
     """
     sysm = model.system
     u = u_start.copy()
@@ -571,7 +604,7 @@ def newton_increment(model, pool, settings, lam, u_start, u_n, record):
                      and bool(np.all(outs["rnorm"] <= settings.tol_micro * outs["ref"])))
         if converged or k == settings.max_macro_iter or not np.isfinite(rn):
             record.macro_iterations += k
-            return (u, f_int) if converged else None
+            return (u, f_int, outs["c"], k_t) if converged else None
         try:
             step = linalg.factorize(k_t, r_free).columns
         except SingularMatrixError:
@@ -604,6 +637,8 @@ def run(model: TwoScaleModel, settings: SolverSettings) -> SolveReport:
 def _run_loop(model, pool, settings):
     sysm = model.system
     u_n, u_nm1 = np.zeros(sysm.mesh.n_dofs), np.zeros(sysm.mesh.n_dofs)
+    lam_n = 0.0
+    tangent = None  # (per-point tangents, K_ff) of the last accepted state
     n_commits = 0
     records = []
     curve = [(0.0, 0.0, 0.0)]
@@ -620,16 +655,31 @@ def _run_loop(model, pool, settings):
         tic = time.perf_counter()
 
         ratio = dt / dt_prev if dt_prev else 1.0
-        if settings.extrapolate:
+        # the micro predictor extrapolates whenever there is a macro
+        # predictor, and only for staggered: the pool commits exactly when
+        # this loop does
+        extrapolate = (settings.predictor != "none" and model.scheme == "staggered"
+                       and n_commits >= 2)
+        virgin_c = pool.begin_increment(ratio if extrapolate else None)
+        g = lam * sysm.g_end[sysm.prescribed]
+        if settings.predictor == "tangent":
+            if tangent is None:  # the virgin state's tangents, C0 at every point
+                c0 = np.broadcast_to(virgin_c, (model.n_rves, 4, 4))
+                tangent = c0, sysm.assemble(np.zeros((model.n_rves, 4)), c0)[1]
+            try:
+                u_start = tangent_predictor(sysm, *tangent, u_n, g, lam - lam_n)
+                record.macro_factorizations += int(sysm.n_free > 0)
+            except SingularMatrixError:
+                u_start = None
+        elif settings.predictor == "extrapolate":
             u_start = extrapolate_initial_guess(u_n, u_nm1, ratio, n_commits)
         else:
             u_start = u_n.copy()
-        u_start[sysm.prescribed] = lam * sysm.g_end[sysm.prescribed]
-        # the micro predictor extrapolates as the macro one does, and only
-        # for staggered: the pool commits exactly when this loop does
-        extrapolate = settings.extrapolate and model.scheme == "staggered" and n_commits >= 2
-        pool.begin_increment(ratio if extrapolate else None)
-        result = newton_increment(model, pool, settings, lam, u_start, u_n, record)
+        if u_start is None:
+            result = None
+        else:
+            u_start[sysm.prescribed] = g
+            result = newton_increment(model, pool, settings, lam, u_start, u_n, record)
 
         if result is None:
             pool.rollback()
@@ -657,8 +707,9 @@ def _run_loop(model, pool, settings):
         wall_pending = 0.0
 
         pool.commit()
-        u, f_int = result
-        u_nm1, u_n = u_n, u
+        u, f_int, c, k_t = result
+        u_nm1, u_n, lam_n = u_n, u, lam
+        tangent = c, k_t
         n_commits += 1
         t += dt
         dt_prev = dt

@@ -181,7 +181,7 @@ class TestCriterion4ConsistentTangent:
         model = bar_with_porous_rve(scheme)
         settings = SolverSettings(
             tol_macro=1e-12, tol_micro=1e-12, dt_initial=0.5, dt_max=0.5,
-            extrapolate=False, n_max=30, max_macro_iter=30,
+            predictor="none", n_max=30, max_macro_iter=30,
         )
         report = run(model, settings)
         assert report.converged
@@ -242,7 +242,7 @@ class TestCriterion6StoredFactorization:
         # exact per-iteration counter on a one-integration-point macro model:
         # the single RVE factorizes exactly once per macro iteration
         settings = SolverSettings(tol_macro=1e-9, tol_micro=1e-9,
-                                  dt_initial=0.5, dt_max=0.5, extrapolate=False)
+                                  dt_initial=0.5, dt_max=0.5, predictor="none")
         rep = run(single_ip_porous_model("monolithic-stored"), settings)
         assert rep.converged
         plastic_recs = [r for r in rep.records if r.plastic_flow]

@@ -379,7 +379,8 @@ class TestFieldTypes:
         ({"solver": {"cut_factor": "half"}}, "solver.cut_factor: expected float, got 'half'"),
         ({"solver": {"tol_micro": True}}, "solver.tol_micro: expected float, got True"),
         ({"solver": {"max_macro_iter": 16.0}}, "solver.max_macro_iter: expected int, got 16.0"),
-        ({"solver": {"extrapolate": 1}}, "solver.extrapolate: expected bool, got 1"),
+        ({"solver": {"predictor": 1}}, "solver.predictor: expected str, got 1"),
+        ({"solver": {"extrapolate": True}}, "solver: unknown fields ['extrapolate']"),
         ({"overrides": {"bogus": 1}}, "overrides: unknown field 'bogus'"),
         ({"overrides": {"n_macro": 3.0}}, "overrides.n_macro: expected int, got 3.0"),
         ({"elastic_only": "yes"}, "elastic_only: expected bool, got 'yes'"),
@@ -410,6 +411,8 @@ class TestFieldTypes:
         ({"solver": {"tol_micro": 0.0}}, "solver: tol_micro must be > 0"),
         ({"solver": {"t_end": -1.0}}, "solver: t_end must be > 0"),
         ({"solver": {"dt_min": 0.0}}, "solver: dt_min must be > 0"),
+        ({"solver": {"predictor": "linear"}},
+         "solver.predictor: unknown value 'linear'; options: ['tangent', 'extrapolate', 'none']"),
         # Python's json reads NaN and Infinity
         ({"overrides": {"u_end": float("nan")}}, "overrides.u_end: expected a finite number, got nan"),
         ({"overrides": {"u_end": float("inf")}}, "overrides.u_end: expected a finite number, got inf"),

@@ -80,6 +80,8 @@ class TestSettings:
             SolverSettings(growth_factor=0.9)
         with pytest.raises(StructuralError):
             SolverSettings(dt_initial=0.5, dt_max=0.25)
+        with pytest.raises(StructuralError, match="predictor must be one of"):
+            SolverSettings(predictor="linear")
 
 
 class TestExtrapolation:
@@ -98,7 +100,7 @@ class TestExtrapolation:
 
     def test_elastic_ramp_converges_in_one_iteration(self):
         model = bar_model("staggered")
-        settings = SolverSettings(dt_initial=0.2, dt_max=0.2, extrapolate=True, **TIGHT)
+        settings = SolverSettings(dt_initial=0.2, dt_max=0.2, predictor="extrapolate", **TIGHT)
         report = run(model, settings)
         assert report.converged
         # from the third increment on, the predictor is exact
@@ -171,7 +173,7 @@ class TestClosedFormBar:
 
 class TestSchemeBehavior:
     def test_elastic_iterates_match_across_schemes(self):
-        settings = SolverSettings(dt_initial=0.25, dt_max=0.25, extrapolate=False, **TIGHT)
+        settings = SolverSettings(dt_initial=0.25, dt_max=0.25, predictor="none", **TIGHT)
         reports = {}
         for scheme in ("staggered", "monolithic", "monolithic-stored"):
             model = build_benchmark("notched-shear", scheme, n_macro=3, n_micro=3,
@@ -207,7 +209,7 @@ class TestSchemeBehavior:
 
     def test_monolithic_factorization_counters_single_rve(self):
         micro = rve_porous_tri(PLASTIC, n=4)
-        settings = SolverSettings(dt_initial=0.5, dt_max=0.5, extrapolate=False, **TIGHT)
+        settings = SolverSettings(dt_initial=0.5, dt_max=0.5, predictor="none", **TIGHT)
         stored = run(stretch_model("monolithic-stored", micro, u_end=0.018), settings)
         plain = run(stretch_model("monolithic", micro, u_end=0.018), settings)
         for rec_s, rec_p in zip(stored.records, plain.records):
@@ -310,6 +312,52 @@ class TestDeterminism:
         assert_array_equal(a1, a2)
 
 
+class TestTangentPredictor:
+    def test_elastic_ramp_is_exact_from_the_first_increment(self):
+        # on the virgin tangents C0 the predictor solves a linear problem
+        # exactly, so every increment converges at its first iterate
+        report = run(bar_model("staggered"), SolverSettings(dt_initial=0.2, dt_max=0.2, **TIGHT))
+        assert report.converged
+        assert all(r.macro_iterations == 1 for r in report.records)
+        assert all(r.macro_factorizations == 1 for r in report.records)
+
+
+class TestLargeSteps:
+    # Builder-default sizes at pinned load steps of 0.25 and 0.5, tolerances
+    # 1e-8. Under the linear-extrapolation predictor every one of these runs
+    # cut its first increments 3-4 times, the whole boundary increment
+    # landing in the first element row; the tangent predictor takes each
+    # step whole, at 1 and 2 workers with the same bytes
+    @pytest.mark.parametrize("scheme", macro.SCHEMES)
+    @pytest.mark.parametrize("name, dt", [("notched-shear", 0.25), ("notched-shear", 0.5),
+                                          ("plate-hole-tension", 0.25),
+                                          ("plate-hole-tension", 0.5)])
+    def test_converges_without_a_cut(self, name, dt, scheme):
+        curves = []
+        for workers in (1, 2):
+            rep = run(build_benchmark(name, scheme),
+                      SolverSettings(tol_macro=1e-8, tol_micro=1e-8, dt_initial=dt, dt_max=dt,
+                                     dt_min=1e-3, parallel_workers=workers))
+            assert rep.converged
+            assert [r.cut_events for r in rep.records] == [0] * round(1 / dt)
+            curves.append(np.array(rep.curve))
+        assert curves[0].tobytes() == curves[1].tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_staggered_does_not_stall_below_the_workload_load(self, workers):
+        # the perfbench plate-hole workload (n_macro 3, the first 40 % of the
+        # shipped load path) at an end displacement 0.2 % lower: under the
+        # extrapolation predictor the staggered macro Newton stalled just
+        # above its tolerance and cut once (9 records, 562 factorizations)
+        model = build_benchmark("plate-hole-tension", "staggered", n_macro=3, n_micro=8,
+                                u_end=0.015 * 0.4 * 0.998)
+        rep = run(model, SolverSettings(tol_macro=1e-8, tol_micro=1e-8, dt_initial=0.05,
+                                        dt_max=0.05, dt_min=1e-3, t_end=0.4,
+                                        parallel_workers=workers))
+        assert rep.converged
+        assert [r.cut_events for r in rep.records] == [0] * 8
+
+
 class TestQuadraticConvergence:
     @pytest.mark.parametrize("scheme", ["staggered", "monolithic-stored"])
     def test_terminal_ratio_on_smooth_increment(self, scheme):
@@ -319,7 +367,7 @@ class TestQuadraticConvergence:
         model = bar_model(scheme, micro=micro, force=0.55)
         settings = SolverSettings(
             tol_macro=1e-12, tol_micro=1e-12, dt_initial=0.5, dt_max=0.5,
-            extrapolate=False, n_max=30, max_macro_iter=30,
+            predictor="none", n_max=30, max_macro_iter=30,
         )
         report = run(model, settings)
         assert report.converged
@@ -394,36 +442,103 @@ SWEEP = {
 }
 
 
+def assert_sweep_pinned(scheme, predictor, pins):
+    """The notched-shear sweep run under ``predictor`` gives ``pins[scheme]`` exactly."""
+    settings = SolverSettings(dt_initial=0.125, dt_max=0.125, predictor=predictor, **TIGHT)
+    rep = run(build_benchmark("notched-shear", scheme, n_macro=3, n_micro=4), settings)
+    assert rep.converged
+    curve, alpha_sha256, counters = pins[scheme]
+    assert [tuple(float(v).hex() for v in row) for row in rep.curve] == curve
+    assert hashlib.sha256(rep.final_alpha.tobytes()).hexdigest() == alpha_sha256
+    assert [(r.factorizations, r.aux_solves, r.micro_iters_total, r.micro_iters_max,
+             r.macro_factorizations) for r in rep.records] == counters
+
+
 class TestStackedSweep:
+    # the pins above were computed with the linear-extrapolation predictor
     @pytest.mark.parametrize("scheme", ["staggered", "monolithic", "monolithic-stored"])
     def test_matches_per_rve_sweep_bitwise(self, scheme):
-        settings = SolverSettings(dt_initial=0.125, dt_max=0.125, **TIGHT)
-        rep = run(build_benchmark("notched-shear", scheme, n_macro=3, n_micro=4), settings)
-        assert rep.converged
-        curve, alpha_sha256, counters = SWEEP[scheme]
-        assert [tuple(float(v).hex() for v in row) for row in rep.curve] == curve
-        assert hashlib.sha256(rep.final_alpha.tobytes()).hexdigest() == alpha_sha256
-        assert [(r.factorizations, r.aux_solves, r.micro_iters_total, r.micro_iters_max,
-                 r.macro_factorizations) for r in rep.records] == counters
+        assert_sweep_pinned(scheme, "extrapolate", SWEEP)
+
+
+# The same runs under the tangent predictor, the default: each increment
+# starts from the forward-Euler step on the last converged tangents (C0 for
+# the first), solved in one more macro factorization per increment.
+TANGENT_MONOLITHIC_CURVE = [
+    ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    ("0x1.0000000000000p-3", "0x1.eb851eb851eb8p-9", "0x1.5f5df80e7fa16p-5"),
+    ("0x1.0000000000000p-2", "0x1.eb851eb851eb8p-8", "0x1.5f5df80e7fa13p-4"),
+    ("0x1.8000000000000p-2", "0x1.70a3d70a3d70ap-7", "0x1.07867a0adfb94p-3"),
+    ("0x1.0000000000000p-1", "0x1.eb851eb851eb8p-7", "0x1.561d661b0d833p-3"),
+    ("0x1.4000000000000p-1", "0x1.3333333333333p-6", "0x1.800619846b926p-3"),
+    ("0x1.8000000000000p-1", "0x1.70a3d70a3d70ap-6", "0x1.8a4f78deae740p-3"),
+    ("0x1.c000000000000p-1", "0x1.ae147ae147ae1p-6", "0x1.918b40bcc2d48p-3"),
+    ("0x1.0000000000000p+0", "0x1.eb851eb851eb8p-6", "0x1.97a1c262ca2e2p-3"),
+]
+TANGENT_MONOLITHIC_ALPHA_SHA256 = "cd2c72559331e8005d8d86d7981ad58e627e59983c42ef8e0848354ad9aca572"
+TANGENT_SWEEP = {
+    "staggered": (
+        [
+            ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+            ("0x1.0000000000000p-3", "0x1.eb851eb851eb8p-9", "0x1.5f5df80e7fa15p-5"),
+            ("0x1.0000000000000p-2", "0x1.eb851eb851eb8p-8", "0x1.5f5df80e7fa1ep-4"),
+            ("0x1.8000000000000p-2", "0x1.70a3d70a3d70ap-7", "0x1.07867a0adfb9ap-3"),
+            ("0x1.0000000000000p-1", "0x1.eb851eb851eb8p-7", "0x1.561d661aae656p-3"),
+            ("0x1.4000000000000p-1", "0x1.3333333333333p-6", "0x1.800619846b4a5p-3"),
+            ("0x1.8000000000000p-1", "0x1.70a3d70a3d70ap-6", "0x1.8a4f78de5502bp-3"),
+            ("0x1.c000000000000p-1", "0x1.ae147ae147ae1p-6", "0x1.918b40bcc2a6fp-3"),
+            ("0x1.0000000000000p+0", "0x1.eb851eb851eb8p-6", "0x1.97a1c262b8ee7p-3"),
+        ],
+        "4ddbe77e7792ee3a0327c2c73c200b8fecf68e232ffe3a20d83fd4e1cbc20eb2",
+        [
+            (0, 0, 16, 1, 1), (0, 0, 16, 1, 1), (0, 0, 0, 1, 1), (36, 12, 61, 3, 4),
+            (78, 24, 94, 4, 4), (73, 24, 89, 3, 4), (53, 18, 65, 3, 3), (49, 18, 61, 3, 3),
+        ],
+    ),
+    "monolithic": (
+        TANGENT_MONOLITHIC_CURVE, TANGENT_MONOLITHIC_ALPHA_SHA256,
+        [
+            (0, 0, 16, 0, 1), (0, 0, 16, 0, 1), (0, 0, 16, 0, 1), (21, 24, 64, 0, 4),
+            (57, 60, 80, 0, 5), (60, 60, 80, 0, 5), (48, 48, 64, 0, 4), (36, 36, 48, 0, 3),
+        ],
+    ),
+    "monolithic-stored": (
+        TANGENT_MONOLITHIC_CURVE, TANGENT_MONOLITHIC_ALPHA_SHA256,
+        [
+            (0, 0, 16, 0, 1), (0, 0, 16, 0, 1), (0, 0, 16, 0, 1), (12, 24, 64, 0, 4),
+            (30, 60, 80, 0, 5), (30, 60, 80, 0, 5), (24, 48, 64, 0, 4), (18, 36, 48, 0, 3),
+        ],
+    ),
+}
+
+
+class TestTangentStackedSweep:
+    @pytest.mark.parametrize("scheme", ["staggered", "monolithic", "monolithic-stored"])
+    def test_default_predictor_pinned_bitwise(self, scheme):
+        assert_sweep_pinned(scheme, "tangent", TANGENT_SWEEP)
 
 
 DATA = pathlib.Path(__file__).parent / "data"
 
 
 @functools.lru_cache(maxsize=None)
-def shipped_curve(name, scheme):
-    """Curve of a shipped benchmark at its `fescale bench` sizes, run once per session."""
+def shipped_curve(name, scheme, predictor="extrapolate"):
+    """Curve of a shipped benchmark at its `fescale bench` sizes, run once per session.
+
+    The kept reference curves were computed with the linear-extrapolation
+    predictor, so their cross-checks run on it by default.
+    """
     rep = run(build_benchmark(name, scheme, **BENCH_SIZE_DEFAULTS[name]),
-              SolverSettings(**BENCH_SOLVER_DEFAULTS[name]))
+              SolverSettings(**BENCH_SOLVER_DEFAULTS[name], predictor=predictor))
     assert rep.converged
     curve = np.array(rep.curve)
     curve.flags.writeable = False  # one array serves every caller
     return curve
 
 
-def assert_curve_near(name, scheme, directory, rtol):
+def assert_curve_near(name, scheme, directory, rtol, predictor="extrapolate"):
     """The curve within rtol of each column's largest magnitude in the CSV kept in ``directory``."""
-    got = shipped_curve(name, scheme)
+    got = shipped_curve(name, scheme, predictor)
     want = np.loadtxt(DATA / directory / f"{name}_{scheme}_curve.csv", delimiter=",", skiprows=1)
     assert got.shape == want.shape
     assert_array_equal(got[:, 0], want[:, 0])
@@ -493,6 +608,20 @@ class TestAgainstLuKernelCurves:
         assert_curve_near(name, scheme, "lu_kernel_curves", 1e-12)
 
 
+EXTRAPOLATE_PREDICTOR_CURVES = sorted((DATA / "extrapolate_predictor_curves").glob("*_curve.csv"))
+
+
+class TestAgainstExtrapolatePredictorCurves:
+    # The shipped suite as `fescale bench all` computed it with the linear
+    # extrapolation predictor, before the tangent predictor became the
+    # default. The predictor moves the iterates, so the converged states
+    # move within the 1e-8 tolerances; the load steps stay the same
+    @pytest.mark.parametrize("path", EXTRAPOLATE_PREDICTOR_CURVES, ids=lambda p: p.stem)
+    def test_default_predictor_curves_within_1e_8(self, path):
+        name, scheme, _ = path.stem.rsplit("_", 2)
+        assert_curve_near(name, scheme, "extrapolate_predictor_curves", 1e-8, predictor="tangent")
+
+
 class TestWorkerFailures:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kernel", ["factorize", "solve"])
@@ -537,7 +666,8 @@ class TestWorkerFailures:
     def test_singular_macro_tangent_cuts_the_load(self, scheme, monkeypatch):
         # the first macro factorization fails as singular: the attempt is
         # rolled back and cut as one with a failed RVE is, and the retry at
-        # half the increment converges
+        # half the increment converges. It is the tangent predictor's solve,
+        # or under the extrapolation predictor the first Newton step's
         model = bar_model(scheme)
         factorize, failed = linalg.factorize, []
 
@@ -548,10 +678,13 @@ class TestWorkerFailures:
             return factorize(a, rhs)
 
         monkeypatch.setattr(linalg, "factorize", singular_once)
-        rep = run(model, SolverSettings(dt_initial=0.25, dt_max=0.25, **TIGHT))
-        assert failed == [model.system.n_free]
-        assert rep.converged
-        assert (rep.records[0].cut_events, rep.records[0].dt) == (1, 0.125)
+        for predictor in ("tangent", "extrapolate"):
+            failed.clear()
+            rep = run(model, SolverSettings(dt_initial=0.25, dt_max=0.25, predictor=predictor,
+                                            **TIGHT))
+            assert failed == [model.system.n_free]
+            assert rep.converged
+            assert (rep.records[0].cut_events, rep.records[0].dt) == (1, 0.125)
 
     def test_errors_survive_pickling(self):
         for exc in (SingularMatrixError(3, 1e-20), MeshQualityError(4, -1.0),

@@ -338,8 +338,8 @@ def assert_rves_alike(batch, singles, alg_stress):
 
 
 # Staggered notched-shear (n_macro=3, n_micro=4, dt 0.25, n_max=3, tolerances
-# 1e-9) cuts 5 times: micro problems diverge while the rest of their shard
-# converge. Per increment (factorizations, aux_solves, micro_iters_total,
+# 1e-9, the linear-extrapolation predictor) cuts 5 times: micro problems
+# diverge while the rest of their shard converge. Per increment (factorizations, aux_solves, micro_iters_total,
 # cut_events), as computed by the per-RVE tangent path before the shard-wide
 # condensation call, except where a linear-flagged RVE now takes the virgin
 # columns and tangent after a rollback instead of solving K0 and condensing
@@ -418,7 +418,8 @@ class TestStackedSweep:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_staggered_cuts_keep_their_counters(self, workers):
         settings = SolverSettings(dt_initial=0.25, dt_max=0.25, n_max=3, tol_macro=1e-9,
-                                  tol_micro=1e-9, parallel_workers=workers)
+                                  tol_micro=1e-9, parallel_workers=workers,
+                                  predictor="extrapolate")
         rep = run(build_benchmark("notched-shear", "staggered", n_macro=3, n_micro=4), settings)
         assert rep.converged
         assert [(r.factorizations, r.aux_solves, r.micro_iters_total, r.cut_events)
