@@ -178,10 +178,9 @@ class MacroSystem:
 class _Shard:
     """The RVE problems of one worker, a contiguous-by-stride subset, as one batch.
 
-    The batch's set-up pass (see :class:`rve.RveBatch`) assembles one
-    RVE at the virgin state, copies its row into the others and solves the
-    virgin stiffness once, so the first condensation update consumes
-    retained columns. Both sweeps end in one condensation call that
+    Every RVE starts as a copy of the geometry's virgin RVE (see
+    :class:`rve.RveBatch`), solved, so the first condensation update
+    consumes retained columns. Both sweeps end in one condensation call that
     returns the shard's stresses and tangents. The pool calls the public
     methods by name. The process that builds a shard runs its sweeps, and
     pins its heap (:func:`_pin_heap`) first.
@@ -193,7 +192,6 @@ class _Shard:
 
     def begin_increment(self, extrapolate_ratio):
         rvemod.begin_increment(self.rves, extrapolate_ratio)
-        return self.rves.virgin_c
 
     def staggered(self, h_sub, tol_micro, n_max):
         iters = rvemod.solve_micro_staggered(self.rves, h_sub, tol_micro, n_max)
@@ -409,8 +407,7 @@ class RvePool:
         return {key: self._gather([res[key] for res in results]) for key in results[0]}
 
     def begin_increment(self, extrapolate_ratio=None):
-        """Start an increment in every shard; returns the virgin tangent C0 the shards share."""
-        return self._call("begin_increment", [(extrapolate_ratio,)] * self.workers)[0]
+        self._call("begin_increment", [(extrapolate_ratio,)] * self.workers)
 
     def staggered(self, h_all, tol_micro, n_max):
         return self._sweep("staggered", [(sub, tol_micro, n_max) for sub in self._scatter(h_all)])
@@ -457,8 +454,9 @@ class TwoScaleModel:
     """Macro mesh plus one micro problem per macroscopic integration point.
 
     Building it checks the inputs and builds the micro geometry, which
-    every run of the model shares; an error the geometry finds in the
-    micro mesh is reported as ``rve: ...``.
+    every run of the model shares, at one BLAS thread as the shards run; an
+    error the geometry finds in the micro mesh (a singular virgin micro
+    stiffness, or too many unknowns, among them) is reported as ``rve: ...``.
     """
 
     macro_mesh: fmesh.Mesh
@@ -471,7 +469,8 @@ class TwoScaleModel:
 
     def __post_init__(self):
         try:
-            self.micro_geometry = rvemod.MicroGeometry(self.micro_model)
+            with _one_blas_thread():
+                self.micro_geometry = rvemod.MicroGeometry(self.micro_model)
         except FescaleError as exc:
             raise StructuralError(f"rve: {exc}") from exc
         self.scheme = canonical_scheme(self.scheme)
@@ -491,11 +490,9 @@ class TwoScaleModel:
             self.macro_mesh, self.dirichlet, self.point_loads,
             floor_force=rvemod.FLOOR_SCALE * stiffest.E * float(span.max()),
         )
-        for what, n in (("macro system", self.system.n_free),
-                         ("micro problem", self.micro_geometry.n_reduced)):
-            if n > linalg.MAX_DENSE_N:
-                raise StructuralError(f"{what}: {n} unknowns exceed the dense solver's "
-                                      f"limit of {linalg.MAX_DENSE_N}")
+        if self.system.n_free > linalg.MAX_DENSE_N:
+            raise StructuralError(f"macro system: {self.system.n_free} unknowns exceed the dense "
+                                  f"solver's limit of {linalg.MAX_DENSE_N}")
         # a rigid-body mode makes the macro stiffness singular at any tangent
         c = np.broadcast_to(stiffest.stiffness(), (self.n_rves, 4, 4))
         try:
@@ -660,11 +657,11 @@ def _run_loop(model, pool, settings):
         # this loop does
         extrapolate = (settings.predictor != "none" and model.scheme == "staggered"
                        and n_commits >= 2)
-        virgin_c = pool.begin_increment(ratio if extrapolate else None)
+        pool.begin_increment(ratio if extrapolate else None)
         g = lam * sysm.g_end[sysm.prescribed]
         if settings.predictor == "tangent":
             if tangent is None:  # the virgin state's tangents, C0 at every point
-                c0 = np.broadcast_to(virgin_c, (model.n_rves, 4, 4))
+                c0 = np.broadcast_to(model.micro_geometry.virgin_c, (model.n_rves, 4, 4))
                 tangent = c0, sysm.assemble(np.zeros((model.n_rves, 4)), c0)[1]
             try:
                 u_start = tangent_predictor(sysm, *tangent, u_n, g, lam - lam_n)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fescale import linalg, material, mesh as fmesh
-from fescale.errors import GeometryError, SingularMatrixError
+from fescale.errors import GeometryError, SingularMatrixError, StructuralError
 
 # absolute floor of the residual reference force: 1e-8 * E * edge length
 FLOOR_SCALE = 1e-8
@@ -172,9 +172,22 @@ class MicroGeometry:
 
     Built once per model, at model build: the periodic map, the assembly
     plan of the reduced system (which checks every element's Jacobian), the
-    material law of its integration points (``law``) and the affine and
-    first-moment maps. A bad mesh raises
-    :class:`GeometryError` or :class:`MeshQualityError` here.
+    material law of its integration points (``law``), the affine and
+    first-moment maps, and the virgin RVE.
+
+    The virgin RVE is the state u_hat = 0, H = 0, with every point at the
+    elastic tangent, where every RVE of a batch starts. Its matrices,
+    ``virgin_kvals`` = K0, ``virgin_dr_dH``, ``virgin_dsig_du`` and
+    ``virgin_dsig_dh``, are those an assembly with no yielding point makes,
+    bit for bit. One Cholesky solve of K0 gives its tangent columns
+    ``virgin_x_h`` = K0^-1 dr/dH and ``virgin_inverse`` = K0^-1, the model's
+    one n x n array; their condensation is the virgin tangent ``virgin_c`` =
+    C0. The certified linear maps (``response`` and ``yield_bound``, see
+    :func:`certified_update`) are built from the virgin columns. A bad mesh
+    raises :class:`GeometryError` or :class:`MeshQualityError` here, a mesh
+    with a piece that the periodic constraints and the anchor do not hold
+    (a singular K0) among them, and a micro problem over the dense size
+    limit :class:`StructuralError`.
     """
 
     def __init__(self, model: MicroModel):
@@ -211,6 +224,37 @@ class MicroGeometry:
         self.eq_index = np.where(self.pmap.dof_map >= 0, self.pmap.dof_map, n)
         self.sens_index = np.concatenate([8 * np.where(blk.red >= 0, blk.red, n)[..., None] + np.arange(8)
                                           for blk in self.plan.blocks], axis=None)
+        if n > linalg.MAX_DENSE_N:
+            raise StructuralError(f"micro problem: {n} unknowns exceed the dense solver's "
+                                  f"limit of {linalg.MAX_DENSE_N}")
+
+        # the virgin RVE: its matrices, one Cholesky solve of K0 and C0
+        d0 = np.broadcast_to(self.law.stiffness, (1, self.n_ip, 4, 4))
+        (self.virgin_kvals, self.virgin_dr_dH, self.virgin_dsig_du,
+         self.virgin_dsig_dh) = (a[0] for a in _matrices(self, d0))
+        try:
+            virgin = linalg.factorize(self.plan.dense(self.virgin_kvals),
+                                      np.concatenate([self.virgin_dr_dH, np.eye(n)], axis=1)).columns
+        except SingularMatrixError as exc:
+            node = self.pmap.master_dofs[self.pmap.dof_map[self.pmap.master_dofs] == exc.pivot_index][0] // 2
+            raise GeometryError(f"the elastic micro stiffness is singular at node {node} (reduced row "
+                                f"{exc.pivot_index}): a piece of the mesh is not held by the periodic "
+                                "constraints and the anchor") from exc
+        self.virgin_x_h, self.virgin_inverse = virgin[:, :4], virgin[:, 4:]
+        self.virgin_c = self.virgin_dsig_dh - self.virgin_dsig_du @ np.ascontiguousarray(self.virgin_x_h)
+
+        # the certified linear maps: along the linear micro solution
+        # u_hat = -x_h0 H the point gradients are A H, A (n_ip, 4, 4), and the
+        # elastic stresses S H, S = D_el sym(A). ``response`` (4, n_dofs) is
+        # the nodal force map F, per column of H the internal force of S;
+        # ``yield_bound`` (n_ip,) is L = sqrt(3/2) 2 mu ||dev sym A||_F, so
+        # that a point's trial q moves by at most L ||dH||_2
+        a = self.plan.gradients(full_displacement(self, -self.virgin_x_h.T, np.eye(4)))  # (4, n_ip, 4)
+        self.response = self.plan.internal_force(np.matmul(self.law.stiffness, a[..., None])[..., 0])
+        e12 = 0.5 * (a[..., 1] + a[..., 2])
+        mean = (a[..., 0] + a[..., 3]) / 3.0
+        dev2 = (a[..., 0] - mean) ** 2 + (a[..., 3] - mean) ** 2 + mean**2 + 2.0 * e12**2
+        self.yield_bound = np.sqrt(1.5) * self.law.two_mu * np.sqrt(dev2.sum(axis=0))
 
 
 # relative margin of the certified elastic radius below the nearest yield
@@ -225,85 +269,56 @@ class RveBatch:
     Per point a batch keeps only the material states, the committed
     ``states`` and the last assembly's ``trial`` (one
     :class:`material.StateBatch` each, of count x points rows, RVE-major);
-    every other array is per RVE, a row each, or the batch's virgin factor
-    and linear maps. A per-point result, such as the point stresses, is
-    evaluated on demand (:func:`evaluate_points`). Committed state: ``states``, ``u_hat_n``,
-    ``u_hat_nm1`` and ``H_n``. The current iterate is ``u_hat`` (b, n) and
-    ``H`` (b, 4). Each RVE's last assembly is kept in the arrays
-    :func:`assemble` fills, its ``plastic_flow`` among them (True before
-    the first assembly). Its condensation columns,
-    the tangent columns ``x_h`` = K^-1 dr/dH (b, n, 4) and the residual
-    column ``x_r`` = K^-1 r (b, n), belong to that assembly while
-    ``solved`` holds, as it always does after a linear-flagged one.
+    every other array is per RVE, a row each. The virgin factor, C0 and the
+    linear maps are the geometry's. A per-point result, such as the point
+    stresses, is evaluated on demand (:func:`evaluate_points`). Committed
+    state: ``states``, ``u_hat_n``, ``u_hat_nm1`` and ``H_n``. The current
+    iterate is ``u_hat`` (b, n) and ``H`` (b, 4). Each RVE's last assembly
+    is kept in the arrays :func:`assemble` fills, its ``plastic_flow``
+    among them. Its condensation columns, the tangent columns ``x_h`` =
+    K^-1 dr/dH (b, n, 4) and the residual column ``x_r`` = K^-1 r (b, n),
+    belong to that assembly while ``solved`` holds, as it always does after
+    a linear-flagged one.
     ``failed`` marks the RVEs whose current sweep met a numerical failure
     or a budget overrun. ``counts`` holds per RVE the update solves,
     auxiliary solves and factorizations since the macro run loop last reset
     them.
 
-    A batch starts with a set-up pass at the virgin state, where every RVE
-    has the same state and the same elastic stiffness K0. Since each row
-    computes as it would alone, the first RVE alone is assembled and its
-    row of every per-RVE array (every array whose first axis is b), trial
-    states included, is copied into the others. One Cholesky solve gives its
-    tangent columns, which every RVE starts with as solved, and
-    ``virgin_inverse`` = K0^-1, the one retained factor of the batch; their
-    condensation is the virgin tangent ``virgin_c`` = C0. A linear-flagged
-    RVE's stiffness is K0 bit for bit, so its columns are the virgin ones
-    (see :func:`assemble`) and its condensed tangent is C0.
-
-    A monolithic sweep builds the batch's linear maps on first use
-    (``response`` and ``yield_bound``, see :func:`certified_update`); from
-    then on an assembly records each assembled RVE's certified elastic
+    Every RVE starts as a copy of the geometry's virgin RVE, as if
+    assembled there: its matrices and its solved tangent columns are the
+    virgin ones, every other row is zero. A linear-flagged RVE's stiffness is K0 bit for bit, so its columns
+    are the virgin ones (see :func:`assemble`) and its condensed tangent is
+    C0. An assembly records each assembled RVE's certified elastic
     ``radius`` (0 unless it is linear-flagged) about ``H_ref``, the H it
     was assembled at.
     """
 
     def __init__(self, geom: MicroGeometry, count: int = 1, store_factorization: bool = True):
-        b, n, n_ip = count, geom.n_reduced, geom.n_ip
+        b, n = count, geom.n_reduced
         self.geom, self.b, self.store_factorization = geom, b, store_factorization
-        self.states = material.StateBatch.virgin(b * n_ip)
+        self.states = material.StateBatch.virgin(b * geom.n_ip)
         self.trial = self.states.copy()
         self.u_hat, self.u_hat_n, self.u_hat_nm1 = np.zeros((3, b, n))
         self.H, self.H_n, self.H_ref = np.zeros((3, b, 4))
         self.radius = np.zeros(b)
-        self.response = self.yield_bound = None
         self.ref_force = np.zeros(b)
         self.r_hat = np.zeros((b, n))
-        self.kvals = np.zeros((b, len(geom.plan.flat)))
-        self.dr_dH = np.zeros((b, n, 4))
+        self.kvals, self.dr_dH, self.dsig_dh, self.x_h = (np.repeat(a[None], b, axis=0) for a in (
+            geom.virgin_kvals, geom.virgin_dr_dH, geom.virgin_dsig_dh, geom.virgin_x_h))
         # each RVE's (4, n) block is column-major, the transpose of the
         # (n, 4) sums assemble() scatters, which fixes the BLAS kernel of its products
-        self.dsig_du = np.zeros((b, n, 4)).transpose(0, 2, 1)
-        self.dsig_dh = np.zeros((b, 4, 4))
+        self.dsig_du = np.repeat(geom.virgin_dsig_du.T[None], b, axis=0).transpose(0, 2, 1)
         self.sigma_bar = np.zeros((b, 4))
         self.f_full = np.zeros((b, geom.mesh.n_dofs))
         self.residual_norm = np.zeros(b)
-        self.x_h = np.zeros((b, n, 4))
         self.x_r = np.zeros((b, n))
-        self.flagged, self.solved, self.failed = np.zeros((3, b), dtype=bool)
-        # an RVE not assembled yet counts as plastic: the set-up pass is fresh
-        self.plastic_flow = np.ones(b, dtype=bool)
+        self.flagged, self.failed, self.plastic_flow = np.zeros((3, b), dtype=bool)
+        self.solved = np.ones(b, dtype=bool)
         self.counts = np.zeros((b, 3), dtype=np.int64)
-        # set-up pass: the first RVE alone is assembled and its row copied
-        # into every per-RVE array and trial state; the virgin residual is
-        # zero, and so is x_r
-        assemble(self, np.arange(b) == 0)
-        rows = [a for a in vars(self).values() if isinstance(a, np.ndarray) and a.shape[:1] == (b,)]
-        for a in rows + [self.trial.eps_p.reshape(b, n_ip, 4), self.trial.alpha_bar.reshape(b, n_ip)]:
-            a[1:] = a[0]
-        virgin = linalg.factorize(geom.plan.dense(self.kvals[0]),
-                                  np.concatenate([self.dr_dH[0], np.eye(n)], axis=1)).columns
-        self.virgin_x_h, self.virgin_inverse = virgin[:, :4], virgin[:, 4:]
-        self.x_h[:] = self.virgin_x_h
-        self.solved[:] = True
-        self.virgin_c = (self.dsig_dh[:1] - self.dsig_du[:1] @ self.x_h[:1])[0]
 
 
-def full_displacement(rves: RveBatch, u_hat=None, h=None):
-    """Full nodal displacements (..., n_dofs) from (u_hat, H), by default the batch's."""
-    geom = rves.geom
-    u_hat = rves.u_hat if u_hat is None else np.asarray(u_hat)
-    h = rves.H if h is None else np.asarray(h)
+def full_displacement(geom: MicroGeometry, u_hat, h):
+    """Full nodal displacements (..., n_dofs) of fluctuations ``u_hat`` (..., n) and gradients ``h``."""
     u_aff = geom.mesh.nodes @ np.swapaxes(h.reshape(h.shape[:-1] + (2, 2)), -1, -2)
     red = geom.pmap.dof_map
     pad = np.concatenate([u_hat, np.zeros(u_hat.shape[:-1] + (1,))], axis=-1)
@@ -320,19 +335,19 @@ def assemble(rves: RveBatch, mask=None):
     now or at its previous assembly, keeps the matrices of that assembly
     (``flagged``). An elastic point's tangent is the elastic stiffness bit
     for bit, whatever its plastic history, so those matrices are the virgin
-    ones, and the RVE is solved from the batch's virgin factor: ``x_h`` the
-    virgin tangent columns and ``x_r`` = K0^-1 r, whatever columns it held
-    before (after a rollback, say). Any other RVE is left unsolved, for a
-    solve on demand. A non-finite residual marks the RVE
-    ``failed``. Once the batch has its linear maps, each assembled RVE
-    records ``H_ref`` = H and its certified radius: (1 - CERTIFY_MARGIN)
-    times the least -f_tr / L over its points if it is flagged, else 0.
+    ones, and the RVE is solved from the geometry's virgin factor: ``x_h``
+    the virgin tangent columns and ``x_r`` = K0^-1 r, whatever columns it
+    held before (after a rollback, say). Any other RVE is left unsolved, for
+    a solve on demand. A non-finite residual marks the RVE ``failed``. Each
+    assembled RVE records ``H_ref`` = H and its certified radius:
+    (1 - CERTIFY_MARGIN) times the least -f_tr / L over its points if it is
+    flagged, else 0.
     """
     geom, b, n_ip = rves.geom, rves.b, rves.geom.n_ip
     sel = slice(None) if mask is None else np.flatnonzero(mask)
     ids = np.arange(b)[sel]
     k = len(ids)
-    h = geom.plan.gradients(full_displacement(rves, rves.u_hat[sel], rves.H[sel]))
+    h = geom.plan.gradients(full_displacement(geom, rves.u_hat[sel], rves.H[sel]))
     states = material.StateBatch(rves.states.eps_p.reshape(b, n_ip, 4)[sel].reshape(-1, 4),
                                  rves.states.alpha_bar.reshape(b, n_ip)[sel].ravel())
     sigma, d, new, active, f_tr = material.evaluate_batch(geom.law, h.reshape(-1, 4), states)
@@ -344,36 +359,21 @@ def assemble(rves: RveBatch, mask=None):
     # matrices may only be carried over from an assembly that was itself
     # evaluated with the elastic tangent everywhere
     flagged = ~plastic_flow & ~rves.plastic_flow[sel]
-    if rves.yield_bound is not None:
-        room = (-f_tr.reshape(k, n_ip) / rves.yield_bound).min(axis=1)
-        rves.radius[sel] = np.where(flagged, (1.0 - CERTIFY_MARGIN) * room, 0.0)
-        rves.H_ref[sel] = rves.H[sel]
+    room = (-f_tr.reshape(k, n_ip) / geom.yield_bound).min(axis=1)
+    rves.radius[sel] = np.where(flagged, (1.0 - CERTIFY_MARGIN) * room, 0.0)
+    rves.H_ref[sel] = rves.H[sel]
 
     f_full = geom.plan.internal_force(sigma)
     r_hat = fmesh.scatter_add(geom.eq_index, [f_full], geom.n_reduced + 1)[:, :-1]
 
     fresh = ids[~flagged]
     if len(fresh):
-        kvals, kes = geom.plan.stiffness(d[~flagged] if flagged.any() else d)
-        del d  # a batch's temporaries are large: each is freed once used
-        r, n = len(fresh), geom.n_reduced
-        sens, dsig_dh = [], np.zeros((r, 4, 4))
-        for ke, aff, xmom in zip(kes, geom.aff, geom.xmom):
-            buf = np.empty(ke.shape[:3] + (8,))  # (r, e, 2n_en, 8): dr_dH | dsig_du
-            np.matmul(ke, aff, out=buf[..., :4])
-            me = np.matmul(np.swapaxes(ke, 2, 3), xmom, out=buf[..., 4:])
-            dsig_dh += np.swapaxes(me.reshape(r, -1, 4), 1, 2) @ aff.reshape(-1, 4)
-            sens.append(buf.reshape(r, -1))
-        del kes, me, buf
-        sens = fmesh.scatter_add(geom.sens_index, sens, 8 * (n + 1)).reshape(r, n + 1, 8)
-        rves.kvals[fresh] = kvals
-        rves.dr_dH[fresh] = sens[:, :n, :4]
-        rves.dsig_du[fresh] = np.swapaxes(sens[:, :n, 4:], 1, 2) / geom.volume
-        rves.dsig_dh[fresh] = dsig_dh / geom.volume
+        rves.kvals[fresh], rves.dr_dH[fresh], rves.dsig_du[fresh], rves.dsig_dh[fresh] = _matrices(
+            geom, d[~flagged] if flagged.any() else d)
         rves.solved[fresh] = False
     if flagged.any():
-        rves.x_h[ids[flagged]] = rves.virgin_x_h
-        rves.x_r[ids[flagged]] = _matvec(rves.virgin_inverse, r_hat[flagged])
+        rves.x_h[ids[flagged]] = geom.virgin_x_h
+        rves.x_r[ids[flagged]] = _matvec(geom.virgin_inverse, r_hat[flagged])
         rves.solved[ids[flagged]] = True
 
     f2 = np.take(f_full.reshape(k, -1, 2), geom.boundary_nodes, axis=1)
@@ -384,6 +384,26 @@ def assemble(rves: RveBatch, mask=None):
     rves.residual_norm[sel] = np.abs(r_hat).max(axis=1, initial=0.0)
     rves.ref_force[sel] = np.maximum(rves.ref_force[sel], np.abs(f_full).max(axis=1, initial=0.0))
     rves.failed[sel] |= ~np.isfinite(rves.residual_norm[sel])
+
+
+def _matrices(geom: MicroGeometry, d):
+    """Packed stiffness values, dr/dH, dsig/du and dsig/dH of the point tangents ``d`` (r, n_ip, 4, 4).
+
+    One row per RVE, shaped as a batch keeps it; dsig/du is (r, 4, n),
+    each row's block column-major.
+    """
+    kvals, kes = geom.plan.stiffness(d)
+    r, n = len(d), geom.n_reduced
+    sens, dsig_dh = [], np.zeros((r, 4, 4))
+    for ke, aff, xmom in zip(kes, geom.aff, geom.xmom):
+        buf = np.empty(ke.shape[:3] + (8,))  # (r, e, 2n_en, 8): dr_dH | dsig_du
+        np.matmul(ke, aff, out=buf[..., :4])
+        me = np.matmul(np.swapaxes(ke, 2, 3), xmom, out=buf[..., 4:])
+        dsig_dh += np.swapaxes(me.reshape(r, -1, 4), 1, 2) @ aff.reshape(-1, 4)
+        sens.append(buf.reshape(r, -1))
+    del kes, me, buf  # a batch's temporaries are large: each is freed once used
+    sens = fmesh.scatter_add(geom.sens_index, sens, 8 * (n + 1)).reshape(r, n + 1, 8)
+    return kvals, sens[:, :n, :4], np.swapaxes(sens[:, :n, 4:], 1, 2) / geom.volume, dsig_dh / geom.volume
 
 
 def residual_reference(rves: RveBatch):
@@ -453,7 +473,7 @@ def evaluate_points(rves: RveBatch):
     assembly at (u_hat, H) makes.
     """
     geom, b, n_ip = rves.geom, rves.b, rves.geom.n_ip
-    h = geom.plan.gradients(full_displacement(rves))
+    h = geom.plan.gradients(full_displacement(geom, rves.u_hat, rves.H))
     sigma, _, _, active, _ = material.evaluate_batch(geom.law, h.reshape(-1, 4), rves.states)
     return sigma.reshape(b, n_ip, 4), active.reshape(b, n_ip)
 
@@ -467,7 +487,7 @@ def volume_average_stress(rves: RveBatch) -> np.ndarray:
 def average_gradient(rves: RveBatch) -> np.ndarray:
     """Volume average of the displacement gradient over the meshed domain."""
     w = rves.geom.weights_flat
-    return w @ rves.geom.plan.gradients(full_displacement(rves)) / w.sum()
+    return w @ rves.geom.plan.gradients(full_displacement(rves.geom, rves.u_hat, rves.H)) / w.sum()
 
 
 def boundary_average_gradient(rves: RveBatch) -> np.ndarray:
@@ -483,7 +503,7 @@ def boundary_average_gradient(rves: RveBatch) -> np.ndarray:
     keep = on.any(axis=0)
     na, nb = edges[keep].T
     half_length = 0.5 * np.linalg.norm(geom.mesh.nodes[nb] - geom.mesh.nodes[na], axis=1)
-    u_full = full_displacement(rves).reshape(rves.b, -1, 2)
+    u_full = full_displacement(geom, rves.u_hat, rves.H).reshape(rves.b, -1, 2)
     out = np.einsum("e,rei,ej->rij", half_length, u_full[:, na] + u_full[:, nb],
                     _NORMALS[on[:, keep].argmax(axis=0)])
     return out.reshape(rves.b, 4) / geom.volume
@@ -512,7 +532,7 @@ def homogenized_tangent_and_alg_stress(rves: RveBatch, alg_stress=True):
     correct = fresh & bool(alg_stress and n)
     if n:
         rves.counts[:, AUX_SOLVES] += fresh.astype(np.int64) + correct
-    c = np.where(ok[:, None, None], rves.virgin_c, 0.0)
+    c = np.where(ok[:, None, None], rves.geom.virgin_c, 0.0)
     if fresh.any():
         c[fresh] = rves.dsig_dh[fresh] - rves.dsig_du[fresh] @ rves.x_h[fresh]
     sigma = np.where(ok[:, None], rves.sigma_bar, 0.0)
@@ -602,31 +622,11 @@ def micro_update_monolithic(rves: RveBatch, delta_h) -> np.ndarray:
     return du
 
 
-def _build_linear_maps(rves: RveBatch):
-    """The condensed linear response of the batch's RVEs to a change of H.
-
-    Along the linear micro solution u_hat = -x_h0 H (``virgin_x_h``) the
-    point gradients are A H, A (n_ip, 4, 4), and the elastic stresses
-    S H, S = D_el sym(A). ``response`` (4, n_dofs) is the nodal force map
-    F, per column of H the internal force of S. ``yield_bound`` (n_ip,) is
-    L = sqrt(3/2) 2 mu ||dev sym A||_F, so that a point's trial q moves by
-    at most L ||dH||_2.
-    """
-    geom = rves.geom
-    # (4, n_ip, 4): per column of H, the point gradients of u_hat = -x_h0 e_j, H = e_j
-    a = geom.plan.gradients(full_displacement(rves, -rves.virgin_x_h.T, np.eye(4)))
-    rves.response = geom.plan.internal_force(np.matmul(geom.law.stiffness, a[..., None])[..., 0])
-    e12 = 0.5 * (a[..., 1] + a[..., 2])
-    mean = (a[..., 0] + a[..., 3]) / 3.0
-    dev2 = (a[..., 0] - mean) ** 2 + (a[..., 3] - mean) ** 2 + mean**2 + 2.0 * e12**2
-    rves.yield_bound = np.sqrt(1.5) * geom.law.two_mu * np.sqrt(dev2.sum(axis=0))
-
-
 def certified_update(rves: RveBatch, delta_h) -> np.ndarray:
     """Advance every certified-elastic RVE by its condensed linear response to ``delta_h``.
 
     Called after :func:`micro_update_monolithic` with the same ``delta_h``
-    (b, 4); builds the batch's linear maps on first use. An RVE is
+    (b, 4), with the geometry's linear maps. An RVE is
     certified when it is linear-flagged and ||H - H_ref||_2 < ``radius``:
     no point can reach the yield surface.
     Its reference assembly is flagged, so no point yielded there or at the
@@ -641,14 +641,13 @@ def certified_update(rves: RveBatch, delta_h) -> np.ndarray:
     state, which stays elastic, and a commit since copied it. Returns the
     mask of the RVEs that still need an assembly.
     """
-    if rves.response is None:
-        _build_linear_maps(rves)
+    geom = rves.geom
     cert = rves.flagged & (_norm2(rves.H - rves.H_ref) < rves.radius)
     if cert.any():
         sel = slice(None) if cert.all() else np.flatnonzero(cert)
         dh = np.asarray(delta_h, dtype=np.float64).reshape(rves.b, 4)[sel]
-        rves.sigma_bar[sel] += _matvec(np.broadcast_to(rves.virgin_c, dh.shape + (4,)), dh)
-        rves.f_full[sel] += np.matmul(dh[:, None, :], rves.response)[:, 0]  # F dH, a product per row
+        rves.sigma_bar[sel] += _matvec(np.broadcast_to(geom.virgin_c, dh.shape + (4,)), dh)
+        rves.f_full[sel] += np.matmul(dh[:, None, :], geom.response)[:, 0]  # F dH, a product per row
         rves.u_hat[sel] += rves.x_r[sel]
         rves.ref_force[sel] = np.maximum(rves.ref_force[sel], np.abs(rves.f_full[sel]).max(axis=1))
     return ~cert

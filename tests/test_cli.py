@@ -472,6 +472,29 @@ class TestModelErrorsBeforeAnyFile:
                 "rigid-body motion (singular elastic stiffness at DOF ") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_floating_micro_piece_is_a_config_error(self, tmp_path, capsys, workers):
+        # a 6 x 6 quad RVE without the ring of elements around its centre
+        # 2 x 2 block: the block floats, held by neither the periodic
+        # constraints nor the anchor, so the virgin micro stiffness, factorized
+        # once when the model is built, is singular at one of its nodes
+        nodes, conn = grid_quads(6, 6)
+        i, j = np.divmod(np.arange(36), 6)
+        ring = np.maximum(np.abs(i - 2.5), np.abs(j - 2.5))
+        nodes, conn, ring = benchmarks.drop_elements(nodes, conn, ring == 1.5, aux=ring)
+        write_mesh(Mesh(nodes, [ElementBlock(QUAD4, conn)]), tmp_path / "island.mesh")
+        path = write_bar_config(tmp_path, rve_mesh="island.mesh",
+                                schemes=["staggered", "monolithic-stored"])
+        assert main(["run", str(path), "--workers", str(workers)]) == 2
+        err = capsys.readouterr().err
+        prefix = "config error: rve: the elastic micro stiffness is singular at node "
+        assert prefix in err
+        assert ("): a piece of the mesh is not held by the periodic constraints and the "
+                "anchor") in err
+        node = int(err.split(prefix)[1].split()[0])
+        assert node in np.unique(conn[ring == 0.5])
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("mesh, line, text, message", [
         pytest.param("macro.mesh", 6, "elements 0", "the macro mesh has no element", id="macro"),
         pytest.param("micro.mesh", 6, "elements 0", "rve: the micro mesh has no element",
@@ -492,7 +515,7 @@ class TestModelErrorsBeforeAnyFile:
 
     @pytest.mark.parametrize("name, overrides, message", [
         pytest.param("plate-hole-tension", {"n_macro": 3, "n_micro": 20},
-                     "micro problem: 676 unknowns", id="micro"),
+                     "rve: micro problem: 676 unknowns", id="micro"),
         pytest.param("notched-bending-2d", {"nx": 48, "ny": 6},
                      "macro system: 672 unknowns", id="macro"),
     ])

@@ -4,7 +4,9 @@ The micro kernels run at the shipped RVE (``n_micro`` 8, n = 116) and at
 ``n_micro`` 16 (n = 436), where a dense Cholesky solve costs most; the assembly
 kernels, the material pass, a shard's construction and a shard's
 monolithic sweep also run on a 16-RVE shard, the plate-hole shard size,
-and a shard's Cholesky solves also at the notched-shear RVE (n = 44). Marked
+and a shard's Cholesky solves also at the notched-shear RVE (n = 44). The
+build of the shipped micro geometry, which carries the virgin RVE's
+factorization, is timed too. Marked
 ``kernelbench`` and deselected by default (see pyproject.toml); run them
 with ``pytest -m kernelbench tests/test_kernelbench.py``.
 
@@ -57,10 +59,20 @@ def test_rve_assemble_plastic(benchmark, shipped_geom, count):
     benchmark(R.assemble, p)
 
 
+def test_micro_geometry_build(benchmark):
+    # the shipped plate-hole micro model's geometry, built once per model:
+    # the periodic map and assembly plan, then the virgin RVE (K0 and its
+    # sensitivities, one Cholesky solve for its columns and K0^-1, C0) and
+    # the certified linear maps
+    micro = rve_porous_quad(default_materials("plate-hole-tension"), n=8)
+    geom = benchmark(R.MicroGeometry, micro)
+    assert geom.n_reduced == 116 and geom.virgin_inverse.shape == (116, 116)
+
+
 @pytest.mark.parametrize("count", [1, 16])
 def test_rve_batch_setup(benchmark, shipped_geom, count):
-    # a plate-hole shard's construction: the virgin set-up pass and the
-    # virgin Cholesky solve; 16 RVEs are a plate-hole shard
+    # a plate-hole shard's construction: copies of the geometry's virgin
+    # rows, with no solve; 16 RVEs are a plate-hole shard
     rves = benchmark(R.RveBatch, shipped_geom, count)
     assert rves.solved.all()
 
@@ -78,7 +90,7 @@ def test_material_evaluate_batch_plastic(benchmark, shipped_geom, count):
     # points) through the geometry's law, every RVE in a plastic trial state
     p = R.RveBatch(shipped_geom, count)
     p.H[:] = [0.0, 0.01, 0.01, 0.004]
-    h = shipped_geom.plan.gradients(R.full_displacement(p)).reshape(-1, 4)
+    h = shipped_geom.plan.gradients(R.full_displacement(shipped_geom, p.u_hat, p.H)).reshape(-1, 4)
     assert len(h) == 208 * count
     assert material.evaluate_batch(shipped_geom.law, h, p.states)[3].any()
     benchmark(material.evaluate_batch, shipped_geom.law, h, p.states)

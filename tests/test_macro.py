@@ -629,9 +629,8 @@ class TestWorkerFailures:
         # A numerical failure inside a micro sweep (every micro factorize
         # fails, or every LAPACK solve under it, the kernel's entry point
         # linalg._cholesky_solve, returns NaN) cuts the load until the run
-        # gives up, at any worker count. A factorization that fails while a
-        # worker builds its shard raises with its type; forked workers
-        # inherit the patches.
+        # gives up, at any worker count. A failure while a worker builds its
+        # shard raises with its type; forked workers inherit the patches.
         def singular(*args, **kwargs):
             raise SingularMatrixError(3, 0.0)
 
@@ -657,7 +656,7 @@ class TestWorkerFailures:
         assert not rep.converged
         assert rep.records[-1].cut_events > 0 and not rep.records[-1].converged
         if kernel == "factorize":
-            monkeypatch.setattr(linalg, kernel, singular)
+            monkeypatch.setattr(rvemod, "RveBatch", singular)
             with pytest.raises(SingularMatrixError) as exc:
                 run(model, settings)
             assert exc.value.pivot_index == 3

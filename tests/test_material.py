@@ -214,7 +214,7 @@ class TestLaw:
         rves = R.RveBatch(geom, 3)
         rves.H[:] = np.outer([0.6, 0.8, 1.0], [0.004, 0.008, 0.008, -0.002])
         rves.u_hat[:] = 2e-3 * np.sin(np.arange(geom.n_reduced) + np.arange(3)[:, None])
-        h = geom.plan.gradients(R.full_displacement(rves)).reshape(-1, 4)
+        h = geom.plan.gradients(R.full_displacement(geom, rves.u_hat, rves.H)).reshape(-1, 4)
         committed = evaluate_batch(geom.law, np.roll(h, 7, axis=0), StateBatch.virgin(len(h)))[2]
         ids = np.tile(geom.model.mat_ids[geom.plan.ip_element], 3)
         return geom, h, committed, ids

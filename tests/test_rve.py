@@ -204,7 +204,7 @@ class TestHomogenization:
         for _ in range(3):
             h_var = rng.standard_normal(4)
             u_var = rng.standard_normal(geom.n_reduced)
-            u_full = R.full_displacement(p, u_hat=u_var, h=h_var)
+            u_full = R.full_displacement(geom, u_var, h_var)
             hv = geom.plan.gradients(u_full)
             lhs = np.einsum("q,qa,qa->", geom.weights_flat, R.evaluate_points(p)[0][0], hv) / geom.volume
             rhs = sigma @ h_var
@@ -655,27 +655,41 @@ def per_rve_arrays(rves):
     return out
 
 
-class TestSetUpPass:
+class TestVirginRve:
     @pytest.mark.parametrize("count", [1, 3, 16])
-    def test_every_rve_starts_as_one_rve_alone_bitwise(self, shipped_rve, count):
-        alone, batch = R.RveBatch(shipped_rve, 1), R.RveBatch(shipped_rve, count)
-        want, got = per_rve_arrays(alone), per_rve_arrays(batch)
-        assert got.keys() == want.keys()
-        for name, a in want.items():
-            repeated = np.repeat(a, count, axis=0)
-            assert (got[name].dtype, got[name].shape) == (repeated.dtype, repeated.shape), name
-            assert got[name].tobytes() == repeated.tobytes(), name
-        for name in ("virgin_x_h", "virgin_inverse"):
-            assert getattr(batch, name).tobytes() == getattr(alone, name).tobytes()
-        assert batch.solved.all() and not batch.failed.any()
+    def test_batch_construction_solves_and_evaluates_nothing(self, shipped_rve, count, monkeypatch):
+        # the virgin RVE is the geometry's: a batch only copies its rows
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called while a batch is built")
+
+        monkeypatch.setattr(linalg, "factorize", forbidden)
+        monkeypatch.setattr(material, "evaluate_batch", forbidden)
+        assert R.RveBatch(shipped_rve, count).solved.all()
 
     @pytest.mark.parametrize("count", [1, 3, 16])
-    def test_set_up_evaluates_one_rve(self, shipped_rve, count, monkeypatch):
-        rows, evaluate = [], material.evaluate_batch
-        monkeypatch.setattr(material, "evaluate_batch",
-                            lambda mat, h, states: rows.append(len(h)) or evaluate(mat, h, states))
-        R.RveBatch(shipped_rve, count)
-        assert sum(rows) == shipped_rve.n_ip
+    def test_every_rve_is_the_virgin_row_bitwise(self, shipped_rve, count):
+        # the assembled rows are the geometry's virgin_<name>; the virgin
+        # RVE is at rest, so every other row is zero, and its columns are solved
+        batch = R.RveBatch(shipped_rve, count)
+        for name, a in per_rve_arrays(batch).items():
+            row = getattr(shipped_rve, f"virgin_{name}", np.full(a.shape[1:], name == "solved", a.dtype))
+            assert a.tobytes() == np.repeat(row[None], count, axis=0).tobytes(), name
+        # each RVE's (4, n) block of dsig/du stays column-major
+        assert batch.dsig_du.strides[1:] == (8, 32)
+        assert not batch.failed.any() and not batch.plastic_flow.any()
+
+    def test_the_geometry_holds_the_one_matrix(self):
+        # per RVE the batch keeps its condensation columns, 5n numbers; the
+        # one n x n array is the geometry's virgin factor K0^-1
+        geom = porous_geom()
+        n, b = geom.n_reduced, 3
+        rves = R.RveBatch(geom, b)
+        assert n not in (geom.n_ip, b, 4)
+        batch = [a for a in vars(rves).values() if isinstance(a, np.ndarray)]
+        assert not [a.shape for a in batch if a.shape[-2:] == (n, n)]
+        assert rves.x_h.shape == (b, n, 4) and rves.x_r.shape == (b, n)
+        square = [name for name, a in vars(geom).items() if isinstance(a, np.ndarray) and a.shape[-2:] == (n, n)]
+        assert square == ["virgin_inverse"]
 
 
 @pytest.fixture(scope="module")
@@ -736,24 +750,23 @@ class TestRetainedColumns:
         pytest.param("staggered", {"dt_initial": 0.25, "dt_max": 0.25, "n_max": 3}, id="staggered-cuts"),
     ])
     def test_flagged_rve_has_the_virgin_matrices_bitwise(self, scheme, solver, monkeypatch):
-        # a linear-flagged RVE is solved on the batch's virgin columns: that
+        # a linear-flagged RVE is solved on the geometry's virgin columns: that
         # holds because the matrices it kept are the virgin ones bit for
         # bit, here checked after every assembly of a run through elastic,
         # yielding and plastic increments; in the cut case rollbacks
         # reassemble RVEs over the columns of a failed attempt
         model = build_benchmark("notched-shear", scheme, n_macro=3, n_micro=4)
-        virgin = R.RveBatch(model.micro_geometry)
+        geom = model.micro_geometry
         assemble, seen = R.assemble, []
 
         def checked(rves, mask=None):
             assemble(rves, mask)
             rows = np.flatnonzero(rves.flagged & (True if mask is None else mask))
             seen.append(len(rows))
-            for name in ("kvals", "dr_dH", "dsig_du", "dsig_dh"):
-                assert_array_equal(getattr(rves, name)[rows],
-                                   np.broadcast_to(getattr(virgin, name)[0], (len(rows),) + getattr(virgin, name).shape[1:]))
+            for name in ("kvals", "dr_dH", "dsig_du", "dsig_dh", "x_h"):
+                virgin = getattr(geom, f"virgin_{name}")
+                assert getattr(rves, name)[rows].tobytes() == np.repeat(virgin[None], len(rows), axis=0).tobytes()
             assert rves.solved[rows].all()
-            assert rves.x_h[rows].tobytes() == np.repeat(virgin.virgin_x_h[None], len(rows), axis=0).tobytes()
 
         monkeypatch.setattr(R, "assemble", checked)
         rep = run(model, SolverSettings(tol_macro=1e-9, tol_micro=1e-9, **solver))
@@ -773,7 +786,7 @@ class TestRetainedColumns:
         assert p.flagged[0] and not p.plastic_flow[0]
         counts = p.counts.copy()
         sigma, c = condense(p)
-        assert c.tobytes() == p.virgin_c.tobytes()
+        assert c.tobytes() == geom.virgin_c.tobytes()
         assert_array_equal(sigma, p.sigma_bar[0])
         assert_array_equal(p.counts, counts)
         fresh = R.RveBatch(geom)
@@ -782,38 +795,29 @@ class TestRetainedColumns:
         fresh.plastic_flow[:] = True  # as if never assembled: the assembly is fresh
         R.assemble(fresh)
         assert not fresh.flagged[0]
-        assert condense(fresh, alg_stress=False)[1].tobytes() == p.virgin_c.tobytes()
+        assert condense(fresh, alg_stress=False)[1].tobytes() == geom.virgin_c.tobytes()
         assert fresh.counts[0, R.AUX_SOLVES] == fresh.counts[0, R.FACTORIZATIONS] == 1
-
-    def test_batch_keeps_no_matrix_per_rve(self):
-        # per RVE the batch keeps its condensation columns, 5n numbers; the
-        # one n x n array is the batch's virgin factor
-        geom = porous_geom()
-        n, b = geom.n_reduced, 3
-        rves = R.RveBatch(geom, b)
-        arrays = [v for v in vars(rves).values() if isinstance(v, np.ndarray)]
-        assert not [a for a in arrays if a.ndim >= 3 and a.shape[-2:] == (n, n)]
-        assert [a.shape for a in arrays if a.shape[-2:] == (n, n)] == [(n, n)]
-        assert rves.x_h.shape == (b, n, 4) and rves.x_r.shape == (b, n)
 
     def test_batch_keeps_no_point_array_but_the_material_states(self, shipped_rve):
         # per point the batch keeps only the committed and trial material
-        # states; the linear maps keep the nodal force map alone
+        # states; the geometry's linear maps keep the nodal force map alone
         geom, b = shipped_rve, 3
         assert geom.n_ip not in (geom.n_reduced, geom.mesh.n_dofs, b)
         rves = R.RveBatch(geom, b)
-        R.monolithic_pass(rves, np.zeros((b, 4)))  # builds the linear maps
+        R.monolithic_pass(rves, np.zeros((b, 4)))
         per_point = [name for name, a in per_rve_arrays(rves).items() if a.shape[1:2] == (geom.n_ip,)]
         assert sorted(per_point) == ["states.alpha_bar", "states.eps_p", "trial.alpha_bar", "trial.eps_p"]
-        assert rves.response.shape == (4, geom.mesh.n_dofs)
+        assert geom.response.shape == (4, geom.mesh.n_dofs)
 
     def test_virgin_factor_is_the_inverse_of_the_virgin_stiffness(self):
         geom = porous_geom()
         rves = R.RveBatch(geom)
+        R.assemble(rves)  # the virgin state, assembled
         k0 = stiffness(rves)
+        assert_array_equal(rves.kvals[0], geom.virgin_kvals)
         n = geom.n_reduced
-        assert_allclose(k0 @ rves.virgin_inverse, np.eye(n), atol=1e-10)
-        assert_allclose(k0 @ rves.virgin_x_h, rves.dr_dH[0], atol=1e-10 * np.abs(rves.dr_dH).max())
+        assert_allclose(k0 @ geom.virgin_inverse, np.eye(n), atol=1e-10)
+        assert_allclose(k0 @ geom.virgin_x_h, rves.dr_dH[0], atol=1e-10 * np.abs(rves.dr_dH).max())
 
     @pytest.mark.parametrize("tangent", [True, False], ids=["five-column", "residual-only"])
     @pytest.mark.parametrize("singular", [False, True], ids=["regular", "singular-middle"])
@@ -897,7 +901,7 @@ class TestLoadUnload:
         assert not fresh.flagged[0]
         for name in ("kvals", "dr_dH", "dsig_du", "dsig_dh"):
             assert_array_equal(getattr(rves, name), getattr(fresh, name), name)
-        assert_array_equal(rves.x_h[0], rves.virgin_x_h)
+        assert_array_equal(rves.x_h[0], geom.virgin_x_h)
 
 
 # sizes at which each shipped benchmark has both plastic and certified passes
