@@ -15,7 +15,7 @@ import numpy as np
 from fescale.errors import ConfigError, StructuralError
 from fescale.macro import TwoScaleModel
 from fescale.material import ElasticParams, PlasticParams, elastic_of
-from fescale.mesh import QUAD4, TRI3, ElementBlock, Mesh
+from fescale.mesh import QUAD4, TRI3, ElementBlock, Mesh, sorted_unique
 from fescale.rve import MicroModel
 
 
@@ -60,11 +60,8 @@ def drop_elements(nodes, conn, remove_mask, aux=None):
     keep = ~np.asarray(remove_mask, dtype=bool)
     if not keep.any():
         raise StructuralError("the pixelated feature removes every element of the mesh")
-    conn = conn[keep]
-    used = np.unique(conn)
-    remap = np.full(len(nodes), -1, dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    out = (nodes[used], remap[conn])
+    used, rank = sorted_unique(conn[keep].ravel())
+    out = (nodes[used], rank.reshape(-1, conn.shape[1]))
     if aux is not None:
         return out + (np.asarray(aux)[keep],)
     return out

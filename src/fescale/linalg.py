@@ -28,8 +28,13 @@ Its solution gives ||A||_inf ||A^-1 z||_inf, a lower bound on the condition
 number (Dixon 1983, SIAM J. Numer. Anal. 20(4)), for 2n^2 flops; a matrix
 whose ||A||_inf is not finite, a NaN in the triangle LAPACK does not read
 included, fails the same test. It also keeps every solve at two or more
-columns, where LAPACK gives a column the same bits whatever the other
-columns hold (a one-column solve takes another path).
+columns (a one-column solve takes another path). Only up to a block width
+that depends on n does LAPACK then give a column the same bits whatever
+the other columns hold: at n = 116 up to 40 right-hand sides at least, at
+n = 436 up to 10, and at 12 no column keeps its one-column bits. The
+solver's layouts are fixed (1 or 5 right-hand sides per micro solve, within
+the limit at n = 436; n + 4 once per micro model), so its bits do not
+depend on what other columns hold.
 
 Dense storage bounds the size: a system of more than ``MAX_DENSE_N``
 unknowns is refused when a two-scale model is built. Reverse Cuthill-McKee

@@ -457,6 +457,10 @@ class TwoScaleModel:
     every run of the model shares, at one BLAS thread as the shards run; an
     error the geometry finds in the micro mesh (a singular virgin micro
     stiffness, or too many unknowns, among them) is reported as ``rve: ...``.
+    It then assembles the virgin macro tangent ``virgin_tangent`` = (C0 at
+    every point, the free-free K0 they give), where every run's
+    tangent predictor starts; its Cholesky solve is the check that the
+    Dirichlet data leave no rigid-body mode.
     """
 
     macro_mesh: fmesh.Mesh
@@ -484,19 +488,19 @@ class TwoScaleModel:
             raise StructuralError(f"the macro mesh falls apart into {pieces} pieces "
                                   "that share no element edge" if pieces else
                                   "the macro mesh has no element")
-        stiffest = self.micro_geometry.stiffest
         span = self.macro_mesh.nodes.max(axis=0) - self.macro_mesh.nodes.min(axis=0)
         self.system = MacroSystem(
             self.macro_mesh, self.dirichlet, self.point_loads,
-            floor_force=rvemod.FLOOR_SCALE * stiffest.E * float(span.max()),
+            floor_force=rvemod.FLOOR_SCALE * self.micro_geometry.stiffest.E * float(span.max()),
         )
         if self.system.n_free > linalg.MAX_DENSE_N:
             raise StructuralError(f"macro system: {self.system.n_free} unknowns exceed the dense "
                                   f"solver's limit of {linalg.MAX_DENSE_N}")
-        # a rigid-body mode makes the macro stiffness singular at any tangent
-        c = np.broadcast_to(stiffest.stiffness(), (self.n_rves, 4, 4))
+        # a rigid-body mode makes the virgin tangent singular
+        c0 = np.broadcast_to(self.micro_geometry.virgin_c, (self.n_rves, 4, 4))
+        self.virgin_tangent = c0, self.system.assemble(np.zeros((self.n_rves, 4)), c0)[1]
         try:
-            linalg.factorize(self.system.assemble(np.zeros((self.n_rves, 4)), c)[1])
+            linalg.factorize(self.virgin_tangent[1])
         except SingularMatrixError as exc:
             dof = self.system.free[exc.pivot_index]
             raise StructuralError("dirichlet: the prescribed DOFs leave the macro mesh a rigid-body "
@@ -507,7 +511,7 @@ class TwoScaleModel:
         return self.system.plan.n_ip
 
     def with_scheme(self, scheme):
-        """This model under ``scheme``: a copy sharing the micro geometry and macro system."""
+        """This model under ``scheme``: a copy sharing the micro geometry, macro system and virgin tangent."""
         other = copy.copy(self)
         other.scheme = canonical_scheme(scheme)
         return other
@@ -635,7 +639,8 @@ def _run_loop(model, pool, settings):
     sysm = model.system
     u_n, u_nm1 = np.zeros(sysm.mesh.n_dofs), np.zeros(sysm.mesh.n_dofs)
     lam_n = 0.0
-    tangent = None  # (per-point tangents, K_ff) of the last accepted state
+    # (per-point tangents, K_ff) of the last accepted state, the model's virgin ones at first
+    tangent = model.virgin_tangent
     n_commits = 0
     records = []
     curve = [(0.0, 0.0, 0.0)]
@@ -660,9 +665,6 @@ def _run_loop(model, pool, settings):
         pool.begin_increment(ratio if extrapolate else None)
         g = lam * sysm.g_end[sysm.prescribed]
         if settings.predictor == "tangent":
-            if tangent is None:  # the virgin state's tangents, C0 at every point
-                c0 = np.broadcast_to(model.micro_geometry.virgin_c, (model.n_rves, 4, 4))
-                tangent = c0, sysm.assemble(np.zeros((model.n_rves, 4)), c0)[1]
             try:
                 u_start = tangent_predictor(sysm, *tangent, u_n, g, lam - lam_n)
                 record.macro_factorizations += int(sysm.n_free > 0)

@@ -188,21 +188,17 @@ class AssemblyPlan:
     def __init__(self, mesh: Mesh, dof_map: np.ndarray):
         self.n_dofs = mesh.n_dofs
         self.n = n = int(dof_map.max(initial=-1)) + 1
-        reds = [dof_map[element_dofs(block.connectivity)] for block in mesh.blocks]
-        keys = [red[:, :, None] * n + red[:, None, :] for red in reds]
-        kept = [(red[:, :, None] >= 0) & (red[:, None, :] >= 0) for red in reds]
-        empty = np.zeros(0, dtype=np.int64)
-        self.flat = np.unique(np.concatenate([empty] + [k[m] for k, m in zip(keys, kept)]))
         self.blocks = []
-        ip_element, slots = [empty], [empty]
+        empty = np.zeros(0, dtype=np.int64)
+        ip_element = [empty]
         first_el = first_ip = 0
-        for block, red, key, keep in zip(mesh.blocks, reds, keys, kept):
+        for block in mesh.blocks:
             w, b = block_operators(mesh, block, first_el)
             bq = b.reshape(w.shape[0], -1, b.shape[-1])
             wbt = np.ascontiguousarray(np.swapaxes((w[..., None, None] * b).reshape(bq.shape), 1, 2))
-            self.blocks.append(PlanBlock(w, bq, wbt, element_dofs(block.connectivity), red,
+            edofs = element_dofs(block.connectivity)
+            self.blocks.append(PlanBlock(w, bq, wbt, edofs, dof_map[edofs],
                                          slice(first_ip, first_ip + w.size)))
-            slots.append(np.where(keep, np.searchsorted(self.flat, key), len(self.flat)).ravel())
             ip_element.append(np.repeat(first_el + np.arange(block.n_elements), block.n_quad))
             first_el += block.n_elements
             first_ip += w.size
@@ -211,9 +207,14 @@ class AssemblyPlan:
         self.weights = np.concatenate([np.zeros(0)] + [blk.w.ravel() for blk in self.blocks])
         # scatter indices of every block, in block order: the DOF of each
         # element force entry, and the packed-value slot of each element
-        # stiffness entry, len(flat) (a spare slot) off the reduced rows and columns
+        # stiffness entry, the rank of its DOF pair's key i * n + j among
+        # all keys; a pair off the reduced rows and columns takes the key
+        # n * n, above every kept one, so its rank is len(flat), a spare slot
         self.dof_index = np.concatenate([empty] + [blk.edofs.ravel() for blk in self.blocks])
-        self.slot_index = np.concatenate(slots)
+        pairs = [(blk.red[:, :, None], blk.red[:, None, :]) for blk in self.blocks]
+        keys = [np.where((i >= 0) & (j >= 0), i * n + j, n * n).ravel() for i, j in pairs]
+        distinct, self.slot_index = sorted_unique(np.concatenate([empty] + keys))
+        self.flat = distinct[distinct < n * n]
 
     def dense(self, values):
         """Dense matrices (..., n, n) of packed stiffness values (..., len(flat))."""
@@ -255,6 +256,20 @@ class AssemblyPlan:
         return kvals[..., :-1], kes
 
 
+def sorted_unique(keys):
+    """The distinct values of ``keys`` (non-negative integers), ascending, and each key's rank among them.
+
+    One sort: a key's rank is the number of distinct values below it, the
+    same for equal keys in whatever order the sort leaves them, so the sort
+    need not be stable.
+    """
+    order = np.argsort(keys)
+    first = np.diff(keys[order], prepend=-1) != 0
+    rank = np.empty_like(order)
+    rank[order] = np.cumsum(first) - 1
+    return keys[order][first], rank
+
+
 def count_pieces(mesh: Mesh):
     """Number of pieces the elements form when joined across shared edges.
 
@@ -283,4 +298,4 @@ def count_pieces(mesh: Mesh):
         np.minimum.at(label, right, label[left])
         label = label[label]
         if np.array_equal(label, before):
-            return len(np.unique(label))
+            return len(sorted_unique(label)[0])

@@ -6,7 +6,7 @@ kernels, the material pass, a shard's construction and a shard's
 monolithic sweep also run on a 16-RVE shard, the plate-hole shard size,
 and a shard's Cholesky solves also at the notched-shear RVE (n = 44). The
 build of the shipped micro geometry, which carries the virgin RVE's
-factorization, is timed too. Marked
+factorization, and of the perfbench plate-hole model are timed too. Marked
 ``kernelbench`` and deselected by default (see pyproject.toml); run them
 with ``pytest -m kernelbench tests/test_kernelbench.py``.
 
@@ -67,6 +67,14 @@ def test_micro_geometry_build(benchmark):
     micro = rve_porous_quad(default_materials("plate-hole-tension"), n=8)
     geom = benchmark(R.MicroGeometry, micro)
     assert geom.n_reduced == 116 and geom.virgin_inverse.shape == (116, 116)
+
+
+def test_build_perfbench_plate_hole_model(benchmark):
+    # the perfbench plate-hole model's build: both assembly plans, the
+    # micro geometry with its virgin RVE, and the macro system with its
+    # virgin tangent and the rigid-body check's Cholesky solve
+    model = benchmark(build_benchmark, "plate-hole-tension", "monolithic-stored", n_macro=3, n_micro=8)
+    assert model.n_rves == 16 and model.micro_geometry.n_reduced == 116
 
 
 @pytest.mark.parametrize("count", [1, 16])

@@ -257,6 +257,25 @@ class TestStackedSolve:
             assert_array_equal(factorize(a, np.concatenate([rhs[:, :4], others[:, :1]], axis=1))
                                .columns[:, :4], want[:, :4])
 
+    def test_micro_layout_columns_equal_one_column_solves_at_n436(self):
+        # the bits of a column hold whatever the other columns hold only up
+        # to a block width that depends on n: at n = 436 (plate-hole,
+        # n_micro 16) a block of 12 right-hand sides already changes them.
+        # The micro solves' layout, 4 tangent columns and the residual
+        # column, is within it: each column gets its one-column solve's bits
+        geom = R.MicroGeometry(rve_porous_quad(default_materials("plate-hole-tension"), n=16))
+        rves = R.RveBatch(geom)
+        rves.H[0] = [0.0, 0.01, 0.01, 0.004]
+        with macro._one_blas_thread():
+            R.assemble(rves)
+            assert geom.n_reduced == 436 and rves.plastic_flow[0]
+            rves.solved[:] = False
+            R._solve_columns(rves, np.ones(1, dtype=bool))
+            k = geom.plan.dense(rves.kvals[0])
+            for j in range(4):
+                assert_array_equal(rves.x_h[0, :, j], factorize(k, rves.dr_dH[0, :, j]).columns)
+            assert_array_equal(rves.x_r[0], factorize(k, rves.r_hat[0]).columns)
+
     def test_singular_pivot_inside_sweep_names_original_row(self):
         with pytest.raises(SingularMatrixError) as exc:
             factorize(zero_row_and_column(), np.ones((10, 5)))

@@ -321,6 +321,34 @@ class TestTangentPredictor:
         assert all(r.macro_iterations == 1 for r in report.records)
         assert all(r.macro_factorizations == 1 for r in report.records)
 
+    def test_the_model_keeps_the_virgin_tangent(self):
+        # C0 at every point and the free-free stiffness they assemble, byte
+        # for byte as an assembly at the virgin state gives them
+        model = build_benchmark("notched-shear", "monolithic-stored", n_macro=3, n_micro=3)
+        c0, k0 = model.virgin_tangent
+        c = np.broadcast_to(model.micro_geometry.virgin_c, (model.n_rves, 4, 4))
+        assert c0.tobytes() == c.tobytes()
+        assert k0.tobytes() == model.system.assemble(np.zeros((model.n_rves, 4)), c)[1].tobytes()
+        assert model.with_scheme("staggered").virgin_tangent is model.virgin_tangent
+
+    @pytest.mark.parametrize("scheme", macro.SCHEMES)
+    def test_a_run_assembles_no_macro_tangent_before_its_first_sweep(self, scheme, monkeypatch):
+        # the first increment's predictor starts from the model's virgin
+        # tangent, so a run's first macro assembly follows a pool sweep
+        model, calls = bar_model(scheme), []
+
+        def logged(name, method):
+            def call(*args):
+                calls.append(name)
+                return method(*args)
+            return call
+
+        monkeypatch.setattr(macro.MacroSystem, "assemble", logged("assemble", macro.MacroSystem.assemble))
+        for sweep in ("staggered", "monolithic"):
+            monkeypatch.setattr(macro.RvePool, sweep, logged("sweep", getattr(macro.RvePool, sweep)))
+        assert run(model, SolverSettings(dt_initial=0.2, dt_max=0.2, **TIGHT)).converged
+        assert calls[0] == "sweep" and "assemble" in calls
+
 
 class TestLargeSteps:
     # Builder-default sizes at pinned load steps of 0.25 and 0.5, tolerances

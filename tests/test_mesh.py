@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from fescale.benchmarks import rve_porous_quad, rve_porous_tri
+from fescale.benchmarks import (
+    BENCHMARK_BUILDERS,
+    build_benchmark,
+    micro_by_name,
+    rve_porous_quad,
+    rve_porous_tri,
+)
 from fescale.errors import MeshQualityError
 from fescale.mesh import (
     QUAD4,
@@ -15,7 +21,9 @@ from fescale.mesh import (
     ElementBlock,
     Mesh,
     count_pieces,
+    element_dofs,
     scatter_add,
+    sorted_unique,
 )
 from fescale.rve import MicroGeometry
 from tests_support import PLASTIC, build_integration_points, total_area
@@ -101,6 +109,8 @@ class TestCountPieces:
     # two unit quads side by side, joined along x = 1 or only at (1, 1)
     NODES = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
                       [2.0, 0.0], [2.0, 1.0], [2.0, 2.0], [1.0, 2.0]])
+    # a quad block and a triangle block sharing the edge x = 1, y in [0, 1]
+    MIXED = [ElementBlock(QUAD4, [[0, 1, 2, 3]]), ElementBlock(TRI3, [[1, 4, 5], [1, 5, 2]])]
 
     def test_elements_sharing_an_edge_are_one_piece(self):
         mesh = Mesh(self.NODES, [ElementBlock(QUAD4, [[0, 1, 2, 3], [1, 4, 5, 2]])])
@@ -111,9 +121,18 @@ class TestCountPieces:
         assert count_pieces(mesh) == 2
 
     def test_blocks_join_across_a_shared_edge(self):
-        mesh = Mesh(self.NODES, [ElementBlock(QUAD4, [[0, 1, 2, 3]]),
-                                 ElementBlock(TRI3, [[1, 4, 5], [1, 5, 2]])])
-        assert count_pieces(mesh) == 1
+        assert count_pieces(Mesh(self.NODES, self.MIXED)) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=50))
+def test_sorted_unique_matches_np_unique(values):
+    keys = np.array(values, dtype=np.int64)
+    distinct, rank = sorted_unique(keys)
+    want, inverse = np.unique(keys, return_inverse=True)
+    assert_array_equal(distinct, want)
+    assert_array_equal(rank, inverse)
+    assert rank.dtype == np.int64
 
 
 def stiffness_pattern(mesh, dof_map):
@@ -171,6 +190,60 @@ class TestStiffnessPattern:
                 red = red[red >= 0]
                 expected[np.ix_(red, red)] = True
         assert_array_equal(pattern, expected)
+
+
+def reference_pattern(mesh, dof_map):
+    """``flat`` and ``slot_index`` of a plan by ``np.unique`` and ``np.searchsorted``.
+
+    ``flat`` holds the distinct keys i * n + j of the element DOF pairs
+    that are both kept; a kept pair's slot is its key's position in
+    ``flat``, an eliminated one's the spare slot len(flat).
+    """
+    n = int(dof_map.max(initial=-1)) + 1
+    reds = [dof_map[element_dofs(block.connectivity)] for block in mesh.blocks]
+    keys = np.concatenate([(red[:, :, None] * n + red[:, None, :]).ravel() for red in reds])
+    kept = np.concatenate([((red[:, :, None] >= 0) & (red[:, None, :] >= 0)).ravel() for red in reds])
+    flat = np.unique(keys[kept])
+    return flat, np.where(kept, np.searchsorted(flat, keys), len(flat))
+
+
+def shipped_plans():
+    """(name, mesh, dof_map, plan) of every shipped macro and micro mesh and the mixed test meshes."""
+    for name in sorted(BENCHMARK_BUILDERS):
+        model = build_benchmark(name, "monolithic-stored")
+        system, geom = model.system, model.micro_geometry
+        dof_map = np.full(system.mesh.n_dofs, -1, dtype=np.int64)
+        dof_map[system.free] = np.arange(system.n_free)
+        yield f"{name}-macro", system.mesh, dof_map, system.plan
+        yield f"{name}-micro", geom.mesh, geom.pmap.dof_map, geom.plan
+    params = {"material": PLASTIC, "material2": PLASTIC}
+    for name in ("single-element", "porous-square", "porous-square-quad", "laminate", "composite"):
+        geom = MicroGeometry(micro_by_name(name, params))
+        yield f"{name}-rve", geom.mesh, geom.pmap.dof_map, geom.plan
+    mesh = Mesh(TestCountPieces.NODES[:6], TestCountPieces.MIXED)
+    # node 0 and the y DOF of node 4 eliminated, the x DOF of node 5 merged
+    # onto that of node 1
+    eliminated = np.full(12, -1, dtype=np.int64)
+    kept = [d for d in range(12) if d not in (0, 1, 9, 10)]
+    eliminated[kept] = np.arange(len(kept))
+    eliminated[10] = eliminated[2]
+    for dof_map in (np.arange(12), eliminated):
+        yield "count-pieces-mixed", mesh, dof_map, AssemblyPlan(mesh, dof_map)
+    mesh, dof_map = mixed_mesh(), mixed_dof_map()
+    yield "mixed", mesh, dof_map, AssemblyPlan(mesh, dof_map)
+
+
+def test_plan_pattern_equals_unique_and_searchsorted():
+    # one sort of every block's pair keys gives the plan's packed index and
+    # scatter slots as a sorted unique pass and a search over it do
+    names = []
+    for name, mesh, dof_map, plan in shipped_plans():
+        flat, slots = reference_pattern(mesh, dof_map)
+        assert_array_equal(plan.flat, flat, err_msg=name)
+        assert_array_equal(plan.slot_index, slots, err_msg=name)
+        assert plan.flat.dtype == plan.slot_index.dtype == np.int64
+        names.append(name)
+    assert len(names) == 14
 
 
 def mixed_mesh():
