@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from fescale import benchmarks, linalg, macro, material, rve as rvemod
-from fescale.errors import ConfigError, FescaleError, StructuralError
+from fescale.errors import ConfigError, FescaleError, StructuralError, WorkerError
 from fescale.mesh import QUAD4, TRI3, AssemblyPlan, ElementBlock, Mesh
 
 _KINDS = {TRI3: 3, QUAD4: 4}
@@ -472,7 +472,9 @@ def run_suite(config: RunConfig):
     otherwise; artifacts are written either way. The model is built once,
     before the output directory is created, so a configuration error leaves
     no file behind; the schemes' models share its micro geometry and macro
-    system.
+    system. A worker process that ends stops the suite: the curve and stats
+    of the increments its scheme accepted, and the summary so far, are
+    written before its :class:`WorkerError` is raised again.
     """
     model = config.build_model(config.schemes[0])
     models = {scheme: model.with_scheme(scheme) for scheme in config.schemes}
@@ -481,8 +483,12 @@ def run_suite(config: RunConfig):
     reports = {}
     scheme_stats = {}
     status = 0
+    lost = None
     for scheme, model in models.items():
-        report = macro.run(model, config.settings)
+        try:
+            report = macro.run(model, config.settings)
+        except WorkerError as exc:
+            report, lost = exc.report, exc
         reports[scheme] = report
         prefix = os.path.join(config.output_dir, f"{config.name}_{scheme}")
         write_curve_csv(prefix + "_curve.csv", report.curve)
@@ -490,10 +496,14 @@ def run_suite(config: RunConfig):
         scheme_stats[scheme] = prefix + "_stats.csv"
         if not report.converged:
             status = 1
+        if lost is not None:
+            break
     write_summary(
         os.path.join(config.output_dir, f"{config.name}_summary.csv"),
         config.name, scheme_stats,
     )
+    if lost is not None:
+        raise lost
     return status, reports
 
 

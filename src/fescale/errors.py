@@ -54,3 +54,13 @@ class GeometryError(FescaleError):
 
 class ConfigError(FescaleError):
     """A run configuration failed validation."""
+
+
+class WorkerError(FescaleError):
+    """A worker process of the RVE pool ended during a run.
+
+    ``report`` is the run's :class:`macro.SolveReport` of the increments
+    accepted before it, set where the run stops.
+    """
+
+    report = None

@@ -12,6 +12,15 @@ LU solve's (2/3) n^3, against (8/3) n^3 for an LU inverse (Higham,
 *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 10
 and 14).
 
+A caller that solves many matrices of one size in a row, such as a micro
+sweep over the RVEs of a shard, prepares the work around LAPACK once for
+all of them: their right-hand sides already in LAPACK's row layout with the
+probe row (:func:`probe_blocks`), each ||A||_inf from its packed values,
+and one check of every solve afterwards (:func:`probe_passed`). Each
+matrix then costs one ``factorize(a, block, prepared=True)`` call, which
+solves ``block`` in place and lets LAPACK overwrite the caller's scratch
+matrix ``a``: no copy, no transpose and no probe check per matrix.
+
 The contract is that every matrix is SPD: the micro stiffness (J2 with
 hardening h >= 0, rigid modes removed by the periodic map and the anchor)
 and the macro tangent (the symmetric condensed tangent, rigid modes
@@ -69,7 +78,7 @@ class Factorization:
 
     ``matrix`` is a read-only view of the factorized matrix, which
     :func:`solve` solves again; ``columns`` holds the right-hand sides given
-    to :func:`factorize`, solved.
+    to :func:`factorize`, solved. A prepared solve keeps no matrix.
     """
 
     n: int
@@ -192,7 +201,7 @@ def _dependent_row(dense):
     return k, dist[k]
 
 
-def factorize(a: np.ndarray, rhs: np.ndarray | None = None) -> Factorization:
+def factorize(a: np.ndarray, rhs: np.ndarray | None = None, prepared: bool = False) -> Factorization:
     """Cholesky-solve a dense SPD matrix for ``rhs``, shaped (n,) or (n, m), in one call.
 
     The solution, shaped as ``rhs`` ((n, 0) without it), is the returned
@@ -200,7 +209,23 @@ def factorize(a: np.ndarray, rhs: np.ndarray | None = None) -> Factorization:
     of ``a``, which must not change while the factorization is solved
     again. A matrix that is singular or not positive definite raises
     :class:`SingularMatrixError` (see :func:`solve`).
+
+    ``prepared=True`` is one solve of a prepared batch (see the module
+    docstring): ``a`` is a symmetric C-order float64 scratch matrix, whose
+    upper triangle LAPACK may overwrite with the factor, and ``rhs`` one
+    (m + 1, n) block of :func:`probe_blocks`, solved in place and returned
+    as ``columns``; ``matrix`` is None. Only a matrix that LAPACK finds not
+    positive definite raises :class:`SingularMatrixError`, its rows named
+    from the lower triangle, which LAPACK leaves as it is; the caller checks
+    the probe rows (:func:`probe_passed`).
     """
+    if prepared:
+        x = _cholesky_solve(a, rhs)
+        if x is None:
+            raise SingularMatrixError(*_dependent_row(np.tril(a) + np.tril(a, -1).T))
+        if x is not rhs:
+            rhs[...] = x
+        return Factorization(len(a), None, rhs)
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise StructuralError(f"matrix shape {a.shape} is not square")
@@ -223,6 +248,29 @@ def solve(f: Factorization, rhs: np.ndarray) -> np.ndarray:
     return _checked_solve(f.matrix, rhs)
 
 
+def probe_blocks(count, m, n):
+    """Right-hand-side blocks (count, m + 1, n) of ``count`` solves of m columns of an n-unknown matrix.
+
+    Row j < m of a block is right-hand side j, for the caller to fill, and
+    row m the probe; each block is C order, which is LAPACK's column-major
+    (n, m + 1).
+    """
+    blocks = np.empty((count, m + 1, n))
+    blocks[:, m] = _probe(n)
+    return blocks
+
+
+def probe_passed(blocks, norms):
+    """Per solved block of :func:`probe_blocks` (k, m + 1, n), whether its solve stands.
+
+    It does when every value is finite and the probe estimate
+    ``norms`` (k,) ||A||_inf times ||A^-1 z||_inf of the condition number
+    is below 1 / PIVOT_RTOL; a non-finite ||A||_inf fails.
+    """
+    return np.isfinite(blocks).all(axis=(1, 2)) & (norms * np.abs(blocks[:, -1]).max(axis=1)
+                                                   < 1.0 / PIVOT_RTOL)
+
+
 def _checked_solve(a, rhs):
     """One LAPACK solve of ``a`` for ``rhs`` and the probe column; see :func:`solve`."""
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -234,13 +282,10 @@ def _checked_solve(a, rhs):
     if n == 0:
         return rhs.copy()
     m = rhs.size // n
-    # row j of the C-order block is right-hand side j: LAPACK's column-major (n, m + 1)
-    block = np.empty((m + 1, n))
-    block[:m] = rhs.reshape(n, m).T
-    block[m] = _probe(n)
-    x = _cholesky_solve(a, block)
-    if (x is None or not np.isfinite(x).all()
-            or not _inf_norm(a) * np.abs(x[m]).max() < 1.0 / PIVOT_RTOL):
+    block = probe_blocks(1, m, n)
+    block[0, :m] = rhs.reshape(n, m).T
+    x = _cholesky_solve(np.array(a, dtype=np.float64, order="C"), block[0])
+    if x is None or not probe_passed(x[None], _inf_norm(a))[0]:
         raise SingularMatrixError(*_dependent_row(a))
     return x[:m].T.reshape(rhs.shape)
 
@@ -284,10 +329,11 @@ def _dposv():
 def _cholesky_solve(a, block):
     """Solve ``a`` x = b for the rows b of ``block`` (m, n), in place; None if LAPACK fails.
 
-    ``dposv`` factorizes a C-order copy of ``a`` and reads its upper
-    triangle (the lower one of the Fortran matrix, ``uplo`` "L"). Without
-    it, ``np.linalg.solve`` (LU) solves into a new array instead. This is
-    the kernel's one entry point to LAPACK.
+    ``dposv`` factorizes ``a``, a C-order float64 matrix, in place: it reads
+    its upper triangle (the lower one of the Fortran matrix, ``uplo`` "L")
+    and overwrites it with the factor. Without it, ``np.linalg.solve`` (LU)
+    solves into a new array instead and leaves ``a`` as it is. This is the
+    kernel's one entry point to LAPACK.
     """
     dposv = _dposv()
     if dposv is None:
@@ -296,6 +342,5 @@ def _cholesky_solve(a, block):
         except np.linalg.LinAlgError:
             return None
     n, info = ctypes.c_int64(len(a)), ctypes.c_int64()
-    factor = np.array(a, dtype=np.float64, order="C")
-    dposv(b"L", n, ctypes.c_int64(len(block)), factor.ctypes.data, n, block.ctypes.data, n, info, 1)
+    dposv(b"L", n, ctypes.c_int64(len(block)), a.ctypes.data, n, block.ctypes.data, n, info, 1)
     return block if info.value == 0 else None

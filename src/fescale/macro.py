@@ -20,13 +20,14 @@ import contextlib
 import copy
 import ctypes
 import functools
+import signal
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from fescale import linalg, mesh as fmesh, rve as rvemod
-from fescale.errors import FescaleError, SingularMatrixError, StructuralError
+from fescale.errors import FescaleError, SingularMatrixError, StructuralError, WorkerError
 
 SCHEMES = ("staggered", "monolithic", "monolithic-stored")
 PREDICTORS = ("tangent", "extrapolate", "none")
@@ -377,20 +378,46 @@ class RvePool:
 
         ``args=None`` calls without arguments. Every worker's reply is read
         before the first failure is re-raised with its own type, as in a
-        serial run.
+        serial run. A worker whose pipe breaks has ended: every worker is
+        reaped and :class:`WorkerError` raised, naming it.
         """
         if args is None:
             args = [()] * self.workers
         if self._local is not None:
             with _one_blas_thread():
                 return [getattr(self._local, name)(*args[0])]
-        for pipe, a in zip(self._pipes, args):
-            pipe.send((name, a))
-        replies = [pipe.recv() for pipe in self._pipes]
+        replies = []
+        for w, (pipe, a) in enumerate(zip(self._pipes, args)):
+            try:
+                pipe.send((name, a))
+            except ConnectionError as exc:
+                raise self._lost(w, name) from exc
+        for w, pipe in enumerate(self._pipes):
+            try:
+                replies.append(pipe.recv())
+            except (EOFError, ConnectionError) as exc:
+                raise self._lost(w, name) from exc
         for ok, value in replies:
             if not ok:
                 raise value
         return [value for _, value in replies]
+
+    def _lost(self, w, name):
+        """Reap every worker after worker ``w`` ended during call ``name``; the error naming it."""
+        for proc in self._procs:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join(timeout=5)
+        for pipe in self._pipes:
+            pipe.close()
+        proc = self._procs[w]
+        if proc.exitcode is None:
+            how = "stopped answering"
+        elif proc.exitcode < 0:
+            how = f"was killed by signal {signal.Signals(-proc.exitcode).name}"
+        else:
+            how = f"exited with code {proc.exitcode}"
+        return WorkerError(f"worker {w} (pid {proc.pid}) {how} during the pool's {name!r} call")
 
     def _scatter(self, full):
         return [full[shard] for shard in self._shards]
@@ -579,7 +606,8 @@ def newton_increment(model, pool, settings, lam, u_start, u_n, record):
     converged staggered micro problems by construction. The attempt fails,
     to be cut by the caller, when a micro problem fails (budget overrun,
     singular stiffness, non-finite residual), the macro residual is not
-    finite or the macro tangent is singular. ``c`` are the per-point
+    finite, the macro tangent is singular or the macro residual has grown
+    in two consecutive iterations (the attempt diverges). ``c`` are the per-point
     tangents of the converged iteration and ``K_t`` the free-free macro
     tangent assembled from them, which the tangent predictor reuses.
     """
@@ -603,7 +631,9 @@ def newton_increment(model, pool, settings, lam, u_start, u_n, record):
         record.residual_norms.append(rn)
         converged = (rn <= settings.tol_macro * ref
                      and bool(np.all(outs["rnorm"] <= settings.tol_micro * outs["ref"])))
-        if converged or k == settings.max_macro_iter or not np.isfinite(rn):
+        rs = record.residual_norms[-3:]
+        diverging = len(rs) == 3 and rs[2] > rs[1] > rs[0]
+        if converged or diverging or k == settings.max_macro_iter or not np.isfinite(rn):
             record.macro_iterations += k
             return (u, f_int, outs["c"], k_t) if converged else None
         try:
@@ -622,28 +652,36 @@ def run(model: TwoScaleModel, settings: SolverSettings) -> SolveReport:
     """March the load from zero to t_end with adaptive increments.
 
     Returns a full report; a dt underflow after repeated cuts ends the march
-    early with ``converged=False`` and the partial curve retained. The model
+    early with ``converged=False`` and the partial curve retained. A worker
+    process that ends raises :class:`WorkerError`, whose ``report`` holds
+    the increments accepted before it (``converged=False``). The model
     is not changed, so it can be run again. A serial run pins glibc's
     malloc thresholds of the calling process for the rest of its life (see
     :class:`RvePool`).
     """
     pool = RvePool(model.micro_geometry, model.n_rves, model.scheme != "monolithic",
                    settings.parallel_workers)
+    report = SolveReport(scheme=model.scheme, records=[], curve=[(0.0, 0.0, 0.0)],
+                         converged=False, n_rves=pool.n_rves)
     try:
-        return _run_loop(model, pool, settings)
+        _run_loop(model, pool, settings, report)
+    except WorkerError as exc:
+        exc.report = report
+        raise
     finally:
         pool.close()
+    return report
 
 
-def _run_loop(model, pool, settings):
+def _run_loop(model, pool, settings, report):
+    """March the load, appending to ``report``'s records and curve; see :func:`run`."""
     sysm = model.system
     u_n, u_nm1 = np.zeros(sysm.mesh.n_dofs), np.zeros(sysm.mesh.n_dofs)
     lam_n = 0.0
     # (per-point tangents, K_ff) of the last accepted state, the model's virgin ones at first
     tangent = model.virgin_tangent
     n_commits = 0
-    records = []
-    curve = [(0.0, 0.0, 0.0)]
+    records, curve = report.records, report.curve
     t = 0.0
     dt = settings.dt_initial
     dt_prev = None
@@ -716,9 +754,5 @@ def _run_loop(model, pool, settings):
                       float(f_int[model.reaction_dofs].sum())))
         dt, _ = adapt_step(record, settings)
 
-    return SolveReport(
-        scheme=model.scheme, records=records, curve=curve,
-        converged=all(r.converged for r in records),
-        n_rves=pool.n_rves,
-        final_u=u_n.copy(), final_alpha=pool.gather_alpha(),
-    )
+    report.converged = all(r.converged for r in records)
+    report.final_u, report.final_alpha = u_n.copy(), pool.gather_alpha()

@@ -168,14 +168,18 @@ def evaluate_batch(law, h_batch, states: StateBatch):
 
     Returns
     -------
-    sigma : (n, 4) array, tangent : (n, 4, 4) array, new_states :
-    StateBatch shaped as ``states``, active : (n,) bool array, f_tr : (n,)
-    array of the trial yield-function values q_tr - (sigma0 + h alpha),
-    -inf at the points of an elastic material
+    sigma : (n, 4) array, yielding : (n_active, 4, 4) array of the
+    consistent tangents of the yielding points, in point order, new_states :
+    StateBatch shaped as ``states``, active : (n,) bool array that marks
+    the yielding points, f_tr : (n,) array of the trial yield-function
+    values q_tr - (sigma0 + h alpha), -inf at the points of an elastic
+    material
 
     The trial stress and the yield check run over every point on component
     arrays; the return mapping, the state update and the consistent tangent
-    only where a point yields. Every point computes as it would alone.
+    only where a point yields. Every other point's tangent is its elastic
+    stiffness, which :func:`point_tangents` fills in for the points that
+    need one. Every point computes as it would alone.
     """
     law = law if isinstance(law, Law) else Law([law])
     h = np.asarray(h_batch, dtype=np.float64)
@@ -215,8 +219,7 @@ def evaluate_batch(law, h_batch, states: StateBatch):
     np.add(ep, rest, out=new_ep.T)
     new_ep.reshape(grid + (4,))[:, law.elastic] = states.eps_p.reshape(grid + (4,))[:, law.elastic]
     new_alpha = states.alpha_bar.reshape(n).copy()
-    tangent = np.empty((n, 4, 4))
-    tangent.reshape(grid + (4, 4))[:] = law.stiffness
+    yielding = np.empty((0, 4, 4))
 
     if len(idx):
         pt = idx % law.points
@@ -234,10 +237,26 @@ def evaluate_batch(law, h_batch, states: StateBatch):
         t = law.bulk[pt] * _OUTER[:, :, None]
         t += (two_mu * theta) * _DEV[:, :, None]
         t += coeff * n4[:, None] * n4[None, :]
-        tangent[idx] = t.transpose(2, 0, 1)
+        yielding = t.transpose(2, 0, 1)
     sigma = s.take(_SIGMA, axis=0).T.copy()
     new_states = StateBatch(new_ep.reshape(states.eps_p.shape), new_alpha.reshape(states.alpha_bar.shape))
-    return sigma, tangent, new_states, active, f_tr
+    return sigma, yielding, new_states, active, f_tr
+
+
+def point_tangents(law, active, yielding):
+    """Point tangents (n, 4, 4) of ``n`` points, consecutive groups of the law's points.
+
+    ``active`` (n,) and ``yielding`` are an :func:`evaluate_batch` call's
+    (or the rows of whole groups of it that hold every yielding point): a
+    yielding point takes its consistent tangent, every other point the
+    elastic stiffness of its material.
+    """
+    law = law if isinstance(law, Law) else Law([law])
+    n = len(active)
+    tangent = np.empty((n, 4, 4))
+    tangent.reshape((n // law.points, law.points, 4, 4))[:] = law.stiffness
+    tangent[active] = yielding
+    return tangent
 
 
 def tangent_check(params, h_micro, state: StateBatch) -> float:
@@ -256,7 +275,8 @@ def tangent_check(params, h_micro, state: StateBatch) -> float:
     rows[1:5][np.diag_indices(4)] += step
     rows[5:][np.diag_indices(4)] -= step
     states = StateBatch(np.repeat(state.eps_p, 9, axis=0), np.repeat(state.alpha_bar, 9))
-    sigma, tangent = evaluate_batch(params, rows, states)[:2]
+    sigma, yielding, _, active, _ = evaluate_batch(params, rows, states)
+    tangent = point_tangents(params, active, yielding)
     fd = (sigma[1:5] - sigma[5:]).T / (2 * step)
     scale = max(np.abs(tangent[0]).max(), 1.0)
     return float(np.abs(fd - tangent[0]).max() / scale)

@@ -224,6 +224,8 @@ class MicroGeometry:
         self.eq_index = np.where(self.pmap.dof_map >= 0, self.pmap.dof_map, n)
         self.sens_index = np.concatenate([8 * np.where(blk.red >= 0, blk.red, n)[..., None] + np.arange(8)
                                           for blk in self.plan.blocks], axis=None)
+        # where each row's segment of the packed values starts (``flat`` is row-major)
+        self._row_starts = np.flatnonzero(np.diff(self.plan.flat // n, prepend=-1))
         if n > linalg.MAX_DENSE_N:
             raise StructuralError(f"micro problem: {n} unknowns exceed the dense solver's "
                                   f"limit of {linalg.MAX_DENSE_N}")
@@ -255,6 +257,15 @@ class MicroGeometry:
         mean = (a[..., 0] + a[..., 3]) / 3.0
         dev2 = (a[..., 0] - mean) ** 2 + (a[..., 3] - mean) ** 2 + mean**2 + 2.0 * e12**2
         self.yield_bound = np.sqrt(1.5) * self.law.two_mu * np.sqrt(dev2.sum(axis=0))
+
+    def inf_norms(self, kvals):
+        """||K||_inf (k,) of packed stiffness values (k, len(flat)): each one's largest row sum of |K|.
+
+        One sum over each row's segment of the packed values, not over the
+        n x n matrix; a non-finite value in either triangle makes it
+        non-finite.
+        """
+        return np.add.reduceat(np.abs(kvals), self._row_starts, axis=1).max(axis=1)
 
 
 # relative margin of the certified elastic radius below the nearest yield
@@ -321,8 +332,9 @@ def full_displacement(geom: MicroGeometry, u_hat, h):
     """Full nodal displacements (..., n_dofs) of fluctuations ``u_hat`` (..., n) and gradients ``h``."""
     u_aff = geom.mesh.nodes @ np.swapaxes(h.reshape(h.shape[:-1] + (2, 2)), -1, -2)
     red = geom.pmap.dof_map
+    # an eliminated DOF's equation -1 reads the padded zero
     pad = np.concatenate([u_hat, np.zeros(u_hat.shape[:-1] + (1,))], axis=-1)
-    return u_aff.reshape(h.shape[:-1] + (-1,)) + np.where(red >= 0, pad[..., red], 0.0)
+    return u_aff.reshape(h.shape[:-1] + (-1,)) + pad[..., red]
 
 
 def assemble(rves: RveBatch, mask=None):
@@ -350,8 +362,8 @@ def assemble(rves: RveBatch, mask=None):
     h = geom.plan.gradients(full_displacement(geom, rves.u_hat[sel], rves.H[sel]))
     states = material.StateBatch(rves.states.eps_p.reshape(b, n_ip, 4)[sel].reshape(-1, 4),
                                  rves.states.alpha_bar.reshape(b, n_ip)[sel].ravel())
-    sigma, d, new, active, f_tr = material.evaluate_batch(geom.law, h.reshape(-1, 4), states)
-    sigma, d = sigma.reshape(k, n_ip, 4), d.reshape(k, n_ip, 4, 4)
+    sigma, yielding, new, active, f_tr = material.evaluate_batch(geom.law, h.reshape(-1, 4), states)
+    sigma = sigma.reshape(k, n_ip, 4)
     rves.trial.eps_p.reshape(b, n_ip, 4)[sel] = new.eps_p.reshape(k, n_ip, 4)
     rves.trial.alpha_bar.reshape(b, n_ip)[sel] = new.alpha_bar.reshape(k, n_ip)
 
@@ -368,8 +380,11 @@ def assemble(rves: RveBatch, mask=None):
 
     fresh = ids[~flagged]
     if len(fresh):
-        rves.kvals[fresh], rves.dr_dH[fresh], rves.dsig_du[fresh], rves.dsig_dh[fresh] = _matrices(
-            geom, d[~flagged] if flagged.any() else d)
+        # the dense point tangents of the RVEs that get new matrices, which
+        # hold every yielding point: a flagged RVE has none
+        fresh_active = active.reshape(k, n_ip)[~flagged].ravel()
+        d = material.point_tangents(geom.law, fresh_active, yielding).reshape(-1, n_ip, 4, 4)
+        rves.kvals[fresh], rves.dr_dH[fresh], rves.dsig_du[fresh], rves.dsig_dh[fresh] = _matrices(geom, d)
         rves.solved[fresh] = False
     if flagged.any():
         rves.x_h[ids[flagged]] = geom.virgin_x_h
@@ -417,38 +432,46 @@ def _solve_columns(rves: RveBatch, need, tangent=True):
     factorization, on a fixed layout: the 4 tangent columns and the
     residual column, or with ``tangent=False`` (a staggered Newton step)
     the residual column alone; the step's RVE is assembled again before a
-    tangent column is read. A singular stiffness marks the RVE ``failed``
-    instead of raising.
+    tangent column is read. A stiffness that is singular or not finite (a
+    failed Cholesky solve or probe check) marks the RVE ``failed`` instead
+    of raising.
 
-    The RVEs share one dense matrix and one column block per call: each
-    writes its packed values over the pattern, off which the matrix stays
-    zero, and its factorization is dropped before the next RVE writes.
+    The RVEs are gathered once per call: their packed values, their
+    right-hand sides as the rows of one block each with the probe row
+    (:func:`linalg.probe_blocks`), and their ||K||_inf, from the packed
+    values (:meth:`MicroGeometry.inf_norms`). Each RVE then fills one shared dense matrix, which LAPACK
+    overwrites with its factor, and solves its block in place
+    (``linalg.factorize(..., prepared=True)``); the probe check and the
+    column scatter run once for the call.
     """
     todo = np.flatnonzero(need & ~rves.solved & ~rves.failed)
     if not len(todo):
         return
-    n, flat = rves.geom.n_reduced, rves.geom.plan.flat
-    k = np.zeros((n, n))
+    geom = rves.geom
+    n, flat, m = geom.n_reduced, geom.plan.flat, 5 if tangent else 1
+    kvals = rves.kvals[todo]
+    blocks = linalg.probe_blocks(len(todo), m, n)
+    if tangent:
+        blocks[:, :4] = np.swapaxes(rves.dr_dH[todo], 1, 2)
+    blocks[:, m - 1] = rves.r_hat[todo]
+    k = np.empty((n, n))
     k_flat = k.reshape(-1)
-    block = np.empty((n, 5))
-    rhs = block if tangent else block[:, 4:]
     ok = np.ones(len(todo), dtype=bool)
-    for j, i in enumerate(todo):
-        k_flat[flat] = rves.kvals[i]
-        block[:, 4] = rves.r_hat[i]
-        if tangent:
-            block[:, :4] = rves.dr_dH[i]
+    for j in range(len(todo)):
+        k.fill(0.0)  # LAPACK left the last RVE's factor in the upper triangle
+        k_flat[flat] = kvals[j]
         try:
-            x = linalg.factorize(k, rhs).columns
+            linalg.factorize(k, blocks[j], prepared=True)
         except SingularMatrixError:
             ok[j] = False
-            continue
-        rves.x_r[i] = x[:, -1]
-        if tangent:
-            rves.x_h[i] = x[:, :4]
+    ok &= linalg.probe_passed(blocks, geom.inf_norms(kvals))
+    done = todo[ok]
     rves.failed[todo[~ok]] = True
-    rves.solved[todo[ok]] = True
-    rves.counts[todo[ok], FACTORIZATIONS] += 1
+    rves.solved[done] = True
+    rves.counts[done, FACTORIZATIONS] += 1
+    rves.x_r[done] = blocks[ok, m - 1]
+    if tangent:
+        rves.x_h[done] = np.swapaxes(blocks[ok, :4], 1, 2)
 
 
 def _drop_unstored_columns(rves: RveBatch):
@@ -574,23 +597,29 @@ def solve_micro_staggered(rves: RveBatch, h_target, tol_micro, max_iter) -> np.n
         # Backtracking keeps the update inside the convergence basin. The
         # Newton direction descends the residual 2-norm (exact tangent), so
         # acceptance tests that norm; convergence stays on the inf-norm.
-        back = search & live & (_norm2(rves.r_hat) > r_prev) & (step > 0.03125)
-        rves.u_hat[back] += step[back, None] * du[back]
-        step[back] *= 0.5
-        rves.u_hat[back] -= step[back, None] * du[back]
+        # Only the rows that took a step or backtracked are tested.
+        back = np.zeros(b, dtype=bool)
+        rows = np.flatnonzero(search & live)
+        if len(rows):
+            back[rows] = (_norm2(rves.r_hat[rows]) > r_prev[rows]) & (step[rows] > 0.03125)
+            rows = np.flatnonzero(back)
+            rves.u_hat[rows] += step[rows, None] * du[rows]
+            step[rows] *= 0.5
+            rves.u_hat[rows] -= step[rows, None] * du[rows]
         check = live & ~back
         live &= ~(check & (rves.residual_norm <= tol_micro * residual_reference(rves)))
         rves.failed |= check & live & (solves >= max_iter)
         go = check & live & ~rves.failed
         _solve_columns(rves, go, tangent=False)
         go &= ~rves.failed
-        if go.any():
-            du[go] = rves.x_r[go]
-            rves.counts[go, UPDATE_SOLVES] += 1
-            solves[go] += 1
-            r_prev[go] = _norm2(rves.r_hat[go])
-            step[go] = 1.0
-            rves.u_hat[go] -= step[go, None] * du[go]
+        rows = np.flatnonzero(go)
+        if len(rows):
+            du[rows] = rves.x_r[rows]
+            rves.counts[rows, UPDATE_SOLVES] += 1
+            solves[rows] += 1
+            r_prev[rows] = _norm2(rves.r_hat[rows])
+            step[rows] = 1.0
+            rves.u_hat[rows] -= step[rows, None] * du[rows]
         search = back | go
         if not search.any():
             return np.maximum(solves, 1)

@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import multiprocessing
+import os
 import pathlib
+import re
 import tempfile
 
 import numpy as np
@@ -545,6 +548,35 @@ class TestMainEntry:
                                  schemes=["monolithic-stored"])
         assert main(["run", str(path)]) == 0
         assert (tmp_path / "cli_out" / "notched-shear_monolithic-stored_curve.csv").exists()
+
+    def test_a_dead_worker_is_named_and_the_accepted_increments_kept(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # worker 1 of 2 (14 of the 29 RVEs) ends at its third monolithic
+        # sweep, as a process the OOM killer or a signal ends would: exit 1
+        # with a message that names it, no traceback, every worker reaped,
+        # and the curve and stats of the increments accepted before it
+        sweep, calls = macro._Shard.monolithic, [0]
+
+        def dies_at_third_sweep(shard, *args):
+            calls[0] += 1  # each forked worker counts its own calls
+            if shard.rves.b == 14 and calls[0] == 3:
+                os._exit(9)
+            return sweep(shard, *args)
+
+        monkeypatch.setattr(macro._Shard, "monolithic", dies_at_third_sweep)
+        path = write_tiny_config(tmp_path, output_dir="dead", schemes=["monolithic-stored"],
+                                 overrides={"n_macro": 4, "n_micro": 3})
+        assert main(["run", str(path), "--workers", "2"]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: worker 1 \(pid \d+\) exited with code 9 during the pool's "
+                            r"'monolithic' call\n", err)
+        assert multiprocessing.active_children() == []
+        out = tmp_path / "dead"
+        curve = (out / "notched-shear_monolithic-stored_curve.csv").read_text().splitlines()
+        stats = read_stats_csv(out / "notched-shear_monolithic-stored_stats.csv")
+        assert curve[:2] == ["load_factor,control_value,reaction", "0,0,0"]
+        assert len(curve) == 3 and [r["increment"] for r in stats] == ["1"]
+        assert (out / "notched-shear_summary.csv").exists()
 
     def test_scheme_flag_overrides_config(self, tmp_path):
         path = write_tiny_config(tmp_path, output_dir="cli_out2")

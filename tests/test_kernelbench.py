@@ -3,7 +3,7 @@
 The micro kernels run at the shipped RVE (``n_micro`` 8, n = 116) and at
 ``n_micro`` 16 (n = 436), where a dense Cholesky solve costs most; the assembly
 kernels, the material pass, a shard's construction and a shard's
-monolithic sweep also run on a 16-RVE shard, the plate-hole shard size,
+monolithic and staggered sweeps also run on a 16-RVE shard, the plate-hole shard size,
 and a shard's Cholesky solves also at the notched-shear RVE (n = 44). The
 build of the shipped micro geometry, which carries the virgin RVE's
 factorization, and of the perfbench plate-hole model are timed too. Marked
@@ -121,6 +121,26 @@ def test_monolithic_sweep_shard(benchmark, shipped_geom):
 
     sweep()
     assert shard.rves.plastic_flow.sum() == 4 and shard.rves.flagged.sum() == 12
+    benchmark(sweep)
+
+
+def test_staggered_sweep_shard(benchmark, shipped_geom):
+    # a 16-RVE plate-hole shard's staggered sweep in plastic flow, the
+    # sweep of the scheme the monolithic ones are measured against: every
+    # call converges all 16 micro problems (tolerance 1e-8) at an H that
+    # alternates between two plastic states, from the last call's solution
+    shard = macro._Shard(shipped_geom, 16, True)
+    h = np.outer(np.linspace(1.0, 2.0, 16), [0.0, 0.01, 0.01, 0.004])
+    dh = np.outer(np.ones(16), [1e-5, 2e-5, -1e-5, 1e-5])
+    step = [0]
+
+    def sweep():
+        step[0] ^= 1
+        return shard.staggered(h + step[0] * dh, 1e-8, 12)
+
+    out = sweep()
+    assert not out["failed"].any() and shard.rves.plastic_flow.all()
+    assert (out["iters"] >= 2).all()
     benchmark(sweep)
 
 

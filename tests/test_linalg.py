@@ -276,6 +276,47 @@ class TestStackedSolve:
                 assert_array_equal(rves.x_h[0, :, j], factorize(k, rves.dr_dH[0, :, j]).columns)
             assert_array_equal(rves.x_r[0], factorize(k, rves.r_hat[0]).columns)
 
+    @pytest.mark.parametrize("micro, n", [
+        (lambda: rve_porous_tri(default_materials("notched-shear"), n=5), 44),
+        (lambda: rve_porous_quad(default_materials("plate-hole-tension"), n=8), 116),
+        (lambda: rve_porous_quad(default_materials("plate-hole-tension"), n=16), 436),
+    ], ids=["n44", "n116", "n436"])
+    def test_prepared_columns_equal_generic_columns(self, micro, n):
+        # a prepared solve, the micro sweeps' form (the block in LAPACK's
+        # row layout with the probe row, solved in place, and the scratch
+        # matrix overwritten), gives the generic path's bits, in the five-
+        # and the one-column layout
+        geom = R.MicroGeometry(micro())
+        rves = R.RveBatch(geom)
+        rves.H[0] = [0.0, 0.01, 0.01, 0.004]
+        with macro._one_blas_thread():
+            R.assemble(rves)
+            assert geom.n_reduced == n and rves.plastic_flow[0]
+            for rhs in (np.concatenate([rves.dr_dH[0], rves.r_hat[0, :, None]], axis=1), rves.r_hat[0]):
+                m = 1 if rhs.ndim == 1 else rhs.shape[1]
+                block = linalg.probe_blocks(1, m, n)[0]
+                block[:m] = rhs.reshape(n, m).T
+                k = geom.plan.dense(rves.kvals[0])
+                f = factorize(k, block, prepared=True)
+                assert f.columns is block and f.n == n and f.matrix is None
+                want = factorize(geom.plan.dense(rves.kvals[0]), rhs).columns
+                assert_array_equal(block[:m].T.reshape(rhs.shape), want)
+                assert linalg.probe_passed(block[None], geom.inf_norms(rves.kvals[:1])).tolist() == [True]
+
+    @pytest.mark.parametrize("plastic", [False, True], ids=["virgin", "plastic"])
+    def test_packed_inf_norm_equals_the_dense_row_sum_norm(self, plastic):
+        # ||K||_inf from each row's segment of the packed values, as the
+        # probe check takes it, is the dense matrix's to rounding (the sums
+        # add the same values in another order, without the zeros)
+        geom = R.MicroGeometry(rve_porous_quad(default_materials("plate-hole-tension"), n=8))
+        rves = R.RveBatch(geom, 2)
+        rves.H[:] = [[0.0, 0.01, 0.01, 0.004], [0.002, -0.008, -0.008, 0.001]]
+        if plastic:
+            R.assemble(rves)
+            assert rves.plastic_flow.all()
+        dense = np.abs(geom.plan.dense(rves.kvals)).sum(axis=2).max(axis=1)
+        assert_allclose(geom.inf_norms(rves.kvals), dense, rtol=geom.n_reduced * np.finfo(float).eps)
+
     def test_singular_pivot_inside_sweep_names_original_row(self):
         with pytest.raises(SingularMatrixError) as exc:
             factorize(zero_row_and_column(), np.ones((10, 5)))
@@ -384,6 +425,27 @@ class TestLuFallback:
         block = np.concatenate([rhs, np.cos(np.arange(n))[:, None]], axis=1)
         assert_array_equal(got, np.linalg.solve(a, block)[:, :5])
         assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("lapack", [True, False], ids=["dposv", "lu"])
+    def test_prepared_solve_matches_the_generic_one(self, lapack, monkeypatch):
+        # with either kernel a prepared solve leaves the generic path's
+        # columns in its block, and a matrix the kernel cannot factorize
+        # raises with the generic path's row, named from the lower triangle
+        if not lapack:
+            monkeypatch.setattr(linalg, "_dposv", lambda: None)
+        for a in (random_spd(30, seed=2), zero_row_and_column()):
+            n = len(a)
+            rhs = np.random.default_rng(n).standard_normal((n, 5))
+            block = linalg.probe_blocks(1, 5, n)[0]
+            block[:5] = rhs.T
+            try:
+                want = factorize(a, rhs).columns
+            except SingularMatrixError as exc:
+                with pytest.raises(SingularMatrixError) as got:
+                    factorize(a.copy(), block, prepared=True)
+                assert got.value.pivot_index == exc.pivot_index
+                continue
+            assert_array_equal(factorize(a.copy(), block, prepared=True).columns[:5].T, want)
 
     @pytest.mark.parametrize("matrix", [
         pytest.param(lambda: np.ones((2, 2)), id="singular"),

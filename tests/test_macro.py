@@ -385,6 +385,48 @@ class TestLargeSteps:
         assert rep.converged
         assert [r.cut_events for r in rep.records] == [0] * 8
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_diverging_attempt_is_abandoned_after_two_residual_increases(self, workers,
+                                                                          monkeypatch):
+        # notched-shear at dt 1.0: the first attempt fails under every scheme,
+        # staggered in its first sweep on a micro failure; both monolithic
+        # schemes' macro residual grows from the first iteration on, and ran
+        # all 16 iterations (3003 / 1592 factorizations) before the attempt
+        # was cut after its third. The retries at dt 0.5 are unchanged
+        attempts = []
+        newton_increment = macro.newton_increment
+
+        def logged(model, pool, settings, lam, u_start, u_n, record):
+            result = newton_increment(model, pool, settings, lam, u_start, u_n, record)
+            attempts.append((record.dt, list(record.residual_norms), result is not None))
+            return result
+
+        monkeypatch.setattr(macro, "newton_increment", logged)
+        for scheme, iterations, factorizations in [("staggered", 0, 1901), ("monolithic", 3, 1335),
+                                                   ("monolithic-stored", 3, 751)]:
+            attempts.clear()
+            rep = run(build_benchmark("notched-shear", scheme),
+                      SolverSettings(tol_macro=1e-8, tol_micro=1e-8, dt_initial=1.0, dt_max=1.0,
+                                     dt_min=1e-3, parallel_workers=workers))
+            assert rep.converged and [r.cut_events for r in rep.records] == [1, 0]
+            assert rep.total_factorizations == factorizations
+            dt, norms, accepted = attempts[0]
+            assert (dt, len(norms), accepted) == (1.0, iterations, False)
+            assert all(b > a for a, b in zip(norms, norms[1:]))
+            assert [(dt, ok) for dt, _, ok in attempts[1:]] == [(0.5, True)] * 2
+
+    def test_an_attempt_with_one_residual_increase_converges(self):
+        # notched-bending-2d at its shipped sizes and dt 1.0: the staggered
+        # macro residual grows once, in the second iteration, then falls
+        # until the single increment converges with no cut
+        name = "notched-bending-2d"
+        rep = run(build_benchmark(name, "staggered", **BENCH_SIZE_DEFAULTS[name]),
+                  SolverSettings(tol_macro=1e-8, tol_micro=1e-8, dt_initial=1.0, dt_max=1.0,
+                                 dt_min=1e-3))
+        assert rep.converged and [r.cut_events for r in rep.records] == [0]
+        norms = rep.records[0].residual_norms
+        assert [b > a for a, b in zip(norms, norms[1:])] == [True] + [False] * (len(norms) - 2)
+
 
 class TestQuadraticConvergence:
     @pytest.mark.parametrize("scheme", ["staggered", "monolithic-stored"])
@@ -698,11 +740,11 @@ class TestWorkerFailures:
         model = bar_model(scheme)
         factorize, failed = linalg.factorize, []
 
-        def singular_once(a, rhs=None):
+        def singular_once(a, rhs=None, prepared=False):
             if np.ndim(rhs) == 1 and not failed:  # micro columns come in 2-D blocks
                 failed.append(len(a))
                 raise SingularMatrixError(0, 0.0)
-            return factorize(a, rhs)
+            return factorize(a, rhs, prepared)
 
         monkeypatch.setattr(linalg, "factorize", singular_once)
         for predictor in ("tangent", "extrapolate"):
@@ -816,9 +858,9 @@ def test_pool_factorizes_once_per_counted_factorization(scheme, monkeypatch):
     factorize, call = linalg.factorize, macro.RvePool._call
     inside, calls = [False], [0]
 
-    def counted(a, rhs=None):
+    def counted(a, rhs=None, prepared=False):
         calls[0] += inside[0]
-        return factorize(a, rhs)
+        return factorize(a, rhs, prepared)
 
     def in_pool(pool, *args):
         inside[0] = True

@@ -16,7 +16,9 @@ from fescale.material import (
     Law,
     PlasticParams,
     StateBatch,
+    elastic_of,
     evaluate_batch,
+    point_tangents,
     tangent_check,
 )
 from tests_support import stress_out_of_plane, von_mises_full
@@ -55,8 +57,8 @@ Point = namedtuple("Point", "sigma tangent new_state plastic_active")
 
 def evaluate(params, h, state):
     """One point through ``evaluate_batch``: its row's results, and its one-row new state."""
-    sigma, tangent, new_state, active, _ = evaluate_batch(params, np.reshape(h, (1, 4)), state)
-    return Point(sigma[0], tangent[0], new_state, bool(active[0]))
+    sigma, yielding, new_state, active, _ = evaluate_batch(params, np.reshape(h, (1, 4)), state)
+    return Point(sigma[0], point_tangents(params, active, yielding)[0], new_state, bool(active[0]))
 
 
 class TestElasticBranch:
@@ -194,9 +196,10 @@ class TestTangentCheck:
         assert err.hex() == "0x1.1f962b0ac515bp-3"
 
 
-def outputs(result):
-    sigma, tangent, new_state, active, _ = result
-    return sigma, tangent, new_state.eps_p, new_state.alpha_bar, active
+def outputs(law, result):
+    """The results of one ``evaluate_batch`` call, with every point's tangent."""
+    sigma, yielding, new_state, active, _ = result
+    return sigma, point_tangents(law, active, yielding), new_state.eps_p, new_state.alpha_bar, active
 
 
 class TestLaw:
@@ -222,13 +225,13 @@ class TestLaw:
     @pytest.mark.parametrize("scale", [1.0, 1e3])
     def test_one_pass_equals_each_material_alone_bitwise(self, composite, scale):
         geom, h, committed, ids = composite
-        together = outputs(evaluate_batch(geom.law, scale * h, committed))
+        together = outputs(geom.law, evaluate_batch(geom.law, scale * h, committed))
         matrix = ids == 0
         assert together[4][matrix].any() and (scale > 1.0 or not together[4][matrix].all())
         for i, params in enumerate(geom.model.materials):
             pts = ids == i
-            alone = outputs(evaluate_batch(params, scale * h[pts],
-                                           StateBatch(committed.eps_p[pts], committed.alpha_bar[pts])))
+            alone = outputs(params, evaluate_batch(params, scale * h[pts],
+                                                   StateBatch(committed.eps_p[pts], committed.alpha_bar[pts])))
             for got, want in zip(together, alone):
                 assert got[pts].dtype == want.dtype
                 assert got[pts].tobytes() == want.tobytes()
@@ -239,12 +242,36 @@ class TestLaw:
         state = StateBatch(committed.eps_p.copy(), committed.alpha_bar.copy())
         state.eps_p[inclusion] = 1e-3 * np.arange(4)
         state.alpha_bar[inclusion] = 0.5
-        sigma, tangent, new, active, _ = evaluate_batch(geom.law, 1e3 * h, state)
+        sigma, yielding, new, active, _ = evaluate_batch(geom.law, 1e3 * h, state)
+        tangent = point_tangents(geom.law, active, yielding)
         assert not active[inclusion].any() and active[~inclusion].all()
         assert new.eps_p[inclusion].tobytes() == state.eps_p[inclusion].tobytes()
         assert new.alpha_bar[inclusion].tobytes() == state.alpha_bar[inclusion].tobytes()
         assert_array_equal(tangent[inclusion], np.broadcast_to(geom.model.materials[1].stiffness(),
                                                                (inclusion.sum(), 4, 4)))
+
+    def test_point_tangents_put_each_yielding_tangent_over_the_elastic_stiffness(self, composite):
+        # evaluate_batch returns the yielding points' tangents only, in point
+        # order; scattered, every other point holds its own material's
+        # elastic stiffness and each yielding one the tangent of its own
+        # one-point evaluation, bit for bit, also over whole RVEs of the
+        # batch that hold every yielding point, as an assembly takes them
+        geom, h, committed, ids = composite
+        state = StateBatch(committed.eps_p.copy(), committed.alpha_bar.copy())
+        state.alpha_bar[: 2 * geom.n_ip] = 1e3  # no point of the first two RVEs yields
+        _, yielding, _, active, _ = evaluate_batch(geom.law, 2.0 * h, state)
+        assert not active[: 2 * geom.n_ip].any() and active.any() and not active.all()
+        tangent = point_tangents(geom.law, active, yielding)
+        for i in range(len(h)):
+            params = geom.model.materials[ids[i]]
+            if active[i]:
+                alone = evaluate_batch(params, 2.0 * h[i:i + 1],
+                                       StateBatch(state.eps_p[i:i + 1], state.alpha_bar[i:i + 1]))[1]
+                assert tangent[i].tobytes() == alone[0].tobytes()
+            else:
+                assert tangent[i].tobytes() == elastic_of(params).stiffness().tobytes()
+        last = point_tangents(geom.law, active[2 * geom.n_ip:], yielding)
+        assert last.tobytes() == tangent[2 * geom.n_ip:].tobytes()
 
     def test_one_material_holds_one_point(self, composite):
         geom, *_ = composite
@@ -283,7 +310,7 @@ class TestLaw:
         eps_p[:4] = 0.0
         alpha = rng.uniform(0.0, 0.02, 64)
         alpha[:4] = 0.0
-        result = outputs(evaluate_batch(PLASTIC, h, StateBatch(eps_p, alpha)))
+        result = outputs(PLASTIC, evaluate_batch(PLASTIC, h, StateBatch(eps_p, alpha)))
         assert 0 < result[4].sum() < 60
         digest = hashlib.sha256(b"".join(a.tobytes() for a in result)).hexdigest()
         assert digest == "f836fd968cab5482482523f84d1ef7530fcd3e8b1ee7feed87c4f38c8929afeb"

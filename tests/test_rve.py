@@ -820,20 +820,25 @@ class TestRetainedColumns:
         assert_allclose(k0 @ geom.virgin_x_h, rves.dr_dH[0], atol=1e-10 * np.abs(rves.dr_dH).max())
 
     @pytest.mark.parametrize("tangent", [True, False], ids=["five-column", "residual-only"])
-    @pytest.mark.parametrize("singular", [False, True], ids=["regular", "singular-middle"])
-    def test_reused_matrix_does_not_leak_between_rves(self, tangent, singular):
-        # the RVEs of a call share one matrix and one column block: each
-        # RVE's columns are bitwise those of its own stiffness solved alone,
-        # and a singular RVE in the middle fails alone, uncounted
+    @pytest.mark.parametrize("fault", [None, "singular", "nan-upper", "nan-lower"],
+                             ids=["regular", "singular-middle", "nan-upper-middle", "nan-lower-middle"])
+    def test_reused_matrix_does_not_leak_between_rves(self, tangent, fault):
+        # the RVEs of a call share one matrix, which LAPACK overwrites with
+        # each factor: each RVE's columns are bitwise those of its own
+        # stiffness solved alone, and a singular RVE in the middle, or one
+        # with a NaN in one packed slot of either triangle (LAPACK reads the
+        # upper one only), fails alone, uncounted
         geom = porous_geom()
         rves = shard_of(geom, 3)
-        if singular:
-            rows, cols = np.divmod(geom.plan.flat, geom.n_reduced)
+        rows, cols = np.divmod(geom.plan.flat, geom.n_reduced)
+        if fault == "singular":
             rves.kvals[1, (rows == 0) | (cols == 0)] = 0.0
+        elif fault is not None:
+            rves.kvals[1, np.flatnonzero(rows < cols if fault == "nan-upper" else rows > cols)[7]] = np.nan
         x_h, x_r, counts = rves.x_h.copy(), rves.x_r.copy(), rves.counts.copy()
         R._solve_columns(rves, np.ones(3, dtype=bool), tangent)
         for i in range(3):
-            if singular and i == 1:
+            if fault is not None and i == 1:
                 assert rves.failed[i] and not rves.solved[i]
                 assert_array_equal(rves.counts[i], counts[i])
                 assert_array_equal(rves.x_h[i], x_h[i])
