@@ -20,6 +20,7 @@ import contextlib
 import copy
 import ctypes
 import functools
+import mmap
 import signal
 import time
 from dataclasses import dataclass, field
@@ -176,57 +177,86 @@ class MacroSystem:
 # per-RVE work pool: one shard per worker, reduction in alpha order
 
 
+class _SweepBlock:
+    """The arrays of a micro sweep, one row per RVE, laid out once in one allocation.
+
+    The pool writes a sweep's input gradients ``h``; each shard reads its
+    rows of them and writes its rows of the results: the stress ``sigma``
+    (the algorithmic stress, which for a converged staggered micro problem
+    is its homogenized stress), the tangent ``c`` (a ``failed`` RVE's rows
+    of both are zero), the micro residual ``rnorm`` and its reference
+    ``ref``, the staggered Newton iterations ``iters`` (0 in a monolithic
+    sweep), the ``failed`` flags and the ``plastic`` flags of the last
+    assembly; shard w writes row w of ``counts``, its update solves,
+    auxiliary solves and factorizations so far. The fields sit at fixed
+    offsets of one structured dtype. For more than one shard the block is
+    an anonymous shared mapping, which the workers forked after it share;
+    for one, a plain array.
+    """
+
+    def __init__(self, n_rves, shards):
+        layout = np.dtype([("h", np.float64, (n_rves, 4)), ("sigma", np.float64, (n_rves, 4)),
+                           ("c", np.float64, (n_rves, 4, 4)), ("rnorm", np.float64, (n_rves,)),
+                           ("ref", np.float64, (n_rves,)), ("iters", np.int64, (n_rves,)),
+                           ("counts", np.int64, (shards, 3)), ("failed", bool, (n_rves,)),
+                           ("plastic", bool, (n_rves,))])
+        block = (np.ndarray((), layout, buffer=mmap.mmap(-1, layout.itemsize)) if shards > 1
+                 else np.zeros((), layout))
+        self.shards = shards
+        for name in layout.names:
+            setattr(self, name, block[name])
+
+
 class _Shard:
     """The RVE problems of one worker, a contiguous-by-stride subset, as one batch.
 
     Every RVE starts as a copy of the geometry's virgin RVE (see
     :class:`rve.RveBatch`), solved, so the first condensation update
-    consumes retained columns. Both sweeps end in one condensation call that
-    returns the shard's stresses and tangents. The pool calls the public
-    methods by name. The process that builds a shard runs its sweeps, and
-    pins its heap (:func:`_pin_heap`) first.
+    consumes retained columns. Shard ``w`` of a :class:`_SweepBlock`
+    ``block`` holds its RVEs w, w + shards, ...; without a block it has one
+    of its own. A sweep reads the shard's rows of ``block.h`` as one
+    contiguous copy and ends in one condensation call, whose results it
+    writes into its rows of the block. The pool calls the public methods by
+    name, through :meth:`serve`. The process that builds a shard runs its
+    sweeps, and pins its heap (:func:`_pin_heap`) first.
     """
 
-    def __init__(self, geom, count, store_factorization):
+    def __init__(self, geom, count, store_factorization, block=None, w=0):
         _pin_heap()
         self.rves = rvemod.RveBatch(geom, count, store_factorization)
+        self.block = _SweepBlock(count, 1) if block is None else block
+        self.w, self.rows = w, slice(w, None, self.block.shards)
+
+    def serve(self, calls):
+        """Run the ``(method name, args)`` pairs ``calls`` in order; the last one's result."""
+        for name, args in calls:
+            result = getattr(self, name)(*args)
+        return result
 
     def begin_increment(self, extrapolate_ratio):
         rvemod.begin_increment(self.rves, extrapolate_ratio)
 
-    def staggered(self, h_sub, tol_micro, n_max):
-        iters = rvemod.solve_micro_staggered(self.rves, h_sub, tol_micro, n_max)
-        return self._results(iters, alg_stress=False)
+    def staggered(self, tol_micro, n_max):
+        iters = rvemod.solve_micro_staggered(self.rves, self.block.h[self.rows].copy(), tol_micro, n_max)
+        self._results(iters, alg_stress=False)
 
-    def monolithic(self, dh_sub):
-        rvemod.monolithic_pass(self.rves, dh_sub)
-        return self._results(np.zeros(self.rves.b, dtype=np.int64))
+    def monolithic(self):
+        rvemod.monolithic_pass(self.rves, self.block.h[self.rows].copy())
+        self._results(0)
 
     def _results(self, iters, alg_stress=True):
-        """One layout for both sweeps from one condensation call over the shard.
-
-        ``sigma`` is the algorithmic stress, which for a converged staggered
-        micro problem is its homogenized stress; a ``failed`` RVE's rows of
-        ``sigma`` and ``c`` are zero.
-        """
-        sigma, c = rvemod.homogenized_tangent_and_alg_stress(self.rves, alg_stress)
-        return {"sigma": sigma, "c": c, "rnorm": self.rves.residual_norm.copy(),
-                "ref": rvemod.residual_reference(self.rves), "iters": iters,
-                "failed": self.rves.failed.copy()}
+        """The shard's rows of the block from one condensation call over the shard."""
+        rves, block, rows = self.rves, self.block, self.rows
+        block.sigma[rows], block.c[rows] = rvemod.homogenized_tangent_and_alg_stress(rves, alg_stress)
+        block.rnorm[rows], block.ref[rows] = rves.residual_norm, rvemod.residual_reference(rves)
+        block.iters[rows], block.failed[rows], block.plastic[rows] = iters, rves.failed, rves.plastic_flow
+        block.counts[self.w] = rves.counts.sum(axis=0)
 
     def commit(self):
         rvemod.commit(self.rves)
 
     def rollback(self):
         rvemod.rollback(self.rves)
-
-    def counters(self):
-        total = self.rves.counts.sum(axis=0)
-        self.rves.counts[:] = 0
-        return total
-
-    def plastic_any(self):
-        return bool(self.rves.plastic_flow.any())
 
     def gather_alpha(self):
         return rvemod.committed_alpha_bar(self.rves)
@@ -300,31 +330,33 @@ def _pin_heap():
     mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
 
 
-def _worker_main(conn, geom, count, store_factorization):
-    """Serve ``(method name, args)`` requests on one shard until ``(None, None)``.
+def _worker_main(conn, geom, count, store_factorization, block=None, w=0):
+    """Serve requests on shard ``w`` of ``block`` until ``None``.
 
-    ``geom`` is the model's micro geometry, inherited through fork, as is
-    the BLAS thread setter the pool looked up. The worker runs one BLAS
-    thread, so that workers do not fight over the cores with each other's
-    BLAS threads. Every reply is ``(True, result)`` or ``(False,
-    exception)``; a failure to build the shard is replied to every request.
+    A request is a tuple of ``(method name, args)`` calls, which
+    :meth:`_Shard.serve` runs in order. ``geom`` and the shared ``block``
+    are inherited through fork, as is the BLAS thread setter the pool looked
+    up. The worker runs one BLAS thread, so that workers do not fight over
+    the cores with each other's BLAS threads. Every reply is ``(True,
+    result)`` or ``(False, exception)``; a failure to build the shard is
+    replied to every request.
     """
     set_threads = _blas_thread_setter()
     if set_threads is not None:
         set_threads(1)
     try:
-        shard = _Shard(geom, count, store_factorization)
+        shard = _Shard(geom, count, store_factorization, block, w)
     except Exception as exc:  # surfaced in the parent process
         shard, setup_error = None, exc
     while True:
-        name, args = conn.recv()
-        if name is None:
+        calls = conn.recv()
+        if calls is None:
             conn.close()
             return
         try:
             if shard is None:
                 raise setup_error
-            reply = (True, getattr(shard, name)(*args))
+            reply = (True, shard.serve(calls))
         except Exception as exc:  # re-raised in the parent process
             reply = (False, exc)
         conn.send(reply)
@@ -334,11 +366,16 @@ class RvePool:
     """Serial or multi-process pool over all RVE problems.
 
     Shard w holds the RVEs w, w + workers, w + 2 workers, ... (the slice
-    ``slice(w, None, workers)`` of every per-RVE array). Every gather
-    reassembles per-RVE arrays in integration-point order, and every shard
-    runs at one BLAS thread (a forked worker for its life, the serial shard
-    inside each call, :func:`_one_blas_thread`), so numerical results are
-    independent of the worker count. The shards
+    ``slice(w, None, workers)`` of every per-RVE array). A sweep's inputs
+    and results pass through one :class:`_SweepBlock` in RVE order, shared
+    with the workers, so a sweep's request carries only method names and
+    scalars and its reply only an exception, if any. ``begin_increment``, ``commit``
+    and ``rollback`` are queued and run on every shard, in order, before the
+    next request's own call, which raises their errors;
+    ``plastic_any`` and ``counters`` read the block the last sweep wrote.
+    Every shard runs at one BLAS thread (a forked worker for its life, the
+    serial shard inside each call, :func:`_one_blas_thread`), so numerical
+    results are independent of the worker count. The shards
     share the model's micro geometry ``geom``: the serial shard uses it
     directly and forked workers inherit it. Each shard pins the malloc
     thresholds of the process it is built in (:func:`_pin_heap`): building
@@ -349,10 +386,12 @@ class RvePool:
     def __init__(self, geom, n_rves, store_factorization, workers=1):
         self.n_rves = n_rves
         self.workers = max(1, min(workers, n_rves)) if n_rves else 1
-        self._shards = [slice(w, None, self.workers) for w in range(self.workers)]
+        self._block = _SweepBlock(n_rves, self.workers)
+        self._pending = []
+        self._counted = np.zeros(3, dtype=np.int64)
         if self.workers == 1:
             with _one_blas_thread():
-                self._local = _Shard(geom, n_rves, store_factorization)
+                self._local = _Shard(geom, n_rves, store_factorization, self._block)
         else:
             import multiprocessing as mp
 
@@ -365,7 +404,8 @@ class RvePool:
                 parent, child = ctx.Pipe()
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(child, geom, len(range(w, n_rves, self.workers)), store_factorization),
+                    args=(child, geom, len(range(w, n_rves, self.workers)), store_factorization,
+                          self._block, w),
                     daemon=True,
                 )
                 proc.start()
@@ -373,23 +413,23 @@ class RvePool:
                 self._pipes.append(parent)
                 self._procs.append(proc)
 
-    def _call(self, name, args=None):
-        """Call shard method ``name`` with the tuple ``args[w]`` on every shard w.
+    def _call(self, name, *args):
+        """Run the queued calls, then shard method ``name(*args)``, on every shard; the results.
 
-        ``args=None`` calls without arguments. Every worker's reply is read
-        before the first failure is re-raised with its own type, as in a
-        serial run. A worker whose pipe breaks has ended: every worker is
-        reaped and :class:`WorkerError` raised, naming it.
+        Every worker's reply is read before the first failure is re-raised
+        with its own type, as in a serial run. A worker whose pipe breaks
+        has ended: every worker is reaped and :class:`WorkerError` raised,
+        naming it.
         """
-        if args is None:
-            args = [()] * self.workers
+        calls = (*self._pending, (name, args))
+        self._pending.clear()
         if self._local is not None:
             with _one_blas_thread():
-                return [getattr(self._local, name)(*args[0])]
+                return [self._local.serve(calls)]
         replies = []
-        for w, (pipe, a) in enumerate(zip(self._pipes, args)):
+        for w, pipe in enumerate(self._pipes):
             try:
-                pipe.send((name, a))
+                pipe.send(calls)
             except ConnectionError as exc:
                 raise self._lost(w, name) from exc
         for w, pipe in enumerate(self._pipes):
@@ -419,52 +459,53 @@ class RvePool:
             how = f"exited with code {proc.exitcode}"
         return WorkerError(f"worker {w} (pid {proc.pid}) {how} during the pool's {name!r} call")
 
-    def _scatter(self, full):
-        return [full[shard] for shard in self._shards]
-
-    def _gather(self, parts):
-        """One array in RVE order from per-shard arrays (first axis: the shard's RVEs)."""
-        buf = np.empty((self.n_rves,) + parts[0].shape[1:], dtype=parts[0].dtype)
-        for shard, part in zip(self._shards, parts):
-            buf[shard] = part
-        return buf
-
-    def _sweep(self, name, payloads):
-        results = self._call(name, payloads)
-        return {key: self._gather([res[key] for res in results]) for key in results[0]}
-
     def begin_increment(self, extrapolate_ratio=None):
-        self._call("begin_increment", [(extrapolate_ratio,)] * self.workers)
+        self._pending.append(("begin_increment", (extrapolate_ratio,)))
 
     def staggered(self, h_all, tol_micro, n_max):
-        return self._sweep("staggered", [(sub, tol_micro, n_max) for sub in self._scatter(h_all)])
+        """Converge every micro problem at the gradients ``h_all``; the block of results.
+
+        The block's arrays hold until the next sweep overwrites them.
+        """
+        self._block.h[:] = h_all
+        self._call("staggered", tol_micro, n_max)
+        return self._block
 
     def monolithic(self, dh_all):
-        return self._sweep("monolithic", [(sub,) for sub in self._scatter(dh_all)])
+        """One condensation update per micro problem for ``dh_all``; the block of results, as :meth:`staggered`."""
+        self._block.h[:] = dh_all
+        self._call("monolithic")
+        return self._block
 
     def commit(self):
-        self._call("commit")
+        self._pending.append(("commit", ()))
 
     def rollback(self):
-        self._call("rollback")
+        self._pending.append(("rollback", ()))
 
     def counters(self):
-        """Update solves, auxiliary solves and factorizations since the last call."""
-        total = sum(self._call("counters"))
-        return {"update_solves": int(total[0]), "aux_solves": int(total[1]),
-                "factorizations": int(total[2])}
+        """Update solves, auxiliary solves and factorizations of the sweeps since the last call."""
+        total = self._block.counts.sum(axis=0)
+        new, self._counted = total - self._counted, total
+        return {"update_solves": int(new[0]), "aux_solves": int(new[1]),
+                "factorizations": int(new[2])}
 
     def plastic_any(self):
-        return any(self._call("plastic_any"))
+        return bool(self._block.plastic.any())
 
     def gather_alpha(self):
-        return self._gather(self._call("gather_alpha"))
+        """Committed plastic strain (n_rves, n_ip), in RVE order."""
+        parts = self._call("gather_alpha")
+        alpha = np.empty((self.n_rves,) + parts[0].shape[1:], dtype=parts[0].dtype)
+        for w, part in enumerate(parts):
+            alpha[w::self.workers] = part
+        return alpha
 
     def close(self):
         if self._local is None:
             for pipe in self._pipes:
                 try:
-                    pipe.send((None, None))
+                    pipe.send(None)
                     pipe.close()
                 except (BrokenPipeError, OSError):
                     pass
@@ -620,22 +661,23 @@ def newton_increment(model, pool, settings, lam, u_start, u_n, record):
             outs = pool.staggered(sysm.gradients(u), settings.tol_micro, settings.n_max)
         else:
             outs = pool.monolithic(sysm.gradients(du))
-        if outs["failed"].any():
+        if outs.failed.any():
             record.macro_iterations += k
             return None
-        record.micro_iters_max = max(record.micro_iters_max, int(outs["iters"].max()))
-        f_int, k_t = sysm.assemble(outs["sigma"], outs["c"])
+        record.micro_iters_max = max(record.micro_iters_max, int(outs.iters.max()))
+        f_int, k_t = sysm.assemble(outs.sigma, outs.c)
         r_free = (f_int - lam * sysm.p_end)[sysm.free]
         ref = max(ref, float(np.abs(f_int).max()))
         rn = float(np.abs(r_free).max()) if sysm.n_free else 0.0
         record.residual_norms.append(rn)
         converged = (rn <= settings.tol_macro * ref
-                     and bool(np.all(outs["rnorm"] <= settings.tol_micro * outs["ref"])))
+                     and bool(np.all(outs.rnorm <= settings.tol_micro * outs.ref)))
         rs = record.residual_norms[-3:]
         diverging = len(rs) == 3 and rs[2] > rs[1] > rs[0]
         if converged or diverging or k == settings.max_macro_iter or not np.isfinite(rn):
             record.macro_iterations += k
-            return (u, f_int, outs["c"], k_t) if converged else None
+            # the next sweep overwrites the pool's results
+            return (u, f_int, outs.c.copy(), k_t) if converged else None
         try:
             step = linalg.factorize(k_t, r_free).columns
         except SingularMatrixError:

@@ -292,8 +292,7 @@ class RveBatch:
     a linear-flagged one.
     ``failed`` marks the RVEs whose current sweep met a numerical failure
     or a budget overrun. ``counts`` holds per RVE the update solves,
-    auxiliary solves and factorizations since the macro run loop last reset
-    them.
+    auxiliary solves and factorizations since the batch was built.
 
     Every RVE starts as a copy of the geometry's virgin RVE, as if
     assembled there: its matrices and its solved tangent columns are the

@@ -4,7 +4,8 @@ The micro kernels run at the shipped RVE (``n_micro`` 8, n = 116) and at
 ``n_micro`` 16 (n = 436), where a dense Cholesky solve costs most; the assembly
 kernels, the material pass, a shard's construction and a shard's
 monolithic and staggered sweeps also run on a 16-RVE shard, the plate-hole shard size,
-and a shard's Cholesky solves also at the notched-shear RVE (n = 44). The
+and a shard's Cholesky solves and a 2-worker pool's monolithic sweep (23 RVEs
+per worker) also at the notched-shear RVE (n = 44). The
 build of the shipped micro geometry, which carries the virgin RVE's
 factorization, and of the perfbench plate-hole model are timed too. Marked
 ``kernelbench`` and deselected by default (see pyproject.toml); run them
@@ -111,13 +112,15 @@ def test_monolithic_sweep_shard(benchmark, shipped_geom):
     # by a small step
     shard = macro._Shard(shipped_geom, 16, True)
     scale = np.where(np.arange(16) < 12, 0.1, 1.0)
-    shard.monolithic(np.outer(scale, [0.0, 0.01, 0.01, 0.004]))
+    shard.block.h[:] = np.outer(scale, [0.0, 0.01, 0.01, 0.004])
+    shard.monolithic()
     dh = np.outer(scale, [1e-6, 2e-6, -1e-6, 1e-6])
     sign = [1.0]
 
     def sweep():
         sign[0] = -sign[0]
-        return shard.monolithic(sign[0] * dh)
+        shard.block.h[:] = sign[0] * dh
+        shard.monolithic()
 
     sweep()
     assert shard.rves.plastic_flow.sum() == 4 and shard.rves.flagged.sum() == 12
@@ -136,12 +139,39 @@ def test_staggered_sweep_shard(benchmark, shipped_geom):
 
     def sweep():
         step[0] ^= 1
-        return shard.staggered(h + step[0] * dh, 1e-8, 12)
+        shard.block.h[:] = h + step[0] * dh
+        shard.staggered(1e-8, 12)
 
-    out = sweep()
-    assert not out["failed"].any() and shard.rves.plastic_flow.all()
-    assert (out["iters"] >= 2).all()
+    sweep()
+    assert not shard.block.failed.any() and shard.rves.plastic_flow.all()
+    assert (shard.block.iters >= 2).all()
     benchmark(sweep)
+
+
+def test_monolithic_sweep_two_worker_pool(benchmark):
+    # the dispatch layer: one monolithic sweep of a 2-worker pool of the
+    # perfbench notched-shear-2w size, 46 notched-shear RVEs (n = 44), 23 per
+    # worker, at a mostly elastic state as in test_monolithic_sweep_shard: the
+    # gradients written into the pool's shared block, one request per worker,
+    # and the results read back from the block
+    geom = R.MicroGeometry(rve_porous_tri(default_materials("notched-shear"), n=5))
+    assert geom.n_reduced == 44
+    pool = macro.RvePool(geom, 46, True, workers=2)
+    try:
+        scale = np.where(np.arange(46) % 4 < 3, 0.1, 1.0)[:, None]
+        out = pool.monolithic(scale * [0.0, 0.01, 0.01, 0.004])
+        dh = scale * [1e-6, 2e-6, -1e-6, 1e-6]
+        sign = [1.0]
+
+        def sweep():
+            sign[0] = -sign[0]
+            return pool.monolithic(sign[0] * dh)
+
+        sweep()
+        assert not out.failed.any() and 0 < out.plastic.sum() < 46
+        benchmark(sweep)
+    finally:
+        pool.close()
 
 
 def test_macro_assemble(benchmark):

@@ -4,6 +4,7 @@ import ctypes
 import functools
 import glob
 import hashlib
+import multiprocessing.connection
 import os
 import pathlib
 import pickle
@@ -350,6 +351,15 @@ class TestTangentPredictor:
         assert calls[0] == "sweep" and "assemble" in calls
 
 
+# notched-shear at builder-default sizes, dt 1.0, tolerances 1e-8: per record
+# (factorizations, aux_solves, micro_iters_total, plastic_flow)
+CUT_RUN_COUNTERS = {
+    "staggered": [(932, 224, 894, True), (969, 271, 765, True)],
+    "monolithic": [(699, 730, 544, True), (636, 660, 408, True)],
+    "monolithic-stored": [(421, 730, 544, True), (330, 660, 408, True)],
+}
+
+
 class TestLargeSteps:
     # Builder-default sizes at pinned load steps of 0.25 and 0.5, tolerances
     # 1e-8. Under the linear-extrapolation predictor every one of these runs
@@ -414,6 +424,23 @@ class TestLargeSteps:
             assert (dt, len(norms), accepted) == (1.0, iterations, False)
             assert all(b > a for a, b in zip(norms, norms[1:]))
             assert [(dt, ok) for dt, _, ok in attempts[1:]] == [(0.5, True)] * 2
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_cut_run_keeps_its_per_record_counters(self, workers):
+        # the case above: each scheme's first record adds up the sweeps of
+        # the abandoned attempt at dt 1.0, its rollback and the accepted
+        # attempt at dt 0.5, as the pool's block counts them, at any worker
+        # count. Three workers, more than a 2-core machine has, write
+        # interleaved rows of the shared block, where a lost write would
+        # move a counter
+        for scheme, counters in CUT_RUN_COUNTERS.items():
+            rep = run(build_benchmark("notched-shear", scheme),
+                      SolverSettings(tol_macro=1e-8, tol_micro=1e-8, dt_initial=1.0, dt_max=1.0,
+                                     dt_min=1e-3, parallel_workers=workers))
+            assert [r.cut_events for r in rep.records] == [1, 0]
+            assert [(r.factorizations, r.aux_solves, r.micro_iters_total, r.plastic_flow)
+                    for r in rep.records] == counters
+            assert multiprocessing.active_children() == []
 
     def test_an_attempt_with_one_residual_increase_converges(self):
         # notched-bending-2d at its shipped sizes and dt 1.0: the staggered
@@ -774,7 +801,7 @@ def test_workers_run_one_blas_thread(monkeypatch):
     lib = ctypes.CDLL(libs[0])
     get, set_threads = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
     before = get()
-    monkeypatch.setattr(macro._Shard, "plastic_any", lambda shard: get())
+    monkeypatch.setattr(macro._Shard, "gather_alpha", lambda shard: get())
     geom = rvemod.MicroGeometry(rve_single_element(ELASTIC))
     set_threads(2)
     try:
@@ -782,7 +809,7 @@ def test_workers_run_one_blas_thread(monkeypatch):
         for workers in (1, 2):
             pool = macro.RvePool(geom, 2, True, workers=workers)
             try:
-                assert pool._call("plastic_any") == [1] * workers
+                assert pool._call("gather_alpha") == [1] * workers
             finally:
                 pool.close()
             assert get() == 2
@@ -839,13 +866,13 @@ def test_worker_count_determinism_outside_the_test_session():
 def test_workers_inherit_the_blas_setter_lookup(monkeypatch):
     # a multi-worker pool looks the setter up once, before it forks; each
     # worker's call is a hit on the cache it inherited
-    monkeypatch.setattr(macro._Shard, "plastic_any", lambda shard: tuple(macro._blas_thread_setter.cache_info()))
+    monkeypatch.setattr(macro._Shard, "gather_alpha", lambda shard: tuple(macro._blas_thread_setter.cache_info()))
     macro._blas_thread_setter.cache_clear()
     pool = macro.RvePool(rvemod.MicroGeometry(rve_single_element(ELASTIC)), 2, True, workers=2)
     try:
         assert macro._blas_thread_setter.cache_info().misses == 1
         # (hits, misses, maxsize, currsize) in each worker
-        assert pool._call("plastic_any") == [(1, 1, None, 1)] * 2
+        assert pool._call("gather_alpha") == [(1, 1, None, 1)] * 2
     finally:
         pool.close()
 
@@ -875,6 +902,49 @@ def test_pool_factorizes_once_per_counted_factorization(scheme, monkeypatch):
               SolverSettings(dt_initial=0.125, dt_max=0.125, **TIGHT))
     assert rep.converged and any(r.plastic_flow for r in rep.records)
     assert calls[0] == sum(r.factorizations for r in rep.records) > 0
+
+
+@pytest.mark.parametrize("scheme", macro.SCHEMES)
+def test_a_worker_gets_one_request_per_sweep_and_one_for_the_plastic_strain(scheme, monkeypatch):
+    # begin_increment, commit and rollback ride on the next request, and
+    # counters and plastic_any read what the last sweep left in the pool's
+    # shared block: a 2-worker run sends each worker one request per macro
+    # iteration (one sweep each) and one for final_alpha, then the stop
+    sent = []
+    send = multiprocessing.connection.Connection.send
+
+    def logged(conn, obj):
+        sent.append((id(conn), obj is None))  # workers log their replies in their own memory
+        return send(conn, obj)
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send", logged)
+    rep = run(build_benchmark("notched-shear", scheme, n_macro=3, n_micro=3),
+              SolverSettings(dt_initial=0.25, dt_max=0.25, parallel_workers=2, **TIGHT))
+    assert rep.converged and all(r.cut_events == 0 for r in rep.records)
+    sweeps = sum(r.macro_iterations for r in rep.records)
+    pipes = {pipe for pipe, _ in sent}
+    assert len(pipes) == 2
+    for pipe in pipes:
+        assert [stop for p, stop in sent if p == pipe] == [False] * (sweeps + 1) + [True]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_queued_rollback_raises_from_the_next_pool_call(workers, monkeypatch):
+    # a rollback is queued and runs on every shard before the next
+    # request's own call, which raises its error with its own type, at any
+    # worker count; the queue is emptied, so the call after that sweeps
+    def broken(rves):
+        raise StructuralError("rollback failed")
+
+    monkeypatch.setattr(rvemod, "rollback", broken)
+    pool = macro.RvePool(rvemod.MicroGeometry(rve_single_element(ELASTIC)), 2, True, workers=workers)
+    try:
+        pool.rollback()
+        with pytest.raises(StructuralError, match="rollback failed"):
+            pool.monolithic(np.zeros((2, 4)))
+        assert not pool.monolithic(np.zeros((2, 4))).failed.any()
+    finally:
+        pool.close()
 
 
 # Runs the plate-hole benchmark workload (n_macro 3, n_micro 8, the first
