@@ -188,15 +188,17 @@ class _SweepBlock:
     ``ref``, the staggered Newton iterations ``iters`` (0 in a monolithic
     sweep), the ``failed`` flags and the ``plastic`` flags of the last
     assembly; shard w writes row w of ``counts``, its update solves,
-    auxiliary solves and factorizations so far. The fields sit at fixed
-    offsets of one structured dtype. For more than one shard the block is
-    an anonymous shared mapping, which the workers forked after it share;
-    for one, a plain array.
+    auxiliary solves and factorizations so far. On request a shard writes
+    its rows of the committed plastic strain ``alpha`` (n_ip per RVE). The
+    fields sit at fixed offsets of one structured dtype. For more than one
+    shard the block is an anonymous shared mapping, which the workers forked
+    after it share; for one, a plain array.
     """
 
-    def __init__(self, n_rves, shards):
+    def __init__(self, n_rves, n_ip, shards):
         layout = np.dtype([("h", np.float64, (n_rves, 4)), ("sigma", np.float64, (n_rves, 4)),
-                           ("c", np.float64, (n_rves, 4, 4)), ("rnorm", np.float64, (n_rves,)),
+                           ("c", np.float64, (n_rves, 4, 4)), ("alpha", np.float64, (n_rves, n_ip)),
+                           ("rnorm", np.float64, (n_rves,)),
                            ("ref", np.float64, (n_rves,)), ("iters", np.int64, (n_rves,)),
                            ("counts", np.int64, (shards, 3)), ("failed", bool, (n_rves,)),
                            ("plastic", bool, (n_rves,))])
@@ -216,22 +218,22 @@ class _Shard:
     ``block`` holds its RVEs w, w + shards, ...; without a block it has one
     of its own. A sweep reads the shard's rows of ``block.h`` as one
     contiguous copy and ends in one condensation call, whose results it
-    writes into its rows of the block. The pool calls the public methods by
-    name, through :meth:`serve`. The process that builds a shard runs its
-    sweeps, and pins its heap (:func:`_pin_heap`) first.
+    writes into its rows of the block, as :meth:`gather_alpha` writes the
+    committed plastic strain: no method returns a value. The pool calls the
+    public methods by name, through :meth:`serve`. The process that builds
+    a shard runs its sweeps, and pins its heap (:func:`_pin_heap`) first.
     """
 
     def __init__(self, geom, count, store_factorization, block=None, w=0):
         _pin_heap()
         self.rves = rvemod.RveBatch(geom, count, store_factorization)
-        self.block = _SweepBlock(count, 1) if block is None else block
+        self.block = _SweepBlock(count, geom.n_ip, 1) if block is None else block
         self.w, self.rows = w, slice(w, None, self.block.shards)
 
     def serve(self, calls):
-        """Run the ``(method name, args)`` pairs ``calls`` in order; the last one's result."""
+        """Run the ``(method name, args)`` pairs ``calls`` in order."""
         for name, args in calls:
-            result = getattr(self, name)(*args)
-        return result
+            getattr(self, name)(*args)
 
     def begin_increment(self, extrapolate_ratio):
         rvemod.begin_increment(self.rves, extrapolate_ratio)
@@ -259,7 +261,7 @@ class _Shard:
         rvemod.rollback(self.rves)
 
     def gather_alpha(self):
-        return rvemod.committed_alpha_bar(self.rves)
+        self.block.alpha[self.rows] = rvemod.committed_alpha_bar(self.rves)
 
 
 @functools.cache
@@ -330,16 +332,16 @@ def _pin_heap():
     mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
 
 
-def _worker_main(conn, geom, count, store_factorization, block=None, w=0):
+def _worker_main(conn, geom, count, store_factorization, block, w):
     """Serve requests on shard ``w`` of ``block`` until ``None``.
 
     A request is a tuple of ``(method name, args)`` calls, which
     :meth:`_Shard.serve` runs in order. ``geom`` and the shared ``block``
     are inherited through fork, as is the BLAS thread setter the pool looked
     up. The worker runs one BLAS thread, so that workers do not fight over
-    the cores with each other's BLAS threads. Every reply is ``(True,
-    result)`` or ``(False, exception)``; a failure to build the shard is
-    replied to every request.
+    the cores with each other's BLAS threads. A reply is the exception a
+    request raised, or ``None``: every result is in the block. A failure to
+    build the shard is replied to every request.
     """
     set_threads = _blas_thread_setter()
     if set_threads is not None:
@@ -356,9 +358,10 @@ def _worker_main(conn, geom, count, store_factorization, block=None, w=0):
         try:
             if shard is None:
                 raise setup_error
-            reply = (True, shard.serve(calls))
+            shard.serve(calls)
+            reply = None
         except Exception as exc:  # re-raised in the parent process
-            reply = (False, exc)
+            reply = exc
         conn.send(reply)
 
 
@@ -367,12 +370,13 @@ class RvePool:
 
     Shard w holds the RVEs w, w + workers, w + 2 workers, ... (the slice
     ``slice(w, None, workers)`` of every per-RVE array). A sweep's inputs
-    and results pass through one :class:`_SweepBlock` in RVE order, shared
-    with the workers, so a sweep's request carries only method names and
-    scalars and its reply only an exception, if any. ``begin_increment``, ``commit``
-    and ``rollback`` are queued and run on every shard, in order, before the
-    next request's own call, which raises their errors;
-    ``plastic_any`` and ``counters`` read the block the last sweep wrote.
+    and results, and the final plastic strain, pass through one
+    :class:`_SweepBlock` in RVE order, shared with the workers, so a request
+    carries only method names and scalars and its reply only an exception,
+    if any. ``begin_increment``, ``commit`` and ``rollback`` are queued and
+    run on every shard, in order, before the next request's own call, which
+    raises their errors; ``plastic_any`` and ``counters`` read the block the
+    last sweep wrote.
     Every shard runs at one BLAS thread (a forked worker for its life, the
     serial shard inside each call, :func:`_one_blas_thread`), so numerical
     results are independent of the worker count. The shards
@@ -386,7 +390,7 @@ class RvePool:
     def __init__(self, geom, n_rves, store_factorization, workers=1):
         self.n_rves = n_rves
         self.workers = max(1, min(workers, n_rves)) if n_rves else 1
-        self._block = _SweepBlock(n_rves, self.workers)
+        self._block = _SweepBlock(n_rves, geom.n_ip, self.workers)
         self._pending = []
         self._counted = np.zeros(3, dtype=np.int64)
         if self.workers == 1:
@@ -414,7 +418,7 @@ class RvePool:
                 self._procs.append(proc)
 
     def _call(self, name, *args):
-        """Run the queued calls, then shard method ``name(*args)``, on every shard; the results.
+        """Run the queued calls, then shard method ``name(*args)``, on every shard.
 
         Every worker's reply is read before the first failure is re-raised
         with its own type, as in a serial run. A worker whose pipe breaks
@@ -425,7 +429,8 @@ class RvePool:
         self._pending.clear()
         if self._local is not None:
             with _one_blas_thread():
-                return [self._local.serve(calls)]
+                self._local.serve(calls)
+            return
         replies = []
         for w, pipe in enumerate(self._pipes):
             try:
@@ -437,10 +442,9 @@ class RvePool:
                 replies.append(pipe.recv())
             except (EOFError, ConnectionError) as exc:
                 raise self._lost(w, name) from exc
-        for ok, value in replies:
-            if not ok:
-                raise value
-        return [value for _, value in replies]
+        for error in replies:
+            if error is not None:
+                raise error
 
     def _lost(self, w, name):
         """Reap every worker after worker ``w`` ended during call ``name``; the error naming it."""
@@ -494,12 +498,9 @@ class RvePool:
         return bool(self._block.plastic.any())
 
     def gather_alpha(self):
-        """Committed plastic strain (n_rves, n_ip), in RVE order."""
-        parts = self._call("gather_alpha")
-        alpha = np.empty((self.n_rves,) + parts[0].shape[1:], dtype=parts[0].dtype)
-        for w, part in enumerate(parts):
-            alpha[w::self.workers] = part
-        return alpha
+        """Committed plastic strain (n_rves, n_ip), in RVE order: a copy of the block's."""
+        self._call("gather_alpha")
+        return self._block.alpha.copy()
 
     def close(self):
         if self._local is None:
@@ -656,14 +657,14 @@ def newton_increment(model, pool, settings, lam, u_start, u_n, record):
     u = u_start.copy()
     du = u - u_n
     ref = sysm.floor_force
+    result = None
     for k in range(1, settings.max_macro_iter + 1):
         if model.scheme == "staggered":
             outs = pool.staggered(sysm.gradients(u), settings.tol_micro, settings.n_max)
         else:
             outs = pool.monolithic(sysm.gradients(du))
         if outs.failed.any():
-            record.macro_iterations += k
-            return None
+            break
         record.micro_iters_max = max(record.micro_iters_max, int(outs.iters.max()))
         f_int, k_t = sysm.assemble(outs.sigma, outs.c)
         r_free = (f_int - lam * sysm.p_end)[sysm.free]
@@ -675,19 +676,19 @@ def newton_increment(model, pool, settings, lam, u_start, u_n, record):
         rs = record.residual_norms[-3:]
         diverging = len(rs) == 3 and rs[2] > rs[1] > rs[0]
         if converged or diverging or k == settings.max_macro_iter or not np.isfinite(rn):
-            record.macro_iterations += k
             # the next sweep overwrites the pool's results
-            return (u, f_int, outs.c.copy(), k_t) if converged else None
+            result = (u, f_int, outs.c.copy(), k_t) if converged else None
+            break
         try:
             step = linalg.factorize(k_t, r_free).columns
         except SingularMatrixError:
-            record.macro_iterations += k
-            return None
+            break
         record.macro_factorizations += 1
         du = np.zeros_like(u)
         du[sysm.free] = -step
         u += du
-    return None
+    record.macro_iterations += k
+    return result
 
 
 def run(model: TwoScaleModel, settings: SolverSettings) -> SolveReport:

@@ -8,8 +8,9 @@ element nodal displacements, interleaved node-major as (ux0, uy0, ux1, ...),
 to the four displacement-gradient components (H11, H12, H21, H22). One
 :class:`AssemblyPlan` per mesh and DOF map computes gradients, internal
 forces and the tangent stiffness for the macro system and every RVE; a
-stiffness is kept as its packed values on the plan's index ``flat`` and
-scattered into a dense matrix when it is factorized.
+stiffness is kept as its packed values on the plan's index ``flat``, which
+only the plan reads: it scatters them into a dense matrix to be factorized
+and takes their infinity norms.
 
 The element kernels are stacked matrix products (``np.matmul``, one BLAS
 call per element and batch row) on operators laid out at plan build, and
@@ -175,7 +176,9 @@ class AssemblyPlan:
     Built once per mesh and DOF map. A stiffness of the ``n`` reduced
     equations is kept packed: its values on ``flat``, the sorted row-major
     indices i * n + j of the reduced DOF pairs (i, j) that meet in some
-    element, which is structurally symmetric by construction. Integration
+    element, which is structurally symmetric by construction. Outside the
+    plan a stiffness is read through :meth:`dense` and :meth:`inf_norms`
+    only, so the packed layout is the plan's alone. Integration
     points are numbered block by block, element-major then quadrature-local;
     per-point arrays follow that order.
 
@@ -215,12 +218,30 @@ class AssemblyPlan:
         keys = [np.where((i >= 0) & (j >= 0), i * n + j, n * n).ravel() for i, j in pairs]
         distinct, self.slot_index = sorted_unique(np.concatenate([empty] + keys))
         self.flat = distinct[distinct < n * n]
+        # where each row's segment of the packed values starts (``flat`` is row-major)
+        self._row_starts = np.flatnonzero(np.diff(self.flat // n, prepend=-1))
 
-    def dense(self, values):
-        """Dense matrices (..., n, n) of packed stiffness values (..., len(flat))."""
-        out = np.zeros(values.shape[:-1] + (self.n * self.n,))
-        out[..., self.flat] = values
-        return out.reshape(values.shape[:-1] + (self.n, self.n))
+    def dense(self, values, out=None):
+        """Dense matrices (..., n, n) of packed stiffness values (..., len(flat)).
+
+        With ``out``, a C-contiguous array of that shape, fills it in place,
+        whatever it held, and returns it.
+        """
+        out = np.empty(values.shape[:-1] + (self.n, self.n)) if out is None else out
+        out.fill(0.0)
+        # the last axis indexed as the first of the transposes: an Ellipsis
+        # index would cost a few microseconds on every one-matrix call
+        out.reshape(values.shape[:-1] + (-1,)).T[self.flat] = values.T
+        return out
+
+    def inf_norms(self, values):
+        """||K||_inf (...,) of packed stiffness values (..., len(flat)): each one's largest row sum of |K|.
+
+        One sum over each row's segment of the packed values, not over the
+        n x n matrix; a non-finite value in either triangle makes it
+        non-finite.
+        """
+        return np.add.reduceat(np.abs(values), self._row_starts, axis=-1).max(axis=-1)
 
     def gradients(self, u):
         """Displacement gradients (..., n_ip, 4) of nodal displacements ``u`` (..., n_dofs)."""

@@ -224,8 +224,6 @@ class MicroGeometry:
         self.eq_index = np.where(self.pmap.dof_map >= 0, self.pmap.dof_map, n)
         self.sens_index = np.concatenate([8 * np.where(blk.red >= 0, blk.red, n)[..., None] + np.arange(8)
                                           for blk in self.plan.blocks], axis=None)
-        # where each row's segment of the packed values starts (``flat`` is row-major)
-        self._row_starts = np.flatnonzero(np.diff(self.plan.flat // n, prepend=-1))
         if n > linalg.MAX_DENSE_N:
             raise StructuralError(f"micro problem: {n} unknowns exceed the dense solver's "
                                   f"limit of {linalg.MAX_DENSE_N}")
@@ -257,15 +255,6 @@ class MicroGeometry:
         mean = (a[..., 0] + a[..., 3]) / 3.0
         dev2 = (a[..., 0] - mean) ** 2 + (a[..., 3] - mean) ** 2 + mean**2 + 2.0 * e12**2
         self.yield_bound = np.sqrt(1.5) * self.law.two_mu * np.sqrt(dev2.sum(axis=0))
-
-    def inf_norms(self, kvals):
-        """||K||_inf (k,) of packed stiffness values (k, len(flat)): each one's largest row sum of |K|.
-
-        One sum over each row's segment of the packed values, not over the
-        n x n matrix; a non-finite value in either triangle makes it
-        non-finite.
-        """
-        return np.add.reduceat(np.abs(kvals), self._row_starts, axis=1).max(axis=1)
 
 
 # relative margin of the certified elastic radius below the nearest yield
@@ -438,8 +427,9 @@ def _solve_columns(rves: RveBatch, need, tangent=True):
     The RVEs are gathered once per call: their packed values, their
     right-hand sides as the rows of one block each with the probe row
     (:func:`linalg.probe_blocks`), and their ||K||_inf, from the packed
-    values (:meth:`MicroGeometry.inf_norms`). Each RVE then fills one shared dense matrix, which LAPACK
-    overwrites with its factor, and solves its block in place
+    values (:meth:`mesh.AssemblyPlan.inf_norms`). Each RVE then fills one
+    shared dense matrix (:meth:`mesh.AssemblyPlan.dense` with ``out``),
+    which LAPACK overwrites with its factor, and solves its block in place
     (``linalg.factorize(..., prepared=True)``); the probe check and the
     column scatter run once for the call.
     """
@@ -447,23 +437,20 @@ def _solve_columns(rves: RveBatch, need, tangent=True):
     if not len(todo):
         return
     geom = rves.geom
-    n, flat, m = geom.n_reduced, geom.plan.flat, 5 if tangent else 1
+    n, m = geom.n_reduced, 5 if tangent else 1
     kvals = rves.kvals[todo]
     blocks = linalg.probe_blocks(len(todo), m, n)
     if tangent:
         blocks[:, :4] = np.swapaxes(rves.dr_dH[todo], 1, 2)
     blocks[:, m - 1] = rves.r_hat[todo]
     k = np.empty((n, n))
-    k_flat = k.reshape(-1)
     ok = np.ones(len(todo), dtype=bool)
     for j in range(len(todo)):
-        k.fill(0.0)  # LAPACK left the last RVE's factor in the upper triangle
-        k_flat[flat] = kvals[j]
         try:
-            linalg.factorize(k, blocks[j], prepared=True)
+            linalg.factorize(geom.plan.dense(kvals[j], out=k), blocks[j], prepared=True)
         except SingularMatrixError:
             ok[j] = False
-    ok &= linalg.probe_passed(blocks, geom.inf_norms(kvals))
+    ok &= linalg.probe_passed(blocks, geom.plan.inf_norms(kvals))
     done = todo[ok]
     rves.failed[todo[~ok]] = True
     rves.solved[done] = True

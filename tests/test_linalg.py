@@ -2,6 +2,7 @@
 
 import importlib.util
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -301,21 +302,50 @@ class TestStackedSolve:
                 assert f.columns is block and f.n == n and f.matrix is None
                 want = factorize(geom.plan.dense(rves.kvals[0]), rhs).columns
                 assert_array_equal(block[:m].T.reshape(rhs.shape), want)
-                assert linalg.probe_passed(block[None], geom.inf_norms(rves.kvals[:1])).tolist() == [True]
+                assert linalg.probe_passed(block[None], geom.plan.inf_norms(rves.kvals[:1])).tolist() == [True]
 
-    @pytest.mark.parametrize("plastic", [False, True], ids=["virgin", "plastic"])
-    def test_packed_inf_norm_equals_the_dense_row_sum_norm(self, plastic):
+    @pytest.mark.parametrize("case", ["virgin", "plastic", "macro"])
+    def test_packed_inf_norm_equals_the_dense_row_sum_norm(self, case):
         # ||K||_inf from each row's segment of the packed values, as the
         # probe check takes it, is the dense matrix's to rounding (the sums
-        # add the same values in another order, without the zeros)
+        # add the same values in another order, without the zeros): two
+        # RVEs' stiffnesses, and two of the macro system's, whose Dirichlet
+        # DOFs leave rows and columns out of the packed pattern
+        if case == "macro":
+            plan = build_benchmark("plate-hole-tension", "monolithic", n_macro=3, n_micro=4).system.plan
+            kvals = plan.stiffness(np.random.default_rng(5).standard_normal((2, plan.n_ip, 4, 4)))[0]
+        else:
+            geom = R.MicroGeometry(rve_porous_quad(default_materials("plate-hole-tension"), n=8))
+            rves = R.RveBatch(geom, 2)
+            rves.H[:] = [[0.0, 0.01, 0.01, 0.004], [0.002, -0.008, -0.008, 0.001]]
+            if case == "plastic":
+                R.assemble(rves)
+                assert rves.plastic_flow.all()
+            plan, kvals = geom.plan, rves.kvals
+        dense = np.abs(plan.dense(kvals)).sum(axis=2).max(axis=1)
+        assert_allclose(plan.inf_norms(kvals), dense, rtol=plan.n * np.finfo(float).eps)
+
+    def test_dense_into_a_scratch_matrix_equals_a_fresh_one_bitwise(self):
+        # the micro solves' fill: dense(values, out=k) into a matrix that
+        # still holds the last RVE's Cholesky factor equals dense(values),
+        # and allocates no array of its own
         geom = R.MicroGeometry(rve_porous_quad(default_materials("plate-hole-tension"), n=8))
         rves = R.RveBatch(geom, 2)
-        rves.H[:] = [[0.0, 0.01, 0.01, 0.004], [0.002, -0.008, -0.008, 0.001]]
-        if plastic:
-            R.assemble(rves)
-            assert rves.plastic_flow.all()
-        dense = np.abs(geom.plan.dense(rves.kvals)).sum(axis=2).max(axis=1)
-        assert_allclose(geom.inf_norms(rves.kvals), dense, rtol=geom.n_reduced * np.finfo(float).eps)
+        rves.H[1] = [0.0, 0.01, 0.01, 0.004]
+        R.assemble(rves)
+        k = geom.plan.dense(rves.kvals[0])
+        block = linalg.probe_blocks(1, 1, geom.n_reduced)[0]
+        block[0] = rves.r_hat[0]
+        factorize(k, block, prepared=True)
+        assert not np.array_equal(k, geom.plan.dense(rves.kvals[0]))
+        tracemalloc.start()
+        try:
+            out = geom.plan.dense(rves.kvals[1], out=k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is k and peak < k.nbytes // 10
+        assert_array_equal(k, geom.plan.dense(rves.kvals[1]))
 
     def test_singular_pivot_inside_sweep_names_original_row(self):
         with pytest.raises(SingularMatrixError) as exc:

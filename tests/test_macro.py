@@ -358,6 +358,12 @@ CUT_RUN_COUNTERS = {
     "monolithic": [(699, 730, 544, True), (636, 660, 408, True)],
     "monolithic-stored": [(421, 730, 544, True), (330, 660, 408, True)],
 }
+# SHA-256 of the cut runs' final_alpha, the serial bits
+CUT_RUN_ALPHA_SHA256 = {
+    "staggered": "4d9c14ed8b845ed816734cfe376ca25a85403e1c32388c91f4b0975e46413508",
+    "monolithic": "a5421f627b63c0f7b965fa839a464bb49a47559261cef4bcdb82cfb6b9457a27",
+    "monolithic-stored": "a5421f627b63c0f7b965fa839a464bb49a47559261cef4bcdb82cfb6b9457a27",
+}
 
 
 class TestLargeSteps:
@@ -429,10 +435,10 @@ class TestLargeSteps:
     def test_a_cut_run_keeps_its_per_record_counters(self, workers):
         # the case above: each scheme's first record adds up the sweeps of
         # the abandoned attempt at dt 1.0, its rollback and the accepted
-        # attempt at dt 0.5, as the pool's block counts them, at any worker
-        # count. Three workers, more than a 2-core machine has, write
-        # interleaved rows of the shared block, where a lost write would
-        # move a counter
+        # attempt at dt 0.5, as the pool's block counts them, and final_alpha
+        # keeps the serial bits, at any worker count. Three workers, more
+        # than a 2-core machine has, write interleaved rows of the shared
+        # block, where a lost write would move a counter or a plastic strain
         for scheme, counters in CUT_RUN_COUNTERS.items():
             rep = run(build_benchmark("notched-shear", scheme),
                       SolverSettings(tol_macro=1e-8, tol_micro=1e-8, dt_initial=1.0, dt_max=1.0,
@@ -440,6 +446,7 @@ class TestLargeSteps:
             assert [r.cut_events for r in rep.records] == [1, 0]
             assert [(r.factorizations, r.aux_solves, r.micro_iters_total, r.plastic_flow)
                     for r in rep.records] == counters
+            assert hashlib.sha256(rep.final_alpha.tobytes()).hexdigest() == CUT_RUN_ALPHA_SHA256[scheme]
             assert multiprocessing.active_children() == []
 
     def test_an_attempt_with_one_residual_increase_converges(self):
@@ -791,9 +798,19 @@ class TestWorkerFailures:
             assert vars(back) == vars(exc)
 
 
+def probe_shards(monkeypatch, probe):
+    """Make each shard's ``gather_alpha`` write ``probe()`` into its rows of the block's ``alpha``."""
+    def write(shard):
+        values = probe()
+        shard.block.alpha[shard.rows, :len(values)] = values
+
+    monkeypatch.setattr(macro._Shard, "gather_alpha", write)
+
+
 def test_workers_run_one_blas_thread(monkeypatch):
     # a forked worker sets numpy's bundled OpenBLAS to one thread, and a
-    # serial shard runs each call at one thread; the caller keeps its count
+    # serial shard runs each call at one thread; the caller keeps its count.
+    # Each shard writes its thread count into its rows of the pool's block
     libs = sorted(glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                                          "libscipy_openblas*")))
     if not libs:
@@ -801,7 +818,7 @@ def test_workers_run_one_blas_thread(monkeypatch):
     lib = ctypes.CDLL(libs[0])
     get, set_threads = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
     before = get()
-    monkeypatch.setattr(macro._Shard, "gather_alpha", lambda shard: get())
+    probe_shards(monkeypatch, lambda: [get()])
     geom = rvemod.MicroGeometry(rve_single_element(ELASTIC))
     set_threads(2)
     try:
@@ -809,7 +826,7 @@ def test_workers_run_one_blas_thread(monkeypatch):
         for workers in (1, 2):
             pool = macro.RvePool(geom, 2, True, workers=workers)
             try:
-                assert pool._call("gather_alpha") == [1] * workers
+                assert pool.gather_alpha()[:, 0].tolist() == [1, 1]
             finally:
                 pool.close()
             assert get() == 2
@@ -865,14 +882,16 @@ def test_worker_count_determinism_outside_the_test_session():
 
 def test_workers_inherit_the_blas_setter_lookup(monkeypatch):
     # a multi-worker pool looks the setter up once, before it forks; each
-    # worker's call is a hit on the cache it inherited
-    monkeypatch.setattr(macro._Shard, "gather_alpha", lambda shard: tuple(macro._blas_thread_setter.cache_info()))
+    # worker's call is a hit on the cache it inherited. Each worker writes
+    # its cache's (hits, misses, maxsize is None, currsize) into its row of
+    # the pool's block
+    info = macro._blas_thread_setter.cache_info
+    probe_shards(monkeypatch, lambda: [info().hits, info().misses, info().maxsize is None, info().currsize])
     macro._blas_thread_setter.cache_clear()
     pool = macro.RvePool(rvemod.MicroGeometry(rve_single_element(ELASTIC)), 2, True, workers=2)
     try:
         assert macro._blas_thread_setter.cache_info().misses == 1
-        # (hits, misses, maxsize, currsize) in each worker
-        assert pool._call("gather_alpha") == [(1, 1, None, 1)] * 2
+        assert pool.gather_alpha()[:, :4].tolist() == [[1, 1, 1, 1]] * 2
     finally:
         pool.close()
 
@@ -926,6 +945,28 @@ def test_a_worker_gets_one_request_per_sweep_and_one_for_the_plastic_strain(sche
     assert len(pipes) == 2
     for pipe in pipes:
         assert [stop for p, stop in sent if p == pipe] == [False] * (sweeps + 1) + [True]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_gather_alpha_returns_a_copy_of_the_block(workers):
+    # every shard writes its rows of the committed plastic strain into the
+    # pool's block, and the caller gets a copy of it, which a later sweep
+    # and commit do not change
+    pool = macro.RvePool(rvemod.MicroGeometry(rve_single_element(PLASTIC)), 3, True, workers=workers)
+    try:
+        shear = np.outer([1.0, 2.0, 3.0], [0.0, 0.05, 0.05, 0.0])
+        alphas = []
+        for h in (shear, 2.0 * shear):
+            assert not pool.staggered(h, 1e-9, 12).failed.any()
+            pool.commit()
+            alphas.append(pool.gather_alpha())
+            assert_array_equal(pool._block.alpha, alphas[-1])
+            assert alphas[-1] is not pool._block.alpha
+        first, second = alphas
+        assert (first > 0).all() and (second > first).all()
+        assert np.unique(first[:, 0]).size == 3  # each RVE its own row
+    finally:
+        pool.close()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
