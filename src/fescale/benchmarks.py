@@ -10,6 +10,9 @@ dropped and elements renumbered.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from dataclasses import replace
+
 import numpy as np
 
 from fescale.errors import ConfigError, StructuralError
@@ -79,9 +82,8 @@ def _in_disc(points, center, radius):
 # micro structures
 
 
-def rve_single_element(mat=None):
+def rve_single_element(mat):
     """Unit square meshed with one bilinear quad: zero fluctuation DOFs."""
-    mat = mat or ElasticParams(E=100.0, nu=0.3)
     nodes, conn = grid_quads(1, 1)
     mesh = Mesh(nodes, [ElementBlock(QUAD4, conn)])
     return MicroModel(mesh, (mat,), np.zeros(1, dtype=np.int64))
@@ -187,7 +189,7 @@ def macro_plate_hole(n=10):
 
 
 # ---------------------------------------------------------------------------
-# two-scale benchmark models
+# two-scale benchmark models: each builder returns the fields of its model
 
 
 def _fix_nodes(dirichlet, nodes, ux=None, uy=None):
@@ -198,62 +200,58 @@ def _fix_nodes(dirichlet, nodes, ux=None, uy=None):
             dirichlet.append((2 * int(nd) + 1, float(uy)))
 
 
-def _elastic_variant(model):
-    return MicroModel(model.mesh, tuple(map(elastic_of, model.materials)), model.mat_ids)
-
-
-def model_notched_shear(scheme, n_macro=6, n_micro=6, u_end=0.03, elastic_only=False):
+def model_notched_shear(n_macro=6, n_micro=6, u_end=0.03):
     """Notched plate under shear-like loading, porous plastic micro structure."""
     mesh, sets = macro_notched_shear(n_macro)
-    micro = rve_porous_tri(default_materials("notched-shear"), n=n_micro)
-    if elastic_only:
-        micro = _elastic_variant(micro)
     dirichlet = []
     _fix_nodes(dirichlet, sets["bottom"], ux=0.0, uy=0.0)
     _fix_nodes(dirichlet, sets["top"], ux=u_end, uy=0.0)
-    return TwoScaleModel(
+    return dict(
         macro_mesh=mesh, dirichlet=dirichlet, point_loads=[],
-        micro_model=micro, scheme=scheme,
+        micro_model=rve_porous_tri(default_materials("notched-shear"), n=n_micro),
         control_dof=2 * int(sets["top"][0]),
         reaction_dofs=np.array([2 * int(n) for n in sets["top"]]),
     )
 
 
-def model_notched_bending(scheme, nx=10, ny=3, n_micro=6, f_end=-0.25, elastic_only=False):
+def model_notched_bending(nx=10, ny=3, n_micro=6, f_end=-0.25):
     """Notched cantilever beam, force driven; composite micro structure."""
     mesh, sets = macro_notched_beam(nx, ny)
-    matrix = default_materials("notched-bending-2d")
     inclusion = ElasticParams(E=1000.0, nu=0.3)
-    micro = rve_composite(matrix, inclusion, n=n_micro)
-    if elastic_only:
-        micro = _elastic_variant(micro)
     dirichlet = []
     _fix_nodes(dirichlet, sets["left"], ux=0.0, uy=0.0)
     load_dof = 2 * sets["load_node"] + 1
-    return TwoScaleModel(
+    return dict(
         macro_mesh=mesh, dirichlet=dirichlet, point_loads=[(load_dof, f_end)],
-        micro_model=micro, scheme=scheme,
+        micro_model=rve_composite(default_materials("notched-bending-2d"), inclusion, n=n_micro),
         control_dof=load_dof, reaction_dofs=np.array([load_dof]),
     )
 
 
-def model_plate_hole(scheme, n_macro=6, n_micro=6, u_end=0.015, elastic_only=False):
+def model_plate_hole(n_macro=6, n_micro=6, u_end=0.015):
     """Plate with a hole under tension, porous quad micro structure."""
     mesh, sets = macro_plate_hole(n_macro)
-    micro = rve_porous_quad(default_materials("plate-hole-tension"), n=n_micro)
-    if elastic_only:
-        micro = _elastic_variant(micro)
     dirichlet = []
     _fix_nodes(dirichlet, sets["bottom"], uy=0.0)
     corner = sets["bottom"][np.argmin(mesh.nodes[sets["bottom"], 0])]
     _fix_nodes(dirichlet, [corner], ux=0.0)
     _fix_nodes(dirichlet, sets["top"], uy=u_end)
-    return TwoScaleModel(
+    return dict(
         macro_mesh=mesh, dirichlet=dirichlet, point_loads=[],
-        micro_model=micro, scheme=scheme,
+        micro_model=rve_porous_quad(default_materials("plate-hole-tension"), n=n_micro),
         control_dof=2 * int(sets["top"][0]) + 1,
         reaction_dofs=np.array([2 * int(n) + 1 for n in sets["top"]]),
     )
+
+
+def two_scale_model(scheme, elastic_only=False, *, micro_model, **fields):
+    """The model of a builder's ``fields`` under ``scheme``, for benchmark and custom configs alike.
+
+    ``elastic_only`` keeps only the elastic part of every micro phase.
+    """
+    if elastic_only:
+        micro_model = replace(micro_model, materials=tuple(map(elastic_of, micro_model.materials)))
+    return TwoScaleModel(micro_model=micro_model, scheme=scheme, **fields)
 
 
 BENCHMARK_BUILDERS = {
@@ -285,25 +283,23 @@ def build_benchmark(name, scheme, elastic_only=False, **overrides):
     """Instantiate a named benchmark model for one scheme."""
     if name not in BENCHMARK_BUILDERS:
         raise ConfigError(f"unknown benchmark {name!r}; options: {sorted(BENCHMARK_BUILDERS)}")
-    return BENCHMARK_BUILDERS[name](scheme, elastic_only=elastic_only, **overrides)
+    return two_scale_model(scheme, elastic_only, **BENCHMARK_BUILDERS[name](**overrides))
 
 
 # ---------------------------------------------------------------------------
 # named registries used by the run configuration
 
 
-def micro_by_name(name, params):
-    """Resolve a named built-in micro structure."""
-    builders = {
-        "single-element": lambda: rve_single_element(params["material"]),
-        "porous-square": lambda: rve_porous_tri(params["material"], n=params.get("n", 6)),
-        "porous-square-quad": lambda: rve_porous_quad(params["material"], n=params.get("n", 8)),
-        "laminate": lambda: rve_laminate(params["material"], params["material2"], n=params.get("n", 4)),
-        "composite": lambda: rve_composite(params["material"], params["material2"], n=params.get("n", 8)),
-    }
-    if name not in builders:
-        raise ConfigError(f"unknown built-in RVE {name!r}; options: {sorted(builders)}")
-    return builders[name]()
+# each built-in RVE's builder, its number of phases (materials) and its
+# default resolution n (None: the builder takes no size)
+BuiltinRve = namedtuple("BuiltinRve", "builder phases n")
+BUILTIN_RVES = {
+    "single-element": BuiltinRve(rve_single_element, 1, None),
+    "porous-square": BuiltinRve(rve_porous_tri, 1, 6),
+    "porous-square-quad": BuiltinRve(rve_porous_quad, 1, 8),
+    "laminate": BuiltinRve(rve_laminate, 2, 4),
+    "composite": BuiltinRve(rve_composite, 2, 8),
+}
 
 
 def default_materials(benchmark):

@@ -15,7 +15,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -133,7 +133,12 @@ def read_mesh(path) -> Mesh:
 
 @dataclass
 class RunConfig:
-    """Validated description of one suite run."""
+    """Validated description of one suite run, every default resolved.
+
+    A benchmark run leaves the custom-model fields (``macro_mesh`` to
+    ``reaction_dofs``) None; a custom run leaves ``benchmark`` None, and
+    ``rve`` or ``rve_mesh``.
+    """
 
     name: str
     schemes: list
@@ -144,12 +149,12 @@ class RunConfig:
     elastic_only: bool = False
     macro_mesh: str | None = None
     rve_mesh: str | None = None
-    rve_name: str | None = None
-    materials: list = field(default_factory=list)
-    dirichlet: list = field(default_factory=list)
-    point_loads: list = field(default_factory=list)
-    control_dof: int = 0
-    reaction_dofs: list = field(default_factory=list)
+    rve: str | None = None
+    materials: list | None = None
+    dirichlet: list | None = None
+    point_loads: list | None = None
+    control_dof: int | None = None
+    reaction_dofs: list | None = None
 
     def build_model(self, scheme):
         if self.benchmark is not None:
@@ -159,32 +164,23 @@ class RunConfig:
                 )
             except FescaleError as exc:
                 raise ConfigError(f"overrides {self.overrides}: {exc}") from exc
-        macro_mesh = read_mesh(self.macro_mesh)
+        fields = {key: getattr(self, key)
+                  for key in ("dirichlet", "point_loads", "control_dof", "reaction_dofs")}
+        fields["macro_mesh"] = read_mesh(self.macro_mesh)
         try:
-            micro = self._build_micro()
+            fields["micro_model"] = self._build_micro()
         except FescaleError as exc:
             raise ConfigError(f"rve: {exc}") from exc
         try:
-            return macro.TwoScaleModel(
-                macro_mesh=macro_mesh, dirichlet=[tuple(d) for d in self.dirichlet],
-                point_loads=[tuple(p) for p in self.point_loads], micro_model=micro,
-                scheme=scheme, control_dof=self.control_dof,
-                reaction_dofs=np.asarray(self.reaction_dofs or [self.control_dof], dtype=np.int64),
-            )
+            return benchmarks.two_scale_model(scheme, self.elastic_only, **fields)
         except FescaleError as exc:
             raise ConfigError(str(exc)) from exc
 
     def _build_micro(self):
-        mats = self.materials
-        if self.rve_mesh is not None:
-            mesh = read_mesh(self.rve_mesh)
-            ids = np.zeros(mesh.n_elements, dtype=np.int64)
-            return rvemod.MicroModel(mesh, tuple(mats or [benchmarks.default_materials("")]), ids)
-        params = {"material": mats[0] if mats else benchmarks.default_materials("")}
-        if len(mats) > 1:
-            params["material2"] = mats[1]
-        params.update({k: v for k, v in self.overrides.items() if k == "n"})
-        return benchmarks.micro_by_name(self.rve_name or "porous-square", params)
+        if self.rve_mesh is None:
+            return benchmarks.BUILTIN_RVES[self.rve].builder(*self.materials, **self.overrides)
+        mesh = read_mesh(self.rve_mesh)
+        return rvemod.MicroModel(mesh, tuple(self.materials), np.zeros(mesh.n_elements, dtype=np.int64))
 
 
 def load_config(path) -> RunConfig:
@@ -275,22 +271,24 @@ def _env_workers():
     return workers
 
 
+# the fields of a custom model, of which a benchmark config takes none
+CUSTOM_FIELDS = ("macro_mesh", "rve_mesh", "rve", "materials", "dirichlet", "point_loads",
+                 "control_dof", "reaction_dofs")
+
+
 def _override_defaults(benchmark):
     """Each ``overrides`` key a run accepts, with its default (which gives the type)."""
     if benchmark is None:
         return {"n": 0}  # resolution of a built-in RVE
     params = inspect.signature(benchmarks.BENCHMARK_BUILDERS[benchmark]).parameters
-    return {k: p.default for k, p in params.items() if k not in ("scheme", "elastic_only")}
+    return {k: p.default for k, p in params.items()}
 
 
 def parse_config(raw, base_dir=".") -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    known = {
-        "name", "benchmark", "schemes", "solver", "output_dir", "overrides",
-        "elastic_only", "macro_mesh", "rve_mesh", "rve", "materials",
-        "dirichlet", "point_loads", "control_dof", "reaction_dofs",
-    }
+    known = {"name", "benchmark", "schemes", "solver", "output_dir", "overrides", "elastic_only",
+             *CUSTOM_FIELDS}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -330,24 +328,13 @@ def parse_config(raw, base_dir=".") -> RunConfig:
         raise ConfigError(f"solver: {exc}") from exc
 
     benchmark = raw.get("benchmark")
-    macro_mesh = raw.get("macro_mesh")
-    if benchmark is None and macro_mesh is None:
+    if benchmark is None and raw.get("macro_mesh") is None:
         raise ConfigError("either 'benchmark' or 'macro_mesh' is required")
     if benchmark is not None and benchmark not in benchmarks.BENCHMARK_BUILDERS:
         raise ConfigError(
             f"benchmark: unknown name {benchmark!r}; options: "
             f"{sorted(benchmarks.BENCHMARK_BUILDERS)}"
         )
-    if macro_mesh is not None:
-        macro_mesh = os.path.join(base_dir, macro_mesh)
-        if not os.path.exists(macro_mesh):
-            raise ConfigError(f"macro_mesh: file not found: {macro_mesh}")
-    rve_mesh = raw.get("rve_mesh")
-    if rve_mesh is not None:
-        rve_mesh = os.path.join(base_dir, rve_mesh)
-        if not os.path.exists(rve_mesh):
-            raise ConfigError(f"rve_mesh: file not found: {rve_mesh}")
-
     overrides = raw.get("overrides", {})
     if not isinstance(overrides, dict):
         raise ConfigError("overrides: must be an object")
@@ -358,27 +345,64 @@ def parse_config(raw, base_dir=".") -> RunConfig:
         _typed(f"overrides.{key}", value, type(defaults[key]))
         if type(defaults[key]) is int and value < 1:  # every integer override is a mesh size
             raise ConfigError(f"overrides.{key}: must be >= 1, got {value}")
-    if rve_mesh is not None and "n" in overrides:  # only a custom model takes n
-        raise ConfigError("overrides.n: sizes a built-in 'rve' only, and 'rve_mesh' is given")
-
-    name = raw.get("name") or benchmark or "custom"
-    return RunConfig(
-        name=name,
+    config = RunConfig(  # type errors come before the refusals below
+        name=raw.get("name") or benchmark or "custom",
         schemes=schemes,
         settings=settings,
         output_dir=os.path.join(base_dir, raw.get("output_dir", "out")),
         benchmark=benchmark,
         overrides=overrides,
         elastic_only=_typed("elastic_only", raw.get("elastic_only", False), bool),
-        macro_mesh=macro_mesh,
-        rve_mesh=rve_mesh,
-        rve_name=raw.get("rve"),
         materials=_materials(raw.get("materials", [])),
         dirichlet=_dofs("dirichlet", raw.get("dirichlet", []), pairs=True),
         point_loads=_dofs("point_loads", raw.get("point_loads", []), pairs=True),
         control_dof=_typed("control_dof", raw.get("control_dof", 0), int),
         reaction_dofs=_dofs("reaction_dofs", raw.get("reaction_dofs", [])),
     )
+    if benchmark is None:
+        return _resolve_custom_model(config, raw, base_dir)
+    given = [key for key in CUSTOM_FIELDS if raw.get(key) is not None]
+    if given:
+        raise ConfigError(f"{given[0]}: a benchmark config takes no custom-model field")
+    return replace(config, **dict.fromkeys(CUSTOM_FIELDS))
+
+
+def _resolve_custom_model(config, raw, base_dir):
+    """``config`` with its custom-model fields resolved: the mesh paths, the built-in RVE, its defaults.
+
+    A built-in ``rve`` (default ``porous-square``) takes its default
+    ``overrides.n`` unless it takes no size; its materials, and an
+    ``rve_mesh``'s one, default to :func:`benchmarks.default_materials`
+    when the micro model has one phase.
+    """
+    for key in ("macro_mesh", "rve_mesh"):
+        if raw.get(key) is not None:
+            path = os.path.abspath(os.path.join(base_dir, raw[key]))
+            if not os.path.exists(path):
+                raise ConfigError(f"{key}: file not found: {path}")
+            setattr(config, key, path)
+    if config.rve_mesh is not None:
+        if raw.get("rve") is not None:
+            raise ConfigError("rve: names a built-in RVE, and 'rve_mesh' is given")
+        phases, n, unsized = 1, None, "'rve_mesh' is given"
+    else:
+        config.rve = "porous-square" if raw.get("rve") is None else raw["rve"]
+        if config.rve not in benchmarks.BUILTIN_RVES:
+            raise ConfigError(f"rve: unknown built-in RVE {config.rve!r}; "
+                              f"options: {sorted(benchmarks.BUILTIN_RVES)}")
+        _, phases, n = benchmarks.BUILTIN_RVES[config.rve]
+        unsized = f"{config.rve!r} takes no size"
+    if n is not None:
+        config.overrides = {"n": n, **config.overrides}
+    elif "n" in config.overrides:
+        raise ConfigError(f"overrides.n: sizes a built-in 'rve' only, and {unsized}")
+    if not config.materials and phases == 1:
+        config.materials = [benchmarks.default_materials("")]
+    if len(config.materials) != phases:
+        raise ConfigError(f"materials: the micro model takes {phases} material(s), "
+                          f"got {len(config.materials)}")
+    config.reaction_dofs = config.reaction_dofs or [config.control_dof]
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -450,17 +474,23 @@ def write_summary(path, name, scheme_files):
     return totals
 
 
+def _material_spec(params):
+    """A material's ``{E, nu[, sigma0, h]}`` config object."""
+    spec = asdict(params)
+    return {**spec.pop("elastic", {}), **spec}
+
+
 def _echo_config(config):
-    """Write the effective configuration (all defaults filled) next to the results."""
-    payload = {
-        "name": config.name,
-        "benchmark": config.benchmark,
-        "schemes": config.schemes,
-        "overrides": config.overrides,
-        "elastic_only": config.elastic_only,
-        "solver": {f: getattr(config.settings, f)
-                   for f in macro.SolverSettings.__dataclass_fields__},
-    }
+    """Write ``config`` next to the results as the config that ``parse_config`` resolves to it.
+
+    The echo leaves out ``output_dir``, so a run of it writes under its own
+    directory.
+    """
+    payload = {key: value for key, value in vars(config).items()
+               if value is not None and key not in ("settings", "output_dir")}
+    payload["solver"] = asdict(config.settings)
+    if config.materials is not None:
+        payload["materials"] = [_material_spec(m) for m in config.materials]
     with open(os.path.join(config.output_dir, f"{config.name}_config_echo.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
 

@@ -131,11 +131,13 @@ class SolveReport:
 # macro system: DOF handling and assembly from per-RVE stress/tangent
 
 
-def _check_dofs(name, dofs, n_dofs):
-    """Reject a DOF index outside [0, n_dofs), naming the field it came from."""
-    for dof in dofs:
+def _check_dofs(name, dofs, n_dofs, unique=False):
+    """Reject a DOF outside [0, n_dofs), or listed twice when ``unique``, naming its field."""
+    for k, dof in enumerate(dofs):
         if not 0 <= dof < n_dofs:
             raise StructuralError(f"{name}: DOF {dof} outside [0, {n_dofs})")
+        if unique and dof in dofs[:k]:
+            raise StructuralError(f"{name}: DOF {dof} is listed twice")
 
 
 class MacroSystem:
@@ -144,7 +146,7 @@ class MacroSystem:
     def __init__(self, mesh, dirichlet, point_loads, floor_force):
         self.mesh = mesh
         n_dofs = mesh.n_dofs
-        _check_dofs("dirichlet", [dof for dof, _ in dirichlet], n_dofs)
+        _check_dofs("dirichlet", [dof for dof, _ in dirichlet], n_dofs, unique=True)
         _check_dofs("point_loads", [dof for dof, _ in point_loads], n_dofs)
         self.g_end = np.zeros(n_dofs)
         prescribed = np.zeros(n_dofs, dtype=bool)
@@ -152,7 +154,9 @@ class MacroSystem:
             prescribed[dof] = True
             self.g_end[dof] = value
         self.p_end = np.zeros(n_dofs)
-        for dof, value in point_loads:
+        for dof, value in point_loads:  # the loads on one free DOF add up
+            if prescribed[dof]:
+                raise StructuralError(f"point_loads: DOF {dof} is prescribed by dirichlet")
             self.p_end[dof] += value
         self.prescribed = np.flatnonzero(prescribed)
         self.free = np.flatnonzero(~prescribed)
@@ -536,9 +540,9 @@ class TwoScaleModel:
     dirichlet: list
     point_loads: list
     micro_model: rvemod.MicroModel
+    control_dof: int
+    reaction_dofs: np.ndarray
     scheme: str = "monolithic-stored"
-    control_dof: int = 0
-    reaction_dofs: np.ndarray = None
 
     def __post_init__(self):
         try:
@@ -547,11 +551,9 @@ class TwoScaleModel:
         except FescaleError as exc:
             raise StructuralError(f"rve: {exc}") from exc
         self.scheme = canonical_scheme(self.scheme)
-        if self.reaction_dofs is None:
-            self.reaction_dofs = np.array([self.control_dof], dtype=np.int64)
         self.reaction_dofs = np.asarray(self.reaction_dofs, dtype=np.int64)
         _check_dofs("control_dof", [self.control_dof], self.macro_mesh.n_dofs)
-        _check_dofs("reaction_dofs", self.reaction_dofs, self.macro_mesh.n_dofs)
+        _check_dofs("reaction_dofs", self.reaction_dofs, self.macro_mesh.n_dofs, unique=True)
         pieces = fmesh.count_pieces(self.macro_mesh)
         if pieces != 1:
             raise StructuralError(f"the macro mesh falls apart into {pieces} pieces "

@@ -8,10 +8,11 @@ import os
 import pathlib
 import re
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fescale import benchmarks, macro
@@ -442,6 +443,109 @@ class TestFieldTypes:
         assert not (tmp_path / "out").exists()
 
 
+class TestUsedOrRefused:
+    """A given field that the model would not use is a config error that names it."""
+
+    @staticmethod
+    def refused(tmp_path, capsys, path, field):
+        """The message of a run of ``path`` that ends in exit 2, naming ``field``, and writes nothing."""
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field}: " in err
+        assert not (tmp_path / "out").exists()
+        return err
+
+    @pytest.mark.parametrize("field, value", [
+        ("macro_mesh", "macro.mesh"),
+        ("rve_mesh", "micro.mesh"),
+        ("rve", "porous-square"),
+        ("materials", [{"E": 100.0, "nu": 0.3}]),
+        ("dirichlet", [[0, 0.0]]),
+        ("point_loads", [[0, 1.0]]),
+        ("control_dof", 5),
+        ("reaction_dofs", [5]),
+    ])
+    def test_custom_model_field_beside_a_benchmark(self, tmp_path, capsys, field, value):
+        write_bar_config(tmp_path)  # the mesh files the paths name
+        path = write_tiny_config(tmp_path, output_dir="out", **{field: value})
+        self.refused(tmp_path, capsys, path, field)
+
+    def test_rve_beside_an_rve_mesh(self, tmp_path, capsys):
+        self.refused(tmp_path, capsys, write_bar_config(tmp_path, rve="porous-square"), "rve")
+
+    @pytest.mark.parametrize("rve, count", [
+        ("laminate", 1), ("laminate", 3), ("composite", 0), ("composite", 1),
+        ("porous-square", 2), ("single-element", 2), (None, 2),  # None: the bar's rve_mesh
+    ])
+    def test_materials_other_than_the_phase_count(self, tmp_path, capsys, rve, count):
+        materials = [{"E": 100.0, "nu": 0.3}] * count
+        edits = {} if rve is None else {"rve_mesh": None, "rve": rve}
+        self.refused(tmp_path, capsys, write_bar_config(tmp_path, materials=materials, **edits),
+                     "materials")
+
+    def test_size_of_the_single_element_rve(self, tmp_path, capsys):
+        path = write_bar_config(tmp_path, rve_mesh=None, rve="single-element", overrides={"n": 2})
+        self.refused(tmp_path, capsys, path, "overrides.n")
+
+    @pytest.mark.parametrize("field, value, dof", [
+        ("dirichlet", [[0, 0.0], [2, 0.0], [4, 0.0], [6, 0.0], [1, 0.0], [3, 0.0],
+                       [5, 0.01], [7, 0.01], [5, 0.02]], 5),
+        ("reaction_dofs", [5, 7, 7], 7),
+        ("point_loads", [[5, 1e6]], 5),
+    ])
+    def test_dof_data_the_model_would_not_use(self, tmp_path, capsys, field, value, dof):
+        err = self.refused(tmp_path, capsys, write_bar_config(tmp_path, **{field: value}), field)
+        assert f"{field}: DOF {dof} " in err
+
+    def test_custom_elastic_only_runs_elastic_phases(self, tmp_path):
+        plastic = {"materials": [{"E": 100.0, "nu": 0.3, "sigma0": 0.5, "h": 1.0}]}
+        flows = {}
+        for elastic_only in (False, True):
+            path = write_bar_config(tmp_path, elastic_only=elastic_only,
+                                    output_dir=f"el{int(elastic_only)}", **plastic)
+            assert main(["run", str(path)]) == 0
+            rows = read_stats_csv(tmp_path / f"el{int(elastic_only)}" / "bar_monolithic-stored_stats.csv")
+            flows[elastic_only] = [row["plastic_flow"] for row in rows]
+        assert "1" in flows[False]
+        assert set(flows[True]) == {"0"}
+
+
+class TestConfigEcho:
+    """The echo is the resolved config: it parses back to the run's config and reruns its curves."""
+
+    @pytest.mark.parametrize("kind", ["benchmark", "rve_mesh", "builtin-rve"])
+    def test_echo_round_trip(self, tmp_path, monkeypatch, kind):
+        monkeypatch.delenv("FESCALE_WORKERS", raising=False)
+        if kind == "benchmark":
+            path = write_tiny_config(tmp_path, output_dir="out", schemes=["monolithic-stored"])
+        else:
+            laminate = {"rve_mesh": None, "rve": "laminate", "reaction_dofs": [],
+                        "materials": [{"E": 100.0, "nu": 0.3, "sigma0": 0.5},
+                                      {"E": 300.0, "nu": 0.25}]}
+            path = write_bar_config(tmp_path, **(laminate if kind == "builtin-rve" else {}))
+        config = load_config(path)
+        assert main(["run", str(path)]) == 0
+        echo = tmp_path / "out" / f"{config.name}_config_echo.json"
+        again = load_config(echo)
+        assert again.output_dir != config.output_dir
+        assert again == replace(config, output_dir=again.output_dir)
+        assert main(["run", str(echo), "--out", str(tmp_path / "again")]) == 0
+        curves = sorted((tmp_path / "out").glob("*_curve.csv"))
+        assert curves
+        for curve in curves:
+            assert curve.read_bytes() == (tmp_path / "again" / curve.name).read_bytes()
+
+    def test_echo_holds_the_resolved_custom_model(self, tmp_path):
+        path = write_bar_config(tmp_path, rve_mesh=None, materials=[], reaction_dofs=[])
+        assert main(["run", str(path)]) == 0
+        echo = json.loads((tmp_path / "out" / "bar_config_echo.json").read_text())
+        assert echo["rve"] == "porous-square" and echo["overrides"] == {"n": 6}
+        assert echo["materials"] == [{"E": 100.0, "nu": 0.3, "sigma0": 1.0, "h": 2.0}]
+        assert echo["reaction_dofs"] == [5] and echo["control_dof"] == 5
+        assert echo["macro_mesh"] == str(tmp_path / "macro.mesh")
+        assert "rve_mesh" not in echo and "output_dir" not in echo
+
+
 class TestModelErrorsBeforeAnyFile:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case", ["pixelated-empty", "out-of-range-dof"])
@@ -645,7 +749,7 @@ JSON_VALUES = st.recursive(
     JSON_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
         st.sampled_from(["E", "nu", "sigma0", "h", "n", "x"]), inner, max_size=3),
     max_leaves=6)
-CONFIG_FIELDS = ["name", "benchmark", "schemes", "overrides", "elastic_only", "rve",
+CONFIG_FIELDS = ["name", "benchmark", "schemes", "overrides", "elastic_only", "rve", "rve_mesh",
                  "materials", "dirichlet", "point_loads", "control_dof", "reaction_dofs"]
 MESH_TOKENS = st.sampled_from(["0", "1", "2", "3", "4", "-1", "9", "0.5", "1e400", "nan",
                                "99999999999", "tri3", "quad4", "nodes", "elements", "x"])
@@ -666,6 +770,7 @@ class TestFuzz:
     @given(edits=st.dictionaries(st.sampled_from(CONFIG_FIELDS), JSON_VALUES
                                  | st.sampled_from(["laminate", "composite", "porous-square"]),
                                  min_size=1, max_size=3))
+    @example(edits={"rve_mesh": None, "rve": "laminate"})  # a built-in RVE short of materials
     def test_malformed_config_exits_2_or_runs(self, edits, monkeypatch):
         monkeypatch.delenv("FESCALE_WORKERS", raising=False)
         with tempfile.TemporaryDirectory() as tmp:

@@ -172,6 +172,33 @@ class TestClosedFormBar:
             assert reaction == pytest.approx(lam * force, rel=1e-8)
 
 
+class TestDofData:
+    """Every DOF a model is given is used or refused, for benchmark and custom models alike."""
+
+    @staticmethod
+    def bar_fields(**change):
+        model = bar_model("monolithic-stored")
+        fields = dict(macro_mesh=model.macro_mesh, dirichlet=model.dirichlet,
+                      point_loads=model.point_loads, micro_model=model.micro_model,
+                      control_dof=5, reaction_dofs=[5, 7])
+        return dict(fields, **change)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"dirichlet": [(2 * n, 0.0) for n in range(4)] + [(1, 0.0), (3, 0.0), (2, 0.1)]},
+         "dirichlet: DOF 2 is listed twice"),
+        ({"reaction_dofs": [5, 7, 5]}, "reaction_dofs: DOF 5 is listed twice"),
+        ({"point_loads": [(5, 0.1), (3, 1e6)]}, "point_loads: DOF 3 is prescribed by dirichlet"),
+    ])
+    def test_unused_dof_data_is_refused(self, change, message):
+        with pytest.raises(StructuralError, match=message):
+            TwoScaleModel(**self.bar_fields(**change))
+
+    def test_point_loads_on_one_free_dof_add_up(self):
+        settings = SolverSettings(dt_initial=0.25, dt_max=0.25, **TIGHT)
+        split = TwoScaleModel(**self.bar_fields(point_loads=[(5, 0.05), (5, 0.05), (7, 0.1)]))
+        assert run(split, settings).curve == run(bar_model("monolithic-stored"), settings).curve
+
+
 class TestSchemeBehavior:
     def test_elastic_iterates_match_across_schemes(self):
         settings = SolverSettings(dt_initial=0.25, dt_max=0.25, predictor="none", **TIGHT)

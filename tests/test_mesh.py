@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from fescale.benchmarks import (
     BENCHMARK_BUILDERS,
+    BUILTIN_RVES,
     build_benchmark,
-    micro_by_name,
     rve_porous_quad,
     rve_porous_tri,
 )
@@ -216,9 +216,8 @@ def shipped_plans():
         dof_map[system.free] = np.arange(system.n_free)
         yield f"{name}-macro", system.mesh, dof_map, system.plan
         yield f"{name}-micro", geom.mesh, geom.pmap.dof_map, geom.plan
-    params = {"material": PLASTIC, "material2": PLASTIC}
-    for name in ("single-element", "porous-square", "porous-square-quad", "laminate", "composite"):
-        geom = MicroGeometry(micro_by_name(name, params))
+    for name, (builder, phases, n) in BUILTIN_RVES.items():  # at each default resolution
+        geom = MicroGeometry(builder(*[PLASTIC] * phases, **({} if n is None else {"n": n})))
         yield f"{name}-rve", geom.mesh, geom.pmap.dof_map, geom.plan
     mesh = Mesh(TestCountPieces.NODES[:6], TestCountPieces.MIXED)
     # node 0 and the y DOF of node 4 eliminated, the x DOF of node 5 merged
