@@ -10,6 +10,7 @@ dropped and elements renumbered.
 
 from __future__ import annotations
 
+import inspect
 from collections import namedtuple
 from dataclasses import replace
 
@@ -200,7 +201,7 @@ def _fix_nodes(dirichlet, nodes, ux=None, uy=None):
             dirichlet.append((2 * int(nd) + 1, float(uy)))
 
 
-def model_notched_shear(n_macro=6, n_micro=6, u_end=0.03):
+def model_notched_shear(n_macro=5, n_micro=5, u_end=0.03):
     """Notched plate under shear-like loading, porous plastic micro structure."""
     mesh, sets = macro_notched_shear(n_macro)
     dirichlet = []
@@ -228,7 +229,7 @@ def model_notched_bending(nx=10, ny=3, n_micro=6, f_end=-0.25):
     )
 
 
-def model_plate_hole(n_macro=6, n_micro=6, u_end=0.015):
+def model_plate_hole(n_macro=6, n_micro=8, u_end=0.015):
     """Plate with a hole under tension, porous quad micro structure."""
     mesh, sets = macro_plate_hole(n_macro)
     dirichlet = []
@@ -254,15 +255,18 @@ def two_scale_model(scheme, elastic_only=False, *, micro_model, **fields):
     return TwoScaleModel(micro_model=micro_model, scheme=scheme, **fields)
 
 
+# Each builder's signature defaults are its benchmark's shipped model: the
+# sizes and load a config or `fescale bench` runs unless it overrides them.
 BENCHMARK_BUILDERS = {
     "notched-shear": model_notched_shear,
     "notched-bending-2d": model_notched_bending,
     "plate-hole-tension": model_plate_hole,
 }
 
-# Shipped suite settings: tight tolerances keep the schemes comparable point
-# by point, and a pinned increment size keeps their load steps aligned (the
-# adaptive growth rule is capped by dt_max = dt_initial).
+# Shipped solver settings, which a benchmark config takes unless it gives
+# its own: tight tolerances keep the schemes comparable point by point, and
+# a pinned increment size keeps their load steps aligned (the adaptive
+# growth rule is capped by dt_max = dt_initial).
 BENCH_SOLVER_DEFAULTS = {
     "notched-shear": {"tol_macro": 1e-8, "tol_micro": 1e-8,
                       "dt_initial": 0.05, "dt_max": 0.05, "dt_min": 1e-3},
@@ -272,11 +276,17 @@ BENCH_SOLVER_DEFAULTS = {
                            "dt_initial": 0.05, "dt_max": 0.05, "dt_min": 1e-3},
 }
 
-BENCH_SIZE_DEFAULTS = {
-    "notched-shear": {"n_macro": 5, "n_micro": 5},
-    "notched-bending-2d": {"nx": 10, "ny": 3, "n_micro": 6},
-    "plate-hole-tension": {"n_macro": 6, "n_micro": 8},
-}
+
+def builder_defaults(name):
+    """Every parameter of benchmark ``name``'s builder with its shipped value."""
+    params = inspect.signature(BENCHMARK_BUILDERS[name]).parameters
+    return {key: p.default for key, p in params.items()}
+
+
+# The shipped mesh sizes: the integer parameters of each builder, read from
+# its signature rather than kept as a second table
+BENCH_SIZE_DEFAULTS = {name: {k: v for k, v in builder_defaults(name).items() if type(v) is int}
+                       for name in BENCHMARK_BUILDERS}
 
 
 def build_benchmark(name, scheme, elastic_only=False, **overrides):

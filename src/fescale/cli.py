@@ -10,7 +10,6 @@ digits so repeated runs produce byte-identical curve files.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import re
@@ -135,8 +134,11 @@ def read_mesh(path) -> Mesh:
 class RunConfig:
     """Validated description of one suite run, every default resolved.
 
-    A benchmark run leaves the custom-model fields (``macro_mesh`` to
-    ``reaction_dofs``) None; a custom run leaves ``benchmark`` None, and
+    A benchmark run's ``overrides`` hold every parameter of its builder,
+    the shipped value where the config gives none, and its ``settings``
+    take the shipped solver values (``BENCH_SOLVER_DEFAULTS``) the config
+    does not override; it leaves the custom-model fields (``macro_mesh`` to
+    ``reaction_dofs``) None. A custom run leaves ``benchmark`` None, and
     ``rve`` or ``rve_mesh``.
     """
 
@@ -277,11 +279,14 @@ CUSTOM_FIELDS = ("macro_mesh", "rve_mesh", "rve", "materials", "dirichlet", "poi
 
 
 def _override_defaults(benchmark):
-    """Each ``overrides`` key a run accepts, with its default (which gives the type)."""
-    if benchmark is None:
-        return {"n": 0}  # resolution of a built-in RVE
-    params = inspect.signature(benchmarks.BENCHMARK_BUILDERS[benchmark]).parameters
-    return {k: p.default for k, p in params.items()}
+    """Each ``overrides`` key a run accepts, with its default (which gives the type).
+
+    A benchmark's are every parameter of its builder, at the shipped value
+    (:func:`benchmarks.builder_defaults`); a custom model's is the
+    resolution ``n`` of a built-in RVE, whose default
+    :func:`_resolve_custom_model` finds.
+    """
+    return {"n": 0} if benchmark is None else benchmarks.builder_defaults(benchmark)
 
 
 def parse_config(raw, base_dir=".") -> RunConfig:
@@ -317,6 +322,8 @@ def parse_config(raw, base_dir=".") -> RunConfig:
         raise ConfigError(f"solver: unknown fields {sorted(bad)}")
     for key, value in solver_raw.items():
         _typed(f"solver.{key}", value, type(getattr(macro.SolverSettings, key)))
+    benchmark = raw.get("benchmark")
+    solver_raw = {**benchmarks.BENCH_SOLVER_DEFAULTS.get(benchmark, {}), **solver_raw}
     if solver_raw.get("predictor", macro.PREDICTORS[0]) not in macro.PREDICTORS:
         raise ConfigError(f"solver.predictor: unknown value {solver_raw['predictor']!r}; "
                           f"options: {list(macro.PREDICTORS)}")
@@ -327,7 +334,6 @@ def parse_config(raw, base_dir=".") -> RunConfig:
     except StructuralError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
-    benchmark = raw.get("benchmark")
     if benchmark is None and raw.get("macro_mesh") is None:
         raise ConfigError("either 'benchmark' or 'macro_mesh' is required")
     if benchmark is not None and benchmark not in benchmarks.BENCHMARK_BUILDERS:
@@ -345,6 +351,8 @@ def parse_config(raw, base_dir=".") -> RunConfig:
         _typed(f"overrides.{key}", value, type(defaults[key]))
         if type(defaults[key]) is int and value < 1:  # every integer override is a mesh size
             raise ConfigError(f"overrides.{key}: must be >= 1, got {value}")
+    if benchmark is not None:
+        overrides = {**defaults, **overrides}
     config = RunConfig(  # type errors come before the refusals below
         name=raw.get("name") or benchmark or "custom",
         schemes=schemes,
@@ -373,7 +381,8 @@ def _resolve_custom_model(config, raw, base_dir):
     A built-in ``rve`` (default ``porous-square``) takes its default
     ``overrides.n`` unless it takes no size; its materials, and an
     ``rve_mesh``'s one, default to :func:`benchmarks.default_materials`
-    when the micro model has one phase.
+    when the micro model has one phase. ``control_dof`` has no default:
+    DOF 0 is prescribed to zero in the usual corner-fixed mesh.
     """
     for key in ("macro_mesh", "rve_mesh"):
         if raw.get(key) is not None:
@@ -401,6 +410,8 @@ def _resolve_custom_model(config, raw, base_dir):
     if len(config.materials) != phases:
         raise ConfigError(f"materials: the micro model takes {phases} material(s), "
                           f"got {len(config.materials)}")
+    if "control_dof" not in raw:
+        raise ConfigError("control_dof: required for a custom model")
     config.reaction_dofs = config.reaction_dofs or [config.control_dof]
     return config
 
@@ -654,7 +665,7 @@ def main(argv=None):
     p_run.add_argument("--workers", type=int, default=None)
     p_run.add_argument("--out", default=None)
 
-    p_bench = sub.add_parser("bench", help="run a named built-in benchmark")
+    p_bench = sub.add_parser("bench", help="run a named benchmark's shipped model and solver")
     p_bench.add_argument("suite", help="benchmark name or 'all'")
     p_bench.add_argument("--schemes", default="staggered,monolithic,monolithic-stored")
     p_bench.add_argument("--workers", type=int, default=None)
@@ -675,10 +686,7 @@ def main(argv=None):
             names = sorted(benchmarks.BENCHMARK_BUILDERS) if args.suite == "all" else [args.suite]
             status = 0
             for name in names:
-                raw = {"benchmark": name, "schemes": args.schemes.split(","),
-                       "solver": benchmarks.BENCH_SOLVER_DEFAULTS.get(name, {}),
-                       "output_dir": args.out}
-                raw["overrides"] = benchmarks.BENCH_SIZE_DEFAULTS.get(name, {})
+                raw = {"benchmark": name, "schemes": args.schemes.split(","), "output_dir": args.out}
                 config = parse_config(raw, base_dir=".")
                 config = _apply_cli_overrides(config, args)
                 s, reports = run_suite(config)

@@ -226,11 +226,19 @@ class _Shard:
     committed plastic strain: no method returns a value. The pool calls the
     public methods by name, through :meth:`serve`. The process that builds
     a shard runs its sweeps, and pins its heap (:func:`_pin_heap`) first.
+
+    Without ``store_factorization`` (plain monolithic) a sweep keeps no
+    solved columns past its condensation call but those of the
+    linear-flagged RVEs, the virgin ones their assembly gave them, so the
+    next update factorizes again. Dropping them there alone suffices: a
+    monolithic pass assembles every RVE it does not certify, and a
+    certified RVE is flagged.
     """
 
     def __init__(self, geom, count, store_factorization, block=None, w=0):
         _pin_heap()
-        self.rves = rvemod.RveBatch(geom, count, store_factorization)
+        self.rves = rvemod.RveBatch(geom, count)
+        self.store_factorization = store_factorization
         self.block = _SweepBlock(count, geom.n_ip, 1) if block is None else block
         self.w, self.rows = w, slice(w, None, self.block.shards)
 
@@ -257,6 +265,8 @@ class _Shard:
         block.rnorm[rows], block.ref[rows] = rves.residual_norm, rvemod.residual_reference(rves)
         block.iters[rows], block.failed[rows], block.plastic[rows] = iters, rves.failed, rves.plastic_flow
         block.counts[self.w] = rves.counts.sum(axis=0)
+        if not self.store_factorization:
+            rves.solved &= rves.flagged
 
     def commit(self):
         rvemod.commit(self.rves)
@@ -564,6 +574,8 @@ class TwoScaleModel:
             self.macro_mesh, self.dirichlet, self.point_loads,
             floor_force=rvemod.FLOOR_SCALE * self.micro_geometry.stiffest.E * float(span.max()),
         )
+        if self.control_dof in self.system.prescribed and not self.system.g_end[self.control_dof]:
+            raise StructuralError(f"control_dof: DOF {self.control_dof} is prescribed to zero")
         if self.system.n_free > linalg.MAX_DENSE_N:
             raise StructuralError(f"macro system: {self.system.n_free} unknowns exceed the dense "
                                   f"solver's limit of {linalg.MAX_DENSE_N}")

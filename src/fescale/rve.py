@@ -292,9 +292,9 @@ class RveBatch:
     was assembled at.
     """
 
-    def __init__(self, geom: MicroGeometry, count: int = 1, store_factorization: bool = True):
+    def __init__(self, geom: MicroGeometry, count: int = 1):
         b, n = count, geom.n_reduced
-        self.geom, self.b, self.store_factorization = geom, b, store_factorization
+        self.geom, self.b = geom, b
         self.states = material.StateBatch.virgin(b * geom.n_ip)
         self.trial = self.states.copy()
         self.u_hat, self.u_hat_n, self.u_hat_nm1 = np.zeros((3, b, n))
@@ -460,15 +460,6 @@ def _solve_columns(rves: RveBatch, need, tangent=True):
         rves.x_h[done] = np.swapaxes(blocks[ok, :4], 1, 2)
 
 
-def _drop_unstored_columns(rves: RveBatch):
-    """Plain monolithic mode: solved columns are not kept past their use.
-
-    A linear-flagged RVE keeps the virgin columns its assembly gave it.
-    """
-    if not rves.store_factorization:
-        rves.solved &= rves.flagged
-
-
 def _matvec(a, v):
     """Per-row products a[i] @ v[i], each on the BLAS path of a single product."""
     return np.matmul(a, np.ascontiguousarray(v)[..., None])[..., 0]
@@ -525,8 +516,8 @@ def homogenized_tangent_and_alg_stress(rves: RveBatch, alg_stress=True):
     tangent is dsig/dH - dsig/du x_h and the algorithmic stress
     sigma_bar - dsig/du x_r. An RVE whose columns are not solved for its
     assembly gets one Cholesky solve of its stiffness for all five, and
-    keeps them: a monolithic-stored update consumes them
-    (:func:`micro_update_monolithic`). A linear-flagged RVE takes the
+    keeps them for the next update (:func:`micro_update_monolithic`) unless
+    the caller drops them. A linear-flagged RVE takes the
     virgin tangent C0 (``virgin_c``) with no solve and skips the residual
     correction (its residual is zero to machine precision). With
     ``alg_stress=False`` (converged micro problems) the stress is
@@ -547,7 +538,6 @@ def homogenized_tangent_and_alg_stress(rves: RveBatch, alg_stress=True):
     sigma = np.where(ok[:, None], rves.sigma_bar, 0.0)
     if correct.any():
         sigma[correct] -= _matvec(rves.dsig_du[correct], rves.x_r[correct])
-    _drop_unstored_columns(rves)
     return sigma, c
 
 
@@ -617,8 +607,8 @@ def micro_update_monolithic(rves: RveBatch, delta_h) -> np.ndarray:
 
     ``delta_h`` is shaped (b, 4) and ``du`` (b, n) is returned. No solve
     and no inner iteration when the RVE's columns are solved for its
-    assembly (monolithic-stored); otherwise one Cholesky solve of the cached
-    stiffness gives them (plain monolithic). This starts a sweep:
+    assembly; otherwise one Cholesky solve of the cached stiffness gives
+    them. This starts a sweep:
     ``failed`` is cleared, and an RVE whose stiffness is singular is marked
     failed and not updated.
     """
@@ -632,7 +622,6 @@ def micro_update_monolithic(rves: RveBatch, delta_h) -> np.ndarray:
         du[rves.failed] = 0.0
         rves.counts[~rves.failed, UPDATE_SOLVES] += 1
         rves.u_hat += du
-        _drop_unstored_columns(rves)
     rves.H = rves.H + delta_h
     return du
 

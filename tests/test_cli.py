@@ -55,7 +55,9 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.benchmark == "notched-shear"
         assert cfg.schemes == ["monolithic"]
-        assert cfg.settings.tol_macro == 5e-3  # defaults echoed
+        # a benchmark config takes its shipped sizes and solver
+        assert cfg.overrides == {"n_macro": 5, "n_micro": 5, "u_end": 0.03}
+        assert cfg.settings.tol_macro == 1e-8 and cfg.settings.dt_max == 0.05
 
     def test_invalid_cut_factor(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -404,9 +406,11 @@ class TestFieldTypes:
         ({"overrides": {"n_micro": -1}}, "overrides.n_micro: must be >= 1, got -1"),
         ({"overrides": {"n_micro": 0}}, "overrides.n_micro: must be >= 1, got 0"),
         ({"overrides": {"n_micro": 1}},
-         "overrides {'n_micro': 1}: the pixelated feature removes every element"),
+         "overrides {'n_macro': 5, 'n_micro': 1, 'u_end': 0.03}: the pixelated feature removes "
+         "every element"),
         ({"benchmark": "plate-hole-tension", "overrides": {"n_macro": 1}},
-         "overrides {'n_macro': 1}: the pixelated feature removes every element"),
+         "overrides {'n_macro': 1, 'n_micro': 8, 'u_end': 0.015}: the pixelated feature removes "
+         "every element"),
         ({"benchmark": "notched-bending-2d", "overrides": {"nx": 0}},
          "overrides.nx: must be >= 1, got 0"),
         ({"solver": {"max_macro_iter": 0}}, "solver: max_macro_iter must be >= 1"),
@@ -492,10 +496,20 @@ class TestUsedOrRefused:
                        [5, 0.01], [7, 0.01], [5, 0.02]], 5),
         ("reaction_dofs", [5, 7, 7], 7),
         ("point_loads", [[5, 1e6]], 5),
+        ("control_dof", 1, 1),  # prescribed to zero: its curve would read 0 throughout
     ])
     def test_dof_data_the_model_would_not_use(self, tmp_path, capsys, field, value, dof):
         err = self.refused(tmp_path, capsys, write_bar_config(tmp_path, **{field: value}), field)
         assert f"{field}: DOF {dof} " in err
+
+    def test_custom_model_without_a_control_dof(self, tmp_path, capsys):
+        # DOF 0, the old default, is fixed in the corner-fixed bar
+        path = write_bar_config(tmp_path)
+        raw = json.loads(path.read_text())
+        del raw["control_dof"]
+        path.write_text(json.dumps(raw))
+        err = self.refused(tmp_path, capsys, path, "control_dof")
+        assert "control_dof: required for a custom model" in err
 
     def test_custom_elastic_only_runs_elastic_phases(self, tmp_path):
         plastic = {"materials": [{"E": 100.0, "nu": 0.3, "sigma0": 0.5, "h": 1.0}]}
@@ -513,11 +527,14 @@ class TestUsedOrRefused:
 class TestConfigEcho:
     """The echo is the resolved config: it parses back to the run's config and reruns its curves."""
 
-    @pytest.mark.parametrize("kind", ["benchmark", "rve_mesh", "builtin-rve"])
+    @pytest.mark.parametrize("kind", ["benchmark", "bare-benchmark", "rve_mesh", "builtin-rve"])
     def test_echo_round_trip(self, tmp_path, monkeypatch, kind):
         monkeypatch.delenv("FESCALE_WORKERS", raising=False)
         if kind == "benchmark":
             path = write_tiny_config(tmp_path, output_dir="out", schemes=["monolithic-stored"])
+        elif kind == "bare-benchmark":
+            path = tmp_path / "bare.json"
+            path.write_text(json.dumps({"benchmark": "notched-shear", "schemes": ["monolithic-stored"]}))
         else:
             laminate = {"rve_mesh": None, "rve": "laminate", "reaction_dofs": [],
                         "materials": [{"E": 100.0, "nu": 0.3, "sigma0": 0.5},
@@ -534,6 +551,10 @@ class TestConfigEcho:
         assert curves
         for curve in curves:
             assert curve.read_bytes() == (tmp_path / "again" / curve.name).read_bytes()
+        if kind == "bare-benchmark":  # the echo names the shipped model and solver that ran
+            echo = json.loads(echo.read_text())
+            assert echo["overrides"] == {"n_macro": 5, "n_micro": 5, "u_end": 0.03}
+            assert echo["solver"]["tol_macro"] == echo["solver"]["tol_micro"] == 1e-8
 
     def test_echo_holds_the_resolved_custom_model(self, tmp_path):
         path = write_bar_config(tmp_path, rve_mesh=None, materials=[], reaction_dofs=[])
@@ -566,8 +587,8 @@ class TestModelErrorsBeforeAnyFile:
         path = write_tiny_config(tmp_path, output_dir="out", benchmark="notched-bending-2d",
                                  overrides={"ny": 1})
         assert main(["run", str(path)]) == 2
-        assert ("overrides {'ny': 1}: the macro mesh falls apart into 2 pieces that share "
-                "no element edge") in capsys.readouterr().err
+        assert ("overrides {'nx': 10, 'ny': 1, 'n_micro': 6, 'f_end': -0.25}: the macro mesh "
+                "falls apart into 2 pieces that share no element edge") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_rigid_body_mode_is_a_config_error(self, tmp_path, capsys):
@@ -630,7 +651,8 @@ class TestModelErrorsBeforeAnyFile:
         path = write_tiny_config(tmp_path, output_dir="out", benchmark=name,
                                  overrides=overrides)
         assert main(["run", str(path)]) == 2
-        assert (f"overrides {overrides}: {message} exceed the dense solver's limit of "
+        resolved = {**benchmarks.builder_defaults(name), **overrides}
+        assert (f"overrides {resolved}: {message} exceed the dense solver's limit of "
                 f"{MAX_DENSE_N}") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -681,6 +703,17 @@ class TestMainEntry:
         assert curve[:2] == ["load_factor,control_value,reaction", "0,0,0"]
         assert len(curve) == 3 and [r["increment"] for r in stats] == ["1"]
         assert (out / "notched-shear_summary.csv").exists()
+
+    def test_bench_is_a_run_of_the_bare_benchmark_config(self, tmp_path, monkeypatch):
+        # one benchmark name, one model and solver: the shipped ones
+        monkeypatch.delenv("FESCALE_WORKERS", raising=False)
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"benchmark": "notched-shear", "schemes": ["monolithic-stored"]}))
+        assert main(["run", str(path)]) == 0
+        assert main(["bench", "notched-shear", "--schemes", "monolithic-stored",
+                     "--out", str(tmp_path / "bench")]) == 0
+        name = "notched-shear_monolithic-stored_curve.csv"
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "bench" / name).read_bytes()
 
     def test_scheme_flag_overrides_config(self, tmp_path):
         path = write_tiny_config(tmp_path, output_dir="cli_out2")

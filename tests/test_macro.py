@@ -188,6 +188,9 @@ class TestDofData:
          "dirichlet: DOF 2 is listed twice"),
         ({"reaction_dofs": [5, 7, 5]}, "reaction_dofs: DOF 5 is listed twice"),
         ({"point_loads": [(5, 0.1), (3, 1e6)]}, "point_loads: DOF 3 is prescribed by dirichlet"),
+        # a control DOF held at zero: a curve whose control_value reads 0 throughout
+        ({"control_dof": 3}, "control_dof: DOF 3 is prescribed to zero"),
+        ({"control_dof": 0, "reaction_dofs": [0]}, "control_dof: DOF 0 is prescribed to zero"),
     ])
     def test_unused_dof_data_is_refused(self, change, message):
         with pytest.raises(StructuralError, match=message):
@@ -378,7 +381,7 @@ class TestTangentPredictor:
         assert calls[0] == "sweep" and "assemble" in calls
 
 
-# notched-shear at builder-default sizes, dt 1.0, tolerances 1e-8: per record
+# notched-shear at n_macro = n_micro = 6, dt 1.0, tolerances 1e-8: per record
 # (factorizations, aux_solves, micro_iters_total, plastic_flow)
 CUT_RUN_COUNTERS = {
     "staggered": [(932, 224, 894, True), (969, 271, 765, True)],
@@ -394,7 +397,7 @@ CUT_RUN_ALPHA_SHA256 = {
 
 
 class TestLargeSteps:
-    # Builder-default sizes at pinned load steps of 0.25 and 0.5, tolerances
+    # n_macro = n_micro = 6 at pinned load steps of 0.25 and 0.5, tolerances
     # 1e-8. Under the linear-extrapolation predictor every one of these runs
     # cut its first increments 3-4 times, the whole boundary increment
     # landing in the first element row; the tangent predictor takes each
@@ -406,7 +409,7 @@ class TestLargeSteps:
     def test_converges_without_a_cut(self, name, dt, scheme):
         curves = []
         for workers in (1, 2):
-            rep = run(build_benchmark(name, scheme),
+            rep = run(build_benchmark(name, scheme, n_macro=6, n_micro=6),
                       SolverSettings(tol_macro=1e-8, tol_micro=1e-8, dt_initial=dt, dt_max=dt,
                                      dt_min=1e-3, parallel_workers=workers))
             assert rep.converged
@@ -448,7 +451,7 @@ class TestLargeSteps:
         for scheme, iterations, factorizations in [("staggered", 0, 1901), ("monolithic", 3, 1335),
                                                    ("monolithic-stored", 3, 751)]:
             attempts.clear()
-            rep = run(build_benchmark("notched-shear", scheme),
+            rep = run(build_benchmark("notched-shear", scheme, n_macro=6, n_micro=6),
                       SolverSettings(tol_macro=1e-8, tol_micro=1e-8, dt_initial=1.0, dt_max=1.0,
                                      dt_min=1e-3, parallel_workers=workers))
             assert rep.converged and [r.cut_events for r in rep.records] == [1, 0]
@@ -467,7 +470,7 @@ class TestLargeSteps:
         # than a 2-core machine has, write interleaved rows of the shared
         # block, where a lost write would move a counter or a plastic strain
         for scheme, counters in CUT_RUN_COUNTERS.items():
-            rep = run(build_benchmark("notched-shear", scheme),
+            rep = run(build_benchmark("notched-shear", scheme, n_macro=6, n_micro=6),
                       SolverSettings(tol_macro=1e-8, tol_micro=1e-8, dt_initial=1.0, dt_max=1.0,
                                      dt_min=1e-3, parallel_workers=workers))
             assert [r.cut_events for r in rep.records] == [1, 0]

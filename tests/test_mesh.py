@@ -207,10 +207,19 @@ def reference_pattern(mesh, dof_map):
     return flat, np.where(kept, np.searchsorted(flat, keys), len(flat))
 
 
+# the benchmark sizes whose plans are checked
+PLAN_SIZES = {"notched-shear": {"n_macro": 6, "n_micro": 6},
+              "notched-bending-2d": {"nx": 10, "ny": 3, "n_micro": 6},
+              "plate-hole-tension": {"n_macro": 6, "n_micro": 6}}
+
+
 def shipped_plans():
-    """(name, mesh, dof_map, plan) of every shipped macro and micro mesh and the mixed test meshes."""
+    """(name, mesh, dof_map, plan) of every benchmark's macro and micro mesh and the mixed test meshes.
+
+    The benchmarks are built at ``PLAN_SIZES``; the built-in RVEs at their default resolutions.
+    """
     for name in sorted(BENCHMARK_BUILDERS):
-        model = build_benchmark(name, "monolithic-stored")
+        model = build_benchmark(name, "monolithic-stored", **PLAN_SIZES[name])
         system, geom = model.system, model.micro_geometry
         dof_map = np.full(system.mesh.n_dofs, -1, dtype=np.int64)
         dof_map[system.free] = np.arange(system.n_free)

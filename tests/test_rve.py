@@ -316,14 +316,25 @@ class TestMonolithicMicro:
         assert_allclose(b.sigma_bar[0], sig_a, rtol=1e-8, atol=1e-8 * scale)
 
 
-def shard_of(geom, count, store=True, first=0):
-    """A batch of RVEs first..first+count-1, each assembled at a plastic state of its own."""
-    rves = R.RveBatch(geom, count, store)
-    for row, i in enumerate(range(first, first + count)):
+def at_plastic_states(rves, first=0):
+    """``rves`` as RVEs first..first+b-1, each assembled at a plastic state of its own."""
+    for row, i in enumerate(range(first, first + rves.b)):
         rves.H[row] = H_SHEAR * (0.3 + 0.05 * i)
-        rves.u_hat[row] = 1e-3 * np.cos(np.arange(geom.n_reduced) + i)
+        rves.u_hat[row] = 1e-3 * np.cos(np.arange(rves.geom.n_reduced) + i)
     R.assemble(rves)
     return rves
+
+
+def shard_of(geom, count, first=0):
+    """A batch of RVEs first..first+count-1, each assembled at a plastic state of its own."""
+    return at_plastic_states(R.RveBatch(geom, count), first)
+
+
+def sweep_shard(geom, count, store, first=0):
+    """A macro shard of ``shard_of``'s RVEs; its monolithic sweeps are plain unless ``store``."""
+    shard = macro._Shard(geom, count, store)
+    at_plastic_states(shard.rves, first)
+    return shard
 
 
 def assert_rves_alike(batch, singles, alg_stress):
@@ -360,14 +371,22 @@ class TestStackedSweep:
     def test_batch_equals_one_rve_at_a_time_bitwise(self, store, sweep, monkeypatch):
         geom = porous_geom()
         if sweep == "monolithic":
-            batch, singles = shard_of(geom, 3, store), [shard_of(geom, 1, store, i) for i in range(3)]
+            # one sweep of each shard (update, assembly, condensation), then
+            # a second condensation, which solves again what a plain shard dropped
+            batch, singles = sweep_shard(geom, 3, store), [sweep_shard(geom, 1, store, i) for i in range(3)]
             dh = np.outer(np.arange(1, 4), [1e-3, -2e-3, 5e-4, 1e-3])
-            du = R.micro_update_monolithic(batch, dh)
-            for i, p in enumerate(singles):
-                assert_array_equal(du[i], R.micro_update_monolithic(p, dh[i:i + 1])[0])
-            for rves in [batch] + singles:
-                R.assemble(rves)
-            assert_rves_alike(batch, singles, alg_stress=True)
+            updates, update = [], R.micro_update_monolithic
+            monkeypatch.setattr(R, "micro_update_monolithic",
+                                lambda rves, delta_h: updates.append(update(rves, delta_h)) or updates[-1])
+            for i, shard in enumerate([batch] + singles):
+                shard.block.h[:] = dh if shard is batch else dh[i - 1:i]
+                shard.monolithic()
+            du = updates[0]
+            for i in range(3):
+                assert_array_equal(du[i], updates[1 + i][0])
+            # a plain shard keeps only the flagged RVEs' columns past its sweep
+            assert_array_equal(batch.rves.solved, store | batch.rves.flagged)
+            assert_rves_alike(batch.rves, [p.rves for p in singles], alg_stress=True)
             return
         assembled = []  # the RVEs of every assembly pass: the line search shows here
         assemble = R.assemble
@@ -863,20 +882,19 @@ class TestLoadUnload:
     """An RVE unloading elastically from plastic flow is flagged at its second elastic assembly."""
 
     @staticmethod
-    def staggered(rves, h):
-        R.solve_micro_staggered(rves, h[None], 1e-10, 40)
-        R.homogenized_tangent_and_alg_stress(rves, alg_stress=False)
+    def staggered(shard, h):
+        shard.block.h[:] = h
+        shard.staggered(1e-10, 40)
 
     @staticmethod
-    def monolithic(rves, h):
-        """Monolithic sweeps, each a pass and the condensation call, to micro equilibrium at ``h``."""
-        dh = h - rves.H[0]
+    def monolithic(shard, h):
+        """Monolithic sweeps of ``shard``, each a pass and the condensation call, to micro equilibrium at ``h``."""
+        shard.block.h[:] = h - shard.rves.H[0]
         for _ in range(40):
-            R.monolithic_pass(rves, dh[None])
-            R.homogenized_tangent_and_alg_stress(rves)
-            if rves.residual_norm[0] <= 1e-10 * R.residual_reference(rves)[0]:
+            shard.monolithic()
+            if shard.block.rnorm[0] <= 1e-10 * shard.block.ref[0]:
                 return
-            dh = np.zeros(4)
+            shard.block.h[:] = 0.0
         raise AssertionError("no micro equilibrium")
 
     @pytest.mark.parametrize("sweep, store", [("staggered", True), ("monolithic", True),
@@ -884,12 +902,13 @@ class TestLoadUnload:
                              ids=["staggered", "monolithic-stored", "monolithic"])
     def test_unloading_rve_reuses_the_virgin_matrices(self, sweep, store):
         geom = porous_geom()
-        rves = R.RveBatch(geom, 1, store)
+        shard = macro._Shard(geom, 1, store)
+        rves = shard.rves
         factorizations, plastic = [], []
         for k in LOAD_UNLOAD:
             R.begin_increment(rves)
             before = rves.counts[0, R.FACTORIZATIONS]
-            getattr(self, sweep)(rves, k * H_SHEAR)
+            getattr(self, sweep)(shard, k * H_SHEAR)
             factorizations.append(rves.counts[0, R.FACTORIZATIONS] - before)
             plastic.append(rves.plastic_flow[0])
             R.commit(rves)
@@ -898,7 +917,7 @@ class TestLoadUnload:
         # from the second on the RVE is flagged and factorizes nothing
         assert factorizations[3] > 0 and not any(factorizations[4:])
         assert rves.flagged[0] and rves.states.alpha_bar.max() > 0.0
-        fresh = R.RveBatch(geom, 1, store)
+        fresh = R.RveBatch(geom)
         fresh.states = rves.states.copy()
         fresh.u_hat, fresh.H = rves.u_hat.copy(), rves.H.copy()
         fresh.plastic_flow[:] = True  # as if never assembled: the assembly is fresh
