@@ -289,6 +289,16 @@ def _override_defaults(benchmark):
     return {"n": 0} if benchmark is None else benchmarks.builder_defaults(benchmark)
 
 
+def _canonical_schemes(names):
+    """The canonical names of the schemes ``names``; a scheme listed twice, under any alias, raises."""
+    schemes = [macro.canonical_scheme(name) for name in names]
+    for i, scheme in enumerate(schemes):
+        first = schemes.index(scheme)
+        if first < i:
+            raise StructuralError(f"scheme {scheme!r} is listed twice: as {names[first]!r} and as {names[i]!r}")
+    return schemes
+
+
 def parse_config(raw, base_dir=".") -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -309,7 +319,7 @@ def parse_config(raw, base_dir=".") -> RunConfig:
     if not schemes:
         raise ConfigError("schemes: at least one scheme must be selected")
     try:
-        schemes = [macro.canonical_scheme(_typed("schemes", s, str)) for s in schemes]
+        schemes = _canonical_schemes([_typed("schemes", s, str) for s in schemes])
     except StructuralError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -647,7 +657,7 @@ def _apply_cli_overrides(config, args):
         config.output_dir = args.out
     try:
         if args.schemes:
-            config.schemes = [macro.canonical_scheme(s) for s in args.schemes.split(",")]
+            config.schemes = _canonical_schemes(args.schemes.split(","))
         if args.workers is not None:
             config.settings = replace(config.settings, parallel_workers=args.workers)
     except StructuralError as exc:

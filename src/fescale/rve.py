@@ -9,17 +9,21 @@ fluctuation w; slave boundary DOFs are eliminated onto their masters and
 one anchor corner pins the remaining rigid translation, so the reduced
 unknown is the fluctuation at the retained DOFs.
 
-A single assembly pass over a batch produces the reduced residual, the
+A full assembly pass over a batch produces the reduced residual, the
 reduced tangent stiffness values, the residual sensitivity to the applied
 macroscopic gradient, the boundary-sum homogenized stress, and the stress
 sensitivities needed for the condensed macroscopic tangent and the
-algorithmic stress. The material law is evaluated once per pass, over every
-point of the selected RVEs, through the geometry's per-point
-:class:`material.Law`. The sensitivities are stacked matrix products of the
-plan's element stiffnesses with the affine and first-moment maps, written
-into one buffer per block, and the residual and sensitivities are each
-summed by one :func:`mesh.scatter_add` pass. Every row is computed as it would be alone, so an RVE's results do
-not depend on its neighbours in the batch.
+algorithmic stress. A Newton round of the staggered micro solve assembles
+only what its Newton step reads, the residual and the stiffness values; the
+sensitivities and the homogenized stress of an RVE follow once, in the
+round where it converges, from the element stiffnesses that round holds.
+The material law is evaluated once per pass, over every point of the
+selected RVEs, through the geometry's per-point :class:`material.Law`. The
+sensitivities are stacked matrix products of the plan's element stiffnesses
+with the affine and first-moment maps, written into one buffer per block,
+and the residual and sensitivities are each summed by one
+:func:`mesh.scatter_add` pass. Every row is computed as it would be alone,
+so an RVE's results do not depend on its neighbours in the batch.
 """
 
 from __future__ import annotations
@@ -229,9 +233,9 @@ class MicroGeometry:
                                   f"limit of {linalg.MAX_DENSE_N}")
 
         # the virgin RVE: its matrices, one Cholesky solve of K0 and C0
-        d0 = np.broadcast_to(self.law.stiffness, (1, self.n_ip, 4, 4))
-        (self.virgin_kvals, self.virgin_dr_dH, self.virgin_dsig_du,
-         self.virgin_dsig_dh) = (a[0] for a in _matrices(self, d0))
+        kvals, kes = self.plan.stiffness(np.broadcast_to(self.law.stiffness, (1, self.n_ip, 4, 4)))
+        self.virgin_kvals = kvals[0]
+        self.virgin_dr_dH, self.virgin_dsig_du, self.virgin_dsig_dh = (a[0] for a in _sensitivities(self, kes))
         try:
             virgin = linalg.factorize(self.plan.dense(self.virgin_kvals),
                                       np.concatenate([self.virgin_dr_dH, np.eye(n)], axis=1)).columns
@@ -275,7 +279,9 @@ class RveBatch:
     state: ``states``, ``u_hat_n``, ``u_hat_nm1`` and ``H_n``. The current
     iterate is ``u_hat`` (b, n) and ``H`` (b, 4). Each RVE's last assembly
     is kept in the arrays :func:`assemble` fills, its ``plastic_flow``
-    among them. Its condensation columns, the tangent columns ``x_h`` =
+    among them, but for the sensitivities (``dr_dH``, ``dsig_du``,
+    ``dsig_dh``) and ``sigma_bar``: those are of its last full or
+    converging assembly. Its condensation columns, the tangent columns ``x_h`` =
     K^-1 dr/dH (b, n, 4) and the residual column ``x_r`` = K^-1 r (b, n),
     belong to that assembly while ``solved`` holds, as it always does after
     a linear-flagged one.
@@ -287,7 +293,7 @@ class RveBatch:
     assembled there: its matrices and its solved tangent columns are the
     virgin ones, every other row is zero. A linear-flagged RVE's stiffness is K0 bit for bit, so its columns
     are the virgin ones (see :func:`assemble`) and its condensed tangent is
-    C0. An assembly records each assembled RVE's certified elastic
+    C0. A full assembly records each assembled RVE's certified elastic
     ``radius`` (0 unless it is linear-flagged) about ``H_ref``, the H it
     was assembled at.
     """
@@ -325,6 +331,18 @@ def full_displacement(geom: MicroGeometry, u_hat, h):
     return u_aff.reshape(h.shape[:-1] + (-1,)) + pad[..., red]
 
 
+class _NewtonRound(np.ndarray):
+    """The boolean mask of the RVEs of one Newton round of :func:`solve_micro_staggered`.
+
+    Given one, :func:`assemble` leaves on it ``fresh``, the ids of the
+    round's RVEs that got new matrices, and ``kes``, their element
+    stiffnesses, one array per block; :func:`_converged` reads them.
+    """
+
+    fresh = np.zeros(0, dtype=np.int64)
+    kes = ()
+
+
 def assemble(rves: RveBatch, mask=None):
     """Residual, tangent, sensitivities and homogenized stress at (u_hat, H).
 
@@ -342,9 +360,18 @@ def assemble(rves: RveBatch, mask=None):
     assembled RVE records ``H_ref`` = H and its certified radius:
     (1 - CERTIFY_MARGIN) times the least -f_tr / L over its points if it is
     flagged, else 0.
+
+    A ``mask`` that is a :class:`_NewtonRound` makes a Newton round, which
+    assembles only what a Newton step reads: the residual, its norm and
+    reference force, the stiffness values, the trial states and the flags.
+    A fresh RVE keeps its sensitivities and every RVE its ``sigma_bar``,
+    ``radius`` and ``H_ref``; the round keeps the element stiffnesses for
+    :func:`_converged`. A flagged RVE takes the virgin sensitivities, which
+    a full assembly would have left it.
     """
     geom, b, n_ip = rves.geom, rves.b, rves.geom.n_ip
-    sel = slice(None) if mask is None else np.flatnonzero(mask)
+    newton = isinstance(mask, _NewtonRound)
+    sel = slice(None) if mask is None or mask.all() else np.flatnonzero(mask)
     ids = np.arange(b)[sel]
     k = len(ids)
     h = geom.plan.gradients(full_displacement(geom, rves.u_hat[sel], rves.H[sel]))
@@ -359,9 +386,10 @@ def assemble(rves: RveBatch, mask=None):
     # matrices may only be carried over from an assembly that was itself
     # evaluated with the elastic tangent everywhere
     flagged = ~plastic_flow & ~rves.plastic_flow[sel]
-    room = (-f_tr.reshape(k, n_ip) / geom.yield_bound).min(axis=1)
-    rves.radius[sel] = np.where(flagged, (1.0 - CERTIFY_MARGIN) * room, 0.0)
-    rves.H_ref[sel] = rves.H[sel]
+    if not newton:
+        room = (-f_tr.reshape(k, n_ip) / geom.yield_bound).min(axis=1)
+        rves.radius[sel] = np.where(flagged, (1.0 - CERTIFY_MARGIN) * room, 0.0)
+        rves.H_ref[sel] = rves.H[sel]
 
     f_full = geom.plan.internal_force(sigma)
     r_hat = fmesh.scatter_add(geom.eq_index, [f_full], geom.n_reduced + 1)[:, :-1]
@@ -372,16 +400,23 @@ def assemble(rves: RveBatch, mask=None):
         # hold every yielding point: a flagged RVE has none
         fresh_active = active.reshape(k, n_ip)[~flagged].ravel()
         d = material.point_tangents(geom.law, fresh_active, yielding).reshape(-1, n_ip, 4, 4)
-        rves.kvals[fresh], rves.dr_dH[fresh], rves.dsig_du[fresh], rves.dsig_dh[fresh] = _matrices(geom, d)
+        rves.kvals[fresh], kes = geom.plan.stiffness(d)
+        if newton:
+            mask.fresh, mask.kes = fresh, kes
+        else:
+            rves.dr_dH[fresh], rves.dsig_du[fresh], rves.dsig_dh[fresh] = _sensitivities(geom, kes)
         rves.solved[fresh] = False
     if flagged.any():
-        rves.x_h[ids[flagged]] = geom.virgin_x_h
-        rves.x_r[ids[flagged]] = _matvec(geom.virgin_inverse, r_hat[flagged])
-        rves.solved[ids[flagged]] = True
+        rows = ids[flagged]
+        rves.x_h[rows] = geom.virgin_x_h
+        rves.x_r[rows] = _matvec(geom.virgin_inverse, r_hat[flagged])
+        rves.solved[rows] = True
+        if newton:
+            rves.dr_dH[rows], rves.dsig_du[rows], rves.dsig_dh[rows] = (
+                geom.virgin_dr_dH, geom.virgin_dsig_du, geom.virgin_dsig_dh)
 
-    f2 = np.take(f_full.reshape(k, -1, 2), geom.boundary_nodes, axis=1)
-    bx = geom.mesh.nodes[geom.boundary_nodes]
-    rves.sigma_bar[sel] = (np.swapaxes(f2, 1, 2) @ bx).reshape(k, 4) / geom.volume
+    if not newton:
+        rves.sigma_bar[sel] = _boundary_stress(geom, f_full)
     rves.r_hat[sel], rves.f_full[sel] = r_hat, f_full
     rves.plastic_flow[sel], rves.flagged[sel] = plastic_flow, flagged
     rves.residual_norm[sel] = np.abs(r_hat).max(axis=1, initial=0.0)
@@ -389,14 +424,13 @@ def assemble(rves: RveBatch, mask=None):
     rves.failed[sel] |= ~np.isfinite(rves.residual_norm[sel])
 
 
-def _matrices(geom: MicroGeometry, d):
-    """Packed stiffness values, dr/dH, dsig/du and dsig/dH of the point tangents ``d`` (r, n_ip, 4, 4).
+def _sensitivities(geom: MicroGeometry, kes):
+    """dr/dH, dsig/du and dsig/dH of the element stiffnesses ``kes``, one (r, n_el, 2n_en, 2n_en) per block.
 
     One row per RVE, shaped as a batch keeps it; dsig/du is (r, 4, n),
     each row's block column-major.
     """
-    kvals, kes = geom.plan.stiffness(d)
-    r, n = len(d), geom.n_reduced
+    r, n = len(kes[0]), geom.n_reduced
     sens, dsig_dh = [], np.zeros((r, 4, 4))
     for ke, aff, xmom in zip(kes, geom.aff, geom.xmom):
         buf = np.empty(ke.shape[:3] + (8,))  # (r, e, 2n_en, 8): dr_dH | dsig_du
@@ -404,9 +438,30 @@ def _matrices(geom: MicroGeometry, d):
         me = np.matmul(np.swapaxes(ke, 2, 3), xmom, out=buf[..., 4:])
         dsig_dh += np.swapaxes(me.reshape(r, -1, 4), 1, 2) @ aff.reshape(-1, 4)
         sens.append(buf.reshape(r, -1))
-    del kes, me, buf  # a batch's temporaries are large: each is freed once used
+    del me, buf  # a batch's temporaries are large: each is freed once used
     sens = fmesh.scatter_add(geom.sens_index, sens, 8 * (n + 1)).reshape(r, n + 1, 8)
-    return kvals, sens[:, :n, :4], np.swapaxes(sens[:, :n, 4:], 1, 2) / geom.volume, dsig_dh / geom.volume
+    return sens[:, :n, :4], np.swapaxes(sens[:, :n, 4:], 1, 2) / geom.volume, dsig_dh / geom.volume
+
+
+def _boundary_stress(geom: MicroGeometry, f_full):
+    """Homogenized stress (k, 4) of nodal forces ``f_full`` (k, n_dofs): their boundary first moment / volume."""
+    k = len(f_full)
+    f2 = np.take(f_full.reshape(k, -1, 2), geom.boundary_nodes, axis=1)
+    bx = geom.mesh.nodes[geom.boundary_nodes]
+    return (np.swapaxes(f2, 1, 2) @ bx).reshape(k, 4) / geom.volume
+
+
+def _converged(rves: RveBatch, done, newton: _NewtonRound):
+    """Sensitivities of the fresh RVEs of ``done``, converged at the Newton round ``newton``.
+
+    What a full assembly of that round would have given them, from the
+    round's element stiffnesses.
+    """
+    pick = np.flatnonzero(done[newton.fresh])
+    if len(pick):
+        fresh = newton.fresh[pick]
+        rves.dr_dH[fresh], rves.dsig_du[fresh], rves.dsig_dh[fresh] = _sensitivities(
+            rves.geom, [ke[pick] for ke in newton.kes])
 
 
 def residual_reference(rves: RveBatch):
@@ -551,7 +606,11 @@ def solve_micro_staggered(rves: RveBatch, h_target, tol_micro, max_iter) -> np.n
 
     The RVEs iterate in lockstep: each round assembles, in one pass, every
     RVE that took a Newton step or backtracks, and each RVE goes through
-    exactly the iterates of a loop of its own. An RVE has converged when
+    exactly the iterates of a loop of its own. Every round is a Newton
+    round (see :func:`assemble`): an RVE gets its sensitivities once, from
+    the round where it converges (:func:`_converged`), and at the end every
+    converged RVE its ``sigma_bar``, from its nodal forces, bit for bit what
+    a full assembly at its converged iterate gives. An RVE has converged when
     ||r||_inf <= tol_micro * max(running force, floor); it is marked
     ``failed`` on a budget overrun, a singular stiffness or a non-finite
     residual, and the caller cuts the load increment. Returns the
@@ -567,7 +626,8 @@ def solve_micro_staggered(rves: RveBatch, h_target, tol_micro, max_iter) -> np.n
     du = np.zeros_like(rves.u_hat)
     live = np.ones(b, dtype=bool)
     search = np.zeros(b, dtype=bool)
-    assemble(rves)
+    newton = np.ones(b, dtype=bool).view(_NewtonRound)
+    assemble(rves, newton)
     while True:
         live &= ~rves.failed
         # Backtracking keeps the update inside the convergence basin. The
@@ -583,7 +643,9 @@ def solve_micro_staggered(rves: RveBatch, h_target, tol_micro, max_iter) -> np.n
             step[rows] *= 0.5
             rves.u_hat[rows] -= step[rows, None] * du[rows]
         check = live & ~back
-        live &= ~(check & (rves.residual_norm <= tol_micro * residual_reference(rves)))
+        done = check & (rves.residual_norm <= tol_micro * residual_reference(rves))
+        _converged(rves, done, newton)
+        live &= ~done
         rves.failed |= check & live & (solves >= max_iter)
         go = check & live & ~rves.failed
         _solve_columns(rves, go, tangent=False)
@@ -598,8 +660,12 @@ def solve_micro_staggered(rves: RveBatch, h_target, tol_micro, max_iter) -> np.n
             rves.u_hat[rows] -= step[rows, None] * du[rows]
         search = back | go
         if not search.any():
+            ok = ~rves.failed
+            if ok.any():
+                rves.sigma_bar[ok] = _boundary_stress(rves.geom, rves.f_full[ok])
             return np.maximum(solves, 1)
-        assemble(rves, search)
+        newton = search.view(_NewtonRound)
+        assemble(rves, newton)
 
 
 def micro_update_monolithic(rves: RveBatch, delta_h) -> np.ndarray:

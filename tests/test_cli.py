@@ -91,6 +91,27 @@ class TestLoadConfig:
                             "schemes": ["monolithic-stored-factorization"]})
         assert cfg.schemes == ["monolithic-stored"]
 
+    @pytest.mark.parametrize("schemes, shown", [
+        (["monolithic-stored", "monolithic-stored-factorization"],
+         "'monolithic-stored' is listed twice: as 'monolithic-stored' and as 'monolithic-stored-factorization'"),
+        (["staggered", "monolithic", "staggered"], "'staggered' is listed twice"),
+    ])
+    def test_scheme_listed_twice_is_a_config_error(self, tmp_path, capsys, schemes, shown):
+        path = write_tiny_config(tmp_path, output_dir=str(tmp_path / "twice"), schemes=schemes)
+        assert main(["run", str(path)]) == 2
+        assert shown in capsys.readouterr().err
+        assert not (tmp_path / "twice").exists()
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_scheme_listed_twice_on_the_command_line(self, tmp_path, capsys, command):
+        out = tmp_path / "twice"
+        target = str(write_tiny_config(tmp_path)) if command == "run" else "notched-shear"
+        assert main([command, target, "--schemes", "monolithic-stored,staggered,monolithic-stored-factorization",
+                     "--out", str(out)]) == 2
+        assert "config error: " in (err := capsys.readouterr().err)
+        assert "'monolithic-stored' is listed twice" in err
+        assert not out.exists()
+
 
 SMALL_MESH = [
     "fescale-mesh 2",

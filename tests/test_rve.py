@@ -462,6 +462,63 @@ class TestStackedSweep:
         assert exc.value.pivot_index == 5
 
 
+# applied gradients of three staggered sweeps of five plate-hole RVEs, in
+# units of H_SHEAR: plastic loading, partial unloading, then both at once
+PLATE_SWEEPS = [[0.05, 0.1, 0.2, 0.3, 0.5], [0.02, 0.12, 0.15, 0.25, 0.6], [0.3, 0.05, 0.4, 0.1, 0.65]]
+
+
+class TestNewtonRounds:
+    """A staggered sweep's Newton rounds defer the sensitivities and sigma_bar to the converging round."""
+
+    @staticmethod
+    def sweeps(monkeypatch=None):
+        """Per sweep of a plate-hole batch: the batch after it and, given ``monkeypatch``, the dr/dH rows
+        each sensitivity call made."""
+        geom = R.MicroGeometry(rve_porous_quad(default_materials("plate-hole-tension"), n=8))
+        rves = R.RveBatch(geom, len(PLATE_SWEEPS[0]))
+        made = []
+        if monkeypatch is not None:
+            sensitivities = R._sensitivities
+
+            def recording(geom, kes):
+                out = sensitivities(geom, kes)
+                made.extend(out[0])
+                return out
+
+            monkeypatch.setattr(R, "_sensitivities", recording)
+        for scale in PLATE_SWEEPS:
+            made.clear()
+            R.begin_increment(rves)
+            R.solve_micro_staggered(rves, np.outer(scale, H_SHEAR), 1e-9, 30)
+            assert not rves.failed.any()
+            yield rves, list(made)
+            R.commit(rves)
+
+    def test_converged_rves_hold_what_a_full_assembly_gives_bitwise(self):
+        fresh_seen = flagged_seen = 0
+        for rves, _ in self.sweeps():
+            full = copy.deepcopy(rves)
+            full.plastic_flow[:] = True  # as if never assembled: every assembly is fresh
+            R.assemble(full)
+            fresh = np.flatnonzero(~rves.flagged)
+            for name in ("kvals", "dr_dH", "dsig_du", "dsig_dh"):
+                assert getattr(rves, name)[fresh].tobytes() == getattr(full, name)[fresh].tobytes(), name
+            assert rves.sigma_bar.tobytes() == full.sigma_bar.tobytes()
+            fresh_seen += len(fresh)
+            flagged_seen += rves.flagged.sum()
+        assert fresh_seen and flagged_seen
+
+    def test_each_fresh_converged_rve_gets_its_sensitivities_once(self, monkeypatch):
+        # the rows the sensitivity helper made in a sweep are the converged
+        # fresh RVEs' final dr/dH, each once; a flagged RVE takes the virgin rows
+        for rves, made in self.sweeps(monkeypatch):
+            fresh = np.flatnonzero(~rves.flagged)
+            assert sorted(row.tobytes() for row in made) == sorted(rves.dr_dH[i].tobytes() for i in fresh)
+            assert len({row.tobytes() for row in made}) == len(fresh)
+            virgin = rves.geom.virgin_dr_dH.tobytes()
+            assert all(rves.dr_dH[i].tobytes() == virgin for i in np.flatnonzero(rves.flagged))
+
+
 def one_rve_in_a_shard(geom, count, slot):
     """Columns, update, stress and tangent of one plastic RVE at ``slot`` of a shard.
 

@@ -1,6 +1,7 @@
 """Tests for the repository tools under tools/."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -107,3 +108,49 @@ def test_same_results_lists_every_differing_stats_column(tmp_path, capsys):
         "bench_staggered_stats.csv: column micro_iters_total: total 116 in A, 111 in B; differs in 2 of 2 rows",
         "bench_staggered_stats.csv: column factorizations: total 12 in A, 13 in B; differs in 1 of 2 rows",
     ]
+
+
+def canned_run(parent, change, failed=0):
+    """A stand-in for one perfbench run: per tree, the next of its canned solve_s.staggered values."""
+    values = {"parent": iter(parent), "change": iter(change)}
+
+    def run(tree, workload):
+        side = "parent" if tree.endswith("parent") else "change"
+        metrics = {"solve_s.staggered": {"value": next(values[side]), "unit": "s"},
+                   "peak_rss_mb": {"value": 60.0, "unit": "MiB"}}
+        result = {"correct": not failed, "attempted": 3, "failed": failed, "metrics": metrics}
+        return "round 1 ok\n" + json.dumps(result) + "\n"
+
+    return run
+
+
+def ab_trees(tmp_path):
+    spec = {"end_to_end": [{"name": "solve_s.staggered", "unit": "s", "better": "lower", "bound": 0.25},
+                           {"name": "peak_rss_mb", "unit": "MiB", "better": "lower", "bound": 0.1}]}
+    for name in ("parent", "change"):
+        (tmp_path / name).mkdir(exist_ok=True)
+        (tmp_path / name / "BENCHMARK.json").write_text(json.dumps(spec))
+    return [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "plate-hole", "--pairs", "10"]
+
+
+def test_ab_pairs_judges_a_claim_and_the_bounds_from_canned_runs(tmp_path, capsys):
+    ab_pairs = load("ab_pairs")
+    parent = [0.085, 0.086, 0.084, 0.087, 0.085, 0.086, 0.085, 0.084, 0.088, 0.085]
+    change = [0.081, 0.082, 0.080, 0.083, 0.090, 0.081, 0.082, 0.080, 0.083, 0.081]
+    assert ab_pairs.main(ab_trees(tmp_path), run=canned_run(parent, change)) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["parent: 0 of 30 solves failed", "change: 0 of 30 solves failed"]
+    assert out[2].startswith("solve_s.staggered (s): parent 0.085 (IQR 0.001), change 0.0815 (-4.1 %)")
+    assert out[2].endswith("wins 9/10, claim holds, bound holds")
+    assert out[3] == "  pairs parent/change: " + ", ".join(f"{p:g}/{c:g}" for p, c in zip(parent, change))
+    # equal values win no pair and claim nothing, but stay within the bound
+    assert out[4].endswith("wins 0/10, claim fails, bound holds")
+
+
+def test_ab_pairs_fails_a_broken_bound_and_a_failed_solve(tmp_path, capsys):
+    ab_pairs = load("ab_pairs")
+    parent, change = [0.08] * 10, [0.11] * 10
+    assert ab_pairs.main(ab_trees(tmp_path), run=canned_run(parent, change)) == 1
+    assert "wins 0/10, claim fails, bound fails" in capsys.readouterr().out
+    assert ab_pairs.main(ab_trees(tmp_path), run=canned_run(parent, parent, failed=1)) == 1
+    assert "parent: 10 of 30 solves failed" in capsys.readouterr().out
