@@ -125,26 +125,26 @@ class Law:
     all have one material hold one point's values, which broadcast over
     every batch, so a single-material RVE reads no per-point parameter.
     :func:`evaluate_batch` takes the rows of its gradients as consecutive
-    groups of ``points`` (RVE-major).
+    groups of ``points`` (RVE-major); ``any_elastic`` tells whether some
+    point is elastic.
     """
 
-    __slots__ = ("lam", "two_mu", "three_mu", "three_mu_h", "inv", "c6", "sigma0", "h",
-                 "bulk", "stiffness", "elastic")
+    _CONSTANTS = ("lam", "two_mu", "three_mu", "three_mu_h", "inv", "c6", "sigma0", "h",
+                  "bulk", "stiffness", "elastic")
+    __slots__ = _CONSTANTS + ("points", "any_elastic")
 
     def __init__(self, materials, ids=0):
         ids = np.asarray(ids, dtype=np.int64).reshape(-1)
         ids = ids[:1] if (ids == ids[0]).all() else ids
         rows = [_constants(m) for m in materials]
-        for k, name in enumerate(self.__slots__):
+        for k, name in enumerate(self._CONSTANTS):
             setattr(self, name, np.array([row[k] for row in rows])[ids])
-
-    @property
-    def points(self):
-        return len(self.lam)
+        self.points = len(ids)
+        self.any_elastic = bool(self.elastic.any())
 
 
 def _constants(params):
-    """One material's constants, in the order of :attr:`Law.__slots__`."""
+    """One material's constants, in the order of ``Law._CONSTANTS``."""
     el = elastic_of(params)
     plastic = isinstance(params, PlasticParams)
     sigma0, h = (params.sigma0, params.h) if plastic else (np.inf, 0.0)
@@ -184,7 +184,9 @@ def evaluate_batch(law, h_batch, states: StateBatch):
     law = law if isinstance(law, Law) else Law([law])
     h = np.asarray(h_batch, dtype=np.float64)
     n = len(h)
-    grid = (n // law.points, law.points)  # the rows as groups of the law's points
+    # the rows as groups of the law's points; one point's constants
+    # broadcast over the rows as they are
+    grid = (n,) if law.points == 1 else (n // law.points, law.points)
     ep = states.eps_p.reshape(n, 4).T
     alpha = states.alpha_bar.reshape(grid)
 
@@ -206,18 +208,21 @@ def evaluate_batch(law, h_batch, states: StateBatch):
     q_tr = _SQ32 * s_norm
     f_tr = (q_tr.reshape(grid) - (law.sigma0 + law.h * alpha)).reshape(n)
     active = f_tr > 0.0
-    idx = np.flatnonzero(active)
-    s_active = s.take(idx, axis=1)  # the trial stress of the yielding points
+    idx = active.nonzero()[0]
 
     # a J2 point at rest takes the return with dgamma = 0, s - 0 * n and
     # ep + 0 * n, which carry the signs of zeros and non-finite values; s
     # becomes the returned stress
     rest = 0.0 * dev
-    rest.reshape((4,) + grid)[..., law.elastic] = 0.0
+    if law.any_elastic:
+        rest.reshape(4, -1, law.points)[..., law.elastic] = 0.0
+    if len(idx):
+        s_active = s.take(idx, axis=1)  # the trial stress of the yielding points
     s -= rest
     new_ep = np.empty((n, 4))
     np.add(ep, rest, out=new_ep.T)
-    new_ep.reshape(grid + (4,))[:, law.elastic] = states.eps_p.reshape(grid + (4,))[:, law.elastic]
+    if law.any_elastic:
+        new_ep.reshape(-1, law.points, 4)[:, law.elastic] = states.eps_p.reshape(-1, law.points, 4)[:, law.elastic]
     new_alpha = states.alpha_bar.reshape(n).copy()
     yielding = np.empty((0, 4, 4))
 

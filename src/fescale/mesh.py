@@ -19,6 +19,7 @@ every sum over elements is one :func:`scatter_add` pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,9 +138,10 @@ def scatter_add(index, parts, size):
     ``np.add`` into zeros, so the sums equal that form's bit for bit.
     """
     values = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-    rows = np.arange(np.prod(values.shape[:-1], dtype=np.int64))[:, None]
+    lead = values.shape[:-1]
+    rows = np.arange(math.prod(lead))[:, None]
     out = np.bincount((rows * size + index).ravel(), values.ravel(), rows.size * size)
-    return out.astype(np.float64, copy=False).reshape(values.shape[:-1] + (size,))
+    return out.astype(np.float64, copy=False).reshape(lead + (size,))
 
 
 def element_dofs(conn):

@@ -324,11 +324,11 @@ class RveBatch:
 
 def full_displacement(geom: MicroGeometry, u_hat, h):
     """Full nodal displacements (..., n_dofs) of fluctuations ``u_hat`` (..., n) and gradients ``h``."""
-    u_aff = geom.mesh.nodes @ np.swapaxes(h.reshape(h.shape[:-1] + (2, 2)), -1, -2)
-    red = geom.pmap.dof_map
+    u_aff = geom.mesh.nodes @ h.reshape(h.shape[:-1] + (2, 2)).swapaxes(-1, -2)
     # an eliminated DOF's equation -1 reads the padded zero
-    pad = np.concatenate([u_hat, np.zeros(u_hat.shape[:-1] + (1,))], axis=-1)
-    return u_aff.reshape(h.shape[:-1] + (-1,)) + pad[..., red]
+    pad = np.zeros(u_hat.shape[:-1] + (u_hat.shape[-1] + 1,))
+    pad[..., :-1] = u_hat
+    return u_aff.reshape(h.shape[:-1] + (-1,)) + pad.take(geom.pmap.dof_map, axis=-1)
 
 
 class _NewtonRound(np.ndarray):
@@ -371,9 +371,9 @@ def assemble(rves: RveBatch, mask=None):
     """
     geom, b, n_ip = rves.geom, rves.b, rves.geom.n_ip
     newton = isinstance(mask, _NewtonRound)
-    sel = slice(None) if mask is None or mask.all() else np.flatnonzero(mask)
-    ids = np.arange(b)[sel]
+    ids = np.arange(b) if mask is None else mask.nonzero()[0]
     k = len(ids)
+    sel = slice(None) if k == b else ids
     h = geom.plan.gradients(full_displacement(geom, rves.u_hat[sel], rves.H[sel]))
     states = material.StateBatch(rves.states.eps_p.reshape(b, n_ip, 4)[sel].reshape(-1, 4),
                                  rves.states.alpha_bar.reshape(b, n_ip)[sel].ravel())
@@ -382,10 +382,13 @@ def assemble(rves: RveBatch, mask=None):
     rves.trial.eps_p.reshape(b, n_ip, 4)[sel] = new.eps_p.reshape(k, n_ip, 4)
     rves.trial.alpha_bar.reshape(b, n_ip)[sel] = new.alpha_bar.reshape(k, n_ip)
 
-    plastic_flow = active.reshape(k, n_ip).any(axis=1)
+    active = active.reshape(k, n_ip)
+    plastic_flow = np.logical_or.reduce(active, axis=1)
     # matrices may only be carried over from an assembly that was itself
     # evaluated with the elastic tangent everywhere
-    flagged = ~plastic_flow & ~rves.plastic_flow[sel]
+    flagged = ~(plastic_flow | rves.plastic_flow[sel])
+    at = flagged.nonzero()[0]  # the flagged RVEs' places in the round
+    n_flagged = len(at)
     if not newton:
         room = (-f_tr.reshape(k, n_ip) / geom.yield_bound).min(axis=1)
         rves.radius[sel] = np.where(flagged, (1.0 - CERTIFY_MARGIN) * room, 0.0)
@@ -394,22 +397,21 @@ def assemble(rves: RveBatch, mask=None):
     f_full = geom.plan.internal_force(sigma)
     r_hat = fmesh.scatter_add(geom.eq_index, [f_full], geom.n_reduced + 1)[:, :-1]
 
-    fresh = ids[~flagged]
-    if len(fresh):
+    if n_flagged < k:
         # the dense point tangents of the RVEs that get new matrices, which
         # hold every yielding point: a flagged RVE has none
-        fresh_active = active.reshape(k, n_ip)[~flagged].ravel()
-        d = material.point_tangents(geom.law, fresh_active, yielding).reshape(-1, n_ip, 4, 4)
+        fresh, fresh_active = (ids, active) if not n_flagged else (ids[~flagged], active[~flagged])
+        d = material.point_tangents(geom.law, fresh_active.ravel(), yielding).reshape(-1, n_ip, 4, 4)
         rves.kvals[fresh], kes = geom.plan.stiffness(d)
         if newton:
             mask.fresh, mask.kes = fresh, kes
         else:
             rves.dr_dH[fresh], rves.dsig_du[fresh], rves.dsig_dh[fresh] = _sensitivities(geom, kes)
         rves.solved[fresh] = False
-    if flagged.any():
-        rows = ids[flagged]
+    if n_flagged:
+        rows = ids[at]
         rves.x_h[rows] = geom.virgin_x_h
-        rves.x_r[rows] = _matvec(geom.virgin_inverse, r_hat[flagged])
+        rves.x_r[rows] = _matvec(geom.virgin_inverse, r_hat[at])
         rves.solved[rows] = True
         if newton:
             rves.dr_dH[rows], rves.dsig_du[rows], rves.dsig_dh[rows] = (
@@ -419,9 +421,12 @@ def assemble(rves: RveBatch, mask=None):
         rves.sigma_bar[sel] = _boundary_stress(geom, f_full)
     rves.r_hat[sel], rves.f_full[sel] = r_hat, f_full
     rves.plastic_flow[sel], rves.flagged[sel] = plastic_flow, flagged
-    rves.residual_norm[sel] = np.abs(r_hat).max(axis=1, initial=0.0)
-    rves.ref_force[sel] = np.maximum(rves.ref_force[sel], np.abs(f_full).max(axis=1, initial=0.0))
-    rves.failed[sel] |= ~np.isfinite(rves.residual_norm[sel])
+    # the norms of this round's own copies, taken in place
+    norm = np.maximum.reduce(np.abs(r_hat, out=r_hat), axis=1, initial=0.0)
+    rves.residual_norm[sel] = norm
+    force = np.maximum.reduce(np.abs(f_full, out=f_full), axis=1, initial=0.0)
+    rves.ref_force[sel] = np.maximum(rves.ref_force[sel], force)
+    rves.failed[sel] |= ~np.isfinite(norm)
 
 
 def _sensitivities(geom: MicroGeometry, kes):
@@ -457,7 +462,9 @@ def _converged(rves: RveBatch, done, newton: _NewtonRound):
     What a full assembly of that round would have given them, from the
     round's element stiffnesses.
     """
-    pick = np.flatnonzero(done[newton.fresh])
+    if not len(newton.fresh):
+        return
+    pick = done[newton.fresh].nonzero()[0]
     if len(pick):
         fresh = newton.fresh[pick]
         rves.dr_dH[fresh], rves.dsig_du[fresh], rves.dsig_dh[fresh] = _sensitivities(
@@ -488,7 +495,7 @@ def _solve_columns(rves: RveBatch, need, tangent=True):
     (``linalg.factorize(..., prepared=True)``); the probe check and the
     column scatter run once for the call.
     """
-    todo = np.flatnonzero(need & ~rves.solved & ~rves.failed)
+    todo = (need & ~(rves.solved | rves.failed)).nonzero()[0]
     if not len(todo):
         return
     geom = rves.geom
@@ -506,13 +513,14 @@ def _solve_columns(rves: RveBatch, need, tangent=True):
         except SingularMatrixError:
             ok[j] = False
     ok &= linalg.probe_passed(blocks, geom.plan.inf_norms(kvals))
-    done = todo[ok]
-    rves.failed[todo[~ok]] = True
-    rves.solved[done] = True
-    rves.counts[done, FACTORIZATIONS] += 1
-    rves.x_r[done] = blocks[ok, m - 1]
+    if not ok.all():
+        rves.failed[todo[~ok]] = True
+        todo, blocks = todo[ok], blocks[ok]
+    rves.solved[todo] = True
+    rves.counts[todo, FACTORIZATIONS] += 1
+    rves.x_r[todo] = blocks[:, m - 1]
     if tangent:
-        rves.x_h[done] = np.swapaxes(blocks[ok, :4], 1, 2)
+        rves.x_h[todo] = np.swapaxes(blocks[:, :4], 1, 2)
 
 
 def _matvec(a, v):
@@ -625,7 +633,7 @@ def solve_micro_staggered(rves: RveBatch, h_target, tol_micro, max_iter) -> np.n
     step, r_prev = np.ones(b), np.zeros(b)
     du = np.zeros_like(rves.u_hat)
     live = np.ones(b, dtype=bool)
-    search = np.zeros(b, dtype=bool)
+    back = go = np.zeros(b, dtype=bool)
     newton = np.ones(b, dtype=bool).view(_NewtonRound)
     assemble(rves, newton)
     while True:
@@ -634,14 +642,21 @@ def solve_micro_staggered(rves: RveBatch, h_target, tol_micro, max_iter) -> np.n
         # Newton direction descends the residual 2-norm (exact tangent), so
         # acceptance tests that norm; convergence stays on the inf-norm.
         # Only the rows that took a step or backtracked are tested.
+        rows = ((back | go) & live).nonzero()[0]
         back = np.zeros(b, dtype=bool)
-        rows = np.flatnonzero(search & live)
         if len(rows):
-            back[rows] = (_norm2(rves.r_hat[rows]) > r_prev[rows]) & (step[rows] > 0.03125)
-            rows = np.flatnonzero(back)
-            rves.u_hat[rows] += step[rows, None] * du[rows]
-            step[rows] *= 0.5
-            rves.u_hat[rows] -= step[rows, None] * du[rows]
+            steps = step[rows]
+            turn = (_norm2(rves.r_hat[rows]) > r_prev[rows]) & (steps > 0.03125)
+            if turn.any():
+                back[rows] = turn
+                rows, steps = rows[turn], steps[turn, None]
+                du_back = du[rows]
+                u = rves.u_hat[rows]
+                u += steps * du_back
+                steps *= 0.5
+                u -= steps * du_back
+                rves.u_hat[rows] = u
+                step[rows] = steps[:, 0]
         check = live & ~back
         done = check & (rves.residual_norm <= tol_micro * residual_reference(rves))
         _converged(rves, done, newton)
@@ -650,21 +665,22 @@ def solve_micro_staggered(rves: RveBatch, h_target, tol_micro, max_iter) -> np.n
         go = check & live & ~rves.failed
         _solve_columns(rves, go, tangent=False)
         go &= ~rves.failed
-        rows = np.flatnonzero(go)
+        rows = go.nonzero()[0]
         if len(rows):
-            du[rows] = rves.x_r[rows]
+            # a full step: u_hat - 1.0 * du is u_hat - du
+            du[rows] = x_r = rves.x_r[rows]
             rves.counts[rows, UPDATE_SOLVES] += 1
             solves[rows] += 1
             r_prev[rows] = _norm2(rves.r_hat[rows])
             step[rows] = 1.0
-            rves.u_hat[rows] -= step[rows, None] * du[rows]
-        search = back | go
-        if not search.any():
+            rves.u_hat[rows] -= x_r
+        elif not back.any():
             ok = ~rves.failed
             if ok.any():
+                ok = slice(None) if ok.all() else ok  # the whole batch, without a gather
                 rves.sigma_bar[ok] = _boundary_stress(rves.geom, rves.f_full[ok])
             return np.maximum(solves, 1)
-        newton = search.view(_NewtonRound)
+        newton = (back | go).view(_NewtonRound)
         assemble(rves, newton)
 
 

@@ -5,7 +5,10 @@ The micro kernels run at the shipped RVE (``n_micro`` 8, n = 116) and at
 kernels, the material pass, a shard's construction and a shard's
 monolithic and staggered sweeps also run on a 16-RVE shard, the plate-hole shard size,
 and a shard's Cholesky solves and a 2-worker pool's monolithic sweep (23 RVEs
-per worker) also at the notched-shear RVE (n = 44). The
+per worker) also at the notched-shear RVE (n = 44). Those cases time
+all-plastic or whole sweeps; one staggered Newton round of a 23-RVE
+notched-shear shard with two plastic RVEs times the fixed cost a round pays
+beside its per-RVE kernels. The
 build of the shipped micro geometry, which carries the virgin RVE's
 factorization, and of the perfbench plate-hole model are timed too. Marked
 ``kernelbench`` and deselected by default (see pyproject.toml); run them
@@ -146,6 +149,33 @@ def test_staggered_sweep_shard(benchmark, shipped_geom):
     assert not shard.block.failed.any() and shard.rves.plastic_flow.all()
     assert (shard.block.iters >= 2).all()
     benchmark(sweep)
+
+
+def test_staggered_newton_round_small_shard(benchmark):
+    # one Newton round of rve.solve_micro_staggered on the 23-RVE
+    # notched-shear shard (n = 44) of a notched-shear-2w worker, 2 RVEs in
+    # plastic flow and 21 linear-flagged: the round's assembly of all 23, as
+    # a sweep's first rounds make it, and the residual-column Cholesky solves
+    # of the 2 plastic ones; most of what it costs does not grow with the
+    # RVE count
+    geom = R.MicroGeometry(rve_porous_tri(default_materials("notched-shear"), n=5))
+    shard = macro._Shard(geom, 23, True)
+    scale = np.where(np.arange(23) % 12 == 0, 1.0, 0.1)[:, None]
+    shard.block.h[:] = scale * [0.0, 0.01, 0.01, 0.004]
+    shard.staggered(1e-8, 12)
+    rves = shard.rves
+    rves.H += scale * [1e-5, 2e-5, -1e-5, 1e-5]
+    newton = np.ones(23, dtype=bool).view(R._NewtonRound)
+    plastic = rves.plastic_flow.copy()
+
+    def newton_round():
+        R.assemble(rves, newton)
+        R._solve_columns(rves, plastic, tangent=False)
+
+    newton_round()
+    assert plastic.sum() == 2 and rves.flagged.sum() == 21
+    assert not rves.failed.any()
+    benchmark(newton_round)
 
 
 def test_monolithic_sweep_two_worker_pool(benchmark):

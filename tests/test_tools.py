@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -154,3 +155,60 @@ def test_ab_pairs_fails_a_broken_bound_and_a_failed_solve(tmp_path, capsys):
     assert "wins 0/10, claim fails, bound fails" in capsys.readouterr().out
     assert ab_pairs.main(ab_trees(tmp_path), run=canned_run(parent, parent, failed=1)) == 1
     assert "parent: 10 of 30 solves failed" in capsys.readouterr().out
+
+
+def test_ab_pairs_judges_the_pairs_left_when_a_run_fails(tmp_path, capsys):
+    # pair 2's second run (the parent's, as odd pairs run the change first)
+    # exits non-zero: it is reported and counted, its pair is left out, and
+    # the nine complete pairs, each printed as it completed, are judged
+    ab_pairs = load("ab_pairs")
+    parent = [0.085, 0.086, 0.084, 0.087, 0.085, 0.086, 0.085, 0.084, 0.088, 0.085]
+    change = [0.081, 0.082, 0.080, 0.083, 0.090, 0.081, 0.082, 0.080, 0.083, 0.081]
+    canned = canned_run(parent, change)
+    runs = []
+
+    def run(tree, workload):
+        runs.append(tree)
+        stdout = canned(tree, workload)
+        if len(runs) == 4:
+            raise subprocess.CalledProcessError(1, ["perfbench/run.py"], stdout, "Traceback\nMemoryError\n")
+        return stdout
+
+    assert ab_pairs.main(ab_trees(tmp_path), run=run) == 1
+    assert len(runs) == 20
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert err[0] == "pair 1/10 parent/change: solve_s.staggered 0.085/0.081, peak_rss_mb 60/60"
+    assert err[1] == "pair 2/10: the parent run failed: exit status 1: MemoryError"
+    assert err[2].startswith("pair 3/10 parent/change: solve_s.staggered 0.084/0.08,")
+    assert len(err) == 10
+    out = captured.out.splitlines()
+    assert out[:3] == ["1 of 20 runs failed; 9 of 10 pairs completed",
+                       "parent: 0 of 27 solves failed", "change: 0 of 27 solves failed"]
+    assert out[3].endswith("wins 8/9, claim fails, bound holds")
+    kept = [0] + list(range(2, 10))
+    assert out[4] == "  pairs parent/change: " + ", ".join(f"{parent[i]:g}/{change[i]:g}" for i in kept)
+
+
+def test_ab_pairs_judges_nothing_without_two_complete_pairs(tmp_path, capsys):
+    ab_pairs = load("ab_pairs")
+
+    def run(tree, workload):
+        raise subprocess.CalledProcessError(2, ["perfbench/run.py"], "", "")
+
+    assert ab_pairs.main(ab_trees(tmp_path)[:-1] + ["2"], run=run) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["4 of 4 runs failed; 0 of 2 pairs completed",
+                   "fewer than two pairs completed: nothing is judged"]
+
+
+def test_shard_replay_finds_a_tree_identical_to_itself(capsys):
+    # both trees are this repository: every replay leaves the same arrays
+    shard_replay = load("shard_replay")
+    root = str(TOOLS.parent)
+    assert shard_replay.main([root, root, "--workload", "notched-shear-2w", "--scheme", "staggered",
+                              "--pairs", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "notched-shear-2w staggered: 21 requests replayed on 23 RVEs, 2 pairs"
+    assert out[2].startswith("ratio change/parent: median ")
+    assert out[-1] == "bit-identical"

@@ -7,16 +7,21 @@ tree, from that tree's own directory, the parent first in even pairs and the
 change first in odd ones, and reads the JSON object on each run's last
 line, whose ``metrics`` map each name to its ``value``. The end-to-end
 metrics, their direction and bound come from CHANGE_TREE's
-``BENCHMARK.json``. Per metric it prints the parent's median
-and interquartile range (IQR), the change's median and its relative gap,
-the pairs the change won, and two verdicts, then every pair's values:
+``BENCHMARK.json``. As each pair completes, its values go to standard
+error, so a set that is stopped keeps what it measured. A run that exits
+non-zero or prints no result is reported there and counted as failed, and
+its pair is left out; the set goes on. Then, over the complete pairs, it
+prints per metric the parent's median and interquartile range (IQR), the
+change's median and its relative gap, the pairs the change won, and two
+verdicts, then every pair's values:
 
 - claim: the change won at least 9 of every 10 pairs and its median beats
   the parent's by more than the parent's IQR;
 - bound: the change's median is not worse than the parent's by more than
   the metric's bound, a fraction of the parent's median.
 
-Exits 1 when a bound does not hold or a run failed a solve, else 0.
+Exits 1 when a bound does not hold, a run failed or failed a solve, or
+fewer than two pairs completed, else 0.
 """
 
 from __future__ import annotations
@@ -40,10 +45,26 @@ def last_json(stdout: str) -> dict:
 
 
 def run_perfbench(tree, workload) -> str:
-    """Standard output of one untraced perfbench run in ``tree``, run from that directory."""
+    """Standard output of one untraced perfbench run in ``tree``, run from that directory.
+
+    A run that exits non-zero raises :class:`subprocess.CalledProcessError`.
+    """
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0"],
                           cwd=tree, capture_output=True, text=True, check=True)
     return done.stdout
+
+
+def failure(exc):
+    """One line on a failed run: its exit status and the last line it wrote to standard error."""
+    if isinstance(exc, subprocess.CalledProcessError):
+        lines = [line for line in (exc.stderr or "").splitlines() if line.strip()]
+        return f"exit status {exc.returncode}" + (f": {lines[-1]}" if lines else "")
+    return str(exc)
+
+
+def pair_value(result, name):
+    metric = result["metrics"].get(name)
+    return "missing" if metric is None else f"{metric['value']:.6g}"
 
 
 def iqr(values):
@@ -82,12 +103,31 @@ def main(argv=None, run=run_perfbench):
     args = parser.parse_args(argv)
     trees = {"parent": args.parent_tree, "change": args.change_tree}
     spec = json.loads((Path(args.change_tree) / "BENCHMARK.json").read_text())
+    names = [metric["name"] for metric in spec["end_to_end"]]
     results = {"parent": [], "change": []}
+    crashed = 0
     for i in range(args.pairs):
+        pair = {}
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            results[side].append(last_json(run(trees[side], args.workload)))
-        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
-    ok = True
+            try:
+                pair[side] = last_json(run(trees[side], args.workload))
+            except (subprocess.CalledProcessError, ValueError) as exc:
+                crashed += 1
+                print(f"pair {i + 1}/{args.pairs}: the {side} run failed: {failure(exc)}", file=sys.stderr)
+        if len(pair) < 2:
+            continue
+        for side, result in pair.items():
+            results[side].append(result)
+        print(f"pair {i + 1}/{args.pairs} parent/change: " + ", ".join(
+            f"{name} {pair_value(pair['parent'], name)}/{pair_value(pair['change'], name)}" for name in names),
+            file=sys.stderr)
+    ok = crashed == 0
+    if crashed:
+        print(f"{crashed} of {2 * args.pairs} runs failed; "
+              f"{len(results['parent'])} of {args.pairs} pairs completed")
+    if len(results["parent"]) < 2:
+        print("fewer than two pairs completed: nothing is judged")
+        return 1
     for side, runs in results.items():
         failed = sum(r["failed"] for r in runs)
         print(f"{side}: {failed} of {sum(r['attempted'] for r in runs)} solves failed")
