@@ -321,7 +321,7 @@ def parse_config(raw, base_dir=".") -> RunConfig:
     try:
         schemes = _canonical_schemes([_typed("schemes", s, str) for s in schemes])
     except StructuralError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"schemes: {exc}") from exc
 
     solver_raw = raw.get("solver", {})
     if not isinstance(solver_raw, dict):
@@ -656,7 +656,7 @@ def _apply_cli_overrides(config, args):
     if args.out:
         config.output_dir = args.out
     try:
-        if args.schemes:
+        if args.schemes is not None:
             config.schemes = _canonical_schemes(args.schemes.split(","))
         if args.workers is not None:
             config.settings = replace(config.settings, parallel_workers=args.workers)
@@ -696,9 +696,7 @@ def main(argv=None):
             names = sorted(benchmarks.BENCHMARK_BUILDERS) if args.suite == "all" else [args.suite]
             status = 0
             for name in names:
-                raw = {"benchmark": name, "schemes": args.schemes.split(","), "output_dir": args.out}
-                config = parse_config(raw, base_dir=".")
-                config = _apply_cli_overrides(config, args)
+                config = _apply_cli_overrides(parse_config({"benchmark": name, "output_dir": args.out}), args)
                 s, reports = run_suite(config)
                 status = max(status, s)
                 for scheme, rep in reports.items():

@@ -279,9 +279,10 @@ class RveBatch:
     state: ``states``, ``u_hat_n``, ``u_hat_nm1`` and ``H_n``. The current
     iterate is ``u_hat`` (b, n) and ``H`` (b, 4). Each RVE's last assembly
     is kept in the arrays :func:`assemble` fills, its ``plastic_flow``
-    among them, but for the sensitivities (``dr_dH``, ``dsig_du``,
-    ``dsig_dh``) and ``sigma_bar``: those are of its last full or
-    converging assembly. Its condensation columns, the tangent columns ``x_h`` =
+    among them; a Newton round leaves ``sigma_bar`` and a fresh RVE's
+    sensitivities (``dr_dH``, ``dsig_du``, ``dsig_dh``) to
+    :func:`solve_micro_staggered`, which writes them where the RVE
+    converges. Its condensation columns, the tangent columns ``x_h`` =
     K^-1 dr/dH (b, n, 4) and the residual column ``x_r`` = K^-1 r (b, n),
     belong to that assembly while ``solved`` holds, as it always does after
     a linear-flagged one.
@@ -291,11 +292,12 @@ class RveBatch:
 
     Every RVE starts as a copy of the geometry's virgin RVE, as if
     assembled there: its matrices and its solved tangent columns are the
-    virgin ones, every other row is zero. A linear-flagged RVE's stiffness is K0 bit for bit, so its columns
-    are the virgin ones (see :func:`assemble`) and its condensed tangent is
-    C0. A full assembly records each assembled RVE's certified elastic
-    ``radius`` (0 unless it is linear-flagged) about ``H_ref``, the H it
-    was assembled at.
+    virgin ones, every other row is zero. A linear-flagged RVE has the
+    virgin matrices, K0 and the virgin sensitivities, bit for bit, so its
+    columns are the virgin ones (see :func:`assemble`) and its condensed
+    tangent is C0. A full assembly records each assembled RVE's certified
+    elastic ``radius`` (0 unless it is linear-flagged) about ``H_ref``, the
+    H it was assembled at.
     """
 
     def __init__(self, geom: MicroGeometry, count: int = 1):
@@ -331,19 +333,7 @@ def full_displacement(geom: MicroGeometry, u_hat, h):
     return u_aff.reshape(h.shape[:-1] + (-1,)) + pad.take(geom.pmap.dof_map, axis=-1)
 
 
-class _NewtonRound(np.ndarray):
-    """The boolean mask of the RVEs of one Newton round of :func:`solve_micro_staggered`.
-
-    Given one, :func:`assemble` leaves on it ``fresh``, the ids of the
-    round's RVEs that got new matrices, and ``kes``, their element
-    stiffnesses, one array per block; :func:`_converged` reads them.
-    """
-
-    fresh = np.zeros(0, dtype=np.int64)
-    kes = ()
-
-
-def assemble(rves: RveBatch, mask=None):
+def assemble(rves: RveBatch, mask=None, newton=False):
     """Residual, tangent, sensitivities and homogenized stress at (u_hat, H).
 
     Assembles the RVEs in the boolean ``mask`` (default: all) in one pass
@@ -353,24 +343,23 @@ def assemble(rves: RveBatch, mask=None):
     now or at its previous assembly, keeps the matrices of that assembly
     (``flagged``). An elastic point's tangent is the elastic stiffness bit
     for bit, whatever its plastic history, so those matrices are the virgin
-    ones, and the RVE is solved from the geometry's virgin factor: ``x_h``
-    the virgin tangent columns and ``x_r`` = K0^-1 r, whatever columns it
-    held before (after a rollback, say). Any other RVE is left unsolved, for
-    a solve on demand. A non-finite residual marks the RVE ``failed``. Each
-    assembled RVE records ``H_ref`` = H and its certified radius:
-    (1 - CERTIFY_MARGIN) times the least -f_tr / L over its points if it is
-    flagged, else 0.
+    ones: a flagged RVE takes the virgin sensitivities and is solved from
+    the geometry's virgin factor, ``x_h`` the virgin tangent columns and
+    ``x_r`` = K0^-1 r, whatever columns it held before (after a rollback,
+    say). Any other RVE is fresh: it gets new stiffness values and is left
+    unsolved, for a solve on demand. A non-finite residual marks the RVE
+    ``failed``.
 
-    A ``mask`` that is a :class:`_NewtonRound` makes a Newton round, which
-    assembles only what a Newton step reads: the residual, its norm and
-    reference force, the stiffness values, the trial states and the flags.
-    A fresh RVE keeps its sensitivities and every RVE its ``sigma_bar``,
-    ``radius`` and ``H_ref``; the round keeps the element stiffnesses for
-    :func:`_converged`. A flagged RVE takes the virgin sensitivities, which
-    a full assembly would have left it.
+    With ``newton=True`` the pass is a Newton round of
+    :func:`solve_micro_staggered`, which assembles only what a Newton step
+    reads: the residual, its norm and reference force, the stiffness
+    values, the trial states and the flags. A full pass also gives each
+    fresh RVE its sensitivities and each assembled RVE its ``sigma_bar``,
+    ``H_ref`` = H and certified radius: (1 - CERTIFY_MARGIN) times the
+    least -f_tr / L over its points if it is flagged, else 0. Returns the
+    ids of the fresh RVEs and their element stiffnesses, one array per block.
     """
     geom, b, n_ip = rves.geom, rves.b, rves.geom.n_ip
-    newton = isinstance(mask, _NewtonRound)
     ids = np.arange(b) if mask is None else mask.nonzero()[0]
     k = len(ids)
     sel = slice(None) if k == b else ids
@@ -387,46 +376,45 @@ def assemble(rves: RveBatch, mask=None):
     # matrices may only be carried over from an assembly that was itself
     # evaluated with the elastic tangent everywhere
     flagged = ~(plastic_flow | rves.plastic_flow[sel])
-    at = flagged.nonzero()[0]  # the flagged RVEs' places in the round
+    at = flagged.nonzero()[0]  # the flagged RVEs' places in the pass
     n_flagged = len(at)
-    if not newton:
-        room = (-f_tr.reshape(k, n_ip) / geom.yield_bound).min(axis=1)
-        rves.radius[sel] = np.where(flagged, (1.0 - CERTIFY_MARGIN) * room, 0.0)
-        rves.H_ref[sel] = rves.H[sel]
 
     f_full = geom.plan.internal_force(sigma)
     r_hat = fmesh.scatter_add(geom.eq_index, [f_full], geom.n_reduced + 1)[:, :-1]
 
+    fresh, kes = ids[:0], ()
     if n_flagged < k:
         # the dense point tangents of the RVEs that get new matrices, which
         # hold every yielding point: a flagged RVE has none
         fresh, fresh_active = (ids, active) if not n_flagged else (ids[~flagged], active[~flagged])
         d = material.point_tangents(geom.law, fresh_active.ravel(), yielding).reshape(-1, n_ip, 4, 4)
         rves.kvals[fresh], kes = geom.plan.stiffness(d)
-        if newton:
-            mask.fresh, mask.kes = fresh, kes
-        else:
-            rves.dr_dH[fresh], rves.dsig_du[fresh], rves.dsig_dh[fresh] = _sensitivities(geom, kes)
         rves.solved[fresh] = False
     if n_flagged:
         rows = ids[at]
         rves.x_h[rows] = geom.virgin_x_h
         rves.x_r[rows] = _matvec(geom.virgin_inverse, r_hat[at])
         rves.solved[rows] = True
-        if newton:
-            rves.dr_dH[rows], rves.dsig_du[rows], rves.dsig_dh[rows] = (
-                geom.virgin_dr_dH, geom.virgin_dsig_du, geom.virgin_dsig_dh)
+        rves.dr_dH[rows], rves.dsig_du[rows], rves.dsig_dh[rows] = (
+            geom.virgin_dr_dH, geom.virgin_dsig_du, geom.virgin_dsig_dh)
 
-    if not newton:
-        rves.sigma_bar[sel] = _boundary_stress(geom, f_full)
     rves.r_hat[sel], rves.f_full[sel] = r_hat, f_full
     rves.plastic_flow[sel], rves.flagged[sel] = plastic_flow, flagged
-    # the norms of this round's own copies, taken in place
+    # the norms of this pass's own copies, taken in place
     norm = np.maximum.reduce(np.abs(r_hat, out=r_hat), axis=1, initial=0.0)
     rves.residual_norm[sel] = norm
     force = np.maximum.reduce(np.abs(f_full, out=f_full), axis=1, initial=0.0)
     rves.ref_force[sel] = np.maximum(rves.ref_force[sel], force)
     rves.failed[sel] |= ~np.isfinite(norm)
+
+    if not newton:
+        room = (-f_tr.reshape(k, n_ip) / geom.yield_bound).min(axis=1)
+        rves.radius[sel] = np.where(flagged, (1.0 - CERTIFY_MARGIN) * room, 0.0)
+        rves.H_ref[sel] = rves.H[sel]
+        if len(fresh):
+            rves.dr_dH[fresh], rves.dsig_du[fresh], rves.dsig_dh[fresh] = _sensitivities(geom, kes)
+        rves.sigma_bar[sel] = _boundary_stress(geom, rves.f_full[sel])
+    return fresh, kes
 
 
 def _sensitivities(geom: MicroGeometry, kes):
@@ -454,21 +442,6 @@ def _boundary_stress(geom: MicroGeometry, f_full):
     f2 = np.take(f_full.reshape(k, -1, 2), geom.boundary_nodes, axis=1)
     bx = geom.mesh.nodes[geom.boundary_nodes]
     return (np.swapaxes(f2, 1, 2) @ bx).reshape(k, 4) / geom.volume
-
-
-def _converged(rves: RveBatch, done, newton: _NewtonRound):
-    """Sensitivities of the fresh RVEs of ``done``, converged at the Newton round ``newton``.
-
-    What a full assembly of that round would have given them, from the
-    round's element stiffnesses.
-    """
-    if not len(newton.fresh):
-        return
-    pick = done[newton.fresh].nonzero()[0]
-    if len(pick):
-        fresh = newton.fresh[pick]
-        rves.dr_dH[fresh], rves.dsig_du[fresh], rves.dsig_dh[fresh] = _sensitivities(
-            rves.geom, [ke[pick] for ke in newton.kes])
 
 
 def residual_reference(rves: RveBatch):
@@ -616,13 +589,13 @@ def solve_micro_staggered(rves: RveBatch, h_target, tol_micro, max_iter) -> np.n
     RVE that took a Newton step or backtracks, and each RVE goes through
     exactly the iterates of a loop of its own. Every round is a Newton
     round (see :func:`assemble`): an RVE gets its sensitivities once, from
-    the round where it converges (:func:`_converged`), and at the end every
-    converged RVE its ``sigma_bar``, from its nodal forces, bit for bit what
-    a full assembly at its converged iterate gives. An RVE has converged when
-    ||r||_inf <= tol_micro * max(running force, floor); it is marked
-    ``failed`` on a budget overrun, a singular stiffness or a non-finite
-    residual, and the caller cuts the load increment. Returns the
-    iteration counts (b,): a converged RVE counts at least one (the
+    the element stiffnesses of the round where it converges, and at the end
+    every converged RVE its ``sigma_bar``, from its nodal forces, bit for
+    bit what a full assembly at its converged iterate gives. An RVE has
+    converged when ||r||_inf <= tol_micro * max(running force, floor); it
+    is marked ``failed`` on a budget overrun, a singular stiffness or a
+    non-finite residual, and the caller cuts the load increment. Returns
+    the iteration counts (b,): a converged RVE counts at least one (the
     re-check) and leaves its converged assembly for
     :func:`homogenized_tangent_and_alg_stress`.
     """
@@ -634,8 +607,7 @@ def solve_micro_staggered(rves: RveBatch, h_target, tol_micro, max_iter) -> np.n
     du = np.zeros_like(rves.u_hat)
     live = np.ones(b, dtype=bool)
     back = go = np.zeros(b, dtype=bool)
-    newton = np.ones(b, dtype=bool).view(_NewtonRound)
-    assemble(rves, newton)
+    fresh, kes = assemble(rves, newton=True)
     while True:
         live &= ~rves.failed
         # Backtracking keeps the update inside the convergence basin. The
@@ -659,7 +631,12 @@ def solve_micro_staggered(rves: RveBatch, h_target, tol_micro, max_iter) -> np.n
                 step[rows] = steps[:, 0]
         check = live & ~back
         done = check & (rves.residual_norm <= tol_micro * residual_reference(rves))
-        _converged(rves, done, newton)
+        pick = done[fresh].nonzero()[0]  # the converged fresh RVEs' places in the round
+        if len(pick):
+            at = fresh[pick]
+            rves.dr_dH[at], rves.dsig_du[at], rves.dsig_dh[at] = _sensitivities(
+                rves.geom, [ke[pick] for ke in kes])
+        del kes  # a round's element stiffnesses are large: freed before the next round
         live &= ~done
         rves.failed |= check & live & (solves >= max_iter)
         go = check & live & ~rves.failed
@@ -680,8 +657,7 @@ def solve_micro_staggered(rves: RveBatch, h_target, tol_micro, max_iter) -> np.n
                 ok = slice(None) if ok.all() else ok  # the whole batch, without a gather
                 rves.sigma_bar[ok] = _boundary_stress(rves.geom, rves.f_full[ok])
             return np.maximum(solves, 1)
-        newton = (back | go).view(_NewtonRound)
-        assemble(rves, newton)
+        fresh, kes = assemble(rves, back | go, newton=True)
 
 
 def micro_update_monolithic(rves: RveBatch, delta_h) -> np.ndarray:

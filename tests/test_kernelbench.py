@@ -165,11 +165,11 @@ def test_staggered_newton_round_small_shard(benchmark):
     shard.staggered(1e-8, 12)
     rves = shard.rves
     rves.H += scale * [1e-5, 2e-5, -1e-5, 1e-5]
-    newton = np.ones(23, dtype=bool).view(R._NewtonRound)
+    mask = np.ones(23, dtype=bool)
     plastic = rves.plastic_flow.copy()
 
     def newton_round():
-        R.assemble(rves, newton)
+        R.assemble(rves, mask, newton=True)
         R._solve_columns(rves, plastic, tangent=False)
 
     newton_round()

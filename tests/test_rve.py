@@ -391,9 +391,9 @@ class TestStackedSweep:
         assembled = []  # the RVEs of every assembly pass: the line search shows here
         assemble = R.assemble
 
-        def counting(rves, mask=None):
+        def counting(rves, mask=None, newton=False):
             assembled.append(np.ones(rves.b, dtype=bool) if mask is None else mask.copy())
-            assemble(rves, mask)
+            return assemble(rves, mask, newton)
 
         monkeypatch.setattr(R, "assemble", counting)
         # the shard states, each at a target of its own; then virgin RVEs
@@ -835,14 +835,15 @@ class TestRetainedColumns:
         geom = model.micro_geometry
         assemble, seen = R.assemble, []
 
-        def checked(rves, mask=None):
-            assemble(rves, mask)
+        def checked(rves, mask=None, newton=False):
+            out = assemble(rves, mask, newton)
             rows = np.flatnonzero(rves.flagged & (True if mask is None else mask))
             seen.append(len(rows))
             for name in ("kvals", "dr_dH", "dsig_du", "dsig_dh", "x_h"):
                 virgin = getattr(geom, f"virgin_{name}")
                 assert getattr(rves, name)[rows].tobytes() == np.repeat(virgin[None], len(rows), axis=0).tobytes()
             assert rves.solved[rows].all()
+            return out
 
         monkeypatch.setattr(R, "assemble", checked)
         rep = run(model, SolverSettings(tol_macro=1e-9, tol_micro=1e-9, **solver))
@@ -1063,9 +1064,10 @@ class TestCertifiedElastic:
         first_yield = next(k for k, (_, _, active) in enumerate(passes) if active.any())
         assert not certified[first_yield]
 
-        def radius_zero(rves, mask=None):
-            assemble(rves, mask)
+        def radius_zero(rves, mask=None, newton=False):
+            out = assemble(rves, mask, newton)
             rves.radius[:] = 0.0
+            return out
 
         assemble = R.assemble
         monkeypatch.setattr(R, "assemble", radius_zero)

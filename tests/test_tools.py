@@ -5,6 +5,8 @@ import json
 import subprocess
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -111,15 +113,22 @@ def test_same_results_lists_every_differing_stats_column(tmp_path, capsys):
     ]
 
 
-def canned_run(parent, change, failed=0):
-    """A stand-in for one perfbench run: per tree, the next of its canned solve_s.staggered values."""
+def canned_run(parent, change, failed=0, change_failed=None, change_drops=()):
+    """A stand-in for one perfbench run: per tree, the next of its canned solve_s.staggered values.
+
+    Each run fails ``failed`` solves, a change run ``change_failed`` if given;
+    a change run leaves out the metrics ``change_drops``.
+    """
     values = {"parent": iter(parent), "change": iter(change)}
+    failures = {"parent": failed, "change": failed if change_failed is None else change_failed}
 
     def run(tree, workload):
         side = "parent" if tree.endswith("parent") else "change"
         metrics = {"solve_s.staggered": {"value": next(values[side]), "unit": "s"},
                    "peak_rss_mb": {"value": 60.0, "unit": "MiB"}}
-        result = {"correct": not failed, "attempted": 3, "failed": failed, "metrics": metrics}
+        for name in change_drops if side == "change" else ():
+            del metrics[name]
+        result = {"correct": not failures[side], "attempted": 3, "failed": failures[side], "metrics": metrics}
         return "round 1 ok\n" + json.dumps(result) + "\n"
 
     return run
@@ -155,6 +164,31 @@ def test_ab_pairs_fails_a_broken_bound_and_a_failed_solve(tmp_path, capsys):
     assert "wins 0/10, claim fails, bound fails" in capsys.readouterr().out
     assert ab_pairs.main(ab_trees(tmp_path), run=canned_run(parent, parent, failed=1)) == 1
     assert "parent: 10 of 30 solves failed" in capsys.readouterr().out
+
+
+def test_ab_pairs_fails_a_metric_missing_from_some_runs(tmp_path, capsys):
+    ab_pairs = load("ab_pairs")
+    parent = [0.085] * 10
+    run = canned_run(parent, parent, change_drops=["solve_s.staggered"])
+    assert ab_pairs.main(ab_trees(tmp_path), run=run) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[2] == "solve_s.staggered: missing from some runs"
+    assert out[3].startswith("peak_rss_mb (MiB): parent 60") and out[3].endswith("bound holds")
+
+
+@pytest.mark.parametrize("parent_failed, change_failed, claim", [(0, 1, "fails"), (1, 0, "holds")])
+def test_ab_pairs_claims_no_gain_for_a_change_that_fails_more_solves(tmp_path, capsys, parent_failed,
+                                                                      change_failed, claim):
+    # the timings alone make the claim; a failed solve still fails the set
+    ab_pairs = load("ab_pairs")
+    parent = [0.085, 0.086, 0.084, 0.087, 0.085, 0.086, 0.085, 0.084, 0.088, 0.085]
+    change = [0.081, 0.082, 0.080, 0.083, 0.090, 0.081, 0.082, 0.080, 0.083, 0.081]
+    run = canned_run(parent, change, failed=parent_failed, change_failed=change_failed)
+    assert ab_pairs.main(ab_trees(tmp_path), run=run) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [f"parent: {10 * parent_failed} of 30 solves failed",
+                       f"change: {10 * change_failed} of 30 solves failed"]
+    assert out[2].endswith(f"wins 9/10, claim {claim}, bound holds")
 
 
 def test_ab_pairs_judges_the_pairs_left_when_a_run_fails(tmp_path, capsys):

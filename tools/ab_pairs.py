@@ -15,13 +15,14 @@ prints per metric the parent's median and interquartile range (IQR), the
 change's median and its relative gap, the pairs the change won, and two
 verdicts, then every pair's values:
 
-- claim: the change won at least 9 of every 10 pairs and its median beats
-  the parent's by more than the parent's IQR;
+- claim: the change won at least 9 of every 10 pairs, its median beats
+  the parent's by more than the parent's IQR, and it failed no more solves
+  than the parent;
 - bound: the change's median is not worse than the parent's by more than
   the metric's bound, a fraction of the parent's median.
 
-Exits 1 when a bound does not hold, a run failed or failed a solve, or
-fewer than two pairs completed, else 0.
+Exits 1 when a bound does not hold, a metric is missing from a run, a run
+failed or failed a solve, or fewer than two pairs completed, else 0.
 """
 
 from __future__ import annotations
@@ -72,8 +73,11 @@ def iqr(values):
     return q3 - q1
 
 
-def judge(metric, parent, change):
-    """The verdict on one end-to-end ``metric`` (a BENCHMARK.json entry) from paired values."""
+def judge(metric, parent, change, claimable=True):
+    """The verdict on one end-to-end ``metric`` (a BENCHMARK.json entry) from paired values.
+
+    With ``claimable`` false (the change failed more solves) no gain is claimed.
+    """
     sign = 1.0 if metric["better"] == "lower" else -1.0
     med_p, med_c = statistics.median(parent), statistics.median(change)
     spread = iqr(parent)
@@ -83,7 +87,7 @@ def judge(metric, parent, change):
         "name": metric["name"], "unit": metric["unit"], "parent": med_p, "change": med_c,
         "iqr": spread, "rel": (med_c - med_p) / med_p if med_p else 0.0,
         "wins": wins, "pairs": len(parent),
-        "claim": wins >= CLAIM_WINS * len(parent) and gain > spread,
+        "claim": claimable and wins >= CLAIM_WINS * len(parent) and gain > spread,
         "bound": -gain <= metric["bound"] * abs(med_p),
     }
 
@@ -128,17 +132,18 @@ def main(argv=None, run=run_perfbench):
     if len(results["parent"]) < 2:
         print("fewer than two pairs completed: nothing is judged")
         return 1
+    failed = {side: sum(r["failed"] for r in runs) for side, runs in results.items()}
     for side, runs in results.items():
-        failed = sum(r["failed"] for r in runs)
-        print(f"{side}: {failed} of {sum(r['attempted'] for r in runs)} solves failed")
-        ok &= failed == 0
+        print(f"{side}: {failed[side]} of {sum(r['attempted'] for r in runs)} solves failed")
+    ok &= not any(failed.values())
     for metric in spec["end_to_end"]:
         name = metric["name"]
         if not all(name in r["metrics"] for runs in results.values() for r in runs):
             print(f"{name}: missing from some runs")
+            ok = False
             continue
         parent, change = ([r["metrics"][name]["value"] for r in results[s]] for s in ("parent", "change"))
-        verdict = judge(metric, parent, change)
+        verdict = judge(metric, parent, change, claimable=failed["change"] <= failed["parent"])
         print(report_line(verdict))
         print("  pairs parent/change: " + ", ".join(f"{p:.6g}/{c:.6g}" for p, c in zip(parent, change)))
         ok &= verdict["bound"]
